@@ -164,38 +164,37 @@ def invariant_r(params: FamilyParams, d1: int) -> int:
     raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
 
 
-def ell_invariant(params: FamilyParams, d1: int, r: int) -> int:
+def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
     """ell(c1, c2, d1, r) = c2 + a*(d1*e - r) - s*d1 + 2*d1*r - d1^2*e.
 
     Here (a, s) = (4, b+3e+6+t) are the coefficients of c1 and c2 = 3b+8+t.
     """
-    cd = chern(params)
     a, s_coeff = cd.c1.a, cd.c1.c
     return (
         cd.c2
-        + a * (d1 * params.e - r)
+        + a * (d1 * e - r)
         - s_coeff * d1
         + 2 * d1 * r
-        - d1 * d1 * params.e
+        - d1 * d1 * e
     )
 
 
-def splitting_type(params: FamilyParams) -> tuple[int, int]:
+def splitting_type(params: FamilyParams, cd: ChernData, r3: int) -> tuple[int, int]:
     """Generic splitting type on curves of class C0, decided by ell.
 
-    ell at d1=3 must vanish and ell at d1=2 must be negative (its value
-    b-t-2e-4 does not depend on r; checked over r in [0, 40]).
+    ell at d1=3 must vanish at the threshold r3 = invariant_r(params, 3),
+    and ell at d1=2 must be negative (its value b-t-2e-4 does not depend
+    on r; checked over r in [0, 40]).
     """
     expected2 = params.b - params.t - 2 * params.e - 4
     for r in range(0, 41):
-        if ell_invariant(params, 2, r) != expected2:
+        if ell_invariant(cd, params.e, 2, r) != expected2:
             raise ConsistencyError(
                 f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={r}"
             )
     if expected2 >= 0:
         raise ConsistencyError(f"expected ell(c1,c2,2,r) = b-t-2e-4 < 0 at {params}")
-    r3 = invariant_r(params, 3)
-    if ell_invariant(params, 3, r3) != 0:
+    if ell_invariant(cd, params.e, 3, r3) != 0:
         raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={r3}")
     return (3, 1)
 
@@ -208,16 +207,18 @@ class UniformityEvidence:
     ell3: int
 
 
-def is_uniform(params: FamilyParams) -> UniformityEvidence:
+def is_uniform(params: FamilyParams, cd: ChernData) -> UniformityEvidence:
     """Uniformity (ell vanishes at d1=3), with the witnessing numbers."""
     r3 = invariant_r(params, 3)
-    ell3 = ell_invariant(params, 3, r3)
-    ell2 = ell_invariant(params, 2, invariant_r(params, 2))
+    ell3 = ell_invariant(cd, params.e, 3, r3)
+    ell2 = ell_invariant(cd, params.e, 2, invariant_r(params, 2))
     return UniformityEvidence(uniform=ell3 == 0, r=r3, ell2=ell2, ell3=ell3)
 
 
-def bundle_cohomology(params: FamilyParams) -> CohomologyTable:
-    """Table of E = A + B; the closed forms for each summand are asserted."""
+def bundle_cohomology(
+    params: FamilyParams,
+) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
+    """Tables of A, B and E = A + B; the closed forms for each are asserted."""
     s = params.surface
     bun = build_split(params)
     tab_a = cohomology(s, bun.A)
@@ -232,7 +233,7 @@ def bundle_cohomology(params: FamilyParams) -> CohomologyTable:
         raise ConsistencyError(
             f"h(E) != (5e+2b+4t+28, 0, 0) at {params}: got {table.as_tuple()}"
         )
-    return table
+    return tab_a, tab_b, table
 
 
 def sym_chi(bundle: SplitBundle, m: int, twist: DivisorClass = ZERO) -> int:

@@ -25,23 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle_family import FamilyParams, chern, validate_params
+from .bundle_family import FamilyParams
 from .errors import ConsistencyError
 from .surface_lattice import DivisorClass, Surface, canonical_class, intersect
 
 
 @dataclass(frozen=True)
 class ScrollContext:
-    """Everything the ring structure needs: e and the Chern data of E."""
+    """Everything the ring structure needs: the member and the Chern data of E."""
 
-    e: int
+    params: FamilyParams
     c1: DivisorClass
     c2: int
 
-    @classmethod
-    def from_params(cls, params: FamilyParams) -> ScrollContext:
-        cd = chern(params)
-        return cls(params.e, cd.c1, cd.c2)
+    @property
+    def e(self) -> int:
+        return self.params.e
 
 
 @dataclass(frozen=True)
@@ -175,30 +174,21 @@ class IntersectionNumbers:
     c3: int
 
 
-def _family_bt(ctx: ScrollContext) -> tuple[int, int]:
-    """Recover (b, t) from the Chern data; the context must come from a valid triple."""
-    doubled = ctx.c2 - ctx.c1.c + 3 * ctx.e - 2
-    if doubled % 2 != 0:
-        raise ConsistencyError(f"Chern data does not match any parameter triple: {ctx}")
-    b = doubled // 2
-    t = ctx.c2 - 3 * b - 8
-    validate_params(ctx.e, b, t)
-    return b, t
-
-
-def intersection_numbers(ctx: ScrollContext, n: int) -> IntersectionNumbers:
+def intersection_numbers(
+    ctx: ScrollContext, n: int, tangent: tuple[ChowClass, ChowClass, ChowClass]
+) -> IntersectionNumbers:
     """All degree-3 pairings of L, K and the Chern classes of T_X.
 
-    Every entry is computed twice: by Chow multiplication and by the closed
-    forms in (d, e, b, t).  Any disagreement, or an n inconsistent with the
-    context, raises ConsistencyError.
+    ``tangent`` is chern_TX(ctx).  Every entry is computed twice: by Chow
+    multiplication and by the closed forms in (d, e, b, t).  Any
+    disagreement, or an n inconsistent with the context, raises
+    ConsistencyError.
     """
-    b, t = _family_bt(ctx)
-    e = ctx.e
+    e, b, t = ctx.params.e, ctx.params.b, ctx.params.t
     if n != 5 * e + 2 * b + 4 * t + 27:
         raise ConsistencyError(f"n={n} inconsistent with context {ctx}")
     k = canonical_class_X(ctx)
-    _c1x, c2x, c3x = chern_TX(ctx)
+    _c1x, c2x, c3x = tangent
     by_chow = IntersectionNumbers(
         L3=degree(prod(ctx, XI, XI, XI)),
         KL2=degree(prod(ctx, k, XI, XI)),

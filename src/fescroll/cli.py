@@ -13,24 +13,10 @@ import argparse
 import json
 import sys
 
-from .bundle_family import (
-    FamilyParams,
-    build_split,
-    bundle_cohomology,
-    chern,
-    is_uniform,
-    iter_valid_params,
-    splitting_type,
-    validate_params,
-)
+from .bundle_family import FamilyParams, iter_valid_params, validate_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
-from .hilbert_component import (
-    HilbertReport,
-    check_hypotheses,
-    chi_normal,
-    component_dimension,
-)
-from .scroll_invariants import embedding_dimension, scroll_degree, scroll_report
+from .hilbert_component import HilbertReport
+from .member import Member
 from .surface_lattice import CohomologyTable, DivisorClass, Surface, cohomology
 from .verify import run_all
 
@@ -100,13 +86,13 @@ def _hilbert_full_payload(report: HilbertReport) -> dict:
     }
 
 
-def _hilbert_gated_payload(params: FamilyParams, flags) -> dict:
+def _hilbert_gated_payload(member: Member) -> dict:
     return {
-        "params": _params_dict(params),
-        "flags": _flags_dict(flags),
-        "n": embedding_dimension(params),
-        "d": scroll_degree(params),
-        "chiN": chi_normal(params),
+        "params": _params_dict(member.params),
+        "flags": _flags_dict(member.flags),
+        "n": member.n,
+        "d": member.d,
+        "chiN": member.chi_N,
         "chiN_note": "euler characteristic only; not identified with h^0(N) "
                      "because the flags above do not all hold",
         "dim_component": None,
@@ -120,27 +106,23 @@ def _hilbert_gated_payload(params: FamilyParams, flags) -> dict:
 # ------------------------------------------------------------------ report
 
 
-def _report_payload(params: FamilyParams) -> dict:
-    s = params.surface
-    bun = build_split(params)
-    cd = chern(params)
-    evidence = is_uniform(params)
-    split = splitting_type(params)
-    rep = scroll_report(params)
-    flags = check_hypotheses(params)
+def _report_payload(member: Member) -> dict:
+    cd = member.chern
+    evidence = member.uniformity
+    tab_a, tab_b, tab_e = member.tables
     payload = {
-        "params": _params_dict(params),
+        "params": _params_dict(member.params),
         "scroll": {
-            "n": rep.n,
-            "d": rep.d,
+            "n": member.n,
+            "d": member.d,
             "c1": [cd.c1.a, cd.c1.c],
             "c2": cd.c2,
-            "h_of_L": list(rep.h_of_L),
-            "hilbert_poly": rep.hilbert_poly.to_pairs(),
+            "h_of_L": list(member.h_of_L),
+            "hilbert_poly": member.hilbert_poly.to_pairs(),
             "cohomology": {
-                "E": _table_dict(bundle_cohomology(params)),
-                "A": _table_dict(cohomology(s, bun.A)),
-                "B": _table_dict(cohomology(s, bun.B)),
+                "E": _table_dict(tab_e),
+                "A": _table_dict(tab_a),
+                "B": _table_dict(tab_b),
             },
         },
         "uniformity": {
@@ -148,92 +130,79 @@ def _report_payload(params: FamilyParams) -> dict:
             "r": evidence.r,
             "ell2": evidence.ell2,
             "ell3": evidence.ell3,
-            "splitting_type": list(split),
+            "splitting_type": list(member.splitting_type),
         },
         "checks": {"passed": list(_REPORT_CHECKS)},
     }
-    if flags.all_hold():
-        payload["hilbert"] = _hilbert_full_payload(component_dimension(params))
+    if member.flags.all_hold():
+        payload["hilbert"] = _hilbert_full_payload(member.hilbert)
     return payload
 
 
-def _report_plain(payload: dict) -> str:
-    p = payload["params"]
-    sc = payload["scroll"]
-    un = payload["uniformity"]
-    c1 = DivisorClass(*sc["c1"])
+def _report_plain(member: Member) -> str:
+    p, cd, evidence = member.params, member.chern, member.uniformity
+    split = member.splitting_type
+    tab_a, tab_b, tab_e = member.tables
     lines = [
-        f"e={p['e']} b={p['b']} t={p['t']}",
-        f"c1 = {_fmt_divisor(c1)}",
-        f"c2 = {sc['c2']}",
-        f"n = {sc['n']}",
-        f"d = {sc['d']}",
-        f"r = {un['r']}, ell2 = {un['ell2']}, ell3 = {un['ell3']}",
-        f"uniform: {_cell(un['uniform'])}, splitting type "
-        f"({un['splitting_type'][0]}, {un['splitting_type'][1]})",
+        f"e={p.e} b={p.b} t={p.t}",
+        f"c1 = {_fmt_divisor(cd.c1)}",
+        f"c2 = {cd.c2}",
+        f"n = {member.n}",
+        f"d = {member.d}",
+        f"r = {evidence.r}, ell2 = {evidence.ell2}, ell3 = {evidence.ell3}",
+        f"uniform: {_cell(evidence.uniform)}, splitting type ({split[0]}, {split[1]})",
     ]
-    for name in ("E", "A", "B"):
-        tab = sc["cohomology"][name]
-        lines.append(f"h^i({name}) = ({tab['h0']}, {tab['h1']}, {tab['h2']})")
-    lines.append(f"h^i(X, L) = {tuple(sc['h_of_L'])}")
-    lines.append("P(m) = " + _poly_pretty(sc["hilbert_poly"]))
-    if "hilbert" in payload:
-        hb = payload["hilbert"]
+    for name, tab in (("E", tab_e), ("A", tab_a), ("B", tab_b)):
+        lines.append(f"h^i({name}) = {tab.as_tuple()}")
+    lines.append(f"h^i(X, L) = {member.h_of_L}")
+    lines.append("P(m) = " + member.hilbert_poly.pretty())
+    if member.flags.all_hold():
+        hb = member.hilbert
         lines.append(
-            f"hilbert: dim = {hb['dim_component']}, "
-            f"codim of scroll locus = {hb['codim_scroll_locus']}, "
-            f"chi(N) = {hb['chiN']}, h(T_X) = {tuple(hb['hTX'])}, "
-            f"chi(T_X) = {hb['chiTX']}"
+            f"hilbert: dim = {hb.dim_component}, "
+            f"codim of scroll locus = {hb.codim_scroll_locus}, "
+            f"chi(N) = {hb.chiN}, h(T_X) = {hb.hTX}, chi(T_X) = {hb.chiTX}"
         )
     else:
         lines.append("hilbert: not reported (hypothesis flags do not all hold)")
-    lines.append("checks passed: " + "; ".join(payload["checks"]["passed"]))
+    lines.append("checks passed: " + "; ".join(_REPORT_CHECKS))
     return "\n".join(lines)
 
 
-def _poly_pretty(pairs: list[list[int]]) -> str:
-    terms = []
-    for power, (num, den) in enumerate(pairs):
-        if num == 0:
-            continue
-        coeff = str(num) if den == 1 else f"({num}/{den})"
-        mono = "" if power == 0 else ("*m" if power == 1 else f"*m^{power}")
-        terms.append(coeff + mono)
-    return " + ".join(terms) if terms else "0"
-
-
 def cmd_report(args) -> tuple[str, int]:
-    params = validate_params(args.e, args.b, args.t)
-    payload = _report_payload(params)
+    member = Member(validate_params(args.e, args.b, args.t))
+    if args.format == "plain":
+        return _report_plain(member), 0
+    params = member.params
+    payload = _report_payload(member)  # csv too computes every value
     if args.format == "json":
         return json.dumps(payload, indent=2), 0
-    if args.format == "csv":
-        hb = payload.get("hilbert")
-        row = [
-            params.e, params.b, params.t,
-            payload["scroll"]["n"], payload["scroll"]["d"],
-            payload["scroll"]["c1"][0], payload["scroll"]["c1"][1],
-            payload["scroll"]["c2"],
-            payload["uniformity"]["r"], payload["uniformity"]["ell2"],
-            payload["uniformity"]["ell3"],
-            payload["scroll"]["cohomology"]["E"]["h0"],
-            hb is not None,
-            hb["dim_component"] if hb else None,
-            hb["codim_scroll_locus"] if hb else None,
-        ]
-        header = ["e", "b", "t", "n", "d", "c1_a", "c1_c", "c2", "r",
-                  "ell2", "ell3", "h0E", "paper_regime", "dim", "codim"]
-        return _csv_text(header, [row]), 0
-    return _report_plain(payload), 0
+    hb = payload.get("hilbert")
+    row = [
+        params.e, params.b, params.t,
+        payload["scroll"]["n"], payload["scroll"]["d"],
+        payload["scroll"]["c1"][0], payload["scroll"]["c1"][1],
+        payload["scroll"]["c2"],
+        payload["uniformity"]["r"], payload["uniformity"]["ell2"],
+        payload["uniformity"]["ell3"],
+        payload["scroll"]["cohomology"]["E"]["h0"],
+        hb is not None,
+        hb["dim_component"] if hb else None,
+        hb["codim_scroll_locus"] if hb else None,
+    ]
+    header = ["e", "b", "t", "n", "d", "c1_a", "c1_c", "c2", "r",
+              "ell2", "ell3", "h0E", "paper_regime", "dim", "codim"]
+    return _csv_text(header, [row]), 0
 
 
 # -------------------------------------------------------------- uniformity
 
 
 def cmd_uniformity(args) -> tuple[str, int]:
-    params = validate_params(args.e, args.b, args.t)
-    evidence = is_uniform(params)
-    split = splitting_type(params)
+    member = Member(validate_params(args.e, args.b, args.t))
+    params = member.params
+    evidence = member.uniformity
+    split = member.splitting_type
     payload = {
         "params": _params_dict(params),
         "uniform": evidence.uniform,
@@ -281,14 +250,14 @@ def cmd_cohomology(args) -> tuple[str, int]:
 
 
 def cmd_hilbpoly(args) -> tuple[str, int]:
-    params = validate_params(args.e, args.b, args.t)
-    rep = scroll_report(params)
-    pairs = rep.hilbert_poly.to_pairs()
+    member = Member(validate_params(args.e, args.b, args.t))
+    params = member.params
+    pairs = member.hilbert_poly.to_pairs()
     if args.format == "json":
         payload = {
             "params": _params_dict(params),
-            "n": rep.n,
-            "d": rep.d,
+            "n": member.n,
+            "d": member.d,
             "hilbert_poly": pairs,
         }
         return json.dumps(payload, indent=2), 0
@@ -299,7 +268,7 @@ def cmd_hilbpoly(args) -> tuple[str, int]:
         for num, den in pairs:
             row.extend([num, den])
         return _csv_text(header, [row]), 0
-    return f"P(m) = {_poly_pretty(pairs)}", 0
+    return f"P(m) = {member.hilbert_poly.pretty()}", 0
 
 
 # ----------------------------------------------------------------- hilbert
@@ -307,13 +276,13 @@ def cmd_hilbpoly(args) -> tuple[str, int]:
 
 def cmd_hilbert(args) -> tuple[str, int]:
     b = args.force_b if args.force_b is not None else 2 * args.e + 3 + args.t
-    params = validate_params(args.e, b, args.t)
-    flags = check_hypotheses(params)
+    member = Member(validate_params(args.e, b, args.t))
+    params, flags = member.params, member.flags
     if flags.all_hold():
-        payload = _hilbert_full_payload(component_dimension(params))
+        payload = _hilbert_full_payload(member.hilbert)
         code = 0
     else:
-        payload = _hilbert_gated_payload(params, flags)
+        payload = _hilbert_gated_payload(member)
         code = 2
     if args.format == "json":
         return json.dumps(payload, indent=2), code
@@ -356,21 +325,22 @@ def cmd_hilbert(args) -> tuple[str, int]:
 def _table_rows(e_max: int, t_max: int, regime_only: bool) -> list[list]:
     rows = []
     for params in iter_valid_params(e_max, t_max):
-        flags = check_hypotheses(params)
+        member = Member(params)
+        flags = member.flags
         if regime_only and not flags.paper_regime:
             continue
-        evidence = is_uniform(params)
+        evidence = member.uniformity
         dim = codim = None
         if flags.all_hold():
-            report = component_dimension(params)
+            report = member.hilbert
             dim = report.dim_component
             codim = report.codim_scroll_locus
         rows.append([
             params.e, params.b, params.t,
-            embedding_dimension(params), scroll_degree(params),
-            chern(params).c2,
+            member.n, member.d,
+            member.chern.c2,
             evidence.r, evidence.ell2, evidence.ell3,
-            bundle_cohomology(params).h0,
+            member.tables[2].h0,
             flags.paper_regime, dim, codim,
         ])
     return rows
@@ -495,8 +465,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal consistency: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return code

@@ -30,14 +30,11 @@ from .chow_ring import (
     ChowClass,
     ScrollContext,
     canonical_class_X,
-    chern_TX,
     degree,
-    intersection_numbers,
     multiply,
     prod,
 )
 from .errors import ConsistencyError, HypothesesError
-from .scroll_invariants import embedding_dimension, scroll_degree
 from .surface_lattice import Surface, canonical_class, cohomology, intersect
 
 
@@ -112,7 +109,7 @@ def check_hypotheses(params: FamilyParams) -> HypothesisFlags:
 
 
 def normal_bundle_chern(
-    ctx: ScrollContext, n: int
+    ctx: ScrollContext, n: int, tangent: tuple[ChowClass, ChowClass, ChowClass]
 ) -> tuple[ChowClass, ChowClass, ChowClass]:
     """Chern classes of the normal bundle N of X in P^n.
 
@@ -123,11 +120,11 @@ def normal_bundle_chern(
         n3 = (n-1)n(n+1)/6 L^3 + n(n+1)/2 K.L^2 + (n+1) K^2.L
              - (n+1) c2.L - 2 c2.K + K^3 - c3
 
-    with c_i = c_i(T_X).  The binomial prefactors are integers; their
-    divisibility is asserted.
+    with c_i = c_i(T_X) given as ``tangent``.  The binomial prefactors are
+    integers; their divisibility is asserted.
     """
     k = canonical_class_X(ctx)
-    _c1x, c2x, c3x = chern_TX(ctx)
+    _c1x, c2x, c3x = tangent
     if (n * (n + 1)) % 2 != 0 or ((n - 1) * n * (n + 1)) % 6 != 0:
         raise ConsistencyError(f"binomial prefactor not integral at n={n}")
     half = n * (n + 1) // 2
@@ -147,21 +144,21 @@ def normal_bundle_chern(
     return n1, n2, n3
 
 
-def chi_normal(params: FamilyParams) -> int:
+def chi_normal(
+    ctx: ScrollContext, n: int, d: int, tangent: tuple[ChowClass, ChowClass, ChowClass]
+) -> int:
     """chi(N) by Hirzebruch-Riemann-Roch; valid for every parameter triple.
 
     chi(N) = 1/6 (n1^3 - 3 n1.n2 + 3 n3) + 1/4 c1.(n1^2 - 2 n2)
              + 1/12 (c1^2 + c2).n1 + (n - 3)
 
-    with c_i = c_i(T_X) and rank N = n - 3.  The result must match the
-    closed form (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d, and on the
-    regime e <= 2, b = 2e+3+t also n(n+1) + 9e + 20 + 6t.
+    with c_i = c_i(T_X) given as ``tangent`` and rank N = n - 3.  The result
+    must match the closed form (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d,
+    and on the regime e <= 2, b = 2e+3+t also n(n+1) + 9e + 20 + 6t.
     """
-    ctx = ScrollContext.from_params(params)
-    n = embedding_dimension(params)
-    intersection_numbers(ctx, n)  # runs the closed-form cross-checks
-    n1, n2, n3 = normal_bundle_chern(ctx, n)
-    c1x, c2x, _c3x = chern_TX(ctx)
+    params = ctx.params
+    n1, n2, n3 = normal_bundle_chern(ctx, n, tangent)
+    c1x, c2x, _c3x = tangent
     ch3 = Fraction(
         degree(prod(ctx, n1, n1, n1))
         - 3 * degree(multiply(ctx, n1, n2))
@@ -179,7 +176,6 @@ def chi_normal(params: FamilyParams) -> int:
         raise ConsistencyError(f"chi(N) not an integer at {params}: {total}")
     chi_n = int(total)
     e, b, t = params.e, params.b, params.t
-    d = scroll_degree(params)
     closed = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
     if chi_n != closed:
         raise ConsistencyError(
@@ -208,7 +204,9 @@ def _fiber_tangent_table(e: int) -> tuple[int, int, int]:
     return table
 
 
-def tangent_cohomology(params: FamilyParams) -> TangentCohomology:
+def tangent_cohomology(
+    params: FamilyParams, flags: HypothesisFlags, n: int
+) -> TangentCohomology:
     """h^i(T_X) from the relative-tangent sequence; gated on all flags.
 
     The sequence 0 -> Sym^2(E)(-c1) -> T_X -> T_F' -> 0 gives, once the
@@ -216,8 +214,9 @@ def tangent_cohomology(params: FamilyParams) -> TangentCohomology:
 
         h^0(T_X) = h^0(Sym^2 E (-c1)) + h^0(T_F),  h^1(T_X) = h^1(T_F),
         h^2 = h^3 = 0.
+
+    flags = check_hypotheses(params) and n is the embedding dimension.
     """
-    flags = check_hypotheses(params)
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
     sym2 = sym2_twisted_cohomology(params)
@@ -230,8 +229,7 @@ def tangent_cohomology(params: FamilyParams) -> TangentCohomology:
     h0 = sym2.h0 + fiber[0]
     h1 = fiber[1]
     table = TangentCohomology(h0, h1, 0, 0, h0 - h1)
-    e, b, t = params.e, params.b, params.t
-    n = embedding_dimension(params)
+    e, b = params.e, params.b
     if table.chi != n - 6 * b + 3 * e - 2 or table.chi != 13:
         raise ConsistencyError(
             f"chi(T_X) != n-6b+3e-2 = 13 on the regime at {params}: got {table.chi}"
@@ -244,9 +242,8 @@ def tangent_cohomology(params: FamilyParams) -> TangentCohomology:
     return table
 
 
-def scroll_locus_codim(params: FamilyParams) -> int:
+def scroll_locus_codim(params: FamilyParams, table: TangentCohomology) -> int:
     """Codimension of the scroll locus inside the component: h^1(T_X)."""
-    table = tangent_cohomology(params)
     expected = 0 if params.e == 0 else params.e - 1
     if table.h1 != expected:
         raise ConsistencyError(
@@ -255,26 +252,29 @@ def scroll_locus_codim(params: FamilyParams) -> int:
     return table.h1
 
 
-def component_dimension(params: FamilyParams) -> HilbertReport:
-    """Full report; dim = chi(N) = h^0(N) once the flags hold.
+def component_dimension(
+    params: FamilyParams,
+    flags: HypothesisFlags,
+    n: int,
+    d: int,
+    chi_n: int,
+    tangent: TangentCohomology,
+) -> HilbertReport:
+    """Full report from the member's n, d, chi(N) and h^i(T_X).
 
-    The identification h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming
-    from the Euler sequence is run as a mandatory self-check.
+    dim = chi(N) = h^0(N) once the flags hold.  The identification
+    h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming from the Euler
+    sequence is run as a mandatory self-check.
     """
-    flags = check_hypotheses(params)
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
-    n = embedding_dimension(params)
-    d = scroll_degree(params)
-    chi_n = chi_normal(params)
-    tangent = tangent_cohomology(params)
     h0_n_euler = (n + 1) ** 2 - 1 - tangent.h0 + tangent.h1
     if h0_n_euler != chi_n:
         raise ConsistencyError(
             f"h^0(N) != (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) at {params}: "
             f"chi(N)={chi_n}, Euler-sequence value {h0_n_euler}"
         )
-    codim = scroll_locus_codim(params)
+    codim = scroll_locus_codim(params, tangent)
     return HilbertReport(
         params=params,
         flags=flags,

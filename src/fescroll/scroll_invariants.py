@@ -14,14 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle_family import (
-    FamilyParams,
-    build_split,
-    bundle_cohomology,
-    chern,
-    sym_chi,
-)
-from .chow_ring import XI, ScrollContext, degree, intersection_numbers, prod
+from .bundle_family import FamilyParams, build_split, sym_chi
+from .chow_ring import XI, IntersectionNumbers, ScrollContext, degree, prod
 from .errors import ConsistencyError
 from .surface_lattice import intersect
 
@@ -73,32 +67,10 @@ class RationalCubic:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class ScrollReport:
-    params: FamilyParams
-    n: int
-    d: int
-    hilbert_poly: RationalCubic
-    h_of_L: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        if self.h_of_L != (self.n + 1, 0, 0, 0):
-            raise ConsistencyError(
-                f"h^i(X, L) != (n+1, 0, 0, 0) at {self.params}: got {self.h_of_L}"
-            )
-
-
-def embedding_dimension(params: FamilyParams) -> int:
-    """n = h^0(E) - 1; bundle_cohomology pins h^0(E) = 5e+2b+4t+28."""
-    return bundle_cohomology(params).h0 - 1
-
-
-def scroll_degree(params: FamilyParams) -> int:
+def scroll_degree(ctx: ScrollContext) -> int:
     """d = c1^2 - c2, cross-checked against deg(xi^3) and 8e+5b+7t+40."""
-    s = params.surface
-    cd = chern(params)
-    by_chern = intersect(s, cd.c1, cd.c1) - cd.c2
-    ctx = ScrollContext.from_params(params)
+    params = ctx.params
+    by_chern = intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
     by_chow = degree(prod(ctx, XI, XI, XI))
     closed = 8 * params.e + 5 * params.b + 7 * params.t + 40
     if not (by_chern == by_chow == closed):
@@ -109,11 +81,13 @@ def scroll_degree(params: FamilyParams) -> int:
     return by_chern
 
 
-def hilbert_polynomial(params: FamilyParams) -> RationalCubic:
-    """Hilbert polynomial of (X, L), verified against chi(Sym^m E) on [0, 8]."""
-    n = embedding_dimension(params)
-    ctx = ScrollContext.from_params(params)
-    nums = intersection_numbers(ctx, n)
+def hilbert_polynomial(
+    params: FamilyParams, n: int, nums: IntersectionNumbers
+) -> RationalCubic:
+    """Hilbert polynomial of (X, L), verified against chi(Sym^m E) on [0, 8].
+
+    n is the embedding dimension and nums the member's intersection numbers.
+    """
     poly = RationalCubic(
         c0=Fraction(1),
         c1=Fraction(nums.K2L + nums.c2L, 12),
@@ -131,19 +105,3 @@ def hilbert_polynomial(params: FamilyParams) -> RationalCubic:
     if poly.value_at(0) != 1 or poly.value_at(1) != n + 1:
         raise ConsistencyError(f"P(0) != 1 or P(1) != n+1 at {params}")
     return poly
-
-
-def vanishing_report(params: FamilyParams) -> tuple[int, int, int, int]:
-    """h^i(X, L) for i = 0..3; equals the table of E with h^3 = 0."""
-    table = bundle_cohomology(params)
-    return (table.h0, table.h1, table.h2, 0)
-
-
-def scroll_report(params: FamilyParams) -> ScrollReport:
-    return ScrollReport(
-        params=params,
-        n=embedding_dimension(params),
-        d=scroll_degree(params),
-        hilbert_poly=hilbert_polynomial(params),
-        h_of_L=vanishing_report(params),
-    )

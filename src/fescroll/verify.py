@@ -16,9 +16,9 @@ from typing import Callable
 from . import bundle_family as bf
 from . import chow_ring as cr
 from . import hilbert_component as hc
-from . import scroll_invariants as si
 from . import surface_lattice as sl
 from .errors import ConsistencyError
+from .member import Member
 
 _MAX_FAILURES = 8
 
@@ -218,8 +218,9 @@ def _check_ell2(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
         expected = params.b - params.t - 2 * params.e - 4
+        cd = bf.chern(params)
         ok = expected < 0 and all(
-            bf.ell_invariant(params, 2, r) == expected for r in range(0, 41)
+            bf.ell_invariant(cd, params.e, 2, r) == expected for r in range(0, 41)
         )
         rec.case(ok, f"{params}: expected {expected}")
     return rec
@@ -230,9 +231,10 @@ def _check_uniformity(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
         try:
-            r = bf.invariant_r(params, 3)
-            evidence = bf.is_uniform(params)
-            split = bf.splitting_type(params)
+            member = Member(params)
+            evidence = member.uniformity
+            split = member.splitting_type
+            r = evidence.r
             ok = (
                 r == 3 * params.e + 5 + params.t
                 and evidence.uniform
@@ -251,7 +253,7 @@ def _check_bundle_cohomology(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
         try:
-            table = bf.bundle_cohomology(params)
+            _tab_a, _tab_b, table = bf.bundle_cohomology(params)
             bun = bf.build_split(params)
             rec.case(
                 table.chi == bf.sym_chi(bun, 1),
@@ -301,7 +303,7 @@ def _check_window_v2(e_max: int, t_max: int) -> _Recorder:
 def _check_grothendieck(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
-        ctx = cr.ScrollContext.from_params(params)
+        ctx = Member(params).ctx
         lhs = cr.degree(cr.prod(ctx, cr.XI, cr.XI, cr.XI))
         rhs = sl.intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
         rec.case(lhs == rhs, f"{params}: deg xi^3={lhs}, c1^2-c2={rhs}")
@@ -313,7 +315,7 @@ def _check_ring_axioms(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     rng = random.Random(20260817)
     for params in bf.iter_valid_params(e_max, t_max):
-        ctx = cr.ScrollContext.from_params(params)
+        ctx = Member(params).ctx
         for _ in range(6):
             x, y, z = (
                 cr.ChowClass(*(rng.randint(-9, 9) for _ in range(8)))
@@ -334,9 +336,8 @@ def _check_ring_axioms(e_max: int, t_max: int) -> _Recorder:
 def _check_intersection_numbers(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
-        ctx = cr.ScrollContext.from_params(params)
         try:
-            cr.intersection_numbers(ctx, si.embedding_dimension(params))
+            Member(params).intersection_numbers  # raises on a mismatch
             rec.case(True, "")
         except ConsistencyError as exc:
             rec.case(False, f"{params}: {exc}")
@@ -347,7 +348,7 @@ def _check_intersection_numbers(e_max: int, t_max: int) -> _Recorder:
 def _check_chern_tx(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
-        ctx = cr.ScrollContext.from_params(params)
+        ctx = Member(params).ctx
         try:
             c1x, c2x, c3x = cr.chern_TX(ctx)
             ok = (
@@ -368,7 +369,7 @@ def _check_hilbert_poly(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
         try:
-            si.hilbert_polynomial(params)
+            Member(params).hilbert_poly  # raises on a mismatch
             rec.case(True, "")
         except ConsistencyError as exc:
             rec.case(False, f"{params}: {exc}")
@@ -379,7 +380,7 @@ def _check_hilbert_poly(e_max: int, t_max: int) -> _Recorder:
 def _check_poly_integrality(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
-        poly = si.hilbert_polynomial(params)
+        poly = Member(params).hilbert_poly
         ok = all(poly(m).denominator == 1 for m in range(-6, 7))
         rec.case(ok, f"{params}: {poly}")
     return rec
@@ -389,8 +390,8 @@ def _check_poly_integrality(e_max: int, t_max: int) -> _Recorder:
 def _check_degree_dimension_identity(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
-        n = si.embedding_dimension(params)
-        d = si.scroll_degree(params)
+        member = Member(params)
+        n, d = member.n, member.d
         lhs = d - 3 * params.e - 3 * params.b - 3 * params.t - 12
         rec.case(lhs == n + 1, f"{params}: lhs={lhs}, n+1={n + 1}")
     return rec
@@ -402,8 +403,8 @@ def _check_n_d_routes(e_max: int, t_max: int) -> _Recorder:
     for params in bf.iter_valid_params(e_max, t_max):
         e, b, t = params.e, params.b, params.t
         try:
-            n = si.embedding_dimension(params)
-            d = si.scroll_degree(params)  # internally: chern, chow, closed form
+            member = Member(params)
+            n, d = member.n, member.d  # d internally: chern, chow, closed form
             ok = n == 5 * e + 2 * b + 4 * t + 27 and d == 8 * e + 5 * b + 7 * t + 40
             rec.case(ok, f"{params}: n={n}, d={d}")
         except ConsistencyError as exc:
@@ -419,7 +420,7 @@ def _check_chi_normal(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
         try:
-            hc.chi_normal(params)
+            Member(params).chi_N  # raises on a mismatch
             rec.case(True, "")
         except ConsistencyError as exc:
             rec.case(False, f"{params}: {exc}")
@@ -432,7 +433,7 @@ def _check_component_dimension(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in _regime_grid(e_max, t_max):
         try:
-            report = hc.component_dimension(params)
+            report = Member(params).hilbert
             e, t, n = params.e, params.t, report.n
             ok = (
                 report.dim_component == n * (n + 1) + 9 * e + 20 + 6 * t
@@ -451,7 +452,7 @@ def _check_tangent(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in _regime_grid(e_max, t_max):
         try:
-            table = hc.tangent_cohomology(params)
+            table = Member(params).tangent
             e = params.e
             expected = (13, 0) if e == 0 else (e + 12, e - 1)
             ok = (
@@ -470,7 +471,7 @@ def _check_codim(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in _regime_grid(e_max, t_max):
         try:
-            codim = hc.scroll_locus_codim(params)
+            codim = hc.scroll_locus_codim(params, Member(params).tangent)
             expected = 0 if params.e == 0 else params.e - 1
             rec.case(codim == expected, f"{params}: codim={codim}")
         except ConsistencyError as exc:

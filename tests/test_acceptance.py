@@ -11,34 +11,16 @@ import pytest
 
 from fescroll.bundle_family import (
     build_split,
-    bundle_cohomology,
     chern,
     ell_invariant,
     invariant_r,
-    is_uniform,
     iter_valid_params,
-    splitting_type,
     sym_chi,
     validate_params,
 )
-from fescroll.chow_ring import (
-    XI,
-    IntersectionNumbers,
-    ScrollContext,
-    degree,
-    intersection_numbers,
-    prod,
-)
-from fescroll.hilbert_component import (
-    component_dimension,
-    scroll_locus_codim,
-    tangent_cohomology,
-)
-from fescroll.scroll_invariants import (
-    embedding_dimension,
-    hilbert_polynomial,
-    scroll_degree,
-)
+from fescroll.chow_ring import XI, IntersectionNumbers, degree, prod
+from fescroll.hilbert_component import scroll_locus_codim
+from fescroll.member import Member
 from fescroll.surface_lattice import intersect
 from fescroll.verify import run_all
 
@@ -70,34 +52,36 @@ def test_c01_uniform_splitting_type(criterion):
         for p in GRID:
             r = invariant_r(p, 3)
             assert r == 3 * p.e + 5 + p.t
-            ev = is_uniform(p)
+            m = Member(p)
+            ev = m.uniformity
             assert ev.uniform and ev.r == r
             assert ev.ell2 == p.b - p.t - 2 * p.e - 4 < 0
-            assert ev.ell3 == ell_invariant(p, 3, r) == 0
-            assert splitting_type(p) == (3, 1)
+            assert ev.ell3 == ell_invariant(m.chern, p.e, 3, r) == 0
+            assert m.splitting_type == (3, 1)
 
 
 def test_c02_bundle_cohomology(criterion):
     with criterion("C2 cohomology of E: h = (5e+2b+4t+28, 0, 0), "
                    "h0(A) = 6e+4t+24, h0(B) = 2b+4-e"):
         for p in GRID:
-            table = bundle_cohomology(p)  # asserts the summand closed forms
+            table = Member(p).tables[2]  # asserts the summand closed forms
             assert table.as_tuple() == (5 * p.e + 2 * p.b + 4 * p.t + 28, 0, 0)
-        assert bundle_cohomology(validate_params(2, 7, 0)).h0 == 52
+        assert Member(validate_params(2, 7, 0)).tables[2].h0 == 52
 
 
 def test_c03_embedding_dimension_and_degree(criterion):
     with criterion("C3 n = h0(E)-1 = 5e+2b+4t+27 and "
                    "d = c1^2-c2 = deg xi^3 = 8e+5b+7t+40"):
         for p in GRID:
-            n = embedding_dimension(p)
-            d = scroll_degree(p)  # internally: chern route, chow route, closed form
+            m = Member(p)
+            n = m.n
+            d = m.d  # internally: chern route, chow route, closed form
             assert n == 5 * p.e + 2 * p.b + 4 * p.t + 27
             assert d == 8 * p.e + 5 * p.b + 7 * p.t + 40
             assert d - 3 * p.e - 3 * p.b - 3 * p.t - 12 == n + 1
             cd = chern(p)
             assert d == intersect(p.surface, cd.c1, cd.c1) - cd.c2
-            ctx = ScrollContext.from_params(p)
+            ctx = m.ctx
             assert d == degree(prod(ctx, XI, XI, XI))
 
 
@@ -105,12 +89,9 @@ def test_c04_intersection_numbers(criterion):
     with criterion("C4 intersection numbers of (X, L): closed forms, "
                    "-K.c2 = 24 and c3 = 8 everywhere"):
         for p in GRID:
-            ctx = ScrollContext.from_params(p)
-            nums = intersection_numbers(ctx, embedding_dimension(p))
+            nums = Member(p).intersection_numbers
             assert nums.Kc2 == -24 and nums.c3 == 8
-        spot = intersection_numbers(
-            ScrollContext.from_params(validate_params(2, 7, 0)), 51
-        )
+        spot = Member(validate_params(2, 7, 0)).intersection_numbers
         assert spot == IntersectionNumbers(
             L3=91, KL2=-100, K2L=88, K3=-56, c2L=42, Kc2=-24, c3=8
         )
@@ -120,13 +101,14 @@ def test_c05_hilbert_polynomial(criterion):
     with criterion("C5 Hilbert polynomial: P(m) = chi(Sym^m E) on [0, 8], "
                    "P(0) = 1, P(1) = n+1"):
         for p in GRID:
-            poly = hilbert_polynomial(p)  # runs the sym_chi cross-check itself
+            member = Member(p)
+            poly = member.hilbert_poly  # runs the sym_chi cross-check itself
             bun = build_split(p)
             for m in range(0, 9):
                 assert poly.value_at(m) == sym_chi(bun, m)
             assert poly.value_at(0) == 1
-            assert poly.value_at(1) == embedding_dimension(p) + 1
-        assert hilbert_polynomial(validate_params(2, 7, 0)).to_pairs() == [
+            assert poly.value_at(1) == member.n + 1
+        assert Member(validate_params(2, 7, 0)).hilbert_poly.to_pairs() == [
             [1, 1], [65, 6], [25, 1], [91, 6],
         ]
 
@@ -135,22 +117,22 @@ def test_c06_component_dimension(criterion):
     with criterion("C6 component dimension: dim = chi(N) = n(n+1)+9e+20+6t "
                    "with n = 9e+33+6t on the regime"):
         for p in REGIME:
-            report = component_dimension(p)
+            report = Member(p).hilbert
             n = report.n
             assert n == 9 * p.e + 33 + 6 * p.t
             assert report.dim_component == report.chiN
             assert report.dim_component == n * (n + 1) + 9 * p.e + 20 + 6 * p.t
             assert report.hN == (report.chiN, 0, 0, 0)
-        assert component_dimension(validate_params(2, 7, 0)).dim_component == 2690
-        assert component_dimension(validate_params(0, 3, 0)).dim_component == 1142
-        assert component_dimension(validate_params(1, 5, 0)).dim_component == 1835
+        assert Member(validate_params(2, 7, 0)).hilbert.dim_component == 2690
+        assert Member(validate_params(0, 3, 0)).hilbert.dim_component == 1142
+        assert Member(validate_params(1, 5, 0)).hilbert.dim_component == 1835
 
 
 def test_c07_tangent_cohomology(criterion):
     with criterion("C7 tangent cohomology: chi(T_X) = 13; "
                    "(h0, h1) = (13, 0) at e = 0, (e+12, e-1) for e > 0"):
         for p in REGIME:
-            table = tangent_cohomology(p)
+            table = Member(p).tangent
             assert table.chi == 13
             expected = (13, 0) if p.e == 0 else (p.e + 12, p.e - 1)
             assert (table.h0, table.h1) == expected
@@ -161,7 +143,7 @@ def test_c08_euler_sequence_identity(criterion):
     with criterion("C8 Euler-sequence identity: "
                    "h0(N) = (n+1)^2 - 1 - h0(T_X) + h1(T_X)"):
         for p in REGIME:
-            report = component_dimension(p)
+            report = Member(p).hilbert
             euler = (report.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
             assert report.hN[0] == euler
 
@@ -170,8 +152,9 @@ def test_c09_scroll_locus_codimension(criterion):
     with criterion("C9 scroll-locus codimension: 0 at e = 0, e-1 for e > 0"):
         for p in REGIME:
             expected = 0 if p.e == 0 else p.e - 1
-            assert scroll_locus_codim(p) == expected
-        assert scroll_locus_codim(validate_params(2, 7, 0)) == 1
+            assert scroll_locus_codim(p, Member(p).tangent) == expected
+        p = validate_params(2, 7, 0)
+        assert scroll_locus_codim(p, Member(p).tangent) == 1
 
 
 def test_c10_verification_battery(criterion):

@@ -3,19 +3,17 @@ import pytest
 from fescroll.bundle_family import (
     FamilyParams,
     build_split,
-    bundle_cohomology,
     chern,
     ell_invariant,
     extension_data,
     invariant_r,
-    is_uniform,
     iter_valid_params,
-    splitting_type,
     sym2_twisted_cohomology,
     sym_chi,
     validate_params,
 )
 from fescroll.errors import ParameterError
+from fescroll.member import Member
 from fescroll.surface_lattice import DivisorClass, cohomology, h0_lattice_oracle
 
 D = DivisorClass
@@ -148,29 +146,30 @@ def test_invariant_r_rejects_bad_degree():
 )
 def test_ell_invariant_spots(e, b, t, d1, r, expected):
     p = validate_params(e, b, t)
-    assert ell_invariant(p, d1, r) == expected
+    assert ell_invariant(chern(p), e, d1, r) == expected
 
 
 def test_ell2_closed_form_and_negativity():
     for p in iter_valid_params(4, 6):
         want = p.b - p.t - 2 * p.e - 4
+        cd = chern(p)
         for r in range(0, 41):
-            assert ell_invariant(p, 2, r) == want
+            assert ell_invariant(cd, p.e, 2, r) == want
         assert want < 0
 
 
 def test_ell3_vanishes_at_r():
     for p in iter_valid_params(4, 6):
-        assert ell_invariant(p, 3, invariant_r(p, 3)) == 0
+        assert ell_invariant(chern(p), p.e, 3, invariant_r(p, 3)) == 0
 
 
 def test_splitting_type():
     for p in [validate_params(2, 7, 0), validate_params(0, 3, 0), validate_params(3, 9, 4)]:
-        assert splitting_type(p) == (3, 1)
+        assert Member(p).splitting_type == (3, 1)
 
 
 def test_is_uniform_evidence():
-    ev = is_uniform(validate_params(2, 5, 3))
+    ev = Member(validate_params(2, 5, 3)).uniformity
     assert ev.uniform
     assert ev.r == 14
     assert ev.ell2 == -6
@@ -182,17 +181,17 @@ def test_is_uniform_evidence():
 
 def test_bundle_cohomology_spots():
     p = validate_params(2, 7, 0)
-    assert bundle_cohomology(p).as_tuple() == (52, 0, 0)
+    assert Member(p).tables[2].as_tuple() == (52, 0, 0)
     assert cohomology(p.surface, D(3, 11)).h0 == 36
     assert cohomology(p.surface, D(1, 8)).h0 == 16
 
     q = validate_params(0, 3, 0)
-    assert bundle_cohomology(q).as_tuple() == (34, 0, 0)
+    assert Member(q).tables[2].as_tuple() == (34, 0, 0)
 
 
 def test_bundle_h0_closed_form():
     for p in iter_valid_params(4, 6):
-        table = bundle_cohomology(p)
+        table = Member(p).tables[2]
         assert table.h0 == 5 * p.e + 2 * p.b + 4 * p.t + 28
         assert table.h1 == table.h2 == 0
 

@@ -8,7 +8,6 @@ from fescroll.chow_ring import (
     XI,
     ChowClass,
     IntersectionNumbers,
-    ScrollContext,
     canonical_class_X,
     chern_TX,
     degree,
@@ -18,9 +17,10 @@ from fescroll.chow_ring import (
     pullback,
 )
 from fescroll.errors import ConsistencyError
+from fescroll.member import Member
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, Surface, canonical_class, intersect
 
-CTX = ScrollContext.from_params(validate_params(2, 7, 0))
+CTX = Member(validate_params(2, 7, 0)).ctx
 
 
 def test_context_from_params():
@@ -65,7 +65,7 @@ def test_degree_rejects_mixed_classes():
 
 def test_canonical_class_spots():
     assert canonical_class_X(CTX) == ChowClass(xi=-2, h1=2, h2=15)
-    ctx0 = ScrollContext.from_params(validate_params(0, 3, 0))
+    ctx0 = Member(validate_params(0, 3, 0)).ctx
     assert canonical_class_X(ctx0) == ChowClass(xi=-2, h1=2, h2=7)
 
 
@@ -104,7 +104,7 @@ def _oracle_numbers(ctx):
 
 
 def test_intersection_numbers_record():
-    nums = intersection_numbers(CTX, 51)
+    nums = intersection_numbers(CTX, 51, chern_TX(CTX))
     assert nums == IntersectionNumbers(
         L3=91, KL2=-100, K2L=88, K3=-56, c2L=42, Kc2=-24, c3=8
     )
@@ -114,21 +114,21 @@ def test_intersection_numbers_record():
 @pytest.mark.parametrize("e,b,t,l3", [(0, 3, 0, 55), (1, 5, 0, 73)])
 def test_scroll_degree_spots(e, b, t, l3):
     p = validate_params(e, b, t)
-    ctx = ScrollContext.from_params(p)
+    ctx = Member(p).ctx
     n = 5 * e + 2 * b + 4 * t + 27
-    assert intersection_numbers(ctx, n).L3 == l3
+    assert intersection_numbers(ctx, n, chern_TX(ctx)).L3 == l3
 
 
 def test_intersection_numbers_grid_against_hand_expansion():
     for p in iter_valid_params(3, 3):
-        ctx = ScrollContext.from_params(p)
+        ctx = Member(p).ctx
         n = 5 * p.e + 2 * p.b + 4 * p.t + 27
-        assert intersection_numbers(ctx, n) == _oracle_numbers(ctx)
+        assert intersection_numbers(ctx, n, chern_TX(ctx)) == _oracle_numbers(ctx)
 
 
 def test_intersection_numbers_rejects_wrong_n():
     with pytest.raises(ConsistencyError, match="inconsistent"):
-        intersection_numbers(CTX, 50)
+        intersection_numbers(CTX, 50, chern_TX(CTX))
 
 
 def test_class_arithmetic():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fescroll
 import fescroll.cli as cli
 from fescroll.surface_lattice import DivisorClass
 
@@ -284,11 +287,23 @@ def test_out_writes_file(tmp_path, capsys):
     assert "2,7,0,51,91,4,19,29,11,-1,0,52,true,2690,1" in text
 
 
+def test_out_unwritable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "t.csv"
+    code, out, err = run_cli(capsys, "table", "--e-max", "0", "--t-max", "0",
+                             "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_console_module_runs():
+    src = str(Path(fescroll.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fescroll", "report", "-e", "2", "-b", "7", "-t", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "n = 51" in proc.stdout

@@ -1,18 +1,16 @@
 import pytest
 
 from fescroll.bundle_family import iter_valid_params, validate_params
-from fescroll.chow_ring import ChowClass, ScrollContext, degree
+from fescroll.chow_ring import ChowClass, degree
 from fescroll.errors import ConsistencyError, HypothesesError
 from fescroll.hilbert_component import (
     HypothesisFlags,
     TangentCohomology,
     check_hypotheses,
-    chi_normal,
-    component_dimension,
     normal_bundle_chern,
     scroll_locus_codim,
-    tangent_cohomology,
 )
+from fescroll.member import Member
 
 
 def flags_tuple(p):
@@ -53,7 +51,7 @@ def test_regime_implies_all_vanishings():
     "e,b,t,chin", [(2, 7, 0, 2690), (0, 3, 0, 1142), (1, 5, 0, 1835), (2, 6, 0, 2482)]
 )
 def test_chi_normal_spots(e, b, t, chin):
-    assert chi_normal(validate_params(e, b, t)) == chin
+    assert Member(validate_params(e, b, t)).chi_N == chin
 
 
 def test_chi_normal_closed_form_everywhere():
@@ -63,7 +61,7 @@ def test_chi_normal_closed_form_everywhere():
         d = 8 * p.e + 5 * p.b + 7 * p.t + 40
         want = (d - 3 * p.e - 3 * p.b - 3 * p.t - 12) * n
         want += 122 + 21 * p.t + 21 * p.e + 21 * p.b - 3 * d
-        assert chi_normal(p) == want
+        assert Member(p).chi_N == want
 
 
 def test_regime_dimension_formula():
@@ -71,12 +69,12 @@ def test_regime_dimension_formula():
         for t in range(0, 7):
             p = validate_params(e, 2 * e + 3 + t, t)
             n = 9 * e + 33 + 6 * t
-            assert chi_normal(p) == n * (n + 1) + 9 * e + 20 + 6 * t
+            assert Member(p).chi_N == n * (n + 1) + 9 * e + 20 + 6 * t
 
 
 def test_normal_bundle_first_chern():
-    ctx = ScrollContext.from_params(validate_params(2, 7, 0))
-    n1, n2, n3 = normal_bundle_chern(ctx, 51)
+    m = Member(validate_params(2, 7, 0))
+    n1, n2, n3 = normal_bundle_chern(m.ctx, 51, m.chern_TX)
     assert n1 == ChowClass(xi=50, h1=2, h2=15)
     assert isinstance(degree(n3), int)  # n3 reduces to a zero-cycle
     assert n2.z == n2.xi == n2.h1 == n2.h2 == 0  # n2 is pure degree two
@@ -89,17 +87,17 @@ def test_normal_bundle_first_chern():
     [(2, 7, 0, (14, 1, 0, 0)), (0, 3, 0, (13, 0, 0, 0)), (1, 5, 0, (13, 0, 0, 0))],
 )
 def test_tangent_cohomology_spots(e, b, t, table):
-    got = tangent_cohomology(validate_params(e, b, t))
+    got = Member(validate_params(e, b, t)).tangent
     assert got.as_tuple() == table
     assert got.chi == 13
 
 
 def test_tangent_rejects_off_regime():
     with pytest.raises(HypothesesError) as info:
-        tangent_cohomology(validate_params(2, 6, 0))
+        Member(validate_params(2, 6, 0)).tangent
     assert "paper_regime" in str(info.value) and "v2" in str(info.value)
     with pytest.raises(HypothesesError):
-        tangent_cohomology(validate_params(3, 9, 0))
+        Member(validate_params(3, 9, 0)).tangent
 
 
 def test_tangent_table_invariant():
@@ -111,11 +109,12 @@ def test_tangent_table_invariant():
 
 @pytest.mark.parametrize("e,b,t,codim", [(2, 7, 0, 1), (0, 3, 0, 0), (1, 5, 0, 0)])
 def test_scroll_locus_codim(e, b, t, codim):
-    assert scroll_locus_codim(validate_params(e, b, t)) == codim
+    p = validate_params(e, b, t)
+    assert scroll_locus_codim(p, Member(p).tangent) == codim
 
 
 def test_component_dimension_report():
-    report = component_dimension(validate_params(2, 7, 0))
+    report = Member(validate_params(2, 7, 0)).hilbert
     assert report.n == 51
     assert report.d == 91
     assert report.chiN == report.dim_component == 2690
@@ -130,13 +129,13 @@ def test_component_dimension_euler_sequence_identity():
     # second route: h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)
     for e, t in [(0, 0), (1, 0), (2, 0), (0, 3), (2, 5)]:
         p = validate_params(e, 2 * e + 3 + t, t)
-        report = component_dimension(p)
+        report = Member(p).hilbert
         euler = (report.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
         assert report.dim_component == euler
 
 
 def test_component_dimension_gated():
     with pytest.raises(HypothesesError):
-        component_dimension(validate_params(2, 6, 0))
+        Member(validate_params(2, 6, 0)).hilbert
     with pytest.raises(HypothesesError):
-        component_dimension(validate_params(3, 9, 0))
+        Member(validate_params(3, 9, 0)).hilbert

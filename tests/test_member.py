@@ -1,0 +1,60 @@
+"""Each member's values are computed once per CLI call.
+
+Counting wrappers replace a function in every fescroll namespace that
+binds it, because the modules import each other's functions by name.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import fescroll.cli as cli
+from fescroll import bundle_family, chow_ring, hilbert_component
+
+COUNTED = {
+    bundle_family: ("chern", "invariant_r", "bundle_cohomology"),
+    chow_ring: ("chern_TX", "intersection_numbers"),
+    hilbert_component: ("check_hypotheses", "tangent_cohomology"),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, names in COUNTED.items():
+        for name in names:
+            original = getattr(module, name)
+            wrapper = counting(name, original)
+            for modname, namespace in list(sys.modules.items()):
+                if modname.startswith("fescroll") and vars(namespace).get(name) is original:
+                    monkeypatch.setattr(namespace, name, wrapper)
+    return counts
+
+
+def test_report_computes_each_value_once(calls, capsys):
+    assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
+    capsys.readouterr()
+    assert dict(calls) == {
+        "chern": 1,
+        "invariant_r": 2,
+        "bundle_cohomology": 1,
+        "check_hypotheses": 1,
+        "chern_TX": 1,
+        "intersection_numbers": 1,
+        "tangent_cohomology": 1,
+    }
+
+
+def test_table_computes_chern_once_per_row(calls, capsys):
+    assert cli.main(["table", "--e-max", "2", "--t-max", "2"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 54
+    assert calls["chern"] == len(rows)

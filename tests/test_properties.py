@@ -7,9 +7,9 @@ from fescroll.bundle_family import (
     sym_chi,
     validate_params,
 )
-from fescroll.chow_ring import ChowClass, ScrollContext, multiply
-from fescroll.hilbert_component import check_hypotheses, chi_normal
-from fescroll.scroll_invariants import hilbert_polynomial
+from fescroll.chow_ring import ChowClass, multiply
+from fescroll.hilbert_component import check_hypotheses
+from fescroll.member import Member
 from fescroll.surface_lattice import (
     DivisorClass,
     Surface,
@@ -80,7 +80,7 @@ def test_h0_monotone_in_fiber_twist(s, a, c):
 
 @given(family_params(), chow_classes, chow_classes, chow_classes)
 def test_chow_ring_axioms(params, x, y, z):
-    ctx = ScrollContext.from_params(params)
+    ctx = Member(params).ctx
     assert multiply(ctx, x, y) == multiply(ctx, y, x)
     assert multiply(ctx, multiply(ctx, x, y), z) == multiply(ctx, x, multiply(ctx, y, z))
     assert multiply(ctx, x, y + z) == multiply(ctx, x, y) + multiply(ctx, x, z)
@@ -88,19 +88,19 @@ def test_chow_ring_axioms(params, x, y, z):
 
 @given(family_params(), st.integers(-20, 60))
 def test_ell2_independent_of_r(params, r):
-    assert ell_invariant(params, 2, r) == params.b - params.t - 2 * params.e - 4
+    assert ell_invariant(chern(params), params.e, 2, r) == params.b - params.t - 2 * params.e - 4
 
 
 @settings(max_examples=40, deadline=None)
 @given(family_params(), st.integers(-50, 50))
 def test_hilbert_polynomial_integral(params, m):
-    assert hilbert_polynomial(params)(m).denominator == 1
+    assert Member(params).hilbert_poly(m).denominator == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(family_params(), st.integers(0, 12))
 def test_hilbert_polynomial_counts_sections(params, m):
-    poly = hilbert_polynomial(params)
+    poly = Member(params).hilbert_poly
     assert poly.value_at(m) == sym_chi(build_split(params), m)
 
 
@@ -111,7 +111,7 @@ def test_chi_normal_closed_form(params):
     n = 5 * e + 2 * b + 4 * t + 27
     d = 8 * e + 5 * b + 7 * t + 40
     want = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
-    assert chi_normal(params) == want
+    assert Member(params).chi_N == want
 
 
 @given(family_params())

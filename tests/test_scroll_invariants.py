@@ -4,14 +4,8 @@ import pytest
 
 from fescroll.bundle_family import build_split, iter_valid_params, sym_chi, validate_params
 from fescroll.errors import ConsistencyError
-from fescroll.scroll_invariants import (
-    RationalCubic,
-    embedding_dimension,
-    hilbert_polynomial,
-    scroll_degree,
-    scroll_report,
-    vanishing_report,
-)
+from fescroll.member import Member
+from fescroll.scroll_invariants import RationalCubic
 
 
 @pytest.mark.parametrize(
@@ -19,21 +13,22 @@ from fescroll.scroll_invariants import (
     [(2, 7, 0, 51, 91), (0, 3, 0, 33, 55), (1, 5, 0, 42, 73), (0, 5, 2, 45, 79)],
 )
 def test_embedding_dimension_and_degree_spots(e, b, t, n, d):
-    p = validate_params(e, b, t)
-    assert embedding_dimension(p) == n
-    assert scroll_degree(p) == d
+    m = Member(validate_params(e, b, t))
+    assert m.n == n
+    assert m.d == d
 
 
 def test_dimension_and_degree_closed_forms():
     for p in iter_valid_params(4, 6):
-        assert embedding_dimension(p) == 5 * p.e + 2 * p.b + 4 * p.t + 27
-        assert scroll_degree(p) == 8 * p.e + 5 * p.b + 7 * p.t + 40
+        m = Member(p)
+        assert m.n == 5 * p.e + 2 * p.b + 4 * p.t + 27
+        assert m.d == 8 * p.e + 5 * p.b + 7 * p.t + 40
 
 
 def test_hilbert_polynomial_coefficients():
-    poly = hilbert_polynomial(validate_params(2, 7, 0))
+    poly = Member(validate_params(2, 7, 0)).hilbert_poly
     assert poly.to_pairs() == [[1, 1], [65, 6], [25, 1], [91, 6]]
-    poly0 = hilbert_polynomial(validate_params(0, 3, 0))
+    poly0 = Member(validate_params(0, 3, 0)).hilbert_poly
     assert (poly0.c0, poly0.c1, poly0.c2, poly0.c3) == (
         Fraction(1),
         Fraction(47, 6),
@@ -44,16 +39,17 @@ def test_hilbert_polynomial_coefficients():
 
 def test_hilbert_polynomial_normalization():
     for p in iter_valid_params(3, 3):
-        poly = hilbert_polynomial(p)
+        m = Member(p)
+        poly = m.hilbert_poly
         assert poly.value_at(0) == 1
-        assert poly.value_at(1) == embedding_dimension(p) + 1
+        assert poly.value_at(1) == m.n + 1
 
 
 def test_hilbert_polynomial_matches_sym_chi_beyond_internal_range():
     # the constructor checks m in [0, 8]; push further here
     for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0), (4, 10, 6)]:
         p = validate_params(e, b, t)
-        poly = hilbert_polynomial(p)
+        poly = Member(p).hilbert_poly
         bun = build_split(p)
         for m in range(0, 13):
             assert poly.value_at(m) == sym_chi(bun, m)
@@ -63,12 +59,12 @@ def test_hilbert_polynomial_matches_sym_chi_beyond_internal_range():
     "e,b,t,h0", [(2, 7, 0, 52), (0, 3, 0, 34), (1, 5, 0, 43)]
 )
 def test_vanishing_report(e, b, t, h0):
-    assert vanishing_report(validate_params(e, b, t)) == (h0, 0, 0, 0)
+    assert Member(validate_params(e, b, t)).h_of_L == (h0, 0, 0, 0)
 
 
 def test_scroll_report_bundles_everything():
     p = validate_params(2, 7, 0)
-    report = scroll_report(p)
+    report = Member(p)
     assert report.params == p
     assert report.n == 51
     assert report.d == 91
