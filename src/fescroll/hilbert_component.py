@@ -20,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle_family import (
-    FamilyParams,
-    build_split,
-    sym2_twisted_cohomology,
-)
+from .bundle_family import FamilyParams, sym2_twisted_cohomology
 from .chow_ring import (
     XI,
     ChowClass,
@@ -35,7 +31,7 @@ from .chow_ring import (
     prod,
 )
 from .errors import ConsistencyError, HypothesesError
-from .surface_lattice import Surface, canonical_class, cohomology, intersect
+from .surface_lattice import CohomologyTable, Surface, canonical_class, intersect
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,15 @@ class HilbertReport:
     codim_scroll_locus: int
 
 
-def check_hypotheses(params: FamilyParams) -> HypothesisFlags:
-    """Compute the vanishing flags and cross-assert their window inequalities."""
-    s = params.surface
-    bun = build_split(params)
-    tab_amb = cohomology(s, bun.A - bun.B)
-    tab_bma = cohomology(s, bun.B - bun.A)
+def check_hypotheses(
+    params: FamilyParams,
+    pieces: tuple[CohomologyTable, CohomologyTable, CohomologyTable],
+) -> HypothesisFlags:
+    """Compute the vanishing flags and cross-assert their window inequalities.
+
+    pieces = sym2_pieces(params), the tables of A-B, O and B-A.
+    """
+    tab_amb, _trivial, tab_bma = pieces
     v1 = tab_amb.h1 == 0
     v2 = tab_bma.h2 == 0
     v3 = tab_bma.h1 == 0
@@ -205,7 +204,10 @@ def _fiber_tangent_table(e: int) -> tuple[int, int, int]:
 
 
 def tangent_cohomology(
-    params: FamilyParams, flags: HypothesisFlags, n: int
+    params: FamilyParams,
+    flags: HypothesisFlags,
+    n: int,
+    pieces: tuple[CohomologyTable, CohomologyTable, CohomologyTable],
 ) -> TangentCohomology:
     """h^i(T_X) from the relative-tangent sequence; gated on all flags.
 
@@ -215,11 +217,12 @@ def tangent_cohomology(
         h^0(T_X) = h^0(Sym^2 E (-c1)) + h^0(T_F),  h^1(T_X) = h^1(T_F),
         h^2 = h^3 = 0.
 
-    flags = check_hypotheses(params) and n is the embedding dimension.
+    flags = check_hypotheses(params, pieces), n is the embedding dimension
+    and pieces = sym2_pieces(params).
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
-    sym2 = sym2_twisted_cohomology(params)
+    sym2 = sym2_twisted_cohomology(pieces)
     if (sym2.h1, sym2.h2) != (0, 0):
         raise ConsistencyError(
             f"higher cohomology of Sym^2(E)(-c1) must vanish under the flags: "

@@ -85,8 +85,13 @@ class Member:
         return si.hilbert_polynomial(self.params, self.n, self.intersection_numbers)
 
     @cached_property
+    def sym2_pieces(self) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
+        """Cohomology tables of A-B, O and B-A, the summands of Sym^2(E)(-c1)."""
+        return bf.sym2_pieces(self.params)
+
+    @cached_property
     def flags(self) -> hc.HypothesisFlags:
-        return hc.check_hypotheses(self.params)
+        return hc.check_hypotheses(self.params, self.sym2_pieces)
 
     @cached_property
     def chi_N(self) -> int:
@@ -96,7 +101,7 @@ class Member:
     @cached_property
     def tangent(self) -> hc.TangentCohomology:
         """h^i(T_X); raises HypothesesError unless every flag holds."""
-        return hc.tangent_cohomology(self.params, self.flags, self.n)
+        return hc.tangent_cohomology(self.params, self.flags, self.n, self.sym2_pieces)
 
     @cached_property
     def hilbert(self) -> hc.HilbertReport:

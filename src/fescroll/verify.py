@@ -186,15 +186,29 @@ def _check_bilinear(e_max: int, t_max: int) -> _Recorder:
 
 @_register("h^1 fiberwise route = h^1 chi-subtraction route")
 def _check_h1_routes(e_max: int, t_max: int) -> _Recorder:
-    # cohomology() raises on mismatch; sweeping it is the check
+    # cohomology() raises when its two h^1 routes disagree; on top of that
+    # its closed-form fiberwise sums are recomputed term by term over the
+    # pushforward degrees (of D when a >= 0, of K - D when a <= -2)
     rec = _Recorder()
     for s in _surfaces(e_max):
+        k = sl.canonical_class(s)
         for d in _classes():
             try:
-                sl.cohomology(s, d)
-                rec.case(True, "")
+                tab = sl.cohomology(s, d)
             except ConsistencyError as exc:
                 rec.case(False, f"e={s.e} D={d}: {exc}")
+                continue
+            if d.a == -1:
+                rec.case(tab.as_tuple() == (0, 0, 0), f"e={s.e} D={d}: {tab.as_tuple()}")
+                continue
+            degrees = sl.pushforward_degrees(s, d if d.a >= 0 else k - d)
+            h0 = sum(max(0, deg + 1) for deg in degrees)
+            h1 = sum(max(0, -deg - 1) for deg in degrees)
+            got = (tab.h0, tab.h1) if d.a >= 0 else (tab.h2, tab.h1)
+            rec.case(
+                got == (h0, h1),
+                f"e={s.e} D={d}: table {tab.as_tuple()}, pushforward sums {(h0, h1)}",
+            )
     return rec
 
 
@@ -237,6 +251,10 @@ def _check_uniformity(e_max: int, t_max: int) -> _Recorder:
             r = evidence.r
             ok = (
                 r == 3 * params.e + 5 + params.t
+                and all(
+                    bf.invariant_r(params, d1) == bf.invariant_r(params, d1, scan=True)
+                    for d1 in (2, 3)
+                )
                 and evidence.uniform
                 and evidence.ell3 == 0
                 and split == (3, 1)
@@ -484,7 +502,7 @@ def _check_flag_soundness(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
     for params in bf.iter_valid_params(e_max, t_max):
         try:
-            flags = hc.check_hypotheses(params)
+            flags = Member(params).flags
             sound = (not flags.paper_regime) or (flags.v1 and flags.v2 and flags.v3)
             rec.case(sound, f"{params}: {flags}")
         except ConsistencyError as exc:

@@ -8,6 +8,7 @@ from fescroll.bundle_family import (
     extension_data,
     invariant_r,
     iter_valid_params,
+    sym2_pieces,
     sym2_twisted_cohomology,
     sym_chi,
     validate_params,
@@ -123,7 +124,7 @@ def test_invariant_r_spots(e, b, t, expected):
 def test_invariant_r_matches_section_threshold_oracle():
     for p in iter_valid_params(2, 2):
         for d1 in (1, 2, 3):
-            assert invariant_r(p, d1) == _r_by_oracle(p, d1)
+            assert invariant_r(p, d1) == invariant_r(p, d1, scan=True) == _r_by_oracle(p, d1)
 
 
 def test_invariant_r_rejects_bad_degree():
@@ -208,7 +209,7 @@ def test_sym_chi_small_cases():
 
 def test_sym2_twisted_cohomology_spots():
     for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0)]:
-        table = sym2_twisted_cohomology(validate_params(e, b, t))
+        table = sym2_twisted_cohomology(sym2_pieces(validate_params(e, b, t)))
         assert table.as_tuple() == (7, 0, 0)
 
 

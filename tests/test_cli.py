@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -270,7 +272,62 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 3
     assert "FAIL" in out
     assert "K_{F_e}" in out
-    assert "0 failed" not in out.strip().split("\n")[-1]
+    summary = out.strip().split("\n")[-1]
+    match = re.fullmatch(r"(\d+) identities checked, (\d+) passed, (\d+) failed", summary)
+    assert match, summary
+    assert int(match.group(3)) > 0
+
+
+# -- huge coefficients ----------------------------------------------------------
+
+HUGE_WALL_S = 2.0
+
+
+def _reference_cohomology(e, a, c):
+    # (h0, h1, h2, chi) of a*C0 + c*f on F_e: h0 is the clipped series
+    # sum_{j<=a} max(0, c - j*e + 1) summed in closed form, h2 is h0 of
+    # K - D = (-2-a)*C0 + (-(e+2)-c)*f, chi is 1 + D.(D-K)/2, h1 by subtraction
+    def h0(a, c):
+        if a < 0 or c < 0:
+            return 0
+        last = a if e == 0 else min(a, c // e)
+        return (last + 1) * (c + 1) - e * last * (last + 1) // 2
+
+    if a == -1:
+        return (0, 0, 0, 0)
+    pairing = a * (c + e + 2) + (a + 2) * c - e * a * (a + 2)
+    chi_d = 1 + pairing // 2
+    h0_d, h2_d = h0(a, c), h0(-2 - a, -(e + 2) - c)
+    return (h0_d, h0_d + h2_d - chi_d, h2_d, chi_d)
+
+
+def _timed_cli(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("e,a,c", [(2, 10**9, 5), (3, -(10**9), 7)])
+def test_cohomology_huge_coefficient(capsys, e, a, c):
+    code, out, err, seconds = _timed_cli(capsys, "cohomology", "-e", str(e), "-a", str(a),
+                                         "-c", str(c), "--format", "csv")
+    assert code == 0 and err == ""
+    assert seconds < HUGE_WALL_S
+    row = [int(cell) for cell in out.strip().split("\n")[1].split(",")]
+    assert row == [e, a, c, *_reference_cohomology(e, a, c)]
+
+
+def test_report_huge_t(capsys):
+    e, b, t = 0, 5, 10**9
+    code, out, err, seconds = _timed_cli(capsys, "report", "-e", str(e), "-b", str(b),
+                                         "-t", str(t), "--format", "csv")
+    assert code == 0 and err == ""
+    assert seconds < HUGE_WALL_S
+    header, row = (line.split(",") for line in out.strip().split("\n"))
+    got = dict(zip(header, row))
+    assert int(got["n"]) == 5 * e + 2 * b + 4 * t + 27
+    assert int(got["d"]) == 8 * e + 5 * b + 7 * t + 40
+    assert int(got["r"]) == 3 * e + 5 + t
 
 
 # -- plumbing -----------------------------------------------------------------

@@ -6,7 +6,6 @@ from fescroll.errors import ConsistencyError, HypothesesError
 from fescroll.hilbert_component import (
     HypothesisFlags,
     TangentCohomology,
-    check_hypotheses,
     normal_bundle_chern,
     scroll_locus_codim,
 )
@@ -14,7 +13,7 @@ from fescroll.member import Member
 
 
 def flags_tuple(p):
-    f = check_hypotheses(p)
+    f = Member(p).flags
     return (f.paper_regime, f.v1, f.v2, f.v3)
 
 
@@ -44,7 +43,7 @@ def test_regime_implies_all_vanishings():
     for e in (0, 1, 2):
         for t in range(0, 7):
             p = validate_params(e, 2 * e + 3 + t, t)
-            assert check_hypotheses(p).all_hold()
+            assert Member(p).flags.all_hold()
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ from collections import Counter
 import pytest
 
 import fescroll.cli as cli
-from fescroll import bundle_family, chow_ring, hilbert_component
+from fescroll import bundle_family, chow_ring, hilbert_component, surface_lattice
+from fescroll.bundle_family import build_split, validate_params
+from fescroll.surface_lattice import ZERO
 
 COUNTED = {
-    bundle_family: ("chern", "invariant_r", "bundle_cohomology"),
+    bundle_family: ("chern", "invariant_r", "bundle_cohomology", "sym2_pieces"),
     chow_ring: ("chern_TX", "intersection_numbers"),
     hilbert_component: ("check_hypotheses", "tangent_cohomology"),
 }
@@ -31,12 +33,16 @@ def calls(monkeypatch):
 
     for module, names in COUNTED.items():
         for name in names:
-            original = getattr(module, name)
-            wrapper = counting(name, original)
-            for modname, namespace in list(sys.modules.items()):
-                if modname.startswith("fescroll") and vars(namespace).get(name) is original:
-                    monkeypatch.setattr(namespace, name, wrapper)
+            _replace_everywhere(monkeypatch, module, name, counting)
     return counts
+
+
+def _replace_everywhere(monkeypatch, module, name, make_wrapper):
+    original = getattr(module, name)
+    wrapper = make_wrapper(name, original)
+    for modname, namespace in list(sys.modules.items()):
+        if modname.startswith("fescroll") and vars(namespace).get(name) is original:
+            monkeypatch.setattr(namespace, name, wrapper)
 
 
 def test_report_computes_each_value_once(calls, capsys):
@@ -46,6 +52,7 @@ def test_report_computes_each_value_once(calls, capsys):
         "chern": 1,
         "invariant_r": 2,
         "bundle_cohomology": 1,
+        "sym2_pieces": 1,
         "check_hypotheses": 1,
         "chern_TX": 1,
         "intersection_numbers": 1,
@@ -58,3 +65,22 @@ def test_table_computes_chern_once_per_row(calls, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 54
     assert calls["chern"] == len(rows)
+
+
+def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):
+    # a regime member needs the tables of A and B (for E) and of A-B, O and
+    # B-A (for the flags and for Sym^2(E)(-c1)), each exactly once
+    classes = Counter()
+
+    def recording(_name, fn):
+        def wrapper(s, d):
+            classes[d] += 1
+            return fn(s, d)
+        return wrapper
+
+    _replace_everywhere(monkeypatch, surface_lattice, "cohomology", recording)
+    assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
+    capsys.readouterr()
+    bundle = build_split(validate_params(2, 7, 0))
+    pieces = (bundle.A, bundle.B, bundle.A - bundle.B, ZERO, bundle.B - bundle.A)
+    assert classes == Counter(pieces)

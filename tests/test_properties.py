@@ -4,19 +4,22 @@ from fescroll.bundle_family import (
     build_split,
     chern,
     ell_invariant,
+    invariant_r,
     sym_chi,
     validate_params,
 )
 from fescroll.chow_ring import ChowClass, multiply
-from fescroll.hilbert_component import check_hypotheses
 from fescroll.member import Member
 from fescroll.surface_lattice import (
     DivisorClass,
     Surface,
+    _h0_fiberwise,
+    _h1_fiberwise,
     canonical_class,
     cohomology,
     h0_lattice_oracle,
     intersect,
+    pushforward_degrees,
 )
 
 surfaces = st.integers(min_value=0, max_value=6).map(Surface)
@@ -71,6 +74,33 @@ def test_h0_equals_lattice_count(s, d):
     assert cohomology(s, d).h0 == h0_lattice_oracle(s, d)
 
 
+@given(
+    st.integers(min_value=0, max_value=8).map(Surface),
+    st.builds(DivisorClass, st.integers(-300, 300), st.integers(-300, 300)),
+)
+def test_closed_form_sums_match_pushforward(s, d):
+    if d.a < 0:
+        assert _h0_fiberwise(s, d) == 0
+        return
+    degrees = pushforward_degrees(s, d)
+    assert _h0_fiberwise(s, d) == sum(max(0, deg + 1) for deg in degrees)
+    assert _h1_fiberwise(s, d) == sum(max(0, -deg - 1) for deg in degrees)
+
+
+@st.composite
+def wide_family_params(draw):
+    e = draw(st.integers(min_value=0, max_value=8))
+    t = draw(st.integers(min_value=0, max_value=200))
+    b = draw(st.integers(min_value=e, max_value=2 * e + 3 + t))
+    return validate_params(e, b, t)
+
+
+@settings(deadline=None)
+@given(wide_family_params(), st.sampled_from((1, 2, 3)))
+def test_invariant_r_matches_scan(params, d1):
+    assert invariant_r(params, d1) == invariant_r(params, d1, scan=True)
+
+
 @given(surfaces, st.integers(0, 6), st.integers(-20, 19))
 def test_h0_monotone_in_fiber_twist(s, a, c):
     lower = cohomology(s, DivisorClass(a, c)).h0
@@ -116,7 +146,7 @@ def test_chi_normal_closed_form(params):
 
 @given(family_params())
 def test_flags_match_windows(params):
-    flags = check_hypotheses(params)  # raises ConsistencyError on any mismatch
+    flags = Member(params).flags  # raises ConsistencyError on any mismatch
     assert flags.paper_regime == (params.e <= 2 and params.b == 2 * params.e + 3 + params.t)
     assert flags.v1 == (params.b < 6 + params.t + params.e)
     assert flags.v3 == (params.b <= 2 * params.e + 3 + params.t)

@@ -133,6 +133,19 @@ def test_canonical_class_cohomology():
         assert cohomology(s, canonical_class(s)).as_tuple() == (0, 0, 1)
 
 
+@pytest.mark.parametrize("corrupted", ["_h0_fiberwise", "_h1_fiberwise"])
+def test_cohomology_raises_when_h1_routes_disagree(monkeypatch, corrupted):
+    # h^1 by chi-subtraction uses h^0, the direct series does not: an
+    # off-by-one in either closed form must surface as a ConsistencyError
+    from fescroll import surface_lattice
+    from fescroll.errors import ConsistencyError
+
+    original = getattr(surface_lattice, corrupted)
+    monkeypatch.setattr(surface_lattice, corrupted, lambda s, d: original(s, d) + 1)
+    with pytest.raises(ConsistencyError, match="h1 routes disagree"):
+        cohomology(F2, D(3, 11))
+
+
 def test_lattice_oracle_examples():
     assert h0_lattice_oracle(F1, D(1, 2)) == 5
     assert h0_lattice_oracle(F2, D(2, 3)) == 6
