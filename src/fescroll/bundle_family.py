@@ -16,9 +16,9 @@ threshold r (the largest fiber coefficient of a summand that stays
 effective) is read off the split form in O(1), and the closed-form
 ell(c1, c2, d1, r) decides the generic splitting type.  ell at d1=2 equals
 b-t-2e-4 < 0 for every valid member and every r; ell at d1=3 equals 0, so
-the family is uniform of splitting type (3, 1).  The brute-force scan over
-fiber twists, with h^0 from cohomology(), stays as the oracle that the
-verification suite compares the threshold against.
+the family is uniform of splitting type (3, 1).  The verification suite
+keeps a brute-force scan over fiber twists, with h^0 from cohomology(), as
+the oracle it compares the threshold against.
 """
 
 from __future__ import annotations
@@ -139,40 +139,18 @@ def chern(params: FamilyParams) -> ChernData:
     return ChernData(c1_closed, c2_closed)
 
 
-def _h0_split(s: Surface, bun: SplitBundle, twist: DivisorClass) -> int:
-    return cohomology(s, bun.A + twist).h0 + cohomology(s, bun.B + twist).h0
-
-
-def invariant_r(params: FamilyParams, d1: int, *, scan: bool = False) -> int:
+def invariant_r(params: FamilyParams, d1: int) -> int:
     """Section threshold against -d1*C0 twists.
 
     -r is the smallest fiber twist ell such that E(-d1*C0 + ell*f) has a
     section.  A line bundle a*C0 + c*f on F_e has a section iff a >= 0 and
     c >= 0, so r is the largest c among the summands A, B with a >= d1;
     for d1 in {1, 2, 3} that is A's, r = 3e+5+t.
-
-    scan=True finds the threshold instead by scanning fiber twists with
-    h^0 from cohomology(), in time linear in e, b and t: the oracle the
-    verification suite compares against.  h^0 is nondecreasing in ell, and
-    for d1 in {1, 2, 3} the threshold provably lies inside the scanned
-    window; missing it is an internal-consistency failure, never a user
-    error.
     """
     if d1 not in (1, 2, 3):
         raise ValueError(f"d1 must be 1, 2 or 3, got {d1}")
     bun = build_split(params)
-    if not scan:
-        return max(cls.c for cls in (bun.A, bun.B) if cls.a >= d1)
-    s = params.surface
-    span = 3 * params.e + 6 + params.t + abs(params.b) + 4
-    if _h0_split(s, bun, DivisorClass(-d1, -span)) != 0:
-        raise ConsistencyError(
-            f"section threshold below the scan window at {params}, d1={d1}"
-        )
-    for ell in range(-span, span + 1):
-        if _h0_split(s, bun, DivisorClass(-d1, ell)) > 0:
-            return -ell
-    raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
+    return max(cls.c for cls in (bun.A, bun.B) if cls.a >= d1)
 
 
 def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
@@ -266,16 +244,3 @@ def sym2_pieces(
         cohomology(s, ZERO),
         cohomology(s, bun.B - bun.A),
     )
-
-
-def sym2_twisted_cohomology(
-    pieces: tuple[CohomologyTable, CohomologyTable, CohomologyTable],
-) -> CohomologyTable:
-    """Table of Sym^2(E) twisted by -c1, from the tables of its pieces.
-
-    pieces = sym2_pieces(params).  Vanishing of the higher groups is
-    reported, not forced; consumers that need it must gate on the computed
-    flags.
-    """
-    a_minus_b, trivial, b_minus_a = pieces
-    return a_minus_b + trivial + b_minus_a

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle_family import FamilyParams, sym2_twisted_cohomology
+from .bundle_family import FamilyParams
 from .chow_ring import (
     XI,
     ChowClass,
@@ -81,14 +81,12 @@ class HilbertReport:
 
 
 def check_hypotheses(
-    params: FamilyParams,
-    pieces: tuple[CohomologyTable, CohomologyTable, CohomologyTable],
+    params: FamilyParams, tab_amb: CohomologyTable, tab_bma: CohomologyTable
 ) -> HypothesisFlags:
     """Compute the vanishing flags and cross-assert their window inequalities.
 
-    pieces = sym2_pieces(params), the tables of A-B, O and B-A.
+    tab_amb and tab_bma are the cohomology tables of A-B and B-A.
     """
-    tab_amb, _trivial, tab_bma = pieces
     v1 = tab_amb.h1 == 0
     v2 = tab_bma.h2 == 0
     v3 = tab_bma.h1 == 0
@@ -217,12 +215,14 @@ def tangent_cohomology(
         h^0(T_X) = h^0(Sym^2 E (-c1)) + h^0(T_F),  h^1(T_X) = h^1(T_F),
         h^2 = h^3 = 0.
 
-    flags = check_hypotheses(params, pieces), n is the embedding dimension
-    and pieces = sym2_pieces(params).
+    flags come from check_hypotheses, n is the embedding dimension and
+    pieces = sym2_pieces(params), the tables of the summands A-B, O and B-A
+    of Sym^2(E)(-c1).
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
-    sym2 = sym2_twisted_cohomology(pieces)
+    tab_amb, tab_trivial, tab_bma = pieces
+    sym2 = tab_amb + tab_trivial + tab_bma
     if (sym2.h1, sym2.h2) != (0, 0):
         raise ConsistencyError(
             f"higher cohomology of Sym^2(E)(-c1) must vanish under the flags: "

@@ -91,7 +91,8 @@ class Member:
 
     @cached_property
     def flags(self) -> hc.HypothesisFlags:
-        return hc.check_hypotheses(self.params, self.sym2_pieces)
+        tab_amb, _trivial, tab_bma = self.sym2_pieces
+        return hc.check_hypotheses(self.params, tab_amb, tab_bma)
 
     @cached_property
     def chi_N(self) -> int:

@@ -240,6 +240,30 @@ def _check_ell2(e_max: int, t_max: int) -> _Recorder:
     return rec
 
 
+def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
+    """Section threshold r by scanning fiber twists: the oracle for invariant_r.
+
+    Finds the smallest ell with h^0(E(-d1*C0 + ell*f)) > 0, h^0 from
+    cohomology(), in time linear in e, b and t.  h^0 is nondecreasing in
+    ell, and for d1 in {1, 2, 3} the threshold provably lies inside the
+    scanned window; missing it is an internal-consistency failure.
+    """
+    s = params.surface
+    bun = bf.build_split(params)
+
+    def h0(ell: int) -> int:
+        twist = sl.DivisorClass(-d1, ell)
+        return sl.cohomology(s, bun.A + twist).h0 + sl.cohomology(s, bun.B + twist).h0
+
+    span = 3 * params.e + 6 + params.t + abs(params.b) + 4
+    if h0(-span) != 0:
+        raise ConsistencyError(f"section threshold below the scan window at {params}, d1={d1}")
+    for ell in range(-span, span + 1):
+        if h0(ell) > 0:
+            return -ell
+    raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
+
+
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)")
 def _check_uniformity(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
@@ -252,7 +276,7 @@ def _check_uniformity(e_max: int, t_max: int) -> _Recorder:
             ok = (
                 r == 3 * params.e + 5 + params.t
                 and all(
-                    bf.invariant_r(params, d1) == bf.invariant_r(params, d1, scan=True)
+                    bf.invariant_r(params, d1) == _r_by_scan(params, d1)
                     for d1 in (2, 3)
                 )
                 and evidence.uniform

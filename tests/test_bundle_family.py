@@ -9,13 +9,13 @@ from fescroll.bundle_family import (
     invariant_r,
     iter_valid_params,
     sym2_pieces,
-    sym2_twisted_cohomology,
     sym_chi,
     validate_params,
 )
 from fescroll.errors import ParameterError
 from fescroll.member import Member
 from fescroll.surface_lattice import DivisorClass, cohomology, h0_lattice_oracle
+from fescroll.verify import _r_by_scan
 
 D = DivisorClass
 
@@ -124,7 +124,7 @@ def test_invariant_r_spots(e, b, t, expected):
 def test_invariant_r_matches_section_threshold_oracle():
     for p in iter_valid_params(2, 2):
         for d1 in (1, 2, 3):
-            assert invariant_r(p, d1) == invariant_r(p, d1, scan=True) == _r_by_oracle(p, d1)
+            assert invariant_r(p, d1) == _r_by_scan(p, d1) == _r_by_oracle(p, d1)
 
 
 def test_invariant_r_rejects_bad_degree():
@@ -209,8 +209,8 @@ def test_sym_chi_small_cases():
 
 def test_sym2_twisted_cohomology_spots():
     for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0)]:
-        table = sym2_twisted_cohomology(sym2_pieces(validate_params(e, b, t)))
-        assert table.as_tuple() == (7, 0, 0)
+        tab_amb, tab_trivial, tab_bma = sym2_pieces(validate_params(e, b, t))
+        assert (tab_amb + tab_trivial + tab_bma).as_tuple() == (7, 0, 0)
 
 
 # -- vanishing windows, both directions --------------------------------------

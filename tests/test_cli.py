@@ -283,38 +283,32 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 HUGE_WALL_S = 2.0
 
 
-def _reference_cohomology(e, a, c):
-    # (h0, h1, h2, chi) of a*C0 + c*f on F_e: h0 is the clipped series
-    # sum_{j<=a} max(0, c - j*e + 1) summed in closed form, h2 is h0 of
-    # K - D = (-2-a)*C0 + (-(e+2)-c)*f, chi is 1 + D.(D-K)/2, h1 by subtraction
-    def h0(a, c):
-        if a < 0 or c < 0:
-            return 0
-        last = a if e == 0 else min(a, c // e)
-        return (last + 1) * (c + 1) - e * last * (last + 1) // 2
-
-    if a == -1:
-        return (0, 0, 0, 0)
-    pairing = a * (c + e + 2) + (a + 2) * c - e * a * (a + 2)
-    chi_d = 1 + pairing // 2
-    h0_d, h2_d = h0(a, c), h0(-2 - a, -(e + 2) - c)
-    return (h0_d, h0_d + h2_d - chi_d, h2_d, chi_d)
-
-
 def _timed_cli(capsys, *argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     return code, out, err, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("e,a,c", [(2, 10**9, 5), (3, -(10**9), 7)])
+# (h0, h1, h2, chi) of D = a*C0 + c*f, worked by hand.  chi = 1 + D.(D-K)/2
+# with D.(D-K) = -e*a*(a+2) + a*(c+e+2) + c*(a+2), and h1 = h0 + h2 - chi.
+# e=2, a=10^9, c=5: J = min(a, c // e) = 2, so h0 = 3*6 - 2*3 = 12; h2 = 0
+# because K-D has a negative C0 coefficient; D.(D-K) = -2*10^18 + 10^10 + 10.
+# e=3, a=-10^9, c=7: h0 = 0; K-D = (10^9-2)*C0 - 12*f has a negative f
+# coefficient, so h2 = 0; D.(D-K) = -3*10^18 - 13*10^9 + 14.
+HUGE_COHOMOLOGY = {
+    (2, 10**9, 5): (12, 10**18 - 5 * 10**9 + 6, 0, -(10**18) + 5 * 10**9 + 6),
+    (3, -(10**9), 7): (0, 15 * 10**17 + 65 * 10**8 - 8, 0, -15 * 10**17 - 65 * 10**8 + 8),
+}
+
+
+@pytest.mark.parametrize("e,a,c", HUGE_COHOMOLOGY)
 def test_cohomology_huge_coefficient(capsys, e, a, c):
     code, out, err, seconds = _timed_cli(capsys, "cohomology", "-e", str(e), "-a", str(a),
                                          "-c", str(c), "--format", "csv")
     assert code == 0 and err == ""
     assert seconds < HUGE_WALL_S
     row = [int(cell) for cell in out.strip().split("\n")[1].split(",")]
-    assert row == [e, a, c, *_reference_cohomology(e, a, c)]
+    assert row == [e, a, c, *HUGE_COHOMOLOGY[e, a, c]]
 
 
 def test_report_huge_t(capsys):

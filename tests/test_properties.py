@@ -21,6 +21,7 @@ from fescroll.surface_lattice import (
     intersect,
     pushforward_degrees,
 )
+from fescroll.verify import _r_by_scan
 
 surfaces = st.integers(min_value=0, max_value=6).map(Surface)
 classes = st.builds(
@@ -98,7 +99,7 @@ def wide_family_params(draw):
 @settings(deadline=None)
 @given(wide_family_params(), st.sampled_from((1, 2, 3)))
 def test_invariant_r_matches_scan(params, d1):
-    assert invariant_r(params, d1) == invariant_r(params, d1, scan=True)
+    assert invariant_r(params, d1) == _r_by_scan(params, d1)
 
 
 @given(surfaces, st.integers(0, 6), st.integers(-20, 19))
