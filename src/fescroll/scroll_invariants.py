@@ -11,8 +11,9 @@ m in [0, 8] on every construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .bundle_family import FamilyParams, build_split, sym_chi
 from .chow_ring import XI, IntersectionNumbers, ScrollContext, degree, prod
@@ -26,27 +27,44 @@ class RationalCubic:
 
     Must be integer-valued on the integers; sampled on [-6, 6] at
     construction time (a cubic integral on four consecutive integers is
-    integral everywhere, so the sample is a proof).
+    integral everywhere, so the sample is a proof).  Values are computed
+    in integers: den * P(m) by Horner's rule, with den the lcm of the
+    coefficient denominators, so P(m) is an integer iff den divides it.
     """
 
     c0: Fraction
     c1: Fraction
     c2: Fraction
     c3: Fraction
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        coeffs = (self.c0, self.c1, self.c2, self.c3)
+        den = lcm(*(coeff.denominator for coeff in coeffs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(
+            coeff.numerator * (den // coeff.denominator) for coeff in coeffs))
         for m in range(-6, 7):
-            if self(m).denominator != 1:
+            if not self.is_integral_at(m):
                 raise ConsistencyError(f"cubic not integer-valued at m={m}: {self}")
 
+    def _scaled(self, m: int) -> int:
+        """den * P(m)."""
+        n0, n1, n2, n3 = self.nums
+        return ((n3 * m + n2) * m + n1) * m + n0
+
+    def is_integral_at(self, m: int) -> bool:
+        return self._scaled(m) % self.den == 0
+
     def __call__(self, m: int) -> Fraction:
-        return self.c0 + self.c1 * m + self.c2 * m * m + self.c3 * m ** 3
+        return Fraction(self._scaled(m), self.den)
 
     def value_at(self, m: int) -> int:
-        value = self(m)
-        if value.denominator != 1:
+        value, remainder = divmod(self._scaled(m), self.den)
+        if remainder:
             raise ConsistencyError(f"cubic not integer-valued at m={m}: {self}")
-        return int(value)
+        return value
 
     def to_pairs(self) -> list[list[int]]:
         """[[numerator, denominator], ...] by ascending degree, for JSON."""

@@ -1,9 +1,13 @@
 """Named identity checks swept over parameter grids.
 
-Each check is independent: it reports how many cases it examined and a
-list of failure descriptions (empty on success).  A ConsistencyError
-raised by the engine mid-check is recorded as a failure of that check
-instead of aborting the sweep, so a corrupted build reports every
+Each check reports how many cases it examined and a list of failure
+descriptions (empty on success).  Surface and window checks sweep their
+own grids of divisor classes.  Member checks run once per valid
+(e, b, t) and all read one shared Member, so every value of a member is
+derived once per sweep and the cross-check that guards it runs once; a
+value that raises is not kept, so each check that reads a broken value
+reports it.  A ConsistencyError that a check does not catch aborts that
+check alone, instead of the sweep, so a corrupted build reports every
 identity it breaks, starting from the most elementary one.
 """
 
@@ -21,6 +25,7 @@ from .errors import ConsistencyError
 from .member import Member
 
 _MAX_FAILURES = 8
+_SEED = 20260817
 
 
 @dataclass
@@ -35,11 +40,12 @@ class CheckResult:
 
 
 class _Recorder:
-    """Capped failure collector."""
+    """Capped failure collector, with the check's own seeded sample stream."""
 
     def __init__(self) -> None:
         self.cases = 0
         self.failures: list[str] = []
+        self.rng = random.Random(_SEED)
 
     def case(self, ok: bool, detail: str) -> None:
         self.cases += 1
@@ -49,12 +55,16 @@ class _Recorder:
             self.failures.append("... more failures suppressed")
 
 
-CheckFn = Callable[[int, int], _Recorder]
-_CHECKS: list[tuple[str, CheckFn]] = []
+# How a check sweeps, kept as a function attribute so that it survives
+# functools.wraps: "grid" checks are called as fn(e_max, t_max) and return
+# their recorder; "member" checks are called as fn(rec, member) for every
+# valid member, "regime" checks only for members with e <= 2, b = 2e+3+t.
+_CHECKS: list[tuple[str, Callable]] = []
 
 
-def _register(name: str):
-    def wrap(fn: CheckFn) -> CheckFn:
+def _register(name: str, sweep: str = "grid"):
+    def wrap(fn: Callable) -> Callable:
+        fn.sweep = sweep
         _CHECKS.append((name, fn))
         return fn
 
@@ -71,12 +81,6 @@ def _classes(bound: int = 12):
         for a in range(-bound, bound + 1)
         for c in range(-bound, bound + 1)
     ]
-
-
-def _regime_grid(e_max: int, t_max: int):
-    for e in range(min(e_max, 2) + 1):
-        for t in range(t_max + 1):
-            yield bf.FamilyParams(e, 2 * e + 3 + t, t)
 
 
 # ----------------------------------------------------------------- surface
@@ -168,7 +172,7 @@ def _check_monotone(e_max: int, t_max: int) -> _Recorder:
 @_register("intersection pairing symmetric and bilinear")
 def _check_bilinear(e_max: int, t_max: int) -> _Recorder:
     rec = _Recorder()
-    rng = random.Random(20260817)
+    rng = rec.rng
     for s in _surfaces(e_max):
         for _ in range(200):
             d1, d2, d3 = (
@@ -215,29 +219,24 @@ def _check_h1_routes(e_max: int, t_max: int) -> _Recorder:
 # ------------------------------------------------------------------ bundle
 
 
-@_register("c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f, c2 = A.B = L.M+2 = 3b+8+t")
-def _check_chern_presentations(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            bf.chern(params)
-            rec.case(True, "")
-        except ConsistencyError as exc:
-            rec.case(False, str(exc))
-    return rec
+@_register("c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f, c2 = A.B = L.M+2 = 3b+8+t", "member")
+def _check_chern_presentations(rec: _Recorder, member: Member) -> None:
+    try:
+        member.chern
+        rec.case(True, "")
+    except ConsistencyError as exc:
+        rec.case(False, str(exc))
 
 
-@_register("ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every r in [0, 40]")
-def _check_ell2(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        expected = params.b - params.t - 2 * params.e - 4
-        cd = bf.chern(params)
-        ok = expected < 0 and all(
-            bf.ell_invariant(cd, params.e, 2, r) == expected for r in range(0, 41)
-        )
-        rec.case(ok, f"{params}: expected {expected}")
-    return rec
+@_register("ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every r in [0, 40]", "member")
+def _check_ell2(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    expected = params.b - params.t - 2 * params.e - 4
+    cd = member.chern
+    ok = expected < 0 and all(
+        bf.ell_invariant(cd, params.e, 2, r) == expected for r in range(0, 41)
+    )
+    rec.case(ok, f"{params}: expected {expected}")
 
 
 def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
@@ -264,46 +263,41 @@ def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
 
 
-@_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)")
-def _check_uniformity(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            member = Member(params)
-            evidence = member.uniformity
-            split = member.splitting_type
-            r = evidence.r
-            ok = (
-                r == 3 * params.e + 5 + params.t
-                and all(
-                    bf.invariant_r(params, d1) == _r_by_scan(params, d1)
-                    for d1 in (2, 3)
-                )
-                and evidence.uniform
-                and evidence.ell3 == 0
-                and split == (3, 1)
+@_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
+           "member")
+def _check_uniformity(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    try:
+        evidence = member.uniformity
+        split = member.splitting_type
+        r = evidence.r
+        ok = (
+            r == 3 * params.e + 5 + params.t
+            and all(
+                bf.invariant_r(params, d1) == _r_by_scan(params, d1)
+                for d1 in (2, 3)
             )
-            rec.case(ok, f"{params}: r={r}, evidence={evidence}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+            and evidence.uniform
+            and evidence.ell3 == 0
+            and split == (3, 1)
+        )
+        rec.case(ok, f"{params}: r={r}, evidence={evidence}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{params}: {exc}")
 
 
 @_register("h^0(E) = 5e+2b+4t+28 = chi(Sym^1 E), h^1 = h^2 = 0, "
-           "h^0(A) = 6e+4t+24, h^0(B) = 2b+4-e")
-def _check_bundle_cohomology(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            _tab_a, _tab_b, table = bf.bundle_cohomology(params)
-            bun = bf.build_split(params)
-            rec.case(
-                table.chi == bf.sym_chi(bun, 1),
-                f"{params}: chi(E)={table.chi} != chi(Sym^1 E)",
-            )
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+           "h^0(A) = 6e+4t+24, h^0(B) = 2b+4-e", "member")
+def _check_bundle_cohomology(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    try:
+        table = member.tables[2]
+        rec.case(
+            table.chi == bf.sym_chi(bf.build_split(params), 1),
+            f"{params}: chi(E)={table.chi} != chi(Sym^1 E)",
+        )
+    except ConsistencyError as exc:
+        rec.case(False, f"{params}: {exc}")
 
 
 @_register("h^1(A - B) = 0 iff b < 6+t+e (boundary sweep)")
@@ -341,197 +335,161 @@ def _check_window_v2(e_max: int, t_max: int) -> _Recorder:
 # -------------------------------------------------------------------- chow
 
 
-@_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)")
-def _check_grothendieck(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        ctx = Member(params).ctx
-        lhs = cr.degree(cr.prod(ctx, cr.XI, cr.XI, cr.XI))
-        rhs = sl.intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
-        rec.case(lhs == rhs, f"{params}: deg xi^3={lhs}, c1^2-c2={rhs}")
-    return rec
+@_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)", "member")
+def _check_grothendieck(rec: _Recorder, member: Member) -> None:
+    params, ctx = member.params, member.ctx
+    lhs = cr.degree(cr.prod(ctx, cr.XI, cr.XI, cr.XI))
+    rhs = sl.intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
+    rec.case(lhs == rhs, f"{params}: deg xi^3={lhs}, c1^2-c2={rhs}")
 
 
-@_register("Chow product commutative, associative, distributive")
-def _check_ring_axioms(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    rng = random.Random(20260817)
-    for params in bf.iter_valid_params(e_max, t_max):
-        ctx = Member(params).ctx
-        for _ in range(6):
-            x, y, z = (
-                cr.ChowClass(*(rng.randint(-9, 9) for _ in range(8)))
-                for _ in range(3)
-            )
-            comm = cr.multiply(ctx, x, y) == cr.multiply(ctx, y, x)
-            assoc = cr.multiply(ctx, cr.multiply(ctx, x, y), z) == cr.multiply(
-                ctx, x, cr.multiply(ctx, y, z)
-            )
-            dist = cr.multiply(ctx, x, y + z) == cr.multiply(ctx, x, y) + cr.multiply(
-                ctx, x, z
-            )
-            rec.case(comm and assoc and dist, f"{params}: x={x}, y={y}, z={z}")
-    return rec
+@_register("Chow product commutative, associative, distributive", "member")
+def _check_ring_axioms(rec: _Recorder, member: Member) -> None:
+    ctx = member.ctx
+    for _ in range(6):
+        x, y, z = (
+            cr.ChowClass(*(rec.rng.randint(-9, 9) for _ in range(8)))
+            for _ in range(3)
+        )
+        comm = cr.multiply(ctx, x, y) == cr.multiply(ctx, y, x)
+        assoc = cr.multiply(ctx, cr.multiply(ctx, x, y), z) == cr.multiply(
+            ctx, x, cr.multiply(ctx, y, z)
+        )
+        dist = cr.multiply(ctx, x, y + z) == cr.multiply(ctx, x, y) + cr.multiply(
+            ctx, x, z
+        )
+        rec.case(comm and assoc and dist, f"{member.params}: x={x}, y={y}, z={z}")
 
 
-@_register("intersection numbers match their closed forms in (d, e, b, t)")
-def _check_intersection_numbers(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            Member(params).intersection_numbers  # raises on a mismatch
-            rec.case(True, "")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
+def _check_intersection_numbers(rec: _Recorder, member: Member) -> None:
+    try:
+        member.intersection_numbers  # raises on a mismatch
+        rec.case(True, "")
+    except ConsistencyError as exc:
+        rec.case(False, f"{member.params}: {exc}")
 
 
-@_register("deg c3(T_X) = 8 and -K.c2(T_X) = 24")
-def _check_chern_tx(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        ctx = Member(params).ctx
-        try:
-            c1x, c2x, c3x = cr.chern_TX(ctx)
-            ok = (
-                cr.degree(c3x) == 8
-                and cr.degree(cr.multiply(ctx, c1x, c2x)) == 24
-            )
-            rec.case(ok, f"{params}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("deg c3(T_X) = 8 and -K.c2(T_X) = 24", "member")
+def _check_chern_tx(rec: _Recorder, member: Member) -> None:
+    ctx = member.ctx
+    try:
+        c1x, c2x, c3x = member.chern_TX
+        ok = (
+            cr.degree(c3x) == 8
+            and cr.degree(cr.multiply(ctx, c1x, c2x)) == 24
+        )
+        rec.case(ok, f"{member.params}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{member.params}: {exc}")
 
 
 # ------------------------------------------------------------------ scroll
 
 
-@_register("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1")
-def _check_hilbert_poly(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            Member(params).hilbert_poly  # raises on a mismatch
-            rec.case(True, "")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1", "member")
+def _check_hilbert_poly(rec: _Recorder, member: Member) -> None:
+    try:
+        member.hilbert_poly  # raises on a mismatch
+        rec.case(True, "")
+    except ConsistencyError as exc:
+        rec.case(False, f"{member.params}: {exc}")
 
 
-@_register("P(m) is an integer for every integer m (sampled on [-6, 6])")
-def _check_poly_integrality(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        poly = Member(params).hilbert_poly
-        ok = all(poly(m).denominator == 1 for m in range(-6, 7))
-        rec.case(ok, f"{params}: {poly}")
-    return rec
+@_register("P(m) is an integer for every integer m (sampled on [-6, 6])", "member")
+def _check_poly_integrality(rec: _Recorder, member: Member) -> None:
+    poly = member.hilbert_poly
+    ok = all(poly.is_integral_at(m) for m in range(-6, 7))
+    rec.case(ok, f"{member.params}: {poly}")
 
 
-@_register("d - 3e - 3b - 3t - 12 = n + 1")
-def _check_degree_dimension_identity(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        member = Member(params)
-        n, d = member.n, member.d
-        lhs = d - 3 * params.e - 3 * params.b - 3 * params.t - 12
-        rec.case(lhs == n + 1, f"{params}: lhs={lhs}, n+1={n + 1}")
-    return rec
+@_register("d - 3e - 3b - 3t - 12 = n + 1", "member")
+def _check_degree_dimension_identity(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    n, d = member.n, member.d
+    lhs = d - 3 * params.e - 3 * params.b - 3 * params.t - 12
+    rec.case(lhs == n + 1, f"{params}: lhs={lhs}, n+1={n + 1}")
 
 
-@_register("n = 5e+2b+4t+27 and d = 8e+5b+7t+40, each by two routes")
-def _check_n_d_routes(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        e, b, t = params.e, params.b, params.t
-        try:
-            member = Member(params)
-            n, d = member.n, member.d  # d internally: chern, chow, closed form
-            ok = n == 5 * e + 2 * b + 4 * t + 27 and d == 8 * e + 5 * b + 7 * t + 40
-            rec.case(ok, f"{params}: n={n}, d={d}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("n = 5e+2b+4t+27 and d = 8e+5b+7t+40, each by two routes", "member")
+def _check_n_d_routes(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    e, b, t = params.e, params.b, params.t
+    try:
+        n, d = member.n, member.d  # d internally: chern, chow, closed form
+        ok = n == 5 * e + 2 * b + 4 * t + 27 and d == 8 * e + 5 * b + 7 * t + 40
+        rec.case(ok, f"{params}: n={n}, d={d}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{params}: {exc}")
 
 
 # ----------------------------------------------------------------- hilbert
 
 
-@_register("chi(N) by HRR = (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d")
-def _check_chi_normal(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            Member(params).chi_N  # raises on a mismatch
-            rec.case(True, "")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("chi(N) by HRR = (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d", "member")
+def _check_chi_normal(rec: _Recorder, member: Member) -> None:
+    try:
+        member.chi_N  # raises on a mismatch
+        rec.case(True, "")
+    except ConsistencyError as exc:
+        rec.case(False, f"{member.params}: {exc}")
 
 
 @_register("regime e<=2, b=2e+3+t: dim = chi(N) = n(n+1)+9e+20+6t and "
-           "h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)")
-def _check_component_dimension(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in _regime_grid(e_max, t_max):
-        try:
-            report = Member(params).hilbert
-            e, t, n = params.e, params.t, report.n
-            ok = (
-                report.dim_component == n * (n + 1) + 9 * e + 20 + 6 * t
-                and n == 9 * e + 33 + 6 * t
-                and report.hN == (report.chiN, 0, 0, 0)
-            )
-            rec.case(ok, f"{params}: report={report}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+           "h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)", "regime")
+def _check_component_dimension(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    try:
+        report = member.hilbert
+        e, t, n = params.e, params.t, report.n
+        ok = (
+            report.dim_component == n * (n + 1) + 9 * e + 20 + 6 * t
+            and n == 9 * e + 33 + 6 * t
+            and report.hN == (report.chiN, 0, 0, 0)
+        )
+        rec.case(ok, f"{params}: report={report}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{params}: {exc}")
 
 
 @_register("regime e<=2, b=2e+3+t: h^0(T_X) = e+12, h^1(T_X) = e-1 for e > 0; "
-           "(13, 0) at e = 0; chi(T_X) = 13")
-def _check_tangent(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in _regime_grid(e_max, t_max):
-        try:
-            table = Member(params).tangent
-            e = params.e
-            expected = (13, 0) if e == 0 else (e + 12, e - 1)
-            ok = (
-                (table.h0, table.h1) == expected
-                and (table.h2, table.h3) == (0, 0)
-                and table.chi == 13
-            )
-            rec.case(ok, f"{params}: {table}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+           "(13, 0) at e = 0; chi(T_X) = 13", "regime")
+def _check_tangent(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    try:
+        table = member.tangent
+        e = params.e
+        expected = (13, 0) if e == 0 else (e + 12, e - 1)
+        ok = (
+            (table.h0, table.h1) == expected
+            and (table.h2, table.h3) == (0, 0)
+            and table.chi == 13
+        )
+        rec.case(ok, f"{params}: {table}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{params}: {exc}")
 
 
-@_register("regime e<=2, b=2e+3+t: scroll-locus codimension = e-1 (e > 0), 0 (e = 0)")
-def _check_codim(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in _regime_grid(e_max, t_max):
-        try:
-            codim = hc.scroll_locus_codim(params, Member(params).tangent)
-            expected = 0 if params.e == 0 else params.e - 1
-            rec.case(codim == expected, f"{params}: codim={codim}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("regime e<=2, b=2e+3+t: scroll-locus codimension = e-1 (e > 0), 0 (e = 0)",
+           "regime")
+def _check_codim(rec: _Recorder, member: Member) -> None:
+    params = member.params
+    try:
+        codim = hc.scroll_locus_codim(params, member.tangent)
+        expected = 0 if params.e == 0 else params.e - 1
+        rec.case(codim == expected, f"{params}: codim={codim}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{params}: {exc}")
 
 
-@_register("e <= 2 and b = 2e+3+t imply the computed vanishings v1, v2, v3")
-def _check_flag_soundness(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for params in bf.iter_valid_params(e_max, t_max):
-        try:
-            flags = Member(params).flags
-            sound = (not flags.paper_regime) or (flags.v1 and flags.v2 and flags.v3)
-            rec.case(sound, f"{params}: {flags}")
-        except ConsistencyError as exc:
-            rec.case(False, f"{params}: {exc}")
-    return rec
+@_register("e <= 2 and b = 2e+3+t imply the computed vanishings v1, v2, v3", "member")
+def _check_flag_soundness(rec: _Recorder, member: Member) -> None:
+    try:
+        flags = member.flags
+        sound = (not flags.paper_regime) or (flags.v1 and flags.v2 and flags.v3)
+        rec.case(sound, f"{member.params}: {flags}")
+    except ConsistencyError as exc:
+        rec.case(False, f"{member.params}: {exc}")
 
 
 @_register("chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0")
@@ -547,12 +505,36 @@ def _check_fiber_tangent(e_max: int, t_max: int) -> _Recorder:
 
 
 def run_all(e_max: int, t_max: int) -> list[CheckResult]:
-    """Run every registered check over the grid; checks never abort each other."""
-    results = []
-    for name, fn in _CHECKS:
+    """Run every registered check over the grid; checks never abort each other.
+
+    Member checks share one Member per valid (e, b, t), built in
+    iter_valid_params order; a member's values are let go when the next
+    member replaces it, so one member's data is alive at a time.  A check
+    that raises ConsistencyError is reported as aborted, with 0 cases, and
+    is not called again.  Results come in registration order.
+    """
+    # a recorder per check, or the message of the error that aborted it
+    outcomes: list[_Recorder | str] = []
+    for _name, fn in _CHECKS:
         try:
-            rec = fn(e_max, t_max)
-            results.append(CheckResult(name, rec.cases, rec.failures))
+            outcomes.append(fn(e_max, t_max) if fn.sweep == "grid" else _Recorder())
         except ConsistencyError as exc:
-            results.append(CheckResult(name, 0, [f"aborted: {exc}"]))
-    return results
+            outcomes.append(f"aborted: {exc}")
+    per_member = [(i, fn) for i, (_name, fn) in enumerate(_CHECKS) if fn.sweep != "grid"]
+    for params in bf.iter_valid_params(e_max, t_max):
+        member = Member(params)
+        regime = params.e <= 2 and params.b == 2 * params.e + 3 + params.t
+        for i, fn in per_member:
+            rec = outcomes[i]
+            if isinstance(rec, str) or (fn.sweep == "regime" and not regime):
+                continue
+            try:
+                fn(rec, member)
+            except ConsistencyError as exc:
+                outcomes[i] = f"aborted: {exc}"
+    return [
+        CheckResult(name, 0, [outcome])
+        if isinstance(outcome, str)
+        else CheckResult(name, outcome.cases, outcome.failures)
+        for (name, _fn), outcome in zip(_CHECKS, outcomes)
+    ]

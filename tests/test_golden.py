@@ -1,8 +1,10 @@
 """Byte-for-byte CLI output against files under tests/golden/.
 
 Each case is one CLI call: its stdout must equal tests/golden/<name>.txt
-exactly and its exit code must match.  After an intentional output
-change, rewrite the files with
+exactly and its exit code must match.  The verify_fault_* cases run the
+battery with one engine function corrupted, so they pin which identities
+a fault breaks, their case counts and their first failure lines.  After
+an intentional output change, rewrite the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -11,50 +13,83 @@ import contextlib
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import fescroll.cli as cli
+from fescroll import chow_ring, scroll_invariants
+from fescroll.surface_lattice import ZERO
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = ("plain", "json", "csv")
 MEMBERS = [(2, 7, 0), (0, 3, 0), (1, 4, 3), (3, 5, 2), (5, 20, 40)]
 
+
+def _sym_chi_off_at_5(real):
+    # chi(Sym^5 E) one too large when B = C0 + 3f (b = 2), as P(m) sees it
+    def sym_chi(bundle, m, twist=ZERO):
+        return real(bundle, m, twist) + (m == 5 and bundle.B.c == 3)
+    return sym_chi
+
+
+def _multiply_adds_a_point(real):
+    # x*y gains a point when x has constant term 7 and y does not
+    def multiply(ctx, x, y):
+        extra = chow_ring.ChowClass(pt=1 if x.z == 7 != y.z else 0)
+        return real(ctx, x, y) + extra
+    return multiply
+
+
+FAULTS = {
+    "sym_chi": (scroll_invariants, "sym_chi", _sym_chi_off_at_5),
+    "multiply": (chow_ring, "multiply", _multiply_adds_a_point),
+}
+
 CASES = [
     *((f"report_{e}_{b}_{t}_{fmt}",
-       ["report", "-e", str(e), "-b", str(b), "-t", str(t), "--format", fmt], 0)
+       ["report", "-e", str(e), "-b", str(b), "-t", str(t), "--format", fmt], 0, None)
       for e, b, t in MEMBERS for fmt in FORMATS),
     *((f"{command}_2_7_0_{fmt}",
-       [command, "-e", "2", "-b", "7", "-t", "0", "--format", fmt], 0)
+       [command, "-e", "2", "-b", "7", "-t", "0", "--format", fmt], 0, None)
       for command in ("uniformity", "hilbpoly") for fmt in FORMATS),
-    *((f"hilbert_2_0_{fmt}", ["hilbert", "-e", "2", "-t", "0", "--format", fmt], 0)
+    *((f"hilbert_2_0_{fmt}", ["hilbert", "-e", "2", "-t", "0", "--format", fmt], 0, None)
       for fmt in FORMATS),
     *((f"hilbert_2_0_force_b_6_{fmt}",
-       ["hilbert", "-e", "2", "-t", "0", "--force-b", "6", "--format", fmt], 2)
+       ["hilbert", "-e", "2", "-t", "0", "--force-b", "6", "--format", fmt], 2, None)
       for fmt in FORMATS),
-    *((f"table_2_2_{fmt}", ["table", "--e-max", "2", "--t-max", "2", "--format", fmt], 0)
+    *((f"table_2_2_{fmt}",
+       ["table", "--e-max", "2", "--t-max", "2", "--format", fmt], 0, None)
       for fmt in FORMATS),
-    ("verify_1_1_plain", ["verify", "--e-max", "1", "--t-max", "1"], 0),
+    ("verify_1_1_plain", ["verify", "--e-max", "1", "--t-max", "1"], 0, None),
+    *((f"verify_fault_{fault}_1_1_plain", ["verify", "--e-max", "1", "--t-max", "1"], 3,
+       fault)
+      for fault in FAULTS),
 ]
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run(argv: list[str], fault: str | None) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.ExitStack() as stack:
+        if fault:
+            module, name, corrupt = FAULTS[fault]
+            stack.enter_context(
+                mock.patch.object(module, name, corrupt(getattr(module, name))))
+        stack.enter_context(contextlib.redirect_stdout(out))
         code = cli.main(argv)
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("name, argv, code", CASES, ids=[case[0] for case in CASES])
-def test_output_matches_golden_file(name, argv, code):
+@pytest.mark.parametrize("name, argv, code, fault", CASES, ids=[case[0] for case in CASES])
+def test_output_matches_golden_file(name, argv, code, fault):
     want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert run(argv) == (code, want)
+    assert run(argv, fault) == (code, want)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv, code in CASES:
-        got, text = run(argv)
+    for name, argv, code, fault in CASES:
+        got, text = run(argv, fault)
         if got != code:
             sys.exit(f"{name}: exit code {got}, expected {code}")
         (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")

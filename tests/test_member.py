@@ -10,14 +10,21 @@ from collections import Counter
 import pytest
 
 import fescroll.cli as cli
-from fescroll import bundle_family, chow_ring, hilbert_component, surface_lattice
-from fescroll.bundle_family import build_split, validate_params
+from fescroll import (
+    bundle_family,
+    chow_ring,
+    hilbert_component,
+    scroll_invariants,
+    surface_lattice,
+)
+from fescroll.bundle_family import build_split, iter_valid_params, validate_params
 from fescroll.surface_lattice import ZERO
 
 COUNTED = {
     bundle_family: ("chern", "invariant_r", "bundle_cohomology", "sym2_pieces"),
     chow_ring: ("chern_TX", "intersection_numbers"),
     hilbert_component: ("check_hypotheses", "tangent_cohomology"),
+    scroll_invariants: ("hilbert_polynomial",),
 }
 
 
@@ -57,6 +64,7 @@ def test_report_computes_each_value_once(calls, capsys):
         "chern_TX": 1,
         "intersection_numbers": 1,
         "tangent_cohomology": 1,
+        "hilbert_polynomial": 1,
     }
 
 
@@ -65,6 +73,17 @@ def test_table_computes_chern_once_per_row(calls, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 54
     assert calls["chern"] == len(rows)
+
+
+def test_verify_computes_each_value_once_per_member(calls, capsys):
+    # the member identities share one Member per (e, b, t)
+    assert cli.main(["verify", "--e-max", "1", "--t-max", "1"]) == 0
+    capsys.readouterr()
+    members = len(list(iter_valid_params(1, 1)))
+    assert members == 20
+    names = ("chern", "bundle_cohomology", "chern_TX", "intersection_numbers",
+             "hilbert_polynomial")
+    assert {name: calls[name] for name in names} == dict.fromkeys(names, members)
 
 
 def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):

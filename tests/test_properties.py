@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fescroll.bundle_family import (
@@ -9,7 +12,9 @@ from fescroll.bundle_family import (
     validate_params,
 )
 from fescroll.chow_ring import ChowClass, multiply
+from fescroll.errors import ConsistencyError
 from fescroll.member import Member
+from fescroll.scroll_invariants import RationalCubic
 from fescroll.surface_lattice import (
     DivisorClass,
     Surface,
@@ -133,6 +138,37 @@ def test_hilbert_polynomial_integral(params, m):
 def test_hilbert_polynomial_counts_sections(params, m):
     poly = Member(params).hilbert_poly
     assert poly.value_at(m) == sym_chi(build_split(params), m)
+
+
+@st.composite
+def cubic_coefficients(draw):
+    """Four rational coefficients, ascending degree; about a quarter integer-valued."""
+    if draw(st.booleans()):
+        return draw(st.lists(
+            st.builds(Fraction, st.integers(-500, 500), st.sampled_from([1, 2, 3, 6, 12, 35])),
+            min_size=4, max_size=4))
+    # k0 + k1*m + k2*m(m-1)/2 + k3*m(m-1)(m-2)/6, then maybe one coefficient nudged
+    k0, k1, k2, k3 = (draw(st.integers(-300, 300)) for _ in range(4))
+    coeffs = [Fraction(k0), k1 - Fraction(k2, 2) + Fraction(k3, 3),
+              Fraction(k2 - k3, 2), Fraction(k3, 6)]
+    coeffs[draw(st.integers(0, 3))] += draw(st.sampled_from([0, 0, Fraction(1, 2),
+                                                             Fraction(1, 3)]))
+    return coeffs
+
+
+@given(cubic_coefficients(), st.integers(-10**6, 10**6))
+def test_rational_cubic_integer_evaluation_matches_fractions(coeffs, m):
+    def exact(x):
+        return sum(coeff * x ** k for k, coeff in enumerate(coeffs))
+
+    if any(exact(x).denominator != 1 for x in range(-6, 7)):
+        with pytest.raises(ConsistencyError, match="not integer-valued"):
+            RationalCubic(*coeffs)
+        return
+    poly = RationalCubic(*coeffs)
+    assert poly(m) == exact(m)
+    assert poly.is_integral_at(m)
+    assert poly.value_at(m) == exact(m)
 
 
 @settings(max_examples=40, deadline=None)
