@@ -81,6 +81,16 @@ def iter_valid_params(e_max: int, t_max: int):
                 yield FamilyParams(e, b, t)
 
 
+def grid_member_count(e_max: int, t_max: int) -> int:
+    """How many members iter_valid_params(e_max, t_max) yields, in closed form.
+
+    Each (e, t) has e+4+t values of b, so the sum over the grid is
+    4(E+1)(T+1) + (T+1)E(E+1)/2 + (E+1)T(T+1)/2.
+    """
+    E, T = e_max, t_max
+    return 4 * (E + 1) * (T + 1) + (T + 1) * E * (E + 1) // 2 + (E + 1) * T * (T + 1) // 2
+
+
 @dataclass(frozen=True)
 class SplitBundle:
     """E = A + B on F_e."""
@@ -230,7 +240,12 @@ def sym_chi(bundle: SplitBundle, m: int, twist: DivisorClass = ZERO) -> int:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     s = Surface(bundle.e)
-    return sum(chi(s, i * bundle.A + (m - i) * bundle.B + twist) for i in range(m + 1))
+    A, B = bundle.A, bundle.B
+    return sum(
+        chi(s, DivisorClass(i * A.a + (m - i) * B.a + twist.a,
+                            i * A.c + (m - i) * B.c + twist.c))
+        for i in range(m + 1)
+    )
 
 
 def sym2_pieces(

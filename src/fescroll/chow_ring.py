@@ -57,7 +57,11 @@ class ChowClass:
     pt: int = 0
 
     def __add__(self, other: ChowClass) -> ChowClass:
-        return ChowClass(*(x + y for x, y in zip(self._coeffs(), other._coeffs())))
+        return ChowClass(
+            self.z + other.z, self.xi + other.xi, self.h1 + other.h1,
+            self.h2 + other.h2, self.xih1 + other.xih1, self.xih2 + other.xih2,
+            self.p + other.p, self.pt + other.pt,
+        )
 
     def __sub__(self, other: ChowClass) -> ChowClass:
         return ChowClass(*(x - y for x, y in zip(self._coeffs(), other._coeffs())))

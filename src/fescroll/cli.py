@@ -13,7 +13,12 @@ import argparse
 import json
 import sys
 
-from .bundle_family import FamilyParams, iter_valid_params, validate_params
+from .bundle_family import (
+    FamilyParams,
+    grid_member_count,
+    iter_valid_params,
+    validate_params,
+)
 from .errors import ConsistencyError, HypothesesError, ParameterError
 from .hilbert_component import HilbertReport
 from .member import Member
@@ -28,6 +33,10 @@ _REPORT_CHECKS = [
     "ell(c1, c2, 2, r) = b-t-2e-4 < 0 independent of r",
     "ell(c1, c2, 3, r) = 0 at r = 3e+5+t",
 ]
+
+# table and verify refuse grids with more members than this, so that no
+# grid bound can start a run of unbounded length
+MAX_GRID_MEMBERS = 100_000
 
 _TABLE_HEADER = [
     "e", "b", "t", "n", "d", "c2", "r", "ell2", "ell3", "h0E",
@@ -346,9 +355,20 @@ def _table_rows(e_max: int, t_max: int, regime_only: bool) -> list[list]:
     return rows
 
 
-def cmd_table(args) -> tuple[str, int]:
-    if args.e_max < 0 or args.t_max < 0:
+def _check_grid(e_max: int, t_max: int) -> None:
+    if e_max < 0 or t_max < 0:
         raise ParameterError("bounds", "require --e-max >= 0 and --t-max >= 0")
+    count = grid_member_count(e_max, t_max)
+    if count > MAX_GRID_MEMBERS:
+        raise ParameterError(
+            "grid_size",
+            f"--e-max {e_max} --t-max {t_max} spans {count} members, "
+            f"above the bound of {MAX_GRID_MEMBERS}",
+        )
+
+
+def cmd_table(args) -> tuple[str, int]:
+    _check_grid(args.e_max, args.t_max)
     rows = _table_rows(args.e_max, args.t_max, args.paper_regime_only)
     if args.format == "json":
         payload = {
@@ -363,8 +383,7 @@ def cmd_table(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    if args.e_max < 0 or args.t_max < 0:
-        raise ParameterError("bounds", "require --e-max >= 0 and --t-max >= 0")
+    _check_grid(args.e_max, args.t_max)
     results = run_all(args.e_max, args.t_max)
     lines = []
     failed = 0

@@ -15,10 +15,13 @@ on every call:
 * chi by Riemann-Roch, h^2 by Serre duality, h^1 by subtraction.
 
 A disagreement can only come from a wrongly transcribed formula and raises
-ConsistencyError.  The degree list itself (pushforward_degrees) and the
-lattice-point count (h0_lattice_oracle) stay as linear-time oracles for the
-verification suite and the tests.  All arithmetic is exact; Python integers
-never overflow.
+ConsistencyError.  The kernel behind cohomology() and chi() (_chi,
+_h0_fiberwise, _h1_fiberwise) works on plain integers (e, a, c), with K - D
+formed as (-2-a, -e-2-c), so a call allocates no intermediate classes.
+
+The degree list itself (pushforward_degrees) and the lattice-point count
+(h0_lattice_oracle) stay as linear-time oracles for the verification suite
+and the tests.  All arithmetic is exact; Python integers never overflow.
 """
 
 from __future__ import annotations
@@ -127,40 +130,49 @@ def pushforward_degrees(s: Surface, d: DivisorClass) -> list[int]:
     return [d.c - j * s.e for j in range(d.a + 1)]
 
 
-def chi(s: Surface, d: DivisorClass) -> int:
-    """Riemann-Roch: chi(D) = 1 + D.(D-K)/2.  The pairing is always even."""
-    pairing = intersect(s, d, d - canonical_class(s))
+def _chi(e: int, a: int, c: int) -> int:
+    """chi(a*C0 + c*f) on F_e by Riemann-Roch, on plain ints.
+
+    D - K = (a+2)*C0 + (c+e+2)*f, so D.(D-K) = a(c+e+2) + (a+2)c - e*a(a+2),
+    which is always even.
+    """
+    pairing = a * (c + e + 2) + (a + 2) * c - e * a * (a + 2)
     if pairing % 2 != 0:
-        raise ConsistencyError(f"D.(D-K) odd for D={d} on F_{s.e}")
+        raise ConsistencyError(f"D.(D-K) odd for D={DivisorClass(a, c)} on F_{e}")
     return 1 + pairing // 2
 
 
-def _h0_fiberwise(s: Surface, d: DivisorClass) -> int:
+def chi(s: Surface, d: DivisorClass) -> int:
+    """Riemann-Roch: chi(D) = 1 + D.(D-K)/2.  The pairing is always even."""
+    return _chi(s.e, d.a, d.c)
+
+
+def _h0_fiberwise(e: int, a: int, c: int) -> int:
     """sum_{j=0..a} max(0, c - j*e + 1), in closed form; 0 when a < 0.
 
     The terms are positive exactly for j <= J = min(a, c // e) (all j at
     e = 0), so the sum is (J+1)(c+1) - e*J(J+1)/2.
     """
-    if d.a < 0 or d.c < 0:
+    if a < 0 or c < 0:
         return 0
-    last = d.a if s.e == 0 else min(d.a, d.c // s.e)
-    return (last + 1) * (d.c + 1) - s.e * last * (last + 1) // 2
+    last = a if e == 0 else min(a, c // e)
+    return (last + 1) * (c + 1) - e * last * (last + 1) // 2
 
 
-def _h1_fiberwise(s: Surface, d: DivisorClass) -> int:
+def _h1_fiberwise(e: int, a: int, c: int) -> int:
     """sum_{j=0..a} max(0, j*e - c - 1), in closed form; needs a >= 0.
 
     For a >= 0 there is no higher pushforward to correct by.  The terms
     are nonnegative exactly for j > J = min(a, c // e), so the sum is the
     arithmetic series over j = max(0, J+1) .. a.
     """
-    if d.a < 0:
-        raise ValueError(f"fiberwise h^1 needs a >= 0, got a={d.a}")
-    if s.e == 0:
-        return (d.a + 1) * max(0, -d.c - 1)
-    first = max(0, min(d.a, d.c // s.e) + 1)
-    count = d.a - first + 1
-    return s.e * (first + d.a) * count // 2 - (d.c + 1) * count
+    if a < 0:
+        raise ValueError(f"fiberwise h^1 needs a >= 0, got a={a}")
+    if e == 0:
+        return (a + 1) * max(0, -c - 1)
+    first = max(0, min(a, c // e) + 1)
+    count = a - first + 1
+    return e * (first + a) * count // 2 - (c + 1) * count
 
 
 def cohomology(s: Surface, d: DivisorClass) -> CohomologyTable:
@@ -172,19 +184,21 @@ def cohomology(s: Surface, d: DivisorClass) -> CohomologyTable:
     on K - D when a <= -2; for a = -1 every group vanishes).  Any mismatch
     raises ConsistencyError.
     """
-    k = canonical_class(s)
-    if d.a == -1:
-        if chi(s, d) != 0:
-            raise ConsistencyError(f"chi != 0 on the a = -1 stratum: D={d} on F_{s.e}")
+    e, a, c = s.e, d.a, d.c
+    chi_d = _chi(e, a, c)
+    if a == -1:
+        if chi_d != 0:
+            raise ConsistencyError(f"chi != 0 on the a = -1 stratum: D={d} on F_{e}")
         return CohomologyTable(0, 0, 0, 0)
-    h0 = _h0_fiberwise(s, d)
-    h2 = _h0_fiberwise(s, k - d)
-    chi_d = chi(s, d)
+    # K - D, with K = -2*C0 - (e+2)*f
+    ka, kc = -2 - a, -e - 2 - c
+    h0 = _h0_fiberwise(e, a, c)
+    h2 = _h0_fiberwise(e, ka, kc)
     h1 = h0 + h2 - chi_d
-    direct = _h1_fiberwise(s, d) if d.a >= 0 else _h1_fiberwise(s, k - d)
+    direct = _h1_fiberwise(e, a, c) if a >= 0 else _h1_fiberwise(e, ka, kc)
     if h1 != direct:
         raise ConsistencyError(
-            f"h1 routes disagree for D={d} on F_{s.e}: "
+            f"h1 routes disagree for D={d} on F_{e}: "
             f"chi-subtraction gives {h1}, fiberwise gives {direct}"
         )
     return CohomologyTable(h0, h1, h2, chi_d)

@@ -47,11 +47,18 @@ class _Recorder:
         self.failures: list[str] = []
         self.rng = random.Random(_SEED)
 
-    def case(self, ok: bool, detail: str) -> None:
+    def case(self, ok: bool, detail: str | Callable[[], str]) -> None:
+        """Count one case; on failure keep its detail, up to the cap.
+
+        A callable detail is called only when its failure is kept, so a
+        passing case never pays for formatting it.
+        """
         self.cases += 1
-        if not ok and len(self.failures) < _MAX_FAILURES:
-            self.failures.append(detail)
-        elif not ok and len(self.failures) == _MAX_FAILURES:
+        if ok:
+            return
+        if len(self.failures) < _MAX_FAILURES:
+            self.failures.append(detail() if callable(detail) else detail)
+        elif len(self.failures) == _MAX_FAILURES:
             self.failures.append("... more failures suppressed")
 
 
@@ -95,7 +102,8 @@ def _check_canonical(e_max: int, t_max: int) -> _Recorder:
         genus_f = sl.intersect(s, k, sl.FIBER) + sl.intersect(s, sl.FIBER, sl.FIBER)
         rec.case(
             genus_c0 == -2 and genus_f == -2,
-            f"e={s.e}: K={k} fails adjunction: K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
+            lambda: f"e={s.e}: K={k} fails adjunction: "
+                    f"K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
         )
     return rec
 
@@ -110,7 +118,7 @@ def _check_serre(e_max: int, t_max: int) -> _Recorder:
             dual = sl.cohomology(s, k - d)
             rec.case(
                 (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0),
-                f"e={s.e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
+                lambda: f"e={s.e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
             )
     return rec
 
@@ -125,7 +133,7 @@ def _check_riemann_roch(e_max: int, t_max: int) -> _Recorder:
             tab = sl.cohomology(s, d)
             rec.case(
                 pairing % 2 == 0 and tab.chi == 1 + pairing // 2,
-                f"e={s.e} D={d}: pairing={pairing}, chi={tab.chi}",
+                lambda: f"e={s.e} D={d}: pairing={pairing}, chi={tab.chi}",
             )
     return rec
 
@@ -137,7 +145,8 @@ def _check_lattice_oracle(e_max: int, t_max: int) -> _Recorder:
         for d in _classes():
             expected = sl.h0_lattice_oracle(s, d)
             got = sl.cohomology(s, d).h0
-            rec.case(got == expected, f"e={s.e} D={d}: h0={got}, lattice count {expected}")
+            rec.case(got == expected,
+                     lambda: f"e={s.e} D={d}: h0={got}, lattice count {expected}")
     return rec
 
 
@@ -149,9 +158,10 @@ def _check_effective(e_max: int, t_max: int) -> _Recorder:
             eff = sl.is_effective(s, d)
             h0 = sl.cohomology(s, d).h0
             if d == sl.ZERO:
-                rec.case(eff and h0 == 1, f"e={s.e}: h0(0) = {h0}")
+                rec.case(eff and h0 == 1, lambda: f"e={s.e}: h0(0) = {h0}")
             else:
-                rec.case(eff == (h0 > 0), f"e={s.e} D={d}: effective={eff}, h0={h0}")
+                rec.case(eff == (h0 > 0),
+                         lambda: f"e={s.e} D={d}: effective={eff}, h0={h0}")
     return rec
 
 
@@ -164,7 +174,8 @@ def _check_monotone(e_max: int, t_max: int) -> _Recorder:
             for c in range(-12, 13):
                 h0 = sl.cohomology(s, sl.DivisorClass(a, c)).h0
                 if previous is not None:
-                    rec.case(h0 >= previous, f"e={s.e} a={a} c={c}: {previous} -> {h0}")
+                    rec.case(h0 >= previous,
+                             lambda: f"e={s.e} a={a} c={c}: {previous} -> {h0}")
                 previous = h0
     return rec
 
@@ -184,7 +195,7 @@ def _check_bilinear(e_max: int, t_max: int) -> _Recorder:
             linear = sl.intersect(s, d1 + k * d2, d3) == sl.intersect(
                 s, d1, d3
             ) + k * sl.intersect(s, d2, d3)
-            rec.case(symmetric and linear, f"e={s.e} D1={d1} D2={d2} D3={d3} k={k}")
+            rec.case(symmetric and linear, lambda: f"e={s.e} D1={d1} D2={d2} D3={d3} k={k}")
     return rec
 
 
@@ -203,7 +214,8 @@ def _check_h1_routes(e_max: int, t_max: int) -> _Recorder:
                 rec.case(False, f"e={s.e} D={d}: {exc}")
                 continue
             if d.a == -1:
-                rec.case(tab.as_tuple() == (0, 0, 0), f"e={s.e} D={d}: {tab.as_tuple()}")
+                rec.case(tab.as_tuple() == (0, 0, 0),
+                         lambda: f"e={s.e} D={d}: {tab.as_tuple()}")
                 continue
             degrees = sl.pushforward_degrees(s, d if d.a >= 0 else k - d)
             h0 = sum(max(0, deg + 1) for deg in degrees)
@@ -211,7 +223,8 @@ def _check_h1_routes(e_max: int, t_max: int) -> _Recorder:
             got = (tab.h0, tab.h1) if d.a >= 0 else (tab.h2, tab.h1)
             rec.case(
                 got == (h0, h1),
-                f"e={s.e} D={d}: table {tab.as_tuple()}, pushforward sums {(h0, h1)}",
+                lambda: f"e={s.e} D={d}: table {tab.as_tuple()}, "
+                        f"pushforward sums {(h0, h1)}",
             )
     return rec
 
@@ -236,16 +249,19 @@ def _check_ell2(rec: _Recorder, member: Member) -> None:
     ok = expected < 0 and all(
         bf.ell_invariant(cd, params.e, 2, r) == expected for r in range(0, 41)
     )
-    rec.case(ok, f"{params}: expected {expected}")
+    rec.case(ok, lambda: f"{params}: expected {expected}")
 
 
 def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
-    """Section threshold r by scanning fiber twists: the oracle for invariant_r.
+    """Section threshold r by a search over fiber twists: the oracle for invariant_r.
 
     Finds the smallest ell with h^0(E(-d1*C0 + ell*f)) > 0, h^0 from
-    cohomology(), in time linear in e, b and t.  h^0 is nondecreasing in
-    ell, and for d1 in {1, 2, 3} the threshold provably lies inside the
-    scanned window; missing it is an internal-consistency failure.
+    cohomology(), so it shares nothing with the effectivity closed form in
+    invariant_r.  h^0 is nondecreasing in ell (each pushforward degree
+    grows with ell), so a bisection over the window [-span, span] finds it
+    with O(log span) cohomology calls.  For d1 in {1, 2, 3} the threshold
+    provably lies inside the window; h^0 > 0 at its lower edge, or h^0 = 0
+    at its upper edge, is an internal-consistency failure.
     """
     s = params.surface
     bun = bf.build_split(params)
@@ -257,10 +273,16 @@ def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     span = 3 * params.e + 6 + params.t + abs(params.b) + 4
     if h0(-span) != 0:
         raise ConsistencyError(f"section threshold below the scan window at {params}, d1={d1}")
-    for ell in range(-span, span + 1):
-        if h0(ell) > 0:
-            return -ell
-    raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
+    if h0(span) == 0:
+        raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
+    lo, hi = -span, span  # invariant: h0(lo) == 0 < h0(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if h0(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return -hi
 
 
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
@@ -281,7 +303,7 @@ def _check_uniformity(rec: _Recorder, member: Member) -> None:
             and evidence.ell3 == 0
             and split == (3, 1)
         )
-        rec.case(ok, f"{params}: r={r}, evidence={evidence}")
+        rec.case(ok, lambda: f"{params}: r={r}, evidence={evidence}")
     except ConsistencyError as exc:
         rec.case(False, f"{params}: {exc}")
 
@@ -294,7 +316,7 @@ def _check_bundle_cohomology(rec: _Recorder, member: Member) -> None:
         table = member.tables[2]
         rec.case(
             table.chi == bf.sym_chi(bf.build_split(params), 1),
-            f"{params}: chi(E)={table.chi} != chi(Sym^1 E)",
+            lambda: f"{params}: chi(E)={table.chi} != chi(Sym^1 E)",
         )
     except ConsistencyError as exc:
         rec.case(False, f"{params}: {exc}")
@@ -311,7 +333,7 @@ def _check_window_v1(e_max: int, t_max: int) -> _Recorder:
                 h1 = sl.cohomology(s, piece).h1
                 rec.case(
                     (h1 == 0) == (b < 6 + t + e),
-                    f"e={e} t={t} b={b}: h1(A-B)={h1}",
+                    lambda: f"e={e} t={t} b={b}: h1(A-B)={h1}",
                 )
     return rec
 
@@ -327,7 +349,7 @@ def _check_window_v2(e_max: int, t_max: int) -> _Recorder:
                 h2 = sl.cohomology(s, piece).h2
                 rec.case(
                     (h2 == 0) == (b >= 2 * e + 3 + t),
-                    f"e={e} t={t} b={b}: h2(B-A)={h2}",
+                    lambda: f"e={e} t={t} b={b}: h2(B-A)={h2}",
                 )
     return rec
 
@@ -340,25 +362,37 @@ def _check_grothendieck(rec: _Recorder, member: Member) -> None:
     params, ctx = member.params, member.ctx
     lhs = cr.degree(cr.prod(ctx, cr.XI, cr.XI, cr.XI))
     rhs = sl.intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
-    rec.case(lhs == rhs, f"{params}: deg xi^3={lhs}, c1^2-c2={rhs}")
+    rec.case(lhs == rhs, lambda: f"{params}: deg xi^3={lhs}, c1^2-c2={rhs}")
+
+
+def _coefficients(rng: random.Random, count: int) -> list[int]:
+    """count draws, each equal to what rng.randint(-9, 9) would return.
+
+    randint(-9, 9) is -9 + rng._randbelow(19), which takes getrandbits(5)
+    until the result is below 19; repeating that here reads the same bits,
+    so the seeded sample stream is the one randint gives, at a fraction of
+    its call overhead.
+    """
+    bits = rng.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        r = bits(5)
+        if r < 19:
+            out.append(r - 9)
+    return out
 
 
 @_register("Chow product commutative, associative, distributive", "member")
 def _check_ring_axioms(rec: _Recorder, member: Member) -> None:
     ctx = member.ctx
     for _ in range(6):
-        x, y, z = (
-            cr.ChowClass(*(rec.rng.randint(-9, 9) for _ in range(8)))
-            for _ in range(3)
-        )
-        comm = cr.multiply(ctx, x, y) == cr.multiply(ctx, y, x)
-        assoc = cr.multiply(ctx, cr.multiply(ctx, x, y), z) == cr.multiply(
-            ctx, x, cr.multiply(ctx, y, z)
-        )
-        dist = cr.multiply(ctx, x, y + z) == cr.multiply(ctx, x, y) + cr.multiply(
-            ctx, x, z
-        )
-        rec.case(comm and assoc and dist, f"{member.params}: x={x}, y={y}, z={z}")
+        k = _coefficients(rec.rng, 24)
+        x, y, z = cr.ChowClass(*k[:8]), cr.ChowClass(*k[8:16]), cr.ChowClass(*k[16:])
+        xy = cr.multiply(ctx, x, y)
+        comm = xy == cr.multiply(ctx, y, x)
+        assoc = cr.multiply(ctx, xy, z) == cr.multiply(ctx, x, cr.multiply(ctx, y, z))
+        dist = cr.multiply(ctx, x, y + z) == xy + cr.multiply(ctx, x, z)
+        rec.case(comm and assoc and dist, lambda: f"{member.params}: x={x}, y={y}, z={z}")
 
 
 @_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
@@ -379,7 +413,7 @@ def _check_chern_tx(rec: _Recorder, member: Member) -> None:
             cr.degree(c3x) == 8
             and cr.degree(cr.multiply(ctx, c1x, c2x)) == 24
         )
-        rec.case(ok, f"{member.params}")
+        rec.case(ok, lambda: f"{member.params}")
     except ConsistencyError as exc:
         rec.case(False, f"{member.params}: {exc}")
 
@@ -400,7 +434,7 @@ def _check_hilbert_poly(rec: _Recorder, member: Member) -> None:
 def _check_poly_integrality(rec: _Recorder, member: Member) -> None:
     poly = member.hilbert_poly
     ok = all(poly.is_integral_at(m) for m in range(-6, 7))
-    rec.case(ok, f"{member.params}: {poly}")
+    rec.case(ok, lambda: f"{member.params}: {poly}")
 
 
 @_register("d - 3e - 3b - 3t - 12 = n + 1", "member")
@@ -408,7 +442,7 @@ def _check_degree_dimension_identity(rec: _Recorder, member: Member) -> None:
     params = member.params
     n, d = member.n, member.d
     lhs = d - 3 * params.e - 3 * params.b - 3 * params.t - 12
-    rec.case(lhs == n + 1, f"{params}: lhs={lhs}, n+1={n + 1}")
+    rec.case(lhs == n + 1, lambda: f"{params}: lhs={lhs}, n+1={n + 1}")
 
 
 @_register("n = 5e+2b+4t+27 and d = 8e+5b+7t+40, each by two routes", "member")
@@ -418,7 +452,7 @@ def _check_n_d_routes(rec: _Recorder, member: Member) -> None:
     try:
         n, d = member.n, member.d  # d internally: chern, chow, closed form
         ok = n == 5 * e + 2 * b + 4 * t + 27 and d == 8 * e + 5 * b + 7 * t + 40
-        rec.case(ok, f"{params}: n={n}, d={d}")
+        rec.case(ok, lambda: f"{params}: n={n}, d={d}")
     except ConsistencyError as exc:
         rec.case(False, f"{params}: {exc}")
 
@@ -447,7 +481,7 @@ def _check_component_dimension(rec: _Recorder, member: Member) -> None:
             and n == 9 * e + 33 + 6 * t
             and report.hN == (report.chiN, 0, 0, 0)
         )
-        rec.case(ok, f"{params}: report={report}")
+        rec.case(ok, lambda: f"{params}: report={report}")
     except ConsistencyError as exc:
         rec.case(False, f"{params}: {exc}")
 
@@ -465,7 +499,7 @@ def _check_tangent(rec: _Recorder, member: Member) -> None:
             and (table.h2, table.h3) == (0, 0)
             and table.chi == 13
         )
-        rec.case(ok, f"{params}: {table}")
+        rec.case(ok, lambda: f"{params}: {table}")
     except ConsistencyError as exc:
         rec.case(False, f"{params}: {exc}")
 
@@ -477,7 +511,7 @@ def _check_codim(rec: _Recorder, member: Member) -> None:
     try:
         codim = hc.scroll_locus_codim(params, member.tangent)
         expected = 0 if params.e == 0 else params.e - 1
-        rec.case(codim == expected, f"{params}: codim={codim}")
+        rec.case(codim == expected, lambda: f"{params}: codim={codim}")
     except ConsistencyError as exc:
         rec.case(False, f"{params}: {exc}")
 
@@ -487,7 +521,7 @@ def _check_flag_soundness(rec: _Recorder, member: Member) -> None:
     try:
         flags = member.flags
         sound = (not flags.paper_regime) or (flags.v1 and flags.v2 and flags.v3)
-        rec.case(sound, f"{member.params}: {flags}")
+        rec.case(sound, lambda: f"{member.params}: {flags}")
     except ConsistencyError as exc:
         rec.case(False, f"{member.params}: {exc}")
 
@@ -498,7 +532,7 @@ def _check_fiber_tangent(e_max: int, t_max: int) -> _Recorder:
     for e in range(e_max + 1):
         try:
             table = hc._fiber_tangent_table(e)
-            rec.case(table[0] - table[1] + table[2] == 6, f"e={e}: {table}")
+            rec.case(table[0] - table[1] + table[2] == 6, lambda: f"e={e}: {table}")
         except ConsistencyError as exc:
             rec.case(False, f"e={e}: {exc}")
     return rec

@@ -10,6 +10,7 @@ import pytest
 
 import fescroll
 import fescroll.cli as cli
+from fescroll.bundle_family import grid_member_count, iter_valid_params
 from fescroll.surface_lattice import DivisorClass
 
 
@@ -249,6 +250,37 @@ def test_table_rejects_negative_bounds(capsys):
     code, _, err = run_cli(capsys, "table", "--e-max", "-1", "--t-max", "0")
     assert code == 1
     assert "--e-max" in err
+
+
+def test_grid_member_count_closed_form():
+    for e_max in range(7):
+        for t_max in range(7):
+            members = list(iter_valid_params(e_max, t_max))
+            assert grid_member_count(e_max, t_max) == len(members)
+    assert grid_member_count(8, 12) == 1638
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_grid_above_member_bound_exits_1(capsys, command):
+    code, out, err, seconds = _timed_cli(capsys, command, "--e-max", "1000000",
+                                         "--t-max", "1000000")
+    assert code == 1 and out == ""
+    assert seconds < HUGE_WALL_S
+    assert "Traceback" not in err
+    assert err == (
+        f"error: --e-max 1000000 --t-max 1000000 spans "
+        f"{grid_member_count(10**6, 10**6)} members, "
+        f"above the bound of {cli.MAX_GRID_MEMBERS}\n"
+    )
+
+
+def test_grid_member_bound_is_inclusive(capsys, monkeypatch):
+    # (0, 0) has 4 members and (0, 1) has 9
+    monkeypatch.setattr(cli, "MAX_GRID_MEMBERS", 4)
+    assert run_cli(capsys, "table", "--e-max", "0", "--t-max", "0")[0] == 0
+    code, _, err = run_cli(capsys, "table", "--e-max", "0", "--t-max", "1")
+    assert code == 1
+    assert "spans 9 members, above the bound of 4" in err
 
 
 # -- verify -------------------------------------------------------------------

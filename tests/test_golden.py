@@ -62,6 +62,7 @@ CASES = [
        ["table", "--e-max", "2", "--t-max", "2", "--format", fmt], 0, None)
       for fmt in FORMATS),
     ("verify_1_1_plain", ["verify", "--e-max", "1", "--t-max", "1"], 0, None),
+    ("verify_4_6_plain", ["verify", "--e-max", "4", "--t-max", "6"], 0, None),
     *((f"verify_fault_{fault}_1_1_plain", ["verify", "--e-max", "1", "--t-max", "1"], 3,
        fault)
       for fault in FAULTS),

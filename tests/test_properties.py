@@ -86,11 +86,11 @@ def test_h0_equals_lattice_count(s, d):
 )
 def test_closed_form_sums_match_pushforward(s, d):
     if d.a < 0:
-        assert _h0_fiberwise(s, d) == 0
+        assert _h0_fiberwise(s.e, d.a, d.c) == 0
         return
     degrees = pushforward_degrees(s, d)
-    assert _h0_fiberwise(s, d) == sum(max(0, deg + 1) for deg in degrees)
-    assert _h1_fiberwise(s, d) == sum(max(0, -deg - 1) for deg in degrees)
+    assert _h0_fiberwise(s.e, d.a, d.c) == sum(max(0, deg + 1) for deg in degrees)
+    assert _h1_fiberwise(s.e, d.a, d.c) == sum(max(0, -deg - 1) for deg in degrees)
 
 
 @st.composite

@@ -141,7 +141,7 @@ def test_cohomology_raises_when_h1_routes_disagree(monkeypatch, corrupted):
     from fescroll.errors import ConsistencyError
 
     original = getattr(surface_lattice, corrupted)
-    monkeypatch.setattr(surface_lattice, corrupted, lambda s, d: original(s, d) + 1)
+    monkeypatch.setattr(surface_lattice, corrupted, lambda e, a, c: original(e, a, c) + 1)
     with pytest.raises(ConsistencyError, match="h1 routes disagree"):
         cohomology(F2, D(3, 11))
 
