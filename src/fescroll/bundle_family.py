@@ -31,7 +31,7 @@ from .surface_lattice import (
     CohomologyTable,
     DivisorClass,
     Surface,
-    chi,
+    _chi,
     cohomology,
     intersect,
 )
@@ -235,17 +235,15 @@ def bundle_cohomology(
 def sym_chi(bundle: SplitBundle, m: int, twist: DivisorClass = ZERO) -> int:
     """chi of the m-th symmetric power of A + B, twisted; Riemann-Roch termwise.
 
-    Sym^m splits into the line bundles i*A + (m-i)*B, i = 0..m.
+    Sym^m splits into the line bundles i*A + (m-i)*B, i = 0..m; each term
+    is Riemann-Roch on plain integers, with no class built per summand.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    s = Surface(bundle.e)
-    A, B = bundle.A, bundle.B
-    return sum(
-        chi(s, DivisorClass(i * A.a + (m - i) * B.a + twist.a,
-                            i * A.c + (m - i) * B.c + twist.c))
-        for i in range(m + 1)
-    )
+    e = bundle.e
+    da, dc = bundle.A.a - bundle.B.a, bundle.A.c - bundle.B.c
+    a0, c0 = m * bundle.B.a + twist.a, m * bundle.B.c + twist.c
+    return sum(_chi(e, a0 + i * da, c0 + i * dc) for i in range(m + 1))
 
 
 def sym2_pieces(

@@ -19,32 +19,51 @@ eagerly through
 
 and anything above degree 3 vanishes.  These rules force
 xi^3 = c1^2 - c2, the degree of the embedded scroll.
+
+Every number the engine reads off X is the degree of a product of
+complementary degrees, so it is computed by two pairings that give only
+the point coefficient: triple() for three divisor classes, from
+
+    xi^3 = c1^2 - c2,  xi^2.D' = c1.D,  xi.D1'.D2' = D1.D2,  D1'.D2'.D3' = 0,
+
+and pairing() for a divisor class against a curve class, the pt row of
+multiply().  multiply() and prod() build the full normal form; the
+verification suite checks them against the ring axioms and the
+projective-bundle relation, and the tests check the pairings against
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bundle_family import FamilyParams
 from .errors import ConsistencyError
-from .surface_lattice import DivisorClass, Surface, canonical_class, intersect
+from .surface_lattice import DivisorClass, Surface, canonical_class
 
 
 @dataclass(frozen=True)
 class ScrollContext:
-    """Everything the ring structure needs: the member and the Chern data of E."""
+    """Everything the ring structure needs: the member and the Chern data of E.
+
+    e and c1_c0 = c1.C0 = c1.c - e*c1.a are bound once, at construction,
+    for the products and pairings; c1.f is c1.a.
+    """
 
     params: FamilyParams
     c1: DivisorClass
     c2: int
+    e: int = field(init=False, repr=False, compare=False)
+    c1_c0: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def e(self) -> int:
-        return self.params.e
+    def __post_init__(self) -> None:
+        e = self.params.e
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "c1_c0", self.c1.c - e * self.c1.a)
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(NamedTuple):
     """Normal-form coefficients; field order matches the basis listing above."""
 
     z: int = 0
@@ -57,25 +76,27 @@ class ChowClass:
     pt: int = 0
 
     def __add__(self, other: ChowClass) -> ChowClass:
-        return ChowClass(
-            self.z + other.z, self.xi + other.xi, self.h1 + other.h1,
-            self.h2 + other.h2, self.xih1 + other.xih1, self.xih2 + other.xih2,
-            self.p + other.p, self.pt + other.pt,
-        )
+        z, xi, h1, h2, xih1, xih2, p, pt = self
+        oz, oxi, oh1, oh2, oxih1, oxih2, op, opt = other
+        return ChowClass(z + oz, xi + oxi, h1 + oh1, h2 + oh2,
+                         xih1 + oxih1, xih2 + oxih2, p + op, pt + opt)
 
     def __sub__(self, other: ChowClass) -> ChowClass:
-        return ChowClass(*(x - y for x, y in zip(self._coeffs(), other._coeffs())))
+        z, xi, h1, h2, xih1, xih2, p, pt = self
+        oz, oxi, oh1, oh2, oxih1, oxih2, op, opt = other
+        return ChowClass(z - oz, xi - oxi, h1 - oh1, h2 - oh2,
+                         xih1 - oxih1, xih2 - oxih2, p - op, pt - opt)
 
     def __neg__(self) -> ChowClass:
-        return ChowClass(*(-x for x in self._coeffs()))
+        z, xi, h1, h2, xih1, xih2, p, pt = self
+        return ChowClass(-z, -xi, -h1, -h2, -xih1, -xih2, -p, -pt)
 
     def __mul__(self, k: int) -> ChowClass:
-        return ChowClass(*(x * k for x in self._coeffs()))
+        z, xi, h1, h2, xih1, xih2, p, pt = self
+        return ChowClass(z * k, xi * k, h1 * k, h2 * k,
+                         xih1 * k, xih2 * k, p * k, pt * k)
 
     __rmul__ = __mul__
-
-    def _coeffs(self) -> tuple[int, ...]:
-        return (self.z, self.xi, self.h1, self.h2, self.xih1, self.xih2, self.p, self.pt)
 
 
 XI = ChowClass(xi=1)
@@ -91,35 +112,29 @@ def pullback(d: DivisorClass) -> ChowClass:
 
 def multiply(ctx: ScrollContext, x: ChowClass, y: ChowClass) -> ChowClass:
     """Product in normal form, reducing by the relations in the module docstring."""
-    e = ctx.e
-    ca, cc = ctx.c1.a, ctx.c1.c
-    c1_dot_c0 = cc - e * ca
-    c1_dot_f = ca
-    xixi = x.xi * y.xi
-    out_z = x.z * y.z
-    out_xi = x.z * y.xi + x.xi * y.z
-    out_h1 = x.z * y.h1 + x.h1 * y.z
-    out_h2 = x.z * y.h2 + x.h2 * y.z
-    out_xih1 = x.z * y.xih1 + x.xih1 * y.z + x.xi * y.h1 + x.h1 * y.xi + xixi * ca
-    out_xih2 = x.z * y.xih2 + x.xih2 * y.z + x.xi * y.h2 + x.h2 * y.xi + xixi * cc
-    out_p = (
-        x.z * y.p
-        + x.p * y.z
-        - xixi * ctx.c2
-        - e * (x.h1 * y.h1)
-        + (x.h1 * y.h2 + x.h2 * y.h1)
+    xz, xxi, xh1, xh2, xxih1, xxih2, xp, xpt = x
+    yz, yxi, yh1, yh2, yxih1, yxih2, yp, ypt = y
+    e, c1_c0 = ctx.e, ctx.c1_c0
+    c1 = ctx.c1
+    ca, cc = c1.a, c1.c  # c1.f = ca
+    xixi = xxi * yxi
+    return ChowClass(
+        xz * yz,
+        xz * yxi + xxi * yz,
+        xz * yh1 + xh1 * yz,
+        xz * yh2 + xh2 * yz,
+        xz * yxih1 + xxih1 * yz + xxi * yh1 + xh1 * yxi + xixi * ca,
+        xz * yxih2 + xxih2 * yz + xxi * yh2 + xh2 * yxi + xixi * cc,
+        xz * yp + xp * yz - xixi * ctx.c2 - e * (xh1 * yh1) + (xh1 * yh2 + xh2 * yh1),
+        xz * ypt
+        + xpt * yz
+        + (xxi * yxih1 + xxih1 * yxi) * c1_c0
+        + (xxi * yxih2 + xxih2 * yxi) * ca
+        + (xxi * yp + xp * yxi)
+        - e * (xh1 * yxih1 + xxih1 * yh1)
+        + (xh1 * yxih2 + xxih2 * yh1)
+        + (xh2 * yxih1 + xxih1 * yh2),
     )
-    out_pt = (
-        x.z * y.pt
-        + x.pt * y.z
-        + (x.xi * y.xih1 + x.xih1 * y.xi) * c1_dot_c0
-        + (x.xi * y.xih2 + x.xih2 * y.xi) * c1_dot_f
-        + (x.xi * y.p + x.p * y.xi)
-        - e * (x.h1 * y.xih1 + x.xih1 * y.h1)
-        + (x.h1 * y.xih2 + x.xih2 * y.h1)
-        + (x.h2 * y.xih1 + x.xih1 * y.h2)
-    )
-    return ChowClass(out_z, out_xi, out_h1, out_h2, out_xih1, out_xih2, out_p, out_pt)
 
 
 def prod(ctx: ScrollContext, first: ChowClass, *rest: ChowClass) -> ChowClass:
@@ -131,10 +146,58 @@ def prod(ctx: ScrollContext, first: ChowClass, *rest: ChowClass) -> ChowClass:
 
 def degree(x: ChowClass) -> int:
     """Coefficient of pt for a zero-cycle; lower-degree terms must vanish."""
-    lower = x._coeffs()[:-1]
-    if any(lower):
+    if any(x[:7]):
         raise ValueError(f"not a zero-cycle: {x}")
     return x.pt
+
+
+def _divisor(x: ChowClass) -> tuple[int, int, int]:
+    """(xi, h1, h2) of a pure divisor class."""
+    z, xi, h1, h2, xih1, xih2, p, pt = x
+    if z or xih1 or xih2 or p or pt:
+        raise ValueError(f"not a divisor class: {x}")
+    return xi, h1, h2
+
+
+def triple(ctx: ScrollContext, x: ChowClass, y: ChowClass, z: ChowClass) -> int:
+    """deg(x*y*z) for divisor classes x, y, z: degree(prod(ctx, x, y, z)).
+
+    Writing each as u*xi + D' with D = p*C0 + q*f, the product expands by
+    xi^3 = c1^2 - c2, xi^2.D' = c1.D, xi.D1'.D2' = D1.D2, D1'.D2'.D3' = 0,
+    with c1.D = p*(c1.C0) + q*(c1.f) and D1.D2 = p1*q2 + p2*q1 - e*p1*p2.
+    """
+    u1, p1, q1 = _divisor(x)
+    u2, p2, q2 = _divisor(y)
+    u3, p3, q3 = _divisor(z)
+    e, c1_c0 = ctx.e, ctx.c1_c0
+    c1_f, c1_c = ctx.c1.a, ctx.c1.c
+    return (
+        u1 * u2 * u3 * (c1_f * c1_c0 + c1_c * c1_f - ctx.c2)
+        + u1 * u2 * (p3 * c1_c0 + q3 * c1_f)
+        + u1 * u3 * (p2 * c1_c0 + q2 * c1_f)
+        + u2 * u3 * (p1 * c1_c0 + q1 * c1_f)
+        + u1 * (p2 * q3 + p3 * q2 - e * p2 * p3)
+        + u2 * (p1 * q3 + p3 * q1 - e * p1 * p3)
+        + u3 * (p1 * q2 + p2 * q1 - e * p1 * p2)
+    )
+
+
+def pairing(ctx: ScrollContext, x: ChowClass, w: ChowClass) -> int:
+    """deg(x*w) for a divisor class x and a curve class w: degree(multiply(ctx, x, w)).
+
+    With x = u*xi + (p*C0 + q*f)': xi.(xi*D') = c1.D, xi.pt' = pt and
+    D1'.(xi*D2') = D1.D2; every other product of the two bases lies in
+    degree 4 or vanishes.
+    """
+    u, p, q = _divisor(x)
+    wz, wxi, wh1, wh2, wxih1, wxih2, wp, wpt = w
+    if wz or wxi or wh1 or wh2 or wpt:
+        raise ValueError(f"not a curve class: {w}")
+    return (
+        u * (wxih1 * ctx.c1_c0 + wxih2 * ctx.c1.a + wp)
+        + p * (wxih2 - ctx.e * wxih1)
+        + q * wxih1
+    )
 
 
 def canonical_class_X(ctx: ScrollContext) -> ChowClass:
@@ -161,7 +224,7 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
         raise ConsistencyError("c1(T_X) != -K_X")
     if degree(c3x) != 8:
         raise ConsistencyError(f"deg c3(T_X) != 8: got {degree(c3x)}")
-    minus_k_c2 = degree(multiply(ctx, c1x, c2x))
+    minus_k_c2 = pairing(ctx, c1x, c2x)
     if minus_k_c2 != 24:
         raise ConsistencyError(f"-K.c2(T_X) != 24: got {minus_k_c2}")
     return c1x, c2x, c3x
@@ -183,10 +246,10 @@ def intersection_numbers(
 ) -> IntersectionNumbers:
     """All degree-3 pairings of L, K and the Chern classes of T_X.
 
-    ``tangent`` is chern_TX(ctx).  Every entry is computed twice: by Chow
-    multiplication and by the closed forms in (d, e, b, t).  Any
-    disagreement, or an n inconsistent with the context, raises
-    ConsistencyError.
+    ``tangent`` is chern_TX(ctx).  Every entry is computed twice: by the
+    Chow pairings triple() and pairing() and by the closed forms in
+    (d, e, b, t).  Any disagreement, or an n inconsistent with the
+    context, raises ConsistencyError.
     """
     e, b, t = ctx.params.e, ctx.params.b, ctx.params.t
     if n != 5 * e + 2 * b + 4 * t + 27:
@@ -194,12 +257,12 @@ def intersection_numbers(
     k = canonical_class_X(ctx)
     _c1x, c2x, c3x = tangent
     by_chow = IntersectionNumbers(
-        L3=degree(prod(ctx, XI, XI, XI)),
-        KL2=degree(prod(ctx, k, XI, XI)),
-        K2L=degree(prod(ctx, k, k, XI)),
-        K3=degree(prod(ctx, k, k, k)),
-        c2L=degree(multiply(ctx, c2x, XI)),
-        Kc2=degree(multiply(ctx, k, c2x)),
+        L3=triple(ctx, XI, XI, XI),
+        KL2=triple(ctx, k, XI, XI),
+        K2L=triple(ctx, k, k, XI),
+        K3=triple(ctx, k, k, k),
+        c2L=pairing(ctx, XI, c2x),
+        Kc2=pairing(ctx, k, c2x),
         c3=degree(c3x),
     )
     d = 8 * e + 5 * b + 7 * t + 40

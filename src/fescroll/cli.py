@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bundle_family import (
@@ -492,7 +493,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
             return 1
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone (say, `| head`); point stdout at devnull so
+            # that the flush at interpreter exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return code
 
 

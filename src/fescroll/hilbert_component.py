@@ -28,7 +28,8 @@ from .chow_ring import (
     canonical_class_X,
     degree,
     multiply,
-    prod,
+    pairing,
+    triple,
 )
 from .errors import ConsistencyError, HypothesesError
 from .surface_lattice import CohomologyTable, Surface, canonical_class, intersect
@@ -118,7 +119,8 @@ def normal_bundle_chern(
              - (n+1) c2.L - 2 c2.K + K^3 - c3
 
     with c_i = c_i(T_X) given as ``tangent``.  The binomial prefactors are
-    integers; their divisibility is asserted.
+    integers; their divisibility is asserted.  n3 is a zero-cycle, built
+    from its degree-3 pairings.
     """
     k = canonical_class_X(ctx)
     _c1x, c2x, c3x = tangent
@@ -129,15 +131,14 @@ def normal_bundle_chern(
     l2 = multiply(ctx, XI, XI)
     n1 = k + (n + 1) * XI
     n2 = half * l2 + (n + 1) * multiply(ctx, XI, k) + multiply(ctx, k, k) - c2x
-    n3 = (
-        sixth * prod(ctx, XI, XI, XI)
-        + half * prod(ctx, k, XI, XI)
-        + (n + 1) * prod(ctx, k, k, XI)
-        - (n + 1) * multiply(ctx, c2x, XI)
-        - 2 * multiply(ctx, c2x, k)
-        + prod(ctx, k, k, k)
-        - c3x
-    )
+    n3 = ChowClass(pt=(
+        sixth * triple(ctx, XI, XI, XI)
+        + half * triple(ctx, k, XI, XI)
+        + (n + 1) * triple(ctx, k, k, XI)
+        - (n + 1) * pairing(ctx, XI, c2x)
+        - 2 * pairing(ctx, k, c2x)
+        + triple(ctx, k, k, k)
+    )) - c3x
     return n1, n2, n3
 
 
@@ -149,7 +150,8 @@ def chi_normal(
     chi(N) = 1/6 (n1^3 - 3 n1.n2 + 3 n3) + 1/4 c1.(n1^2 - 2 n2)
              + 1/12 (c1^2 + c2).n1 + (n - 3)
 
-    with c_i = c_i(T_X) given as ``tangent`` and rank N = n - 3.  The result
+    with c_i = c_i(T_X) given as ``tangent`` and rank N = n - 3; each
+    product is read off by the pairings triple() and pairing().  The result
     must match the closed form (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d,
     and on the regime e <= 2, b = 2e+3+t also n(n+1) + 9e + 20 + 6t.
     """
@@ -157,17 +159,10 @@ def chi_normal(
     n1, n2, n3 = normal_bundle_chern(ctx, n, tangent)
     c1x, c2x, _c3x = tangent
     ch3 = Fraction(
-        degree(prod(ctx, n1, n1, n1))
-        - 3 * degree(multiply(ctx, n1, n2))
-        + 3 * degree(n3),
-        6,
+        triple(ctx, n1, n1, n1) - 3 * pairing(ctx, n1, n2) + 3 * degree(n3), 6
     )
-    ch2_td1 = Fraction(
-        degree(multiply(ctx, c1x, multiply(ctx, n1, n1) - 2 * n2)), 4
-    )
-    ch1_td2 = Fraction(
-        degree(multiply(ctx, multiply(ctx, c1x, c1x) + c2x, n1)), 12
-    )
+    ch2_td1 = Fraction(triple(ctx, c1x, n1, n1) - 2 * pairing(ctx, c1x, n2), 4)
+    ch1_td2 = Fraction(triple(ctx, c1x, c1x, n1) + pairing(ctx, n1, c2x), 12)
     total = ch3 + ch2_td1 + ch1_td2 + (n - 3)
     if total.denominator != 1:
         raise ConsistencyError(f"chi(N) not an integer at {params}: {total}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .bundle_family import FamilyParams, build_split, sym_chi
-from .chow_ring import XI, IntersectionNumbers, ScrollContext, degree, prod
+from .chow_ring import XI, IntersectionNumbers, ScrollContext, triple
 from .errors import ConsistencyError
 from .surface_lattice import intersect
 
@@ -89,7 +89,7 @@ def scroll_degree(ctx: ScrollContext) -> int:
     """d = c1^2 - c2, cross-checked against deg(xi^3) and 8e+5b+7t+40."""
     params = ctx.params
     by_chern = intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
-    by_chow = degree(prod(ctx, XI, XI, XI))
+    by_chow = triple(ctx, XI, XI, XI)
     closed = 8 * params.e + 5 * params.b + 7 * params.t + 40
     if not (by_chern == by_chow == closed):
         raise ConsistencyError(

@@ -118,9 +118,7 @@ def is_effective(s: Surface, d: DivisorClass) -> bool:
 
 def is_ample(s: Surface, d: DivisorClass) -> bool:
     """Positivity against C0 and f; on F_e this also characterizes very ample."""
-    if s.e > 0:
-        return d.a > 0 and d.c > s.e * d.a
-    return d.a > 0 and d.c > 0
+    return d.a > 0 and d.c > s.e * d.a
 
 
 def pushforward_degrees(s: Surface, d: DivisorClass) -> list[int]:

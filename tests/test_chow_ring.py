@@ -13,8 +13,10 @@ from fescroll.chow_ring import (
     degree,
     intersection_numbers,
     multiply,
+    pairing,
     prod,
     pullback,
+    triple,
 )
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
@@ -138,6 +140,23 @@ def test_class_arithmetic():
     assert x - x == ChowClass()
     assert -x == ChowClass(-1, -2, -3, -4, -5, -6, -7, -8)
     assert 2 * x == x * 2 == x + x
+    assert 3 * x == ChowClass(3, 6, 9, 12, 15, 18, 21, 24)
+    # ChowClass is a tuple: k*x must scale it, not repeat it
+    for got in (x + y, x - y, -x, 3 * x, x * 3):
+        assert type(got) is ChowClass and len(got) == 8
+
+
+def test_pairing_spots():
+    _c1x, c2x, _c3x = chern_TX(CTX)
+    k = canonical_class_X(CTX)
+    assert triple(CTX, XI, XI, XI) == 91
+    assert triple(CTX, k, XI, XI) == -100
+    assert pairing(CTX, XI, c2x) == 42
+    assert pairing(CTX, k, c2x) == -24
+    with pytest.raises(ValueError, match="not a divisor class"):
+        triple(CTX, XI, XI, ONE)
+    with pytest.raises(ValueError, match="not a curve class"):
+        pairing(CTX, XI, XI)
 
 
 def test_multiply_commutes_and_associates_spot():

@@ -392,6 +392,26 @@ def test_console_module_runs():
     assert "n = 51" in proc.stdout
 
 
+def test_closed_stdout_exits_without_traceback():
+    # the JSON table of (8, 12) is about 390 kB, far beyond a pipe buffer,
+    # so the child is still writing when the reader goes away
+    src = str(Path(fescroll.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fescroll", "table", "--e-max", "8", "--t-max", "12",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in {0, 1, 2, 3}
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])

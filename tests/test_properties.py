@@ -11,7 +11,15 @@ from fescroll.bundle_family import (
     sym_chi,
     validate_params,
 )
-from fescroll.chow_ring import ChowClass, multiply
+from fescroll.chow_ring import (
+    ChowClass,
+    ScrollContext,
+    degree,
+    multiply,
+    pairing,
+    prod,
+    triple,
+)
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.scroll_invariants import RationalCubic
@@ -49,9 +57,25 @@ def family_params(draw):
     return validate_params(e, e + k, t)
 
 
-chow_classes = st.builds(
-    ChowClass, *[st.integers(min_value=-9, max_value=9) for _ in range(8)]
+coefficients = st.integers(min_value=-9, max_value=9)
+chow_classes = st.builds(ChowClass, *[coefficients] * 8)
+divisor_classes = st.builds(
+    lambda xi, h1, h2: ChowClass(xi=xi, h1=h1, h2=h2),
+    coefficients, coefficients, coefficients,
 )
+curve_classes = st.builds(
+    lambda xih1, xih2, p: ChowClass(xih1=xih1, xih2=xih2, p=p),
+    coefficients, coefficients, coefficients,
+)
+
+
+@st.composite
+def scroll_contexts(draw):
+    """A member's context, or one with arbitrary c1 and c2: the ring relations hold for any."""
+    params = draw(family_params())
+    if draw(st.booleans()):
+        return Member(params).ctx
+    return ScrollContext(params, draw(small_classes), draw(st.integers(-30, 30)))
 
 
 @given(surfaces, classes, classes, classes, st.integers(-7, 7))
@@ -120,6 +144,37 @@ def test_chow_ring_axioms(params, x, y, z):
     assert multiply(ctx, x, y) == multiply(ctx, y, x)
     assert multiply(ctx, multiply(ctx, x, y), z) == multiply(ctx, x, multiply(ctx, y, z))
     assert multiply(ctx, x, y + z) == multiply(ctx, x, y) + multiply(ctx, x, z)
+
+
+@given(scroll_contexts(), divisor_classes, divisor_classes, divisor_classes)
+def test_triple_is_degree_of_prod(ctx, x, y, z):
+    assert triple(ctx, x, y, z) == degree(prod(ctx, x, y, z))
+
+
+@given(scroll_contexts(), divisor_classes, curve_classes)
+def test_pairing_is_degree_of_multiply(ctx, x, w):
+    assert pairing(ctx, x, w) == degree(multiply(ctx, x, w))
+
+
+def _plus_at(cls, index, k):
+    coeffs = list(cls)
+    coeffs[index] += k
+    return ChowClass(*coeffs)
+
+
+@given(scroll_contexts(), divisor_classes, curve_classes,
+       st.sampled_from((0, 4, 5, 6, 7)), st.sampled_from((0, 1, 2, 3, 7)),
+       coefficients.filter(bool), st.integers(0, 2))
+def test_pairings_reject_mixed_degrees(ctx, x, w, off_divisor, off_curve, k, slot):
+    mixed = _plus_at(x, off_divisor, k)  # x plus a term outside degree one
+    args = [x, x, x]
+    args[slot] = mixed
+    with pytest.raises(ValueError, match="not a divisor class"):
+        triple(ctx, *args)
+    with pytest.raises(ValueError, match="not a divisor class"):
+        pairing(ctx, mixed, w)
+    with pytest.raises(ValueError, match="not a curve class"):
+        pairing(ctx, x, _plus_at(w, off_curve, k))
 
 
 @given(family_params(), st.integers(-20, 60))

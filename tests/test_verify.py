@@ -1,10 +1,13 @@
-"""Internals of the verify battery: the r oracle, the sample draws, the recorder."""
+"""Internals of the verify battery: the r oracle, the sample draws, the recorder,
+and the identity that a broken Chow pairing fails."""
 
 import math
 import random
 
 import pytest
 
+import fescroll.cli as cli
+from fescroll import chow_ring as cr
 from fescroll import surface_lattice as sl
 from fescroll import verify
 from fescroll.bundle_family import invariant_r, validate_params
@@ -90,3 +93,17 @@ def test_recorder_keeps_string_details():
     rec.case(False, "plain")
     rec.case(False, lambda: "lazy")
     assert rec.failures == ["plain", "lazy"]
+
+
+# -- Chow pairings ------------------------------------------------------------
+
+
+def test_off_by_one_triple_fails_the_intersection_numbers_identity(monkeypatch, capsys):
+    real = cr.triple
+    monkeypatch.setattr(cr, "triple", lambda ctx, x, y, z: real(ctx, x, y, z) + 1)
+    code = cli.main(["verify", "--e-max", "1", "--t-max", "1"])
+    failing = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("FAIL")]
+    assert code == 3
+    assert any(line.endswith("intersection numbers match their closed forms in (d, e, b, t)")
+               for line in failing)
