@@ -232,8 +232,8 @@ def bundle_cohomology(
     return tab_a, tab_b, table
 
 
-def sym_chi(bundle: SplitBundle, m: int, twist: DivisorClass = ZERO) -> int:
-    """chi of the m-th symmetric power of A + B, twisted; Riemann-Roch termwise.
+def sym_chi(bundle: SplitBundle, m: int) -> int:
+    """chi of the m-th symmetric power of A + B; Riemann-Roch termwise.
 
     Sym^m splits into the line bundles i*A + (m-i)*B, i = 0..m; each term
     is Riemann-Roch on plain integers, with no class built per summand.
@@ -242,7 +242,7 @@ def sym_chi(bundle: SplitBundle, m: int, twist: DivisorClass = ZERO) -> int:
         raise ValueError(f"m must be >= 0, got {m}")
     e = bundle.e
     da, dc = bundle.A.a - bundle.B.a, bundle.A.c - bundle.B.c
-    a0, c0 = m * bundle.B.a + twist.a, m * bundle.B.c + twist.c
+    a0, c0 = m * bundle.B.a, m * bundle.B.c
     return sum(_chi(e, a0 + i * da, c0 + i * dc) for i in range(m + 1))
 
 

@@ -404,9 +404,34 @@ def cmd_verify(args) -> tuple[str, int]:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    sub.add_argument("--out", default=None, help="write output to this file")
+_INT = {"type": int, "required": True}
+_MEMBER = (("-e", _INT), ("-b", _INT), ("-t", _INT))
+_GRID = (("--e-max", _INT), ("--t-max", _INT))
+_OUTPUT = (("--format", {"choices": ("plain", "json", "csv"), "default": "plain"}),
+           ("--out", {"help": "write output to this file"}))
+
+# name -> (help, arguments, defaults); each command runs cmd_<name>, looked
+# up when its parser is built so that a rebinding of cmd_<name> is honoured
+_COMMANDS = {
+    "report": ("all invariants of one member", _MEMBER + _OUTPUT, {}),
+    "uniformity": ("restriction invariants r and ell", _MEMBER + _OUTPUT, {}),
+    "cohomology": ("h^i of a*C0 + c*f on F_e",
+                   (("-e", _INT), ("-a", _INT), ("-c", _INT), *_OUTPUT), {}),
+    "hilbpoly": ("Hilbert polynomial of (X, L)", _MEMBER + _OUTPUT, {}),
+    "hilbert": ("Hilbert-scheme component report (b = 2e+3+t unless forced)",
+                (("-e", _INT), ("-t", _INT), ("--force-b", {"type": int}), *_OUTPUT), {}),
+    "table": ("grid of invariants, one row per (e, b, t)",
+              (*_GRID, ("--paper-regime-only", {"action": "store_true"}), *_OUTPUT), {}),
+    "verify": ("run every identity check over a grid", (*_GRID, ("--out", {})),
+               {"format": "plain"}),
+}
+
+
+def _fill_command(sub: argparse.ArgumentParser, name: str) -> None:
+    _help, arguments, defaults = _COMMANDS[name]
+    for flag, options in arguments:
+        sub.add_argument(flag, **options)
+    sub.set_defaults(func=globals()[f"cmd_{name}"], **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,64 +440,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of rank-two bundles on F_e and their scrolls",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sub = subparsers.add_parser("report", help="all invariants of one member")
-    sub.add_argument("-e", type=int, required=True)
-    sub.add_argument("-b", type=int, required=True)
-    sub.add_argument("-t", type=int, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_report)
-
-    sub = subparsers.add_parser("uniformity", help="restriction invariants r and ell")
-    sub.add_argument("-e", type=int, required=True)
-    sub.add_argument("-b", type=int, required=True)
-    sub.add_argument("-t", type=int, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_uniformity)
-
-    sub = subparsers.add_parser("cohomology", help="h^i of a*C0 + c*f on F_e")
-    sub.add_argument("-e", type=int, required=True)
-    sub.add_argument("-a", type=int, required=True)
-    sub.add_argument("-c", type=int, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_cohomology)
-
-    sub = subparsers.add_parser("hilbpoly", help="Hilbert polynomial of (X, L)")
-    sub.add_argument("-e", type=int, required=True)
-    sub.add_argument("-b", type=int, required=True)
-    sub.add_argument("-t", type=int, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_hilbpoly)
-
-    sub = subparsers.add_parser(
-        "hilbert", help="Hilbert-scheme component report (b = 2e+3+t unless forced)"
-    )
-    sub.add_argument("-e", type=int, required=True)
-    sub.add_argument("-t", type=int, required=True)
-    sub.add_argument("--force-b", type=int, default=None, dest="force_b")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_hilbert)
-
-    sub = subparsers.add_parser("table", help="grid of invariants, one row per (e, b, t)")
-    sub.add_argument("--e-max", type=int, required=True, dest="e_max")
-    sub.add_argument("--t-max", type=int, required=True, dest="t_max")
-    sub.add_argument("--paper-regime-only", action="store_true",
-                     dest="paper_regime_only")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_table)
-
-    sub = subparsers.add_parser("verify", help="run every identity check over a grid")
-    sub.add_argument("--e-max", type=int, required=True, dest="e_max")
-    sub.add_argument("--t-max", type=int, required=True, dest="t_max")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_verify, format="plain")
-
+    for name, (help_text, _arguments, _defaults) in _COMMANDS.items():
+        _fill_command(subparsers.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as build_parser() does, building one subparser when it can.
+
+    A known command is parsed by a parser equal to its subparser in the full
+    tree.  Anything else (no command, an unknown one, a top-level `-h`, or
+    arguments left over) goes through the full tree, which prints argparse's
+    own message.
+    """
+    if argv and argv[0] in _COMMANDS:
+        sub = argparse.ArgumentParser(prog=f"fescroll {argv[0]}")
+        _fill_command(sub, argv[0])
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         text, code = args.func(args)
     except ParameterError as exc:

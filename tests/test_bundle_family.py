@@ -202,7 +202,6 @@ def test_sym_chi_small_cases():
     bundle = build_split(p)
     assert sym_chi(bundle, 0) == 1
     assert sym_chi(bundle, 1) == 52
-    assert sym_chi(bundle, 2, -chern(p).c1) == 7
     with pytest.raises(ValueError):
         sym_chi(bundle, -1)
 

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fescroll
 import fescroll.cli as cli
@@ -415,3 +419,104 @@ def test_closed_stdout_exits_without_traceback():
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
+
+
+# -- parsing ------------------------------------------------------------------
+# main parses a known command with that command's parser alone; the result
+# must be what the full tree gives: the same Namespace, or the same exit code,
+# stdout and stderr (help and usage errors included)
+
+COMMANDS = ["report", "uniformity", "cohomology", "hilbpoly", "hilbert", "table", "verify"]
+FLAGS = [
+    "-e", "-b", "-t", "-a", "-c", "--e-max", "--t-max", "--force-b",
+    "--paper-regime-only", "--paper", "--format", "--fo", "--f", "--out",
+    "--format=json", "--e-max=1", "-e2", "-b7", "-t0", "--", "-", "-h", "--help",
+    "--he", "--bogus",
+]
+WORDS = ["plain", "json", "csv", "xml", "x", "3e5", "o.txt", "bogus"]
+
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["rep"], ["--", "report"],
+    ["report"], ["report", "-h"], ["verify", "--help"], ["table", "--he"],
+    ["report", "report"],
+    ["report", "-e", "2", "-b", "7", "-t", "0"],
+    ["report", "-e2", "-b7", "-t0", "--format=json"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "--fo", "csv"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "--format", "xml"],
+    ["report", "-e", "x", "-b", "1", "-t", "0"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "extra"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "--bogus"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "--", "-e", "3"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "-e", "3"],
+    ["report", "--", "-e", "2"],
+    ["uniformity", "-e", "0", "-b", "5", "-t", "1", "--out", "o.txt"],
+    ["cohomology", "-e", "2", "-a", "-3", "-c", "5"],
+    ["cohomology", "-e", "2", "-a", "300000", "-c", "5", "--format", "json"],
+    ["cohomology", "-e", "2", "-a", "1"],
+    ["hilbpoly", "-e", "1", "-b", "4", "-t", "2", "--format", "csv"],
+    ["hilbert", "-e", "1", "-t", "0"],
+    ["hilbert", "-e", "1", "-t", "0", "--force-b", "4"],
+    ["hilbert", "-e", "1", "-t", "0", "--force", "4"],
+    ["hilbert", "-e", "1", "-t", "0", "--f", "4"],
+    ["hilbert", "-e", "1", "-t", "0", "-b", "4"],
+    ["table", "--e-max", "1", "--t-max", "1", "--paper"],
+    ["table", "--e-max=1", "--t-max=1", "--paper-regime-only", "--format", "json"],
+    ["table", "--e-max", "1"],
+    ["verify", "--e-max", "1", "--t-max", "1"],
+    ["verify", "--e-max", "1", "--t-max", "1", "--format", "json"],
+    ["verify", "--e", "1", "--t-max", "1", "--out", "v.txt"],
+]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(list(argv)))  # func compares by identity
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _assert_same_parse(argv):
+    expected = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_parse_matches_full_tree_on_corpus(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_same_parse(argv)
+
+
+tokens = st.lists(
+    st.one_of(st.sampled_from(COMMANDS + ["bogus"] + FLAGS + WORDS),
+              st.integers(-5, 50).map(str)),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.tuples(st.sampled_from(COMMANDS + ["bogus"]), tokens)
+                 .map(lambda pair: [pair[0], *pair[1]]), tokens))
+def test_parse_matches_full_tree_on_random_tokens(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_same_parse(argv)
+
+
+def test_valid_call_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
+    assert cli.main(["cohomology", "-e", "2", "-a", "3", "-c", "5"]) == 0
+    assert built == ["fescroll report", "fescroll cohomology"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "-e", "2", "-b", "7", "-t", "0", "extra"])
+    assert exc.value.code == 2
+    assert "fescroll: error: unrecognized arguments: extra" in capsys.readouterr().err
