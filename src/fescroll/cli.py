@@ -411,7 +411,7 @@ _OUTPUT = (("--format", {"choices": ("plain", "json", "csv"), "default": "plain"
            ("--out", {"help": "write output to this file"}))
 
 # name -> (help, arguments, defaults); each command runs cmd_<name>, looked
-# up when its parser is built so that a rebinding of cmd_<name> is honoured
+# up when argv is parsed so that a rebinding of cmd_<name> is honoured
 _COMMANDS = {
     "report": ("all invariants of one member", _MEMBER + _OUTPUT, {}),
     "uniformity": ("restriction invariants r and ell", _MEMBER + _OUTPUT, {}),
@@ -427,46 +427,94 @@ _COMMANDS = {
 }
 
 
-def _fill_command(sub: argparse.ArgumentParser, name: str) -> None:
-    _help, arguments, defaults = _COMMANDS[name]
-    for flag, options in arguments:
-        sub.add_argument(flag, **options)
-    sub.set_defaults(func=globals()[f"cmd_{name}"], **defaults)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fescroll",
         description="Exact invariants of rank-two bundles on F_e and their scrolls",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _arguments, _defaults) in _COMMANDS.items():
-        _fill_command(subparsers.add_parser(name, help=help_text), name)
+    for name, (help_text, arguments, defaults) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=globals()[f"cmd_{name}"], **defaults)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as build_parser() does, building one subparser when it can.
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser() gives argv, read off _COMMANDS, or None.
 
-    A known command is parsed by a parser equal to its subparser in the full
-    tree.  Anything else (no command, an unknown one, a top-level `-h`, or
-    arguments left over) goes through the full tree, which prints argparse's
-    own message.
+    Only argv that argparse provably parses the same way is read here: a
+    command, then its flags, each spelled out in full and given at most
+    once, every required one among them.  A flag's value may start with
+    `-` only as a negative ASCII integer (argparse may take any other such
+    token for an option), and must convert by the flag's `type` and lie in
+    its `choices`.  Anything else (help, abbreviations, `--flag=value`,
+    `-e2`, `--`, repeats, bad values, missing flags) gives None.
     """
-    if argv and argv[0] in _COMMANDS:
-        sub = argparse.ArgumentParser(prog=f"fescroll {argv[0]}")
-        _fill_command(sub, argv[0])
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _help, arguments, defaults = _COMMANDS[argv[0]]
+    specs = dict(arguments)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-", refused here
+        if value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit()):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in arguments):
+        return None
+    args = argparse.Namespace(command=argv[0], func=globals()[f"cmd_{argv[0]}"], **defaults)
+    for flag, spec in arguments:
+        default = False if spec.get("action") == "store_true" else spec.get("default")
+        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as build_parser() does, building no parser when it can.
+
+    Plain valid argv is read straight off _COMMANDS; help and every usage
+    error go through the full tree, which prints argparse's own message.
+    """
+    args = _table_parse(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _run(args: argparse.Namespace) -> tuple[str, int]:
+    """Run the parsed command; an output too long to print is a ParameterError."""
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # str() refuses an int of more than sys.get_int_max_str_digits()
+        # digits; the limit is kept, so the call fails as a parameter error
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ParameterError(
+            "output_digits",
+            f"an output integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for printing an integer",
+        ) from None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        text, code = args.func(args)
+        text, code = _run(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -360,6 +360,26 @@ def test_report_huge_t(capsys):
     assert int(got["r"]) == 3 * e + 5 + t
 
 
+# int() reads at most 4300 digits, and str() writes no more, so an input at
+# that limit can still give an output integer the interpreter cannot print
+LIMIT_NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "-e", "0", "-b", "5", "-t", LIMIT_NINES, "--format", "csv"],
+    ["uniformity", "-e", "0", "-b", "5", "-t", LIMIT_NINES],
+    ["hilbpoly", "-e", "0", "-b", "5", "-t", LIMIT_NINES, "--format", "json"],
+    ["hilbert", "-e", "0", "-t", LIMIT_NINES],
+    ["cohomology", "-e", "1", "-a", LIMIT_NINES, "-c", "5"],
+], ids=lambda argv: argv[0])
+def test_unprintable_output_exits_1(capsys, argv):
+    code, out, err, seconds = _timed_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert seconds < HUGE_WALL_S
+    assert err == ("error: an output integer has more than 4300 digits, "
+                   "the interpreter's limit for printing an integer\n")
+
+
 # -- plumbing -----------------------------------------------------------------
 
 
@@ -383,14 +403,19 @@ def test_out_unwritable_path_exits_1(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
-def test_console_module_runs():
+def _fresh_env():
+    """os.environ with this checkout's fescroll first on PYTHONPATH."""
     src = str(Path(fescroll.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_module_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fescroll", "report", "-e", "2", "-b", "7", "-t", "0"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_fresh_env(),
     )
     assert proc.returncode == 0
     assert "n = 51" in proc.stdout
@@ -399,14 +424,12 @@ def test_console_module_runs():
 def test_closed_stdout_exits_without_traceback():
     # the JSON table of (8, 12) is about 390 kB, far beyond a pipe buffer,
     # so the child is still writing when the reader goes away
-    src = str(Path(fescroll.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "fescroll", "table", "--e-max", "8", "--t-max", "12",
          "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_fresh_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -416,15 +439,30 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in err
 
 
+def test_huge_cohomology_output_exits_1_without_traceback():
+    nines = "9" * 2500
+    proc = subprocess.run(
+        [sys.executable, "-m", "fescroll", "cohomology", "-e", nines, "-a", "-" + nines,
+         "-c", "5"],
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
 
 
 # -- parsing ------------------------------------------------------------------
-# main parses a known command with that command's parser alone; the result
-# must be what the full tree gives: the same Namespace, or the same exit code,
-# stdout and stderr (help and usage errors included)
+# main reads plain valid argv straight off cli._COMMANDS and hands the rest to
+# the full tree; the result must be what the full tree gives: the same
+# Namespace, or the same exit code, stdout and stderr (help and usage errors
+# included)
 
 COMMANDS = ["report", "uniformity", "cohomology", "hilbpoly", "hilbert", "table", "verify"]
 FLAGS = [
@@ -504,7 +542,72 @@ def test_parse_matches_full_tree_on_random_tokens(monkeypatch, argv):
     _assert_same_parse(argv)
 
 
-def test_valid_call_builds_one_parser(monkeypatch, capsys):
+# canonical valid argv: every flag of a command spelled out once, in any order
+INTS = st.one_of(st.integers(-50, 50), st.integers(-(10**4300 - 1), 10**4300 - 1)).map(str)
+PATHS = st.text(max_size=8).filter(lambda path: not path.startswith("-"))
+OUTPUT = {"--format": st.sampled_from(["plain", "json", "csv"]), "--out": PATHS}
+MEMBER = {"-e": INTS, "-b": INTS, "-t": INTS}
+GRID = {"--e-max": INTS, "--t-max": INTS}
+VALID = {  # command -> (required flags, optional flags); None: takes no value
+    "report": (MEMBER, OUTPUT),
+    "uniformity": (MEMBER, OUTPUT),
+    "cohomology": ({"-e": INTS, "-a": INTS, "-c": INTS}, OUTPUT),
+    "hilbpoly": (MEMBER, OUTPUT),
+    "hilbert": ({"-e": INTS, "-t": INTS}, {"--force-b": INTS, **OUTPUT}),
+    "table": (GRID, {"--paper-regime-only": None, **OUTPUT}),
+    "verify": (GRID, {"--out": PATHS}),
+}
+
+
+@st.composite
+def valid_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    required, optional = VALID[command]
+    values = {**required, **optional}
+    flags = [*required, *(flag for flag in optional if draw(st.booleans()))]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if values[flag] is not None:
+            argv.append(draw(values[flag]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_argv())
+def test_table_route_matches_full_tree_on_valid_argv(argv):
+    args = cli._table_parse(argv)
+    assert isinstance(args, argparse.Namespace), argv
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+# tokens where int(), str.isdigit() and argparse's option test may disagree
+EDGE_TOKENS = [
+    "-5\n", "-\u0663", "\u0663", " 3", "+3", "3_0", "", "-x y", "5" * 5000,
+    "9" * 4300, "-" + "9" * 4300, "9" * 4301, "-0", "-", "--5", "-1.5", "1e3",
+    "0x10", "\u00b2", "-\u00b2",
+]
+COHOMOLOGY = ["cohomology", "-e", "2", "-a", "3", "-c", "5"]
+EDGE_CORPUS = [
+    *(["cohomology", "-e", "2", "-a", token, "-c", "5"] for token in EDGE_TOKENS),
+    *([*COHOMOLOGY, "--out", token] for token in EDGE_TOKENS),
+    *([*COHOMOLOGY, "--format", token] for token in EDGE_TOKENS),
+    [*COHOMOLOGY, "-a", "4"],
+    [*COHOMOLOGY, "--format", "csv", "--format", "json"],
+    ["table", "--e-max", "1", "--t-max", "1", "--paper-regime-only", "--paper-regime-only"],
+    [*COHOMOLOGY, "--"],
+    ["cohomology", "--", "-e", "2", "-a", "3", "-c", "5"],
+    [*COHOMOLOGY, "--out"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_CORPUS, ids=repr)
+def test_parse_matches_full_tree_on_edge_tokens(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_same_parse(argv)
+
+
+def test_valid_call_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -515,8 +618,24 @@ def test_valid_call_builds_one_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
     assert cli.main(["cohomology", "-e", "2", "-a", "3", "-c", "5"]) == 0
-    assert built == ["fescroll report", "fescroll cohomology"]
+    assert built == []
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", "-e", "2", "-b", "7", "-t", "0", "extra"])
     assert exc.value.code == 2
     assert "fescroll: error: unrecognized arguments: extra" in capsys.readouterr().err
+
+
+def test_valid_call_imports_no_module():
+    # argparse's gettext imports locale on the first parser a process builds
+    child = (
+        "import sys\n"
+        "import fescroll.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "code = cli.main(['report', '-e', '2', '-b', '7', '-t', '0', '--format', 'json'])\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_fresh_env())
+    assert proc.returncode == 0 and '"dim_component": 2690' in proc.stdout
+    assert proc.stderr == ""
