@@ -23,7 +23,7 @@ the oracle it compares the threshold against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError, ParameterError
 from .surface_lattice import (
@@ -37,31 +37,27 @@ from .surface_lattice import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "e b t")):
     """Validated parameter triple (e, b, t)."""
 
-    e: int
-    b: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, e: int, b: int, t: int) -> FamilyParams:
         # Surface() owns the e >= 0 check and its error message
-        Surface(self.e)
-        if self.t < 0:
-            raise ParameterError("t_negative", f"require t >= 0, got t={self.t}")
-        if self.b <= -2:
-            raise ParameterError("b_lower", f"require b > -2, got b={self.b}")
-        if self.b >= 2 * self.e + 4 + self.t:
+        Surface(e)
+        if t < 0:
+            raise ParameterError("t_negative", f"require t >= 0, got t={t}")
+        if b <= -2:
+            raise ParameterError("b_lower", f"require b > -2, got b={b}")
+        if b >= 2 * e + 4 + t:
             raise ParameterError(
-                "b_upper",
-                f"require b < 2e+4+t = {2 * self.e + 4 + self.t}, got b={self.b}",
+                "b_upper", f"require b < 2e+4+t = {2 * e + 4 + t}, got b={b}"
             )
-        if self.b <= self.e - 1:
+        if b <= e - 1:
             raise ParameterError(
-                "ampleness",
-                f"ampleness forces b > e-1 = {self.e - 1}, got b={self.b}",
+                "ampleness", f"ampleness forces b > e-1 = {e - 1}, got b={b}"
             )
+        return tuple.__new__(cls, (e, b, t))
 
     @property
     def surface(self) -> Surface:
@@ -91,28 +87,11 @@ def grid_member_count(e_max: int, t_max: int) -> int:
     return 4 * (E + 1) * (T + 1) + (T + 1) * E * (E + 1) // 2 + (E + 1) * T * (T + 1) // 2
 
 
-@dataclass(frozen=True)
-class SplitBundle:
-    """E = A + B on F_e."""
-
-    A: DivisorClass
-    B: DivisorClass
-    e: int
-
-
-@dataclass(frozen=True)
-class ChernData:
-    c1: DivisorClass
-    c2: int
-
-
-@dataclass(frozen=True)
-class ExtensionData:
-    """Extension presentation: 0 -> L -> E -> M tensor ideal of a cluster -> 0."""
-
-    L: DivisorClass
-    M: DivisorClass
-    w_len: int = 2
+# E = A + B on F_e
+SplitBundle = namedtuple("SplitBundle", "A B e")
+ChernData = namedtuple("ChernData", "c1 c2")
+# extension presentation: 0 -> L -> E -> M tensor ideal of a cluster -> 0
+ExtensionData = namedtuple("ExtensionData", "L M w_len", defaults=(2,))
 
 
 def build_split(params: FamilyParams) -> SplitBundle:
@@ -195,12 +174,7 @@ def splitting_type(params: FamilyParams, cd: ChernData, r3: int) -> tuple[int, i
     return (3, 1)
 
 
-@dataclass(frozen=True)
-class UniformityEvidence:
-    uniform: bool
-    r: int
-    ell2: int
-    ell3: int
+UniformityEvidence = namedtuple("UniformityEvidence", "uniform r ell2 ell3")
 
 
 def is_uniform(params: FamilyParams, cd: ChernData) -> UniformityEvidence:

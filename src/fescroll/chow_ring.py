@@ -35,45 +35,35 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bundle_family import FamilyParams
 from .errors import ConsistencyError
 from .surface_lattice import DivisorClass, Surface, canonical_class
 
 
-@dataclass(frozen=True)
-class ScrollContext:
+class ScrollContext(namedtuple("ScrollContext", "params c1 c2 e c1_c0")):
     """Everything the ring structure needs: the member and the Chern data of E.
 
-    e and c1_c0 = c1.C0 = c1.c - e*c1.a are bound once, at construction,
-    for the products and pairings; c1.f is c1.a.
+    Built as ScrollContext(params, c1, c2).  e and c1_c0 = c1.C0 =
+    c1.c - e*c1.a are bound once, at construction, for the products and
+    pairings; c1.f is c1.a.
     """
 
-    params: FamilyParams
-    c1: DivisorClass
-    c2: int
-    e: int = field(init=False, repr=False, compare=False)
-    c1_c0: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        e = self.params.e
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "c1_c0", self.c1.c - e * self.c1.a)
+    def __new__(cls, params: FamilyParams, c1: DivisorClass, c2: int) -> ScrollContext:
+        e = params.e
+        return tuple.__new__(cls, (params, c1, c2, e, c1.c - e * c1.a))
+
+    def __repr__(self) -> str:
+        return f"ScrollContext(params={self.params!r}, c1={self.c1!r}, c2={self.c2!r})"
 
 
-class ChowClass(NamedTuple):
+class ChowClass(namedtuple("ChowClass", "z xi h1 h2 xih1 xih2 p pt", defaults=(0,) * 8)):
     """Normal-form coefficients; field order matches the basis listing above."""
 
-    z: int = 0
-    xi: int = 0
-    h1: int = 0
-    h2: int = 0
-    xih1: int = 0
-    xih2: int = 0
-    p: int = 0
-    pt: int = 0
+    __slots__ = ()
 
     def __add__(self, other: ChowClass) -> ChowClass:
         z, xi, h1, h2, xih1, xih2, p, pt = self
@@ -230,15 +220,7 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
     return c1x, c2x, c3x
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
-    L3: int
-    KL2: int
-    K2L: int
-    K3: int
-    c2L: int
-    Kc2: int
-    c3: int
+IntersectionNumbers = namedtuple("IntersectionNumbers", "L3 KL2 K2L K3 c2L Kc2 c3")
 
 
 def intersection_numbers(

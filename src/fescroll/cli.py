@@ -10,20 +10,15 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 
-from .bundle_family import (
-    FamilyParams,
-    grid_member_count,
-    iter_valid_params,
-    validate_params,
-)
+from .bundle_family import grid_member_count, iter_valid_params, validate_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
 from .hilbert_component import HilbertReport
 from .member import Member
-from .surface_lattice import CohomologyTable, DivisorClass, Surface, cohomology
+from .surface_lattice import DivisorClass, Surface, cohomology
 from .verify import run_all
 
 _REPORT_CHECKS = [
@@ -50,23 +45,6 @@ def _fmt_divisor(d: DivisorClass) -> str:
     return f"{d.a}*C0 {sign} {abs(d.c)}*f"
 
 
-def _params_dict(params: FamilyParams) -> dict:
-    return {"e": params.e, "b": params.b, "t": params.t}
-
-
-def _flags_dict(flags) -> dict:
-    return {
-        "paper_regime": flags.paper_regime,
-        "v1": flags.v1,
-        "v2": flags.v2,
-        "v3": flags.v3,
-    }
-
-
-def _table_dict(table: CohomologyTable) -> dict:
-    return {"h0": table.h0, "h1": table.h1, "h2": table.h2, "chi": table.chi}
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -81,10 +59,47 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for the payloads' shapes.
+
+    Those are dicts with str keys, lists, str, int, bool and None.  Unlike
+    the encoder json.dumps runs for an indent, this forms no reference
+    cycle, so a call leaves nothing behind for the collector.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f"{_json_str(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = (_json_text(item, inner) for item in value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _json_str(text: str) -> str:
+    """A JSON string literal, escaped as json.dumps escapes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json  # no payload string needs an escape, so this runs rarely
+
+    return json.dumps(text)
+
+
 def _hilbert_full_payload(report: HilbertReport) -> dict:
     return {
-        "params": _params_dict(report.params),
-        "flags": _flags_dict(report.flags),
+        "params": report.params._asdict(),
+        "flags": report.flags._asdict(),
         "n": report.n,
         "d": report.d,
         "chiN": report.chiN,
@@ -98,8 +113,8 @@ def _hilbert_full_payload(report: HilbertReport) -> dict:
 
 def _hilbert_gated_payload(member: Member) -> dict:
     return {
-        "params": _params_dict(member.params),
-        "flags": _flags_dict(member.flags),
+        "params": member.params._asdict(),
+        "flags": member.flags._asdict(),
         "n": member.n,
         "d": member.d,
         "chiN": member.chi_N,
@@ -121,7 +136,7 @@ def _report_payload(member: Member) -> dict:
     evidence = member.uniformity
     tab_a, tab_b, tab_e = member.tables
     payload = {
-        "params": _params_dict(member.params),
+        "params": member.params._asdict(),
         "scroll": {
             "n": member.n,
             "d": member.d,
@@ -130,9 +145,9 @@ def _report_payload(member: Member) -> dict:
             "h_of_L": list(member.h_of_L),
             "hilbert_poly": member.hilbert_poly.to_pairs(),
             "cohomology": {
-                "E": _table_dict(tab_e),
-                "A": _table_dict(tab_a),
-                "B": _table_dict(tab_b),
+                "E": tab_e._asdict(),
+                "A": tab_a._asdict(),
+                "B": tab_b._asdict(),
             },
         },
         "uniformity": {
@@ -186,7 +201,7 @@ def cmd_report(args) -> tuple[str, int]:
     params = member.params
     payload = _report_payload(member)  # csv too computes every value
     if args.format == "json":
-        return json.dumps(payload, indent=2), 0
+        return _json_text(payload), 0
     hb = payload.get("hilbert")
     row = [
         params.e, params.b, params.t,
@@ -214,7 +229,7 @@ def cmd_uniformity(args) -> tuple[str, int]:
     evidence = member.uniformity
     split = member.splitting_type
     payload = {
-        "params": _params_dict(params),
+        "params": params._asdict(),
         "uniform": evidence.uniform,
         "r": evidence.r,
         "ell2": evidence.ell2,
@@ -222,7 +237,7 @@ def cmd_uniformity(args) -> tuple[str, int]:
         "splitting_type": list(split),
     }
     if args.format == "json":
-        return json.dumps(payload, indent=2), 0
+        return _json_text(payload), 0
     if args.format == "csv":
         header = ["e", "b", "t", "r", "ell2", "ell3", "split_0", "split_1", "uniform"]
         row = [params.e, params.b, params.t, evidence.r, evidence.ell2,
@@ -243,8 +258,8 @@ def cmd_cohomology(args) -> tuple[str, int]:
     d = DivisorClass(args.a, args.c)
     table = cohomology(s, d)
     if args.format == "json":
-        payload = {"e": args.e, "class": [args.a, args.c], "table": _table_dict(table)}
-        return json.dumps(payload, indent=2), 0
+        payload = {"e": args.e, "class": [args.a, args.c], "table": table._asdict()}
+        return _json_text(payload), 0
     if args.format == "csv":
         header = ["e", "a", "c", "h0", "h1", "h2", "chi"]
         row = [args.e, args.a, args.c, table.h0, table.h1, table.h2, table.chi]
@@ -265,12 +280,12 @@ def cmd_hilbpoly(args) -> tuple[str, int]:
     pairs = member.hilbert_poly.to_pairs()
     if args.format == "json":
         payload = {
-            "params": _params_dict(params),
+            "params": params._asdict(),
             "n": member.n,
             "d": member.d,
             "hilbert_poly": pairs,
         }
-        return json.dumps(payload, indent=2), 0
+        return _json_text(payload), 0
     if args.format == "csv":
         header = ["e", "b", "t", "c0_num", "c0_den", "c1_num", "c1_den",
                   "c2_num", "c2_den", "c3_num", "c3_den"]
@@ -295,7 +310,7 @@ def cmd_hilbert(args) -> tuple[str, int]:
         payload = _hilbert_gated_payload(member)
         code = 2
     if args.format == "json":
-        return json.dumps(payload, indent=2), code
+        return _json_text(payload), code
     if args.format == "csv":
         header = ["e", "b", "t", "n", "d", "chiN", "dim", "codim",
                   "chiTX", "paper_regime", "v1", "v2", "v3"]
@@ -360,12 +375,17 @@ def _check_grid(e_max: int, t_max: int) -> None:
     if e_max < 0 or t_max < 0:
         raise ParameterError("bounds", "require --e-max >= 0 and --t-max >= 0")
     count = grid_member_count(e_max, t_max)
-    if count > MAX_GRID_MEMBERS:
-        raise ParameterError(
-            "grid_size",
-            f"--e-max {e_max} --t-max {t_max} spans {count} members, "
-            f"above the bound of {MAX_GRID_MEMBERS}",
-        )
+    if count <= MAX_GRID_MEMBERS:
+        return
+    try:
+        spans = f"{count} members"
+    except ValueError:  # str() refuses an int of this many digits, as in _run
+        spans = f"at least 10^{sys.get_int_max_str_digits()} members"
+    raise ParameterError(
+        "grid_size",
+        f"--e-max {e_max} --t-max {t_max} spans {spans}, "
+        f"above the bound of {MAX_GRID_MEMBERS}",
+    )
 
 
 def cmd_table(args) -> tuple[str, int]:
@@ -375,7 +395,7 @@ def cmd_table(args) -> tuple[str, int]:
         payload = {
             "rows": [dict(zip(_TABLE_HEADER, row)) for row in rows]
         }
-        return json.dumps(payload, indent=2), 0
+        return _json_text(payload), 0
     # plain and csv coincide for a grid listing
     return _csv_text(_TABLE_HEADER, rows), 0
 
@@ -547,3 +567,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+# Whatever is alive once this module is imported lives until exit; moving it
+# out of the collector's generations keeps every later collection from
+# rescanning it.
+gc.freeze()

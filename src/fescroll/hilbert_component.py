@@ -17,7 +17,7 @@ failing flags, so an unproved number can never appear in a proved field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bundle_family import FamilyParams
@@ -35,50 +35,33 @@ from .errors import ConsistencyError, HypothesesError
 from .surface_lattice import CohomologyTable, Surface, canonical_class, intersect
 
 
-@dataclass(frozen=True)
-class HypothesisFlags:
-    paper_regime: bool
-    v1: bool
-    v2: bool
-    v3: bool
+class HypothesisFlags(namedtuple("HypothesisFlags", "paper_regime v1 v2 v3")):
+    __slots__ = ()
 
     def all_hold(self) -> bool:
-        return self.paper_regime and self.v1 and self.v2 and self.v3
+        return all(self)
 
     def failing(self) -> list[str]:
-        names = ("paper_regime", "v1", "v2", "v3")
-        values = (self.paper_regime, self.v1, self.v2, self.v3)
-        return [name for name, value in zip(names, values) if not value]
+        return [name for name, value in zip(self._fields, self) if not value]
 
 
-@dataclass(frozen=True)
-class TangentCohomology:
-    h0: int
-    h1: int
-    h2: int
-    h3: int
-    chi: int
+class TangentCohomology(namedtuple("TangentCohomology", "h0 h1 h2 h3 chi")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.chi != self.h0 - self.h1 + self.h2 - self.h3:
+    def __new__(cls, h0: int, h1: int, h2: int, h3: int, chi: int) -> TangentCohomology:
+        self = tuple.__new__(cls, (h0, h1, h2, h3, chi))
+        if chi != h0 - h1 + h2 - h3:
             raise ConsistencyError(f"chi != h0 - h1 + h2 - h3: {self}")
+        return self
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.h0, self.h1, self.h2, self.h3)
+        return self[:4]
 
 
-@dataclass(frozen=True)
-class HilbertReport:
-    params: FamilyParams
-    flags: HypothesisFlags
-    n: int
-    d: int
-    chiN: int
-    dim_component: int
-    hN: tuple[int, int, int, int]
-    hTX: tuple[int, int, int, int]
-    chiTX: int
-    codim_scroll_locus: int
+HilbertReport = namedtuple(
+    "HilbertReport",
+    "params flags n d chiN dim_component hN hTX chiTX codim_scroll_locus",
+)
 
 
 def check_hypotheses(

@@ -13,7 +13,6 @@ it go when its output is formatted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import bundle_family as bf
@@ -24,9 +23,9 @@ from .errors import ConsistencyError
 from .surface_lattice import CohomologyTable
 
 
-@dataclass(frozen=True)
 class Member:
-    params: bf.FamilyParams
+    def __init__(self, params: bf.FamilyParams) -> None:
+        self.params = params
 
     @cached_property
     def chern(self) -> bf.ChernData:

@@ -11,7 +11,7 @@ m in [0, 8] on every construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -21,8 +21,7 @@ from .errors import ConsistencyError
 from .surface_lattice import intersect
 
 
-@dataclass(frozen=True)
-class RationalCubic:
+class RationalCubic(namedtuple("RationalCubic", "c0 c1 c2 c3 den nums")):
     """Cubic with exact rational coefficients, ascending degree.
 
     Must be integer-valued on the integers; sampled on [-6, 6] at
@@ -30,24 +29,26 @@ class RationalCubic:
     integral everywhere, so the sample is a proof).  Values are computed
     in integers: den * P(m) by Horner's rule, with den the lcm of the
     coefficient denominators, so P(m) is an integer iff den divides it.
+    Built as RationalCubic(c0, c1, c2, c3); den and nums are derived.
     """
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    den: int = field(init=False, repr=False, compare=False)
-    nums: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = (self.c0, self.c1, self.c2, self.c3)
+    def __new__(
+        cls, c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction
+    ) -> RationalCubic:
+        coeffs = (c0, c1, c2, c3)
         den = lcm(*(coeff.denominator for coeff in coeffs))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(
-            coeff.numerator * (den // coeff.denominator) for coeff in coeffs))
+        nums = tuple(coeff.numerator * (den // coeff.denominator) for coeff in coeffs)
+        self = tuple.__new__(cls, (*coeffs, den, nums))
         for m in range(-6, 7):
             if not self.is_integral_at(m):
                 raise ConsistencyError(f"cubic not integer-valued at m={m}: {self}")
+        return self
+
+    def __repr__(self) -> str:
+        return (f"RationalCubic(c0={self.c0!r}, c1={self.c1!r}, "
+                f"c2={self.c2!r}, c3={self.c3!r})")
 
     def _scaled(self, m: int) -> int:
         """den * P(m)."""
@@ -68,12 +69,11 @@ class RationalCubic:
 
     def to_pairs(self) -> list[list[int]]:
         """[[numerator, denominator], ...] by ascending degree, for JSON."""
-        return [[coeff.numerator, coeff.denominator] for coeff in
-                (self.c0, self.c1, self.c2, self.c3)]
+        return [[coeff.numerator, coeff.denominator] for coeff in self[:4]]
 
     def pretty(self) -> str:
         terms = []
-        for power, coeff in enumerate((self.c0, self.c1, self.c2, self.c3)):
+        for power, coeff in enumerate(self[:4]):
             if coeff == 0:
                 continue
             mono = "" if power == 0 else ("m" if power == 1 else f"m^{power}")

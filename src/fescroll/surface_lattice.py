@@ -26,28 +26,26 @@ and the tests.  All arithmetic is exact; Python integers never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError, ParameterError
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(namedtuple("Surface", "e")):
     """The Hirzebruch surface F_e, identified by its invariant e >= 0."""
 
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.e < 0:
-            raise ParameterError("e_negative", f"require e >= 0, got e={self.e}")
+    def __new__(cls, e: int) -> Surface:
+        if e < 0:
+            raise ParameterError("e_negative", f"require e >= 0, got e={e}")
+        return tuple.__new__(cls, (e,))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "a c")):
     """The class a*C0 + c*f; every integer pair is a valid numerical class."""
 
-    a: int
-    c: int
+    __slots__ = ()
 
     def __add__(self, other: DivisorClass) -> DivisorClass:
         return DivisorClass(self.a + other.a, self.c + other.c)
@@ -69,20 +67,18 @@ C0 = DivisorClass(1, 0)
 FIBER = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(namedtuple("CohomologyTable", "h0 h1 h2 chi")):
     """Dimensions (h0, h1, h2) together with chi; chi = h0 - h1 + h2 always."""
 
-    h0: int
-    h1: int
-    h2: int
-    chi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.h0, self.h1, self.h2) < 0:
+    def __new__(cls, h0: int, h1: int, h2: int, chi: int) -> CohomologyTable:
+        self = tuple.__new__(cls, (h0, h1, h2, chi))
+        if min(h0, h1, h2) < 0:
             raise ConsistencyError(f"negative cohomology dimension: {self}")
-        if self.chi != self.h0 - self.h1 + self.h2:
+        if chi != h0 - h1 + h2:
             raise ConsistencyError(f"chi != h0 - h1 + h2: {self}")
+        return self
 
     def __add__(self, other: CohomologyTable) -> CohomologyTable:
         # direct sums add componentwise
@@ -94,7 +90,7 @@ class CohomologyTable:
         )
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.h0, self.h1, self.h2)
+        return self[:3]
 
 
 def intersect(s: Surface, d1: DivisorClass, d2: DivisorClass) -> int:

@@ -14,8 +14,7 @@ identity it breaks, starting from the most elementary one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from . import bundle_family as bf
 from . import chow_ring as cr
@@ -28,11 +27,11 @@ _MAX_FAILURES = 8
 _SEED = 20260817
 
 
-@dataclass
 class CheckResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str, cases: int, failures: list[str]) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -16,6 +17,8 @@ import fescroll
 import fescroll.cli as cli
 from fescroll.bundle_family import grid_member_count, iter_valid_params
 from fescroll.surface_lattice import DivisorClass
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +288,19 @@ def test_grid_member_bound_is_inclusive(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "table", "--e-max", "0", "--t-max", "1")
     assert code == 1
     assert "spans 9 members, above the bound of 4" in err
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_grid_with_unprintable_member_count_exits_1(capsys, command):
+    # the grid has about 6000 digits of members, more than str() prints
+    bound = "9" * 3000
+    code, out, err = run_cli(capsys, command, "--e-max", bound, "--t-max", bound)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: --e-max {bound} --t-max {bound} spans at least "
+        f"10^{sys.get_int_max_str_digits()} members, "
+        f"above the bound of {cli.MAX_GRID_MEMBERS}\n"
+    )
 
 
 # -- verify -------------------------------------------------------------------
@@ -625,17 +641,96 @@ def test_valid_call_builds_no_parser(monkeypatch, capsys):
     assert "fescroll: error: unrecognized arguments: extra" in capsys.readouterr().err
 
 
+def _fresh_child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's fescroll."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_fresh_env())
+
+
+def test_cli_import_leaves_out_dataclass_and_json_machinery():
+    proc = _fresh_child(
+        "import sys\n"
+        "import fescroll.cli\n"
+        "print(sorted(name for name in ('dataclasses', 'inspect', 'json', 'fescroll.verify')\n"
+        "             if name in sys.modules))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    # bench/tracer.py reads sys.modules["fescroll.verify"], so it stays eager
+    assert proc.stdout == "['fescroll.verify']\n"
+
+
+VALID_CALLS = [
+    [command, *flags, "--format", fmt]
+    for command, flags in [
+        ("report", ["-e", "2", "-b", "7", "-t", "0"]),
+        ("uniformity", ["-e", "2", "-b", "7", "-t", "0"]),
+        ("cohomology", ["-e", "2", "-a", "3", "-c", "5"]),
+        ("hilbpoly", ["-e", "2", "-b", "7", "-t", "0"]),
+        ("hilbert", ["-e", "2", "-t", "0"]),
+    ]
+    for fmt in ("plain", "json", "csv")
+]
+
+
 def test_valid_call_imports_no_module():
-    # argparse's gettext imports locale on the first parser a process builds
-    child = (
+    # argparse's gettext imports locale on the first parser a process builds,
+    # and json.dumps would import the json package
+    proc = _fresh_child(
         "import sys\n"
         "import fescroll.cli as cli\n"
         "before = set(sys.modules)\n"
-        "code = cli.main(['report', '-e', '2', '-b', '7', '-t', '0', '--format', 'json'])\n"
+        f"codes = [cli.main(argv) for argv in {VALID_CALLS!r}]\n"
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
-        "sys.exit(code)\n"
+        "sys.exit(max(codes))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          env=_fresh_env())
     assert proc.returncode == 0 and '"dim_component": 2690' in proc.stdout
     assert proc.stderr == ""
+
+
+# -- json writer ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*_json.txt")), ids=lambda p: p.stem)
+def test_json_text_matches_json_dumps_on_goldens(path):
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert cli._json_text(payload) == json.dumps(payload, indent=2) == text[:-1]
+
+
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_payloads)
+def test_json_text_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("text", ["", "plain", 'a "quote"', "back\\slash", "tab\tnl\n",
+                                  "\x00\x1f\x7f", "caf\u00e9", "\U0001f600", "\ud800"])
+def test_json_text_escapes_strings_as_json_dumps(text):
+    payload = {text: [text, {"k": text}], "empty": [{}, []]}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "-e", "2", "-a", "3", "-c", "5", "--format", "json"],
+    ["report", "-e", "2", "-b", "7", "-t", "0", "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_warm_json_call_leaves_no_cyclic_garbage(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0  # warm: every first-call cache is filled
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.main(argv) == 0
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    assert garbage == []
