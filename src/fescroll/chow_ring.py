@@ -41,6 +41,8 @@ from .bundle_family import FamilyParams
 from .errors import ConsistencyError
 from .surface_lattice import DivisorClass, Surface, canonical_class
 
+_new = tuple.__new__
+
 
 class ScrollContext(namedtuple("ScrollContext", "params c1 c2 e c1_c0")):
     """Everything the ring structure needs: the member and the Chern data of E.
@@ -61,30 +63,31 @@ class ScrollContext(namedtuple("ScrollContext", "params c1 c2 e c1_c0")):
 
 
 class ChowClass(namedtuple("ChowClass", "z xi h1 h2 xih1 xih2 p pt", defaults=(0,) * 8)):
-    """Normal-form coefficients; field order matches the basis listing above."""
+    """Normal-form coefficients; field order matches the basis listing above.
+    Results here and in multiply() skip the namedtuple's __new__ frame."""
 
     __slots__ = ()
 
     def __add__(self, other: ChowClass) -> ChowClass:
         z, xi, h1, h2, xih1, xih2, p, pt = self
         oz, oxi, oh1, oh2, oxih1, oxih2, op, opt = other
-        return ChowClass(z + oz, xi + oxi, h1 + oh1, h2 + oh2,
-                         xih1 + oxih1, xih2 + oxih2, p + op, pt + opt)
+        return _new(ChowClass, (z + oz, xi + oxi, h1 + oh1, h2 + oh2,
+                                xih1 + oxih1, xih2 + oxih2, p + op, pt + opt))
 
     def __sub__(self, other: ChowClass) -> ChowClass:
         z, xi, h1, h2, xih1, xih2, p, pt = self
         oz, oxi, oh1, oh2, oxih1, oxih2, op, opt = other
-        return ChowClass(z - oz, xi - oxi, h1 - oh1, h2 - oh2,
-                         xih1 - oxih1, xih2 - oxih2, p - op, pt - opt)
+        return _new(ChowClass, (z - oz, xi - oxi, h1 - oh1, h2 - oh2,
+                                xih1 - oxih1, xih2 - oxih2, p - op, pt - opt))
 
     def __neg__(self) -> ChowClass:
         z, xi, h1, h2, xih1, xih2, p, pt = self
-        return ChowClass(-z, -xi, -h1, -h2, -xih1, -xih2, -p, -pt)
+        return _new(ChowClass, (-z, -xi, -h1, -h2, -xih1, -xih2, -p, -pt))
 
     def __mul__(self, k: int) -> ChowClass:
         z, xi, h1, h2, xih1, xih2, p, pt = self
-        return ChowClass(z * k, xi * k, h1 * k, h2 * k,
-                         xih1 * k, xih2 * k, p * k, pt * k)
+        return _new(ChowClass, (z * k, xi * k, h1 * k, h2 * k,
+                                xih1 * k, xih2 * k, p * k, pt * k))
 
     __rmul__ = __mul__
 
@@ -108,7 +111,7 @@ def multiply(ctx: ScrollContext, x: ChowClass, y: ChowClass) -> ChowClass:
     c1 = ctx.c1
     ca, cc = c1.a, c1.c  # c1.f = ca
     xixi = xxi * yxi
-    return ChowClass(
+    return _new(ChowClass, (
         xz * yz,
         xz * yxi + xxi * yz,
         xz * yh1 + xh1 * yz,
@@ -124,7 +127,7 @@ def multiply(ctx: ScrollContext, x: ChowClass, y: ChowClass) -> ChowClass:
         - e * (xh1 * yxih1 + xxih1 * yh1)
         + (xh1 * yxih2 + xxih2 * yh1)
         + (xh2 * yxih1 + xxih1 * yh2),
-    )
+    ))
 
 
 def prod(ctx: ScrollContext, first: ChowClass, *rest: ChowClass) -> ChowClass:
@@ -236,8 +239,8 @@ def intersection_numbers(
     e, b, t = ctx.params.e, ctx.params.b, ctx.params.t
     if n != 5 * e + 2 * b + 4 * t + 27:
         raise ConsistencyError(f"n={n} inconsistent with context {ctx}")
-    k = canonical_class_X(ctx)
-    _c1x, c2x, c3x = tangent
+    c1x, c2x, c3x = tangent
+    k = -c1x  # K_X, as chern_TX checked
     by_chow = IntersectionNumbers(
         L3=triple(ctx, XI, XI, XI),
         KL2=triple(ctx, k, XI, XI),

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all engine modules.
+"""Exception hierarchy shared by all engine modules, and exact division.
 
 The CLI maps these to exit codes: invalid parameters exit 1, unsatisfied
 theorem hypotheses exit 2, internal consistency failures exit 3.
@@ -33,3 +33,11 @@ class ConsistencyError(RuntimeError):
     The message names the violated identity.  Reaching this state means a
     formula was transcribed wrongly somewhere; it is never a user error.
     """
+
+
+def exact_div(x: int, k: int, what: str) -> int:
+    """x / k for an integer quantity ``what``; a remainder raises ConsistencyError."""
+    quotient, remainder = divmod(x, k)
+    if remainder:
+        raise ConsistencyError(f"{what} not an integer: {x}/{k}")
+    return quotient

@@ -18,20 +18,18 @@ failing flags, so an unproved number can never appear in a proved field.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .bundle_family import FamilyParams
 from .chow_ring import (
     XI,
     ChowClass,
     ScrollContext,
-    canonical_class_X,
     degree,
     multiply,
     pairing,
     triple,
 )
-from .errors import ConsistencyError, HypothesesError
+from .errors import ConsistencyError, HypothesesError, exact_div
 from .surface_lattice import CohomologyTable, Surface, canonical_class, intersect
 
 
@@ -105,12 +103,10 @@ def normal_bundle_chern(
     integers; their divisibility is asserted.  n3 is a zero-cycle, built
     from its degree-3 pairings.
     """
-    k = canonical_class_X(ctx)
-    _c1x, c2x, c3x = tangent
-    if (n * (n + 1)) % 2 != 0 or ((n - 1) * n * (n + 1)) % 6 != 0:
-        raise ConsistencyError(f"binomial prefactor not integral at n={n}")
-    half = n * (n + 1) // 2
-    sixth = (n - 1) * n * (n + 1) // 6
+    c1x, c2x, c3x = tangent
+    k = -c1x  # K_X, as chern_TX checked
+    half = exact_div(n * (n + 1), 2, "n(n+1)/2")
+    sixth = exact_div((n - 1) * n * (n + 1), 6, "(n-1)n(n+1)/6")
     l2 = multiply(ctx, XI, XI)
     n1 = k + (n + 1) * XI
     n2 = half * l2 + (n + 1) * multiply(ctx, XI, k) + multiply(ctx, k, k) - c2x
@@ -141,15 +137,11 @@ def chi_normal(
     params = ctx.params
     n1, n2, n3 = normal_bundle_chern(ctx, n, tangent)
     c1x, c2x, _c3x = tangent
-    ch3 = Fraction(
-        triple(ctx, n1, n1, n1) - 3 * pairing(ctx, n1, n2) + 3 * degree(n3), 6
-    )
-    ch2_td1 = Fraction(triple(ctx, c1x, n1, n1) - 2 * pairing(ctx, c1x, n2), 4)
-    ch1_td2 = Fraction(triple(ctx, c1x, c1x, n1) + pairing(ctx, n1, c2x), 12)
-    total = ch3 + ch2_td1 + ch1_td2 + (n - 3)
-    if total.denominator != 1:
-        raise ConsistencyError(f"chi(N) not an integer at {params}: {total}")
-    chi_n = int(total)
+    ch3 = triple(ctx, n1, n1, n1) - 3 * pairing(ctx, n1, n2) + 3 * degree(n3)
+    ch2_td1 = triple(ctx, c1x, n1, n1) - 2 * pairing(ctx, c1x, n2)
+    ch1_td2 = triple(ctx, c1x, c1x, n1) + pairing(ctx, n1, c2x)
+    # twelve times chi(N), summed in integers and divided once
+    chi_n = exact_div(2 * ch3 + 3 * ch2_td1 + ch1_td2 + 12 * (n - 3), 12, "chi(N)")
     e, b, t = params.e, params.b, params.t
     closed = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
     if chi_n != closed:

@@ -37,6 +37,10 @@ class Member:
         return cr.ScrollContext(self.params, self.chern.c1, self.chern.c2)
 
     @cached_property
+    def split(self) -> bf.SplitBundle:
+        return bf.build_split(self.params)
+
+    @cached_property
     def tables(self) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
         """Cohomology tables of A, B and E = A + B."""
         return bf.bundle_cohomology(self.params)

@@ -30,6 +30,8 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ParameterError
 
+_new = tuple.__new__
+
 
 class Surface(namedtuple("Surface", "e")):
     """The Hirzebruch surface F_e, identified by its invariant e >= 0."""
@@ -43,21 +45,22 @@ class Surface(namedtuple("Surface", "e")):
 
 
 class DivisorClass(namedtuple("DivisorClass", "a c")):
-    """The class a*C0 + c*f; every integer pair is a valid numerical class."""
+    """The class a*C0 + c*f; every integer pair is a valid numerical class.
+    Results of the arithmetic skip the namedtuple's __new__ frame."""
 
     __slots__ = ()
 
     def __add__(self, other: DivisorClass) -> DivisorClass:
-        return DivisorClass(self.a + other.a, self.c + other.c)
+        return _new(DivisorClass, (self.a + other.a, self.c + other.c))
 
     def __sub__(self, other: DivisorClass) -> DivisorClass:
-        return DivisorClass(self.a - other.a, self.c - other.c)
+        return _new(DivisorClass, (self.a - other.a, self.c - other.c))
 
     def __neg__(self) -> DivisorClass:
-        return DivisorClass(-self.a, -self.c)
+        return _new(DivisorClass, (-self.a, -self.c))
 
     def __mul__(self, k: int) -> DivisorClass:
-        return DivisorClass(self.a * k, self.c * k)
+        return _new(DivisorClass, (self.a * k, self.c * k))
 
     __rmul__ = __mul__
 
@@ -113,7 +116,9 @@ def is_effective(s: Surface, d: DivisorClass) -> bool:
 
 
 def is_ample(s: Surface, d: DivisorClass) -> bool:
-    """Positivity against C0 and f; on F_e this also characterizes very ample."""
+    """Positivity against C0 and f.  On a smooth projective toric surface
+    such as F_e ample implies very ample (Cox, Little and Schenck, Toric
+    Varieties, Section 6.1); no second route here checks very ampleness."""
     return d.a > 0 and d.c > s.e * d.a
 
 

@@ -1,14 +1,15 @@
 """Named identity checks swept over parameter grids.
 
 Each check reports how many cases it examined and a list of failure
-descriptions (empty on success).  Surface and window checks sweep their
-own grids of divisor classes.  Member checks run once per valid
-(e, b, t) and all read one shared Member, so every value of a member is
-derived once per sweep and the cross-check that guards it runs once; a
-value that raises is not kept, so each check that reads a broken value
-reports it.  A ConsistencyError that a check does not catch aborts that
-check alone, instead of the sweep, so a corrupted build reports every
-identity it breaks, starting from the most elementary one.
+descriptions (empty on success).  Surface and window checks run once per
+surface F_e and read its line-bundle tables from one shared _Sweep;
+member checks run once per valid (e, b, t) and read one shared Member.  So
+each table and each member value is derived once per sweep and the
+cross-check that guards it runs once; a value that raises is not kept, so
+each check that reads a broken value reports it.  A ConsistencyError that
+a check does not catch aborts that check alone, instead of the sweep, so a
+corrupted build reports every identity it breaks, starting from the most
+elementary one.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class _Recorder:
 
 
 # How a check sweeps, kept as a function attribute so that it survives
-# functools.wraps: "grid" checks are called as fn(e_max, t_max) and return
-# their recorder; "member" checks are called as fn(rec, member) for every
-# valid member, "regime" checks only for members with e <= 2, b = 2e+3+t.
+# functools.wraps: "surface" checks are called as fn(rec, sweep) once per
+# surface F_e of the grid; "member" checks are called as fn(rec, member) for
+# every valid member, "regime" checks only for members with e <= 2, b = 2e+3+t.
 _CHECKS: list[tuple[str, Callable]] = []
 
 
-def _register(name: str, sweep: str = "grid"):
+def _register(name: str, sweep: str = "surface"):
     def wrap(fn: Callable) -> Callable:
         fn.sweep = sweep
         _CHECKS.append((name, fn))
@@ -77,8 +78,20 @@ def _register(name: str, sweep: str = "grid"):
     return wrap
 
 
-def _surfaces(e_max: int):
-    return [sl.Surface(e) for e in range(e_max + 1)]
+class _Sweep:
+    """One surface F_e of the grid, with t_max and a memo of its tables: table(d)
+    keeps cohomology(F_e, d) for this surface only, unless computing it raised."""
+
+    def __init__(self, e: int, t_max: int) -> None:
+        self.surface = sl.Surface(e)
+        self.t_max = t_max
+        self._tables: dict[sl.DivisorClass, sl.CohomologyTable] = {}
+
+    def table(self, d: sl.DivisorClass) -> sl.CohomologyTable:
+        tab = self._tables.get(d)
+        if tab is None:
+            tab = self._tables[d] = sl.cohomology(self.surface, d)
+        return tab
 
 
 def _classes(bound: int = 12):
@@ -93,139 +106,122 @@ def _classes(bound: int = 12):
 
 
 @_register("K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)")
-def _check_canonical(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        k = sl.canonical_class(s)
-        genus_c0 = sl.intersect(s, k, sl.C0) + sl.intersect(s, sl.C0, sl.C0)
-        genus_f = sl.intersect(s, k, sl.FIBER) + sl.intersect(s, sl.FIBER, sl.FIBER)
-        rec.case(
-            genus_c0 == -2 and genus_f == -2,
-            lambda: f"e={s.e}: K={k} fails adjunction: "
-                    f"K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
-        )
-    return rec
+def _check_canonical(rec: _Recorder, sweep: _Sweep) -> None:
+    s = sweep.surface
+    k = sl.canonical_class(s)
+    genus_c0 = sl.intersect(s, k, sl.C0) + sl.intersect(s, sl.C0, sl.C0)
+    genus_f = sl.intersect(s, k, sl.FIBER) + sl.intersect(s, sl.FIBER, sl.FIBER)
+    rec.case(
+        genus_c0 == -2 and genus_f == -2,
+        lambda: f"e={s.e}: K={k} fails adjunction: "
+                f"K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
+    )
 
 
 @_register("Serre duality: h^i(D) = h^{2-i}(K - D)")
-def _check_serre(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        k = sl.canonical_class(s)
-        for d in _classes():
-            tab = sl.cohomology(s, d)
-            dual = sl.cohomology(s, k - d)
-            rec.case(
-                (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0),
-                lambda: f"e={s.e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
-            )
-    return rec
+def _check_serre(rec: _Recorder, sweep: _Sweep) -> None:
+    s = sweep.surface
+    k = sl.canonical_class(s)
+    for d in _classes():
+        tab = sweep.table(d)
+        dual = sweep.table(k - d)
+        rec.case(
+            (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0),
+            lambda: f"e={s.e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
+        )
 
 
 @_register("Riemann-Roch: chi(D) = 1 + D.(D-K)/2 with D.(D-K) even")
-def _check_riemann_roch(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        k = sl.canonical_class(s)
-        for d in _classes():
-            pairing = sl.intersect(s, d, d - k)
-            tab = sl.cohomology(s, d)
-            rec.case(
-                pairing % 2 == 0 and tab.chi == 1 + pairing // 2,
-                lambda: f"e={s.e} D={d}: pairing={pairing}, chi={tab.chi}",
-            )
-    return rec
+def _check_riemann_roch(rec: _Recorder, sweep: _Sweep) -> None:
+    s = sweep.surface
+    k = sl.canonical_class(s)
+    for d in _classes():
+        pairing = sl.intersect(s, d, d - k)
+        tab = sweep.table(d)
+        rec.case(
+            pairing % 2 == 0 and tab.chi == 1 + pairing // 2,
+            lambda: f"e={s.e} D={d}: pairing={pairing}, chi={tab.chi}",
+        )
 
 
 @_register("h^0 = lattice-point count of the section polytope")
-def _check_lattice_oracle(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        for d in _classes():
-            expected = sl.h0_lattice_oracle(s, d)
-            got = sl.cohomology(s, d).h0
-            rec.case(got == expected,
-                     lambda: f"e={s.e} D={d}: h0={got}, lattice count {expected}")
-    return rec
+def _check_lattice_oracle(rec: _Recorder, sweep: _Sweep) -> None:
+    s = sweep.surface
+    for d in _classes():
+        expected = sl.h0_lattice_oracle(s, d)
+        got = sweep.table(d).h0
+        rec.case(got == expected,
+                 lambda: f"e={s.e} D={d}: h0={got}, lattice count {expected}")
 
 
 @_register("effective iff a >= 0 and c >= 0 iff h^0 > 0 (nonzero D)")
-def _check_effective(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        for d in _classes():
-            eff = sl.is_effective(s, d)
-            h0 = sl.cohomology(s, d).h0
-            if d == sl.ZERO:
-                rec.case(eff and h0 == 1, lambda: f"e={s.e}: h0(0) = {h0}")
-            else:
-                rec.case(eff == (h0 > 0),
-                         lambda: f"e={s.e} D={d}: effective={eff}, h0={h0}")
-    return rec
+def _check_effective(rec: _Recorder, sweep: _Sweep) -> None:
+    s = sweep.surface
+    for d in _classes():
+        eff = sl.is_effective(s, d)
+        h0 = sweep.table(d).h0
+        if d == sl.ZERO:
+            rec.case(eff and h0 == 1, lambda: f"e={s.e}: h0(0) = {h0}")
+        else:
+            rec.case(eff == (h0 > 0),
+                     lambda: f"e={s.e} D={d}: effective={eff}, h0={h0}")
 
 
 @_register("h^0(a*C0 + c*f) nondecreasing in c for a >= 0")
-def _check_monotone(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        for a in range(0, 7):
-            previous = None
-            for c in range(-12, 13):
-                h0 = sl.cohomology(s, sl.DivisorClass(a, c)).h0
-                if previous is not None:
-                    rec.case(h0 >= previous,
-                             lambda: f"e={s.e} a={a} c={c}: {previous} -> {h0}")
-                previous = h0
-    return rec
+def _check_monotone(rec: _Recorder, sweep: _Sweep) -> None:
+    s = sweep.surface
+    for a in range(0, 7):
+        previous = None
+        for c in range(-12, 13):
+            h0 = sweep.table(sl.DivisorClass(a, c)).h0
+            if previous is not None:
+                rec.case(h0 >= previous,
+                         lambda: f"e={s.e} a={a} c={c}: {previous} -> {h0}")
+            previous = h0
 
 
 @_register("intersection pairing symmetric and bilinear")
-def _check_bilinear(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    rng = rec.rng
-    for s in _surfaces(e_max):
-        for _ in range(200):
-            d1, d2, d3 = (
-                sl.DivisorClass(rng.randint(-30, 30), rng.randint(-30, 30))
-                for _ in range(3)
-            )
-            k = rng.randint(-5, 5)
-            symmetric = sl.intersect(s, d1, d2) == sl.intersect(s, d2, d1)
-            linear = sl.intersect(s, d1 + k * d2, d3) == sl.intersect(
-                s, d1, d3
-            ) + k * sl.intersect(s, d2, d3)
-            rec.case(symmetric and linear, lambda: f"e={s.e} D1={d1} D2={d2} D3={d3} k={k}")
-    return rec
+def _check_bilinear(rec: _Recorder, sweep: _Sweep) -> None:
+    s, rng = sweep.surface, rec.rng
+    for _ in range(200):
+        d1, d2, d3 = (
+            sl.DivisorClass(rng.randint(-30, 30), rng.randint(-30, 30))
+            for _ in range(3)
+        )
+        k = rng.randint(-5, 5)
+        symmetric = sl.intersect(s, d1, d2) == sl.intersect(s, d2, d1)
+        linear = sl.intersect(s, d1 + k * d2, d3) == sl.intersect(
+            s, d1, d3
+        ) + k * sl.intersect(s, d2, d3)
+        rec.case(symmetric and linear, lambda: f"e={s.e} D1={d1} D2={d2} D3={d3} k={k}")
 
 
 @_register("h^1 fiberwise route = h^1 chi-subtraction route")
-def _check_h1_routes(e_max: int, t_max: int) -> _Recorder:
+def _check_h1_routes(rec: _Recorder, sweep: _Sweep) -> None:
     # cohomology() raises when its two h^1 routes disagree; on top of that
     # its closed-form fiberwise sums are recomputed term by term over the
     # pushforward degrees (of D when a >= 0, of K - D when a <= -2)
-    rec = _Recorder()
-    for s in _surfaces(e_max):
-        k = sl.canonical_class(s)
-        for d in _classes():
-            try:
-                tab = sl.cohomology(s, d)
-            except ConsistencyError as exc:
-                rec.case(False, f"e={s.e} D={d}: {exc}")
-                continue
-            if d.a == -1:
-                rec.case(tab.as_tuple() == (0, 0, 0),
-                         lambda: f"e={s.e} D={d}: {tab.as_tuple()}")
-                continue
-            degrees = sl.pushforward_degrees(s, d if d.a >= 0 else k - d)
-            h0 = sum(max(0, deg + 1) for deg in degrees)
-            h1 = sum(max(0, -deg - 1) for deg in degrees)
-            got = (tab.h0, tab.h1) if d.a >= 0 else (tab.h2, tab.h1)
-            rec.case(
-                got == (h0, h1),
-                lambda: f"e={s.e} D={d}: table {tab.as_tuple()}, "
-                        f"pushforward sums {(h0, h1)}",
-            )
-    return rec
+    s = sweep.surface
+    k = sl.canonical_class(s)
+    for d in _classes():
+        try:
+            tab = sweep.table(d)
+        except ConsistencyError as exc:
+            rec.case(False, f"e={s.e} D={d}: {exc}")
+            continue
+        if d.a == -1:
+            rec.case(tab.as_tuple() == (0, 0, 0),
+                     lambda: f"e={s.e} D={d}: {tab.as_tuple()}")
+            continue
+        degrees = sl.pushforward_degrees(s, d if d.a >= 0 else k - d)
+        h0 = sum(max(0, deg + 1) for deg in degrees)
+        h1 = sum(max(0, -deg - 1) for deg in degrees)
+        got = (tab.h0, tab.h1) if d.a >= 0 else (tab.h2, tab.h1)
+        rec.case(
+            got == (h0, h1),
+            lambda: f"e={s.e} D={d}: table {tab.as_tuple()}, "
+                    f"pushforward sums {(h0, h1)}",
+        )
 
 
 # ------------------------------------------------------------------ bundle
@@ -251,6 +247,12 @@ def _check_ell2(rec: _Recorder, member: Member) -> None:
     rec.case(ok, lambda: f"{params}: expected {expected}")
 
 
+def _twisted_h0(s: sl.Surface, bun: bf.SplitBundle, d1: int, ell: int) -> int:
+    """h^0(E(-d1*C0 + ell*f)) for E = A + B, read from cohomology()."""
+    twist = sl.DivisorClass(-d1, ell)
+    return sl.cohomology(s, bun.A + twist).h0 + sl.cohomology(s, bun.B + twist).h0
+
+
 def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     """Section threshold r by a search over fiber twists: the oracle for invariant_r.
 
@@ -266,8 +268,7 @@ def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     bun = bf.build_split(params)
 
     def h0(ell: int) -> int:
-        twist = sl.DivisorClass(-d1, ell)
-        return sl.cohomology(s, bun.A + twist).h0 + sl.cohomology(s, bun.B + twist).h0
+        return _twisted_h0(s, bun, d1, ell)
 
     span = 3 * params.e + 6 + params.t + abs(params.b) + 4
     if h0(-span) != 0:
@@ -284,6 +285,17 @@ def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     return -hi
 
 
+def _is_threshold(member: Member, d1: int, r: int) -> bool:
+    """Whether r is the section threshold of E against -d1*C0, by its two neighbours.
+
+    h^0(E(-d1*C0 + ell*f)) vanishes at ell = -r-1 and not at ell = -r.  As
+    h^0 is nondecreasing in ell, that holds exactly when _r_by_scan finds r,
+    with four cohomology calls whatever the size of r.
+    """
+    s, bun = member.params.surface, member.split
+    return _twisted_h0(s, bun, d1, -r - 1) == 0 < _twisted_h0(s, bun, d1, -r)
+
+
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
            "member")
 def _check_uniformity(rec: _Recorder, member: Member) -> None:
@@ -294,10 +306,8 @@ def _check_uniformity(rec: _Recorder, member: Member) -> None:
         r = evidence.r
         ok = (
             r == 3 * params.e + 5 + params.t
-            and all(
-                bf.invariant_r(params, d1) == _r_by_scan(params, d1)
-                for d1 in (2, 3)
-            )
+            and _is_threshold(member, 2, bf.invariant_r(params, 2))
+            and _is_threshold(member, 3, r)
             and evidence.uniform
             and evidence.ell3 == 0
             and split == (3, 1)
@@ -314,7 +324,7 @@ def _check_bundle_cohomology(rec: _Recorder, member: Member) -> None:
     try:
         table = member.tables[2]
         rec.case(
-            table.chi == bf.sym_chi(bf.build_split(params), 1),
+            table.chi == bf.sym_chi(member.split, 1),
             lambda: f"{params}: chi(E)={table.chi} != chi(Sym^1 E)",
         )
     except ConsistencyError as exc:
@@ -322,35 +332,27 @@ def _check_bundle_cohomology(rec: _Recorder, member: Member) -> None:
 
 
 @_register("h^1(A - B) = 0 iff b < 6+t+e (boundary sweep)")
-def _check_window_v1(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for e in range(e_max + 1):
-        s = sl.Surface(e)
-        for t in range(t_max + 1):
-            for b in range(-4, 2 * e + t + 12):
-                piece = sl.DivisorClass(2, 3 * e + 4 + t - b)
-                h1 = sl.cohomology(s, piece).h1
-                rec.case(
-                    (h1 == 0) == (b < 6 + t + e),
-                    lambda: f"e={e} t={t} b={b}: h1(A-B)={h1}",
-                )
-    return rec
+def _check_window_v1(rec: _Recorder, sweep: _Sweep) -> None:
+    e = sweep.surface.e
+    for t in range(sweep.t_max + 1):
+        for b in range(-4, 2 * e + t + 12):
+            h1 = sweep.table(sl.DivisorClass(2, 3 * e + 4 + t - b)).h1
+            rec.case(
+                (h1 == 0) == (b < 6 + t + e),
+                lambda: f"e={e} t={t} b={b}: h1(A-B)={h1}",
+            )
 
 
 @_register("h^2(B - A) = 0 iff b >= 2e+3+t (boundary sweep)")
-def _check_window_v2(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for e in range(e_max + 1):
-        s = sl.Surface(e)
-        for t in range(t_max + 1):
-            for b in range(-4, 2 * e + t + 12):
-                piece = sl.DivisorClass(-2, b - 3 * e - 4 - t)
-                h2 = sl.cohomology(s, piece).h2
-                rec.case(
-                    (h2 == 0) == (b >= 2 * e + 3 + t),
-                    lambda: f"e={e} t={t} b={b}: h2(B-A)={h2}",
-                )
-    return rec
+def _check_window_v2(rec: _Recorder, sweep: _Sweep) -> None:
+    e = sweep.surface.e
+    for t in range(sweep.t_max + 1):
+        for b in range(-4, 2 * e + t + 12):
+            h2 = sweep.table(sl.DivisorClass(-2, b - 3 * e - 4 - t)).h2
+            rec.case(
+                (h2 == 0) == (b >= 2 * e + 3 + t),
+                lambda: f"e={e} t={t} b={b}: h2(B-A)={h2}",
+            )
 
 
 # -------------------------------------------------------------------- chow
@@ -384,9 +386,9 @@ def _coefficients(rng: random.Random, count: int) -> list[int]:
 @_register("Chow product commutative, associative, distributive", "member")
 def _check_ring_axioms(rec: _Recorder, member: Member) -> None:
     ctx = member.ctx
-    for _ in range(6):
-        k = _coefficients(rec.rng, 24)
-        x, y, z = cr.ChowClass(*k[:8]), cr.ChowClass(*k[8:16]), cr.ChowClass(*k[16:])
+    draws = _coefficients(rec.rng, 6 * 24)  # the stream of six draws of 24
+    for i in range(0, 6 * 24, 24):
+        x, y, z = (cr.ChowClass(*draws[j:j + 8]) for j in range(i, i + 24, 8))
         xy = cr.multiply(ctx, x, y)
         comm = xy == cr.multiply(ctx, y, x)
         assoc = cr.multiply(ctx, xy, z) == cr.multiply(ctx, x, cr.multiply(ctx, y, z))
@@ -526,45 +528,47 @@ def _check_flag_soundness(rec: _Recorder, member: Member) -> None:
 
 
 @_register("chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0")
-def _check_fiber_tangent(e_max: int, t_max: int) -> _Recorder:
-    rec = _Recorder()
-    for e in range(e_max + 1):
+def _check_fiber_tangent(rec: _Recorder, sweep: _Sweep) -> None:
+    e = sweep.surface.e
+    try:
+        table = hc._fiber_tangent_table(e)
+        rec.case(table[0] - table[1] + table[2] == 6, lambda: f"e={e}: {table}")
+    except ConsistencyError as exc:
+        rec.case(False, f"e={e}: {exc}")
+
+
+def _visit(checks: list[tuple[int, Callable]], outcomes: list, subject) -> None:
+    """Call each (index, check) on subject; a ConsistencyError aborts that check alone."""
+    for i, fn in checks:
+        rec = outcomes[i]
+        if isinstance(rec, str):
+            continue
         try:
-            table = hc._fiber_tangent_table(e)
-            rec.case(table[0] - table[1] + table[2] == 6, lambda: f"e={e}: {table}")
+            fn(rec, subject)
         except ConsistencyError as exc:
-            rec.case(False, f"e={e}: {exc}")
-    return rec
+            outcomes[i] = f"aborted: {exc}"
 
 
 def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     """Run every registered check over the grid; checks never abort each other.
 
-    Member checks share one Member per valid (e, b, t), built in
-    iter_valid_params order; a member's values are let go when the next
-    member replaces it, so one member's data is alive at a time.  A check
-    that raises ConsistencyError is reported as aborted, with 0 cases, and
-    is not called again.  Results come in registration order.
+    Surface checks share one _Sweep per surface F_e, e = 0..e_max, and
+    member checks one Member per valid (e, b, t), built in
+    iter_valid_params order; each is let go when the next one replaces it,
+    so one surface's tables, or one member's data, are alive at a time.  A
+    check that raises ConsistencyError is reported as aborted, with 0
+    cases, and is not called again.  Results come in registration order.
     """
     # a recorder per check, or the message of the error that aborted it
-    outcomes: list[_Recorder | str] = []
-    for _name, fn in _CHECKS:
-        try:
-            outcomes.append(fn(e_max, t_max) if fn.sweep == "grid" else _Recorder())
-        except ConsistencyError as exc:
-            outcomes.append(f"aborted: {exc}")
-    per_member = [(i, fn) for i, (_name, fn) in enumerate(_CHECKS) if fn.sweep != "grid"]
+    outcomes: list[_Recorder | str] = [_Recorder() for _ in _CHECKS]
+    surface = [(i, fn) for i, (_n, fn) in enumerate(_CHECKS) if fn.sweep == "surface"]
+    member = [(i, fn) for i, (_n, fn) in enumerate(_CHECKS) if fn.sweep == "member"]
+    regime = [(i, fn) for i, (_n, fn) in enumerate(_CHECKS) if fn.sweep != "surface"]
+    for e in range(e_max + 1):
+        _visit(surface, outcomes, _Sweep(e, t_max))
     for params in bf.iter_valid_params(e_max, t_max):
-        member = Member(params)
-        regime = params.e <= 2 and params.b == 2 * params.e + 3 + params.t
-        for i, fn in per_member:
-            rec = outcomes[i]
-            if isinstance(rec, str) or (fn.sweep == "regime" and not regime):
-                continue
-            try:
-                fn(rec, member)
-            except ConsistencyError as exc:
-                outcomes[i] = f"aborted: {exc}"
+        in_regime = params.e <= 2 and params.b == 2 * params.e + 3 + params.t
+        _visit(regime if in_regime else member, outcomes, Member(params))
     return [
         CheckResult(name, 0, [outcome])
         if isinstance(outcome, str)

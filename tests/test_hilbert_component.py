@@ -1,8 +1,9 @@
 import pytest
 
+from fescroll import hilbert_component
 from fescroll.bundle_family import iter_valid_params, validate_params
 from fescroll.chow_ring import ChowClass, degree
-from fescroll.errors import ConsistencyError, HypothesesError
+from fescroll.errors import ConsistencyError, HypothesesError, exact_div
 from fescroll.hilbert_component import (
     HypothesisFlags,
     TangentCohomology,
@@ -61,6 +62,20 @@ def test_chi_normal_closed_form_everywhere():
         want = (d - 3 * p.e - 3 * p.b - 3 * p.t - 12) * n
         want += 122 + 21 * p.t + 21 * p.e + 21 * p.b - 3 * d
         assert Member(p).chi_N == want
+
+
+def test_chi_normal_rejects_a_non_integral_total(monkeypatch):
+    # one more on every pairing moves 12*chi(N) by -6n-29, which is odd
+    real = hilbert_component.pairing
+    monkeypatch.setattr(hilbert_component, "pairing", lambda ctx, x, w: real(ctx, x, w) + 1)
+    with pytest.raises(ConsistencyError, match=r"chi\(N\) not an integer"):
+        Member(validate_params(2, 7, 0)).chi_N
+
+
+def test_exact_div():
+    assert exact_div(-12, 4, "x") == -3
+    with pytest.raises(ConsistencyError, match=r"^x not an integer: 13/4$"):
+        exact_div(13, 4, "x")
 
 
 def test_regime_dimension_formula():

@@ -1,17 +1,25 @@
-"""Internals of the verify battery: the r oracle, the sample draws, the recorder,
-and the identity that a broken Chow pairing fails."""
+"""Internals of the verify battery: the r oracle and the threshold certificate,
+the per-surface table memo, the sample draws, the recorder, and the identity
+that a broken Chow pairing fails."""
 
 import math
 import random
+import sys
+import weakref
+from collections import Counter
 
 import pytest
 
 import fescroll.cli as cli
+from fescroll import bundle_family as bf
 from fescroll import chow_ring as cr
 from fescroll import surface_lattice as sl
 from fescroll import verify
-from fescroll.bundle_family import invariant_r, validate_params
+from fescroll.bundle_family import invariant_r, iter_valid_params, validate_params
 from fescroll.errors import ConsistencyError
+from fescroll.member import Member
+
+UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
 
 # -- r oracle ----------------------------------------------------------------
 
@@ -46,6 +54,77 @@ def test_r_oracle_window_edges(monkeypatch, h0, message):
     monkeypatch.setattr(sl, "cohomology", _constant_h0(h0))
     with pytest.raises(ConsistencyError, match=message):
         verify._r_by_scan(validate_params(2, 7, 0), 3)
+
+
+# -- threshold certificate -----------------------------------------------------
+
+
+@pytest.mark.parametrize("d1", [2, 3])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_shifted_threshold_fails_the_uniformity_identity(monkeypatch, capsys, d1, shift):
+    for p in iter_valid_params(1, 1):
+        r = invariant_r(p, d1)
+        assert verify._is_threshold(Member(p), d1, r)
+        assert not verify._is_threshold(Member(p), d1, r + shift)
+    real = bf.invariant_r
+    monkeypatch.setattr(bf, "invariant_r", lambda p, k: real(p, k) + shift * (k == d1))
+    code = cli.main(["verify", "--e-max", "1", "--t-max", "1"])
+    failing = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("FAIL")]
+    assert code == 3
+    assert any(line.endswith(UNIFORMITY) for line in failing)
+
+
+@pytest.mark.parametrize("e, b, t", [(2, 3007, 3000), (0, 3, 0)])
+def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e, b, t):
+    member = Member(validate_params(e, b, t))
+    calls = []
+    real = sl.cohomology
+
+    def counting(s, d):
+        calls.append(d)
+        return real(s, d)
+
+    monkeypatch.setattr(sl, "cohomology", counting)
+    rec = verify._Recorder()
+    verify._check_uniformity(rec, member)
+    assert (rec.cases, rec.failures) == (1, [])
+    assert len(calls) <= 8
+
+
+# -- per-surface table memo ----------------------------------------------------
+
+
+def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
+    surface_checks = {fn.__code__ for _name, fn in verify._CHECKS if fn.sweep == "surface"}
+    computed = Counter()
+    real = sl.cohomology
+
+    def counting(s, d):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in surface_checks:
+            frame = frame.f_back
+        if frame is not None:
+            computed[s.e, d.a, d.c] += 1
+        return real(s, d)
+
+    sweeps, alive_at_creation = [], []
+
+    class TrackedSweep(verify._Sweep):
+        def __init__(self, e, t_max):
+            alive_at_creation.append(sum(ref() is not None for ref in sweeps))
+            super().__init__(e, t_max)
+            sweeps.append(weakref.ref(self))
+
+    monkeypatch.setattr(sl, "cohomology", counting)
+    monkeypatch.setattr(verify, "_Sweep", TrackedSweep)
+    for _ in range(2):
+        assert all(result.ok for result in verify.run_all(1, 2))
+    # once per surface in each run: no table outlives its run_all
+    assert computed and set(computed.values()) == {2}
+    # one sweep per surface, each gone before the next is built and after run_all
+    assert alive_at_creation == [0, 0, 0, 0]
+    assert all(ref() is None for ref in sweeps)
 
 
 # -- ring-axiom draws ---------------------------------------------------------
