@@ -4,7 +4,7 @@ and of the threefold scrolls they embed.
 Everything is integer or exact-rational; there are no tolerances anywhere.
 """
 
-from .bundle_family import FamilyParams, validate_params
+from .bundle_family import FamilyParams
 from .errors import ConsistencyError, HypothesesError, ParameterError
 from .surface_lattice import (
     CohomologyTable,
@@ -28,6 +28,5 @@ __all__ = [
     "canonical_class",
     "cohomology",
     "intersect",
-    "validate_params",
     "__version__",
 ]

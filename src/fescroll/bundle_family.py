@@ -64,11 +64,6 @@ class FamilyParams(namedtuple("FamilyParams", "e b t")):
         return Surface(self.e)
 
 
-def validate_params(e: int, b: int, t: int) -> FamilyParams:
-    """Validate (e, b, t), raising ParameterError naming the violated inequality."""
-    return FamilyParams(e, b, t)
-
-
 def iter_valid_params(e_max: int, t_max: int):
     """All valid (e, b, t) with e <= e_max, t <= t_max, ordered by (e, t, b)."""
     for e in range(e_max + 1):
@@ -128,7 +123,7 @@ def chern(params: FamilyParams) -> ChernData:
     return ChernData(c1_closed, c2_closed)
 
 
-def invariant_r(params: FamilyParams, d1: int) -> int:
+def invariant_r(bundle: SplitBundle, d1: int) -> int:
     """Section threshold against -d1*C0 twists.
 
     -r is the smallest fiber twist ell such that E(-d1*C0 + ell*f) has a
@@ -138,8 +133,7 @@ def invariant_r(params: FamilyParams, d1: int) -> int:
     """
     if d1 not in (1, 2, 3):
         raise ValueError(f"d1 must be 1, 2 or 3, got {d1}")
-    bun = build_split(params)
-    return max(cls.c for cls in (bun.A, bun.B) if cls.a >= d1)
+    return max(cls.c for cls in (bundle.A, bundle.B) if cls.a >= d1)
 
 
 def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
@@ -160,7 +154,7 @@ def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
 def splitting_type(params: FamilyParams, cd: ChernData, r3: int) -> tuple[int, int]:
     """Generic splitting type on curves of class C0, decided by ell.
 
-    ell at d1=3 must vanish at the threshold r3 = invariant_r(params, 3),
+    ell at d1=3 must vanish at the threshold r3 = invariant_r(bundle, 3),
     and ell at d1=2 must be negative.  Its r coefficient 2*d1 - 4 vanishes
     at d1=2, so one evaluation gives b-t-2e-4 for every r.
     """
@@ -177,22 +171,28 @@ def splitting_type(params: FamilyParams, cd: ChernData, r3: int) -> tuple[int, i
 UniformityEvidence = namedtuple("UniformityEvidence", "uniform r ell2 ell3")
 
 
-def is_uniform(params: FamilyParams, cd: ChernData) -> UniformityEvidence:
-    """Uniformity (ell vanishes at d1=3), with the witnessing numbers."""
-    r3 = invariant_r(params, 3)
-    ell3 = ell_invariant(cd, params.e, 3, r3)
-    ell2 = ell_invariant(cd, params.e, 2, invariant_r(params, 2))
+def is_uniform(bundle: SplitBundle, cd: ChernData) -> UniformityEvidence:
+    """Uniformity (ell vanishes at d1=3), with the witnessing numbers.
+
+    ell at d1=2 has r coefficient 2*d1 - 4 = 0, so, as in splitting_type,
+    it is evaluated at r3 rather than at its own threshold.
+    """
+    r3 = invariant_r(bundle, 3)
+    ell3 = ell_invariant(cd, bundle.e, 3, r3)
+    ell2 = ell_invariant(cd, bundle.e, 2, r3)
     return UniformityEvidence(uniform=ell3 == 0, r=r3, ell2=ell2, ell3=ell3)
 
 
 def bundle_cohomology(
-    params: FamilyParams,
+    params: FamilyParams, bundle: SplitBundle
 ) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
-    """Tables of A, B and E = A + B; the closed forms for each are asserted."""
+    """Tables of A, B and E = A + B; the closed forms for each are asserted.
+
+    bundle is build_split(params).
+    """
     s = params.surface
-    bun = build_split(params)
-    tab_a = cohomology(s, bun.A)
-    tab_b = cohomology(s, bun.B)
+    tab_a = cohomology(s, bundle.A)
+    tab_b = cohomology(s, bundle.B)
     e, b, t = params.e, params.b, params.t
     if tab_a.h0 != 6 * e + 4 * t + 24:
         raise ConsistencyError(f"h0(A) != 6e+4t+24 at {params}: got {tab_a.h0}")
@@ -221,13 +221,12 @@ def sym_chi(bundle: SplitBundle, m: int) -> int:
 
 
 def sym2_pieces(
-    params: FamilyParams,
+    bundle: SplitBundle,
 ) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
     """Tables of A-B, O and B-A, the summands of Sym^2(E) twisted by -c1."""
-    s = params.surface
-    bun = build_split(params)
+    s = Surface(bundle.e)
     return (
-        cohomology(s, bun.A - bun.B),
+        cohomology(s, bundle.A - bundle.B),
         cohomology(s, ZERO),
-        cohomology(s, bun.B - bun.A),
+        cohomology(s, bundle.B - bundle.A),
     )

@@ -14,9 +14,8 @@ import gc
 import os
 import sys
 
-from .bundle_family import grid_member_count, iter_valid_params, validate_params
+from .bundle_family import FamilyParams, grid_member_count, iter_valid_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
-from .hilbert_component import HilbertReport
 from .member import Member
 from .surface_lattice import DivisorClass, Surface, cohomology
 from .verify import run_all
@@ -53,9 +52,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(rows: list[dict], header: list[str] | None = None) -> str:
+    """CSV of row dicts: header (the first row's keys unless given) selects the columns."""
+    header = rows[0].keys() if header is None else header
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(value) for value in row) for row in rows)
+    lines.extend([",".join([_cell(row[key]) for key in header]) for row in rows])
     return "\n".join(lines)
 
 
@@ -96,36 +97,65 @@ def _json_str(text: str) -> str:
     return json.dumps(text)
 
 
-def _hilbert_full_payload(report: HilbertReport) -> dict:
+def _render(fmt: str, plain, payload, rows, header=None, code: int = 0) -> tuple[str, int]:
+    """The output of a command in format fmt, and its exit code.
+
+    plain() gives the text, payload() the object written as JSON and rows()
+    the CSV rows: ordered dicts whose keys are the header, unless header
+    selects among them.  Only what fmt asks for is built.
+    """
+    if fmt == "json":
+        return _json_text(payload()), code
+    if fmt == "csv":
+        return _csv_text(rows(), header), code
+    return plain(), code
+
+
+def _member_row(member: Member) -> dict:
+    """The columns of `report --format csv`; table selects _TABLE_HEADER of them."""
+    p, cd, evidence, flags = member.params, member.chern, member.uniformity, member.flags
+    hb = member.hilbert if flags.all_hold() else None
     return {
-        "params": report.params._asdict(),
-        "flags": report.flags._asdict(),
-        "n": report.n,
-        "d": report.d,
-        "chiN": report.chiN,
-        "dim_component": report.dim_component,
-        "hN": list(report.hN),
-        "hTX": list(report.hTX),
-        "chiTX": report.chiTX,
-        "codim_scroll_locus": report.codim_scroll_locus,
+        "e": p.e, "b": p.b, "t": p.t, "n": member.n, "d": member.d,
+        "c1_a": cd.c1.a, "c1_c": cd.c1.c, "c2": cd.c2,
+        "r": evidence.r, "ell2": evidence.ell2, "ell3": evidence.ell3,
+        "h0E": member.tables[2].h0,
+        "paper_regime": flags.paper_regime,
+        "dim": hb and hb.dim_component,
+        "codim": hb and hb.codim_scroll_locus,
     }
 
 
-def _hilbert_gated_payload(member: Member) -> dict:
-    return {
+def _hilbert_payload(member: Member) -> dict:
+    """The component report.
+
+    Unless every flag holds, chi(N) carries a note saying it is only an
+    Euler characteristic, and the proved fields are None.
+    """
+    hb = member.hilbert if member.flags.all_hold() else None
+    payload = {
         "params": member.params._asdict(),
         "flags": member.flags._asdict(),
         "n": member.n,
         "d": member.d,
         "chiN": member.chi_N,
-        "chiN_note": "euler characteristic only; not identified with h^0(N) "
-                     "because the flags above do not all hold",
-        "dim_component": None,
-        "hN": None,
-        "hTX": None,
-        "chiTX": None,
-        "codim_scroll_locus": None,
     }
+    if hb is None:
+        payload["chiN_note"] = ("euler characteristic only; not identified with h^0(N) "
+                                "because the flags above do not all hold")
+    payload.update(
+        dim_component=hb and hb.dim_component,
+        hN=hb and list(hb.hN),
+        hTX=hb and list(hb.hTX),
+        chiTX=hb and hb.chiTX,
+        codim_scroll_locus=hb and hb.codim_scroll_locus,
+    )
+    return payload
+
+
+def _uniformity_payload(member: Member) -> dict:
+    """uniform, r, ell2 and ell3, then the splitting type."""
+    return {**member.uniformity._asdict(), "splitting_type": list(member.splitting_type)}
 
 
 # ------------------------------------------------------------------ report
@@ -133,7 +163,6 @@ def _hilbert_gated_payload(member: Member) -> dict:
 
 def _report_payload(member: Member) -> dict:
     cd = member.chern
-    evidence = member.uniformity
     tab_a, tab_b, tab_e = member.tables
     payload = {
         "params": member.params._asdict(),
@@ -150,17 +179,11 @@ def _report_payload(member: Member) -> dict:
                 "B": tab_b._asdict(),
             },
         },
-        "uniformity": {
-            "uniform": evidence.uniform,
-            "r": evidence.r,
-            "ell2": evidence.ell2,
-            "ell3": evidence.ell3,
-            "splitting_type": list(member.splitting_type),
-        },
+        "uniformity": _uniformity_payload(member),
         "checks": {"passed": list(_REPORT_CHECKS)},
     }
     if member.flags.all_hold():
-        payload["hilbert"] = _hilbert_full_payload(member.hilbert)
+        payload["hilbert"] = _hilbert_payload(member)
     return payload
 
 
@@ -195,180 +218,115 @@ def _report_plain(member: Member) -> str:
 
 
 def cmd_report(args) -> tuple[str, int]:
-    member = Member(validate_params(args.e, args.b, args.t))
-    if args.format == "plain":
-        return _report_plain(member), 0
-    params = member.params
-    payload = _report_payload(member)  # csv too computes every value
-    if args.format == "json":
-        return _json_text(payload), 0
-    hb = payload.get("hilbert")
-    row = [
-        params.e, params.b, params.t,
-        payload["scroll"]["n"], payload["scroll"]["d"],
-        payload["scroll"]["c1"][0], payload["scroll"]["c1"][1],
-        payload["scroll"]["c2"],
-        payload["uniformity"]["r"], payload["uniformity"]["ell2"],
-        payload["uniformity"]["ell3"],
-        payload["scroll"]["cohomology"]["E"]["h0"],
-        hb is not None,
-        hb["dim_component"] if hb else None,
-        hb["codim_scroll_locus"] if hb else None,
-    ]
-    header = ["e", "b", "t", "n", "d", "c1_a", "c1_c", "c2", "r",
-              "ell2", "ell3", "h0E", "paper_regime", "dim", "codim"]
-    return _csv_text(header, [row]), 0
+    member = Member(FamilyParams(args.e, args.b, args.t))
+    # every format runs the checks the report lists, though the CSV row omits some
+    member.hilbert_poly, member.h_of_L, member.splitting_type
+    return _render(
+        args.format,
+        plain=lambda: _report_plain(member),
+        payload=lambda: _report_payload(member),
+        rows=lambda: [_member_row(member)],
+    )
 
 
-# -------------------------------------------------------------- uniformity
+# ------------------------------------------ uniformity, cohomology, hilbpoly
 
 
 def cmd_uniformity(args) -> tuple[str, int]:
-    member = Member(validate_params(args.e, args.b, args.t))
-    params = member.params
-    evidence = member.uniformity
-    split = member.splitting_type
-    payload = {
-        "params": params._asdict(),
-        "uniform": evidence.uniform,
-        "r": evidence.r,
-        "ell2": evidence.ell2,
-        "ell3": evidence.ell3,
-        "splitting_type": list(split),
-    }
-    if args.format == "json":
-        return _json_text(payload), 0
-    if args.format == "csv":
-        header = ["e", "b", "t", "r", "ell2", "ell3", "split_0", "split_1", "uniform"]
-        row = [params.e, params.b, params.t, evidence.r, evidence.ell2,
-               evidence.ell3, split[0], split[1], evidence.uniform]
-        return _csv_text(header, [row]), 0
-    return (
-        f"r = {evidence.r}\nell2 = {evidence.ell2}\nell3 = {evidence.ell3}\n"
-        f"splitting type ({split[0]}, {split[1]})\nuniform: {_cell(evidence.uniform)}",
-        0,
+    member = Member(FamilyParams(args.e, args.b, args.t))
+    p, evidence, split = member.params, member.uniformity, member.splitting_type
+    return _render(
+        args.format,
+        plain=lambda: (
+            f"r = {evidence.r}\nell2 = {evidence.ell2}\nell3 = {evidence.ell3}\n"
+            f"splitting type ({split[0]}, {split[1]})\nuniform: {_cell(evidence.uniform)}"
+        ),
+        payload=lambda: {"params": p._asdict(), **_uniformity_payload(member)},
+        rows=lambda: [{
+            **p._asdict(), "r": evidence.r, "ell2": evidence.ell2, "ell3": evidence.ell3,
+            "split_0": split[0], "split_1": split[1], "uniform": evidence.uniform,
+        }],
     )
-
-
-# -------------------------------------------------------------- cohomology
 
 
 def cmd_cohomology(args) -> tuple[str, int]:
-    s = Surface(args.e)
-    d = DivisorClass(args.a, args.c)
-    table = cohomology(s, d)
-    if args.format == "json":
-        payload = {"e": args.e, "class": [args.a, args.c], "table": table._asdict()}
-        return _json_text(payload), 0
-    if args.format == "csv":
-        header = ["e", "a", "c", "h0", "h1", "h2", "chi"]
-        row = [args.e, args.a, args.c, table.h0, table.h1, table.h2, table.chi]
-        return _csv_text(header, [row]), 0
-    return (
-        f"h^i({args.a}*C0 + {args.c}*f on F_{args.e}) = "
-        f"({table.h0}, {table.h1}, {table.h2}), chi = {table.chi}",
-        0,
+    table = cohomology(Surface(args.e), DivisorClass(args.a, args.c))
+    return _render(
+        args.format,
+        plain=lambda: (
+            f"h^i({args.a}*C0 + {args.c}*f on F_{args.e}) = "
+            f"({table.h0}, {table.h1}, {table.h2}), chi = {table.chi}"
+        ),
+        payload=lambda: {"e": args.e, "class": [args.a, args.c], "table": table._asdict()},
+        rows=lambda: [{"e": args.e, "a": args.a, "c": args.c,
+                       "h0": table.h0, "h1": table.h1, "h2": table.h2, "chi": table.chi}],
     )
 
 
-# ---------------------------------------------------------------- hilbpoly
-
-
 def cmd_hilbpoly(args) -> tuple[str, int]:
-    member = Member(validate_params(args.e, args.b, args.t))
-    params = member.params
-    pairs = member.hilbert_poly.to_pairs()
-    if args.format == "json":
-        payload = {
-            "params": params._asdict(),
+    member = Member(FamilyParams(args.e, args.b, args.t))
+    p, poly = member.params, member.hilbert_poly
+    return _render(
+        args.format,
+        plain=lambda: f"P(m) = {poly.pretty()}",
+        payload=lambda: {
+            "params": p._asdict(),
             "n": member.n,
             "d": member.d,
-            "hilbert_poly": pairs,
-        }
-        return _json_text(payload), 0
-    if args.format == "csv":
-        header = ["e", "b", "t", "c0_num", "c0_den", "c1_num", "c1_den",
-                  "c2_num", "c2_den", "c3_num", "c3_den"]
-        row = [params.e, params.b, params.t]
-        for num, den in pairs:
-            row.extend([num, den])
-        return _csv_text(header, [row]), 0
-    return f"P(m) = {member.hilbert_poly.pretty()}", 0
+            "hilbert_poly": poly.to_pairs(),
+        },
+        rows=lambda: [{
+            **p._asdict(),
+            **{f"c{power}_{part}": value
+               for power, pair in enumerate(poly.to_pairs())
+               for part, value in zip(("num", "den"), pair)},
+        }],
+    )
 
 
 # ----------------------------------------------------------------- hilbert
 
 
-def cmd_hilbert(args) -> tuple[str, int]:
-    b = args.force_b if args.force_b is not None else 2 * args.e + 3 + args.t
-    member = Member(validate_params(args.e, b, args.t))
-    params, flags = member.params, member.flags
-    if flags.all_hold():
-        payload = _hilbert_full_payload(member.hilbert)
-        code = 0
-    else:
-        payload = _hilbert_gated_payload(member)
-        code = 2
-    if args.format == "json":
-        return _json_text(payload), code
-    if args.format == "csv":
-        header = ["e", "b", "t", "n", "d", "chiN", "dim", "codim",
-                  "chiTX", "paper_regime", "v1", "v2", "v3"]
-        fl = payload["flags"]
-        row = [params.e, params.b, params.t, payload["n"], payload["d"],
-               payload["chiN"], payload["dim_component"],
-               payload["codim_scroll_locus"], payload["chiTX"],
-               fl["paper_regime"], fl["v1"], fl["v2"], fl["v3"]]
-        return _csv_text(header, [row]), code
-    fl = payload["flags"]
-    flag_line = ", ".join(f"{k}={_cell(v)}" for k, v in fl.items())
+def _hilbert_plain(member: Member, payload: dict) -> str:
+    p, flags = member.params, member.flags
+    flag_line = ", ".join(f"{k}={_cell(v)}" for k, v in payload["flags"].items())
     lines = [
-        f"e={params.e} b={params.b} t={params.t}",
+        f"e={p.e} b={p.b} t={p.t}",
         f"flags: {flag_line}",
-        f"n = {payload['n']}, d = {payload['d']}",
+        f"n = {member.n}, d = {member.d}",
     ]
-    if code == 0:
-        lines.append(
-            f"dim = {payload['dim_component']} (= chi(N) = h^0(N) = {payload['chiN']})"
-        )
-        lines.append(f"h(N) = {tuple(payload['hN'])}")
-        lines.append(
-            f"h(T_X) = {tuple(payload['hTX'])}, chi(T_X) = {payload['chiTX']}"
-        )
-        lines.append(f"codim of scroll locus = {payload['codim_scroll_locus']}")
+    if flags.all_hold():
+        hb = member.hilbert
+        lines.append(f"dim = {hb.dim_component} (= chi(N) = h^0(N) = {hb.chiN})")
+        lines.append(f"h(N) = {hb.hN}")
+        lines.append(f"h(T_X) = {hb.hTX}, chi(T_X) = {hb.chiTX}")
+        lines.append(f"codim of scroll locus = {hb.codim_scroll_locus}")
     else:
         failing = ", ".join(flags.failing())
         lines.append(f"hypotheses not satisfied: {failing}")
-        lines.append(f"chi(N) = {payload['chiN']} ({payload['chiN_note']})")
+        lines.append(f"chi(N) = {member.chi_N} ({payload['chiN_note']})")
         lines.append("dim, codim, h(T_X): not reported")
-    return "\n".join(lines), code
+    return "\n".join(lines)
+
+
+def cmd_hilbert(args) -> tuple[str, int]:
+    b = args.force_b if args.force_b is not None else 2 * args.e + 3 + args.t
+    member = Member(FamilyParams(args.e, b, args.t))
+    payload = _hilbert_payload(member)  # every format reads it
+    return _render(
+        args.format,
+        plain=lambda: _hilbert_plain(member, payload),
+        payload=lambda: payload,
+        rows=lambda: [{
+            **payload["params"], "n": payload["n"], "d": payload["d"], "chiN": payload["chiN"],
+            "dim": payload["dim_component"], "codim": payload["codim_scroll_locus"],
+            "chiTX": payload["chiTX"], **payload["flags"],
+        }],
+        code=0 if member.flags.all_hold() else 2,
+    )
 
 
 # ------------------------------------------------------------------- table
-
-
-def _table_rows(e_max: int, t_max: int, regime_only: bool) -> list[list]:
-    rows = []
-    for params in iter_valid_params(e_max, t_max):
-        member = Member(params)
-        flags = member.flags
-        if regime_only and not flags.paper_regime:
-            continue
-        evidence = member.uniformity
-        dim = codim = None
-        if flags.all_hold():
-            report = member.hilbert
-            dim = report.dim_component
-            codim = report.codim_scroll_locus
-        rows.append([
-            params.e, params.b, params.t,
-            member.n, member.d,
-            member.chern.c2,
-            evidence.r, evidence.ell2, evidence.ell3,
-            member.tables[2].h0,
-            flags.paper_regime, dim, codim,
-        ])
-    return rows
 
 
 def _check_grid(e_max: int, t_max: int) -> None:
@@ -390,14 +348,17 @@ def _check_grid(e_max: int, t_max: int) -> None:
 
 def cmd_table(args) -> tuple[str, int]:
     _check_grid(args.e_max, args.t_max)
-    rows = _table_rows(args.e_max, args.t_max, args.paper_regime_only)
-    if args.format == "json":
-        payload = {
-            "rows": [dict(zip(_TABLE_HEADER, row)) for row in rows]
-        }
-        return _json_text(payload), 0
-    # plain and csv coincide for a grid listing
-    return _csv_text(_TABLE_HEADER, rows), 0
+    members = map(Member, iter_valid_params(args.e_max, args.t_max))
+    rows = [_member_row(member) for member in members
+            if member.flags.paper_regime or not args.paper_regime_only]
+    return _render(
+        args.format,
+        # plain and csv coincide for a grid listing
+        plain=lambda: _csv_text(rows, _TABLE_HEADER),
+        payload=lambda: {"rows": [{key: row[key] for key in _TABLE_HEADER} for row in rows]},
+        rows=lambda: rows,
+        header=_TABLE_HEADER,
+    )
 
 
 # ------------------------------------------------------------------ verify
@@ -407,13 +368,11 @@ def cmd_verify(args) -> tuple[str, int]:
     _check_grid(args.e_max, args.t_max)
     results = run_all(args.e_max, args.t_max)
     lines = []
-    failed = 0
     for result in results:
         status = "PASS" if result.ok else "FAIL"
         lines.append(f"{status}  [{result.cases:6d} cases]  {result.name}")
-        if not result.ok:
-            failed += 1
-            lines.extend(f"      {detail}" for detail in result.failures)
+        lines.extend(f"      {detail}" for detail in result.failures)
+    failed = sum(not result.ok for result in results)
     lines.append(
         f"{len(results)} identities checked, {len(results) - failed} passed, "
         f"{failed} failed"

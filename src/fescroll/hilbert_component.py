@@ -186,7 +186,7 @@ def tangent_cohomology(
         h^2 = h^3 = 0.
 
     flags come from check_hypotheses, n is the embedding dimension and
-    pieces = sym2_pieces(params), the tables of the summands A-B, O and B-A
+    pieces = sym2_pieces(bundle), the tables of the summands A-B, O and B-A
     of Sym^2(E)(-c1).
     """
     if not flags.all_hold():

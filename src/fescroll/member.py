@@ -43,7 +43,7 @@ class Member:
     @cached_property
     def tables(self) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
         """Cohomology tables of A, B and E = A + B."""
-        return bf.bundle_cohomology(self.params)
+        return bf.bundle_cohomology(self.params, self.split)
 
     @cached_property
     def n(self) -> int:
@@ -69,7 +69,7 @@ class Member:
     @cached_property
     def uniformity(self) -> bf.UniformityEvidence:
         """r, ell2 and ell3."""
-        return bf.is_uniform(self.params, self.chern)
+        return bf.is_uniform(self.split, self.chern)
 
     @cached_property
     def splitting_type(self) -> tuple[int, int]:
@@ -85,12 +85,14 @@ class Member:
 
     @cached_property
     def hilbert_poly(self) -> si.RationalCubic:
-        return si.hilbert_polynomial(self.params, self.n, self.intersection_numbers)
+        return si.hilbert_polynomial(
+            self.params, self.split, self.n, self.intersection_numbers
+        )
 
     @cached_property
     def sym2_pieces(self) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
         """Cohomology tables of A-B, O and B-A, the summands of Sym^2(E)(-c1)."""
-        return bf.sym2_pieces(self.params)
+        return bf.sym2_pieces(self.split)
 
     @cached_property
     def flags(self) -> hc.HypothesisFlags:

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .bundle_family import FamilyParams, build_split, sym_chi
+from .bundle_family import FamilyParams, SplitBundle, sym_chi
 from .chow_ring import XI, IntersectionNumbers, ScrollContext, triple
 from .errors import ConsistencyError
 from .surface_lattice import intersect
@@ -100,11 +100,12 @@ def scroll_degree(ctx: ScrollContext) -> int:
 
 
 def hilbert_polynomial(
-    params: FamilyParams, n: int, nums: IntersectionNumbers
+    params: FamilyParams, bundle: SplitBundle, n: int, nums: IntersectionNumbers
 ) -> RationalCubic:
     """Hilbert polynomial of (X, L), verified against chi(Sym^m E) on [0, 8].
 
-    n is the embedding dimension and nums the member's intersection numbers.
+    bundle is the member's split form E = A + B, n its embedding dimension
+    and nums its intersection numbers.
     """
     poly = RationalCubic(
         c0=Fraction(1),
@@ -112,9 +113,8 @@ def hilbert_polynomial(
         c2=Fraction(-nums.KL2, 4),
         c3=Fraction(nums.L3, 6),
     )
-    bun = build_split(params)
     for m in range(0, 9):
-        expected = sym_chi(bun, m)
+        expected = sym_chi(bundle, m)
         if poly.value_at(m) != expected:
             raise ConsistencyError(
                 f"P(m) != chi(Sym^m E) at {params}, m={m}: "

@@ -306,7 +306,7 @@ def _check_uniformity(rec: _Recorder, member: Member) -> None:
         r = evidence.r
         ok = (
             r == 3 * params.e + 5 + params.t
-            and _is_threshold(member, 2, bf.invariant_r(params, 2))
+            and _is_threshold(member, 2, bf.invariant_r(member.split, 2))
             and _is_threshold(member, 3, r)
             and evidence.uniform
             and evidence.ell3 == 0

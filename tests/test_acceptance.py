@@ -10,13 +10,13 @@ from contextlib import contextmanager
 import pytest
 
 from fescroll.bundle_family import (
+    FamilyParams,
     build_split,
     chern,
     ell_invariant,
     invariant_r,
     iter_valid_params,
     sym_chi,
-    validate_params,
 )
 from fescroll.chow_ring import XI, IntersectionNumbers, degree, prod
 from fescroll.hilbert_component import scroll_locus_codim
@@ -26,7 +26,7 @@ from fescroll.verify import run_all
 
 GRID = list(iter_valid_params(4, 6))
 REGIME = [
-    validate_params(e, 2 * e + 3 + t, t) for e in (0, 1, 2) for t in range(7)
+    FamilyParams(e, 2 * e + 3 + t, t) for e in (0, 1, 2) for t in range(7)
 ]
 
 
@@ -50,7 +50,7 @@ def test_c01_uniform_splitting_type(criterion):
                    "ell2 = b-t-2e-4 < 0, ell3 = 0 on the whole grid"):
         assert len(GRID) == 315
         for p in GRID:
-            r = invariant_r(p, 3)
+            r = invariant_r(build_split(p), 3)
             assert r == 3 * p.e + 5 + p.t
             m = Member(p)
             ev = m.uniformity
@@ -66,7 +66,7 @@ def test_c02_bundle_cohomology(criterion):
         for p in GRID:
             table = Member(p).tables[2]  # asserts the summand closed forms
             assert table.as_tuple() == (5 * p.e + 2 * p.b + 4 * p.t + 28, 0, 0)
-        assert Member(validate_params(2, 7, 0)).tables[2].h0 == 52
+        assert Member(FamilyParams(2, 7, 0)).tables[2].h0 == 52
 
 
 def test_c03_embedding_dimension_and_degree(criterion):
@@ -91,7 +91,7 @@ def test_c04_intersection_numbers(criterion):
         for p in GRID:
             nums = Member(p).intersection_numbers
             assert nums.Kc2 == -24 and nums.c3 == 8
-        spot = Member(validate_params(2, 7, 0)).intersection_numbers
+        spot = Member(FamilyParams(2, 7, 0)).intersection_numbers
         assert spot == IntersectionNumbers(
             L3=91, KL2=-100, K2L=88, K3=-56, c2L=42, Kc2=-24, c3=8
         )
@@ -108,7 +108,7 @@ def test_c05_hilbert_polynomial(criterion):
                 assert poly.value_at(m) == sym_chi(bun, m)
             assert poly.value_at(0) == 1
             assert poly.value_at(1) == member.n + 1
-        assert Member(validate_params(2, 7, 0)).hilbert_poly.to_pairs() == [
+        assert Member(FamilyParams(2, 7, 0)).hilbert_poly.to_pairs() == [
             [1, 1], [65, 6], [25, 1], [91, 6],
         ]
 
@@ -123,9 +123,9 @@ def test_c06_component_dimension(criterion):
             assert report.dim_component == report.chiN
             assert report.dim_component == n * (n + 1) + 9 * p.e + 20 + 6 * p.t
             assert report.hN == (report.chiN, 0, 0, 0)
-        assert Member(validate_params(2, 7, 0)).hilbert.dim_component == 2690
-        assert Member(validate_params(0, 3, 0)).hilbert.dim_component == 1142
-        assert Member(validate_params(1, 5, 0)).hilbert.dim_component == 1835
+        assert Member(FamilyParams(2, 7, 0)).hilbert.dim_component == 2690
+        assert Member(FamilyParams(0, 3, 0)).hilbert.dim_component == 1142
+        assert Member(FamilyParams(1, 5, 0)).hilbert.dim_component == 1835
 
 
 def test_c07_tangent_cohomology(criterion):
@@ -153,7 +153,7 @@ def test_c09_scroll_locus_codimension(criterion):
         for p in REGIME:
             expected = 0 if p.e == 0 else p.e - 1
             assert scroll_locus_codim(p, Member(p).tangent) == expected
-        p = validate_params(2, 7, 0)
+        p = FamilyParams(2, 7, 0)
         assert scroll_locus_codim(p, Member(p).tangent) == 1
 
 

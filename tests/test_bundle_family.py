@@ -10,7 +10,6 @@ from fescroll.bundle_family import (
     iter_valid_params,
     sym2_pieces,
     sym_chi,
-    validate_params,
 )
 from fescroll.errors import ParameterError
 from fescroll.member import Member
@@ -24,7 +23,7 @@ D = DivisorClass
 
 
 def test_valid_params_accepted():
-    p = validate_params(2, 7, 0)
+    p = FamilyParams(2, 7, 0)
     assert (p.e, p.b, p.t) == (2, 7, 0)
     assert p.surface.e == 2
 
@@ -41,15 +40,15 @@ def test_valid_params_accepted():
 )
 def test_rejection_reasons(e, b, t, reason):
     with pytest.raises(ParameterError) as info:
-        validate_params(e, b, t)
+        FamilyParams(e, b, t)
     assert info.value.reason == reason
 
 
 def test_rejection_messages_cite_bounds():
     with pytest.raises(ParameterError, match=r"b < 2e\+4\+t = 4"):
-        validate_params(0, 4, 0)
+        FamilyParams(0, 4, 0)
     with pytest.raises(ParameterError, match=r"b > e-1 = 1"):
-        validate_params(2, 1, 0)
+        FamilyParams(2, 1, 0)
 
 
 def test_iter_valid_params_grid_size():
@@ -66,13 +65,13 @@ def test_iter_valid_params_grid_size():
 
 
 def test_build_split_example():
-    bundle = build_split(validate_params(2, 7, 0))
+    bundle = build_split(FamilyParams(2, 7, 0))
     assert bundle.A == D(3, 11)
     assert bundle.B == D(1, 8)
 
 
 def test_chern_example():
-    data = chern(validate_params(2, 7, 0))
+    data = chern(FamilyParams(2, 7, 0))
     assert data.c1 == D(4, 19)
     assert data.c2 == 29
 
@@ -85,7 +84,7 @@ def test_chern_closed_form_across_grid():
 
 
 def test_extension_data():
-    ext = extension_data(validate_params(2, 7, 0))
+    ext = extension_data(FamilyParams(2, 7, 0))
     assert ext.L == D(1, 7)
     assert ext.M == D(3, 12)
     assert ext.w_len == 2
@@ -115,24 +114,24 @@ def _r_by_oracle(params, d1):
     [(2, 7, 0, 11), (0, 3, 0, 5), (1, 5, 0, 8), (2, 5, 3, 14), (4, 10, 2, 19)],
 )
 def test_invariant_r_spots(e, b, t, expected):
-    p = validate_params(e, b, t)
+    p = FamilyParams(e, b, t)
     for d1 in (1, 2, 3):
-        assert invariant_r(p, d1) == expected
+        assert invariant_r(build_split(p), d1) == expected
     assert expected == 3 * e + 5 + t
 
 
 def test_invariant_r_matches_section_threshold_oracle():
     for p in iter_valid_params(2, 2):
         for d1 in (1, 2, 3):
-            assert invariant_r(p, d1) == _r_by_scan(p, d1) == _r_by_oracle(p, d1)
+            assert invariant_r(build_split(p), d1) == _r_by_scan(p, d1) == _r_by_oracle(p, d1)
 
 
 def test_invariant_r_rejects_bad_degree():
-    p = validate_params(1, 3, 0)
+    p = FamilyParams(1, 3, 0)
     with pytest.raises(ValueError):
-        invariant_r(p, 0)
+        invariant_r(build_split(p), 0)
     with pytest.raises(ValueError):
-        invariant_r(p, 4)
+        invariant_r(build_split(p), 4)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +145,7 @@ def test_invariant_r_rejects_bad_degree():
     ],
 )
 def test_ell_invariant_spots(e, b, t, d1, r, expected):
-    p = validate_params(e, b, t)
+    p = FamilyParams(e, b, t)
     assert ell_invariant(chern(p), e, d1, r) == expected
 
 
@@ -161,16 +160,16 @@ def test_ell2_closed_form_and_negativity():
 
 def test_ell3_vanishes_at_r():
     for p in iter_valid_params(4, 6):
-        assert ell_invariant(chern(p), p.e, 3, invariant_r(p, 3)) == 0
+        assert ell_invariant(chern(p), p.e, 3, invariant_r(build_split(p), 3)) == 0
 
 
 def test_splitting_type():
-    for p in [validate_params(2, 7, 0), validate_params(0, 3, 0), validate_params(3, 9, 4)]:
+    for p in [FamilyParams(2, 7, 0), FamilyParams(0, 3, 0), FamilyParams(3, 9, 4)]:
         assert Member(p).splitting_type == (3, 1)
 
 
 def test_is_uniform_evidence():
-    ev = Member(validate_params(2, 5, 3)).uniformity
+    ev = Member(FamilyParams(2, 5, 3)).uniformity
     assert ev.uniform
     assert ev.r == 14
     assert ev.ell2 == -6
@@ -181,12 +180,12 @@ def test_is_uniform_evidence():
 
 
 def test_bundle_cohomology_spots():
-    p = validate_params(2, 7, 0)
+    p = FamilyParams(2, 7, 0)
     assert Member(p).tables[2].as_tuple() == (52, 0, 0)
     assert cohomology(p.surface, D(3, 11)).h0 == 36
     assert cohomology(p.surface, D(1, 8)).h0 == 16
 
-    q = validate_params(0, 3, 0)
+    q = FamilyParams(0, 3, 0)
     assert Member(q).tables[2].as_tuple() == (34, 0, 0)
 
 
@@ -198,7 +197,7 @@ def test_bundle_h0_closed_form():
 
 
 def test_sym_chi_small_cases():
-    p = validate_params(2, 7, 0)
+    p = FamilyParams(2, 7, 0)
     bundle = build_split(p)
     assert sym_chi(bundle, 0) == 1
     assert sym_chi(bundle, 1) == 52
@@ -208,7 +207,7 @@ def test_sym_chi_small_cases():
 
 def test_sym2_twisted_cohomology_spots():
     for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0)]:
-        tab_amb, tab_trivial, tab_bma = sym2_pieces(validate_params(e, b, t))
+        tab_amb, tab_trivial, tab_bma = sym2_pieces(build_split(FamilyParams(e, b, t)))
         assert (tab_amb + tab_trivial + tab_bma).as_tuple() == (7, 0, 0)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fescroll.bundle_family import iter_valid_params, validate_params
+from fescroll.bundle_family import FamilyParams, iter_valid_params
 from fescroll.chow_ring import (
     ONE,
     POINT,
@@ -22,7 +22,7 @@ from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, Surface, canonical_class, intersect
 
-CTX = Member(validate_params(2, 7, 0)).ctx
+CTX = Member(FamilyParams(2, 7, 0)).ctx
 
 
 def test_context_from_params():
@@ -67,7 +67,7 @@ def test_degree_rejects_mixed_classes():
 
 def test_canonical_class_spots():
     assert canonical_class_X(CTX) == ChowClass(xi=-2, h1=2, h2=15)
-    ctx0 = Member(validate_params(0, 3, 0)).ctx
+    ctx0 = Member(FamilyParams(0, 3, 0)).ctx
     assert canonical_class_X(ctx0) == ChowClass(xi=-2, h1=2, h2=7)
 
 
@@ -115,7 +115,7 @@ def test_intersection_numbers_record():
 
 @pytest.mark.parametrize("e,b,t,l3", [(0, 3, 0, 55), (1, 5, 0, 73)])
 def test_scroll_degree_spots(e, b, t, l3):
-    p = validate_params(e, b, t)
+    p = FamilyParams(e, b, t)
     ctx = Member(p).ctx
     n = 5 * e + 2 * b + 4 * t + 27
     assert intersection_numbers(ctx, n, chern_TX(ctx)).L3 == l3

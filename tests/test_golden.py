@@ -49,9 +49,13 @@ CASES = [
     *((f"report_{e}_{b}_{t}_{fmt}",
        ["report", "-e", str(e), "-b", str(b), "-t", str(t), "--format", fmt], 0, None)
       for e, b, t in MEMBERS for fmt in FORMATS),
-    *((f"{command}_2_7_0_{fmt}",
-       [command, "-e", "2", "-b", "7", "-t", "0", "--format", fmt], 0, None)
-      for command in ("uniformity", "hilbpoly") for fmt in FORMATS),
+    *((f"{command}_{e}_{b}_{t}_{fmt}",
+       [command, "-e", str(e), "-b", str(b), "-t", str(t), "--format", fmt], 0, None)
+      for command in ("uniformity", "hilbpoly") for e, b, t in ((2, 7, 0), (3, 5, 2))
+      for fmt in FORMATS),
+    *((f"cohomology_{e}_{a}_{c}_{fmt}".replace("-", "m"),
+       ["cohomology", "-e", str(e), "-a", str(a), "-c", str(c), "--format", fmt], 0, None)
+      for e, a, c in ((2, -3, 5), (0, -1, 4)) for fmt in FORMATS),
     *((f"hilbert_2_0_{fmt}", ["hilbert", "-e", "2", "-t", "0", "--format", fmt], 0, None)
       for fmt in FORMATS),
     *((f"hilbert_2_0_force_b_6_{fmt}",
@@ -59,6 +63,10 @@ CASES = [
       for fmt in FORMATS),
     *((f"table_2_2_{fmt}",
        ["table", "--e-max", "2", "--t-max", "2", "--format", fmt], 0, None)
+      for fmt in FORMATS),
+    *((f"table_1_1_regime_{fmt}",
+       ["table", "--e-max", "1", "--t-max", "1", "--paper-regime-only", "--format", fmt],
+       0, None)
       for fmt in FORMATS),
     ("verify_1_1_plain", ["verify", "--e-max", "1", "--t-max", "1"], 0, None),
     ("verify_4_6_plain", ["verify", "--e-max", "4", "--t-max", "6"], 0, None),

@@ -1,7 +1,7 @@
 import pytest
 
 from fescroll import hilbert_component
-from fescroll.bundle_family import iter_valid_params, validate_params
+from fescroll.bundle_family import FamilyParams, iter_valid_params
 from fescroll.chow_ring import ChowClass, degree
 from fescroll.errors import ConsistencyError, HypothesesError, exact_div
 from fescroll.hilbert_component import (
@@ -30,7 +30,7 @@ def flags_tuple(p):
     ],
 )
 def test_check_hypotheses_spots(e, b, t, expected):
-    assert flags_tuple(validate_params(e, b, t)) == expected
+    assert flags_tuple(FamilyParams(e, b, t)) == expected
 
 
 def test_flags_helpers():
@@ -43,15 +43,25 @@ def test_flags_helpers():
 def test_regime_implies_all_vanishings():
     for e in (0, 1, 2):
         for t in range(0, 7):
-            p = validate_params(e, 2 * e + 3 + t, t)
+            p = FamilyParams(e, 2 * e + 3 + t, t)
             assert Member(p).flags.all_hold()
+
+
+def test_paper_regime_holds_exactly_when_every_flag_holds():
+    # the shared CSV row writes flags.paper_regime in the paper_regime column,
+    # which report --format csv used to write as flags.all_hold()
+    grid = list(iter_valid_params(10, 15))
+    assert len(grid) == 2904
+    for p in grid:
+        flags = Member(p).flags
+        assert flags.paper_regime == flags.all_hold(), p
 
 
 @pytest.mark.parametrize(
     "e,b,t,chin", [(2, 7, 0, 2690), (0, 3, 0, 1142), (1, 5, 0, 1835), (2, 6, 0, 2482)]
 )
 def test_chi_normal_spots(e, b, t, chin):
-    assert Member(validate_params(e, b, t)).chi_N == chin
+    assert Member(FamilyParams(e, b, t)).chi_N == chin
 
 
 def test_chi_normal_closed_form_everywhere():
@@ -69,7 +79,7 @@ def test_chi_normal_rejects_a_non_integral_total(monkeypatch):
     real = hilbert_component.pairing
     monkeypatch.setattr(hilbert_component, "pairing", lambda ctx, x, w: real(ctx, x, w) + 1)
     with pytest.raises(ConsistencyError, match=r"chi\(N\) not an integer"):
-        Member(validate_params(2, 7, 0)).chi_N
+        Member(FamilyParams(2, 7, 0)).chi_N
 
 
 def test_exact_div():
@@ -81,13 +91,13 @@ def test_exact_div():
 def test_regime_dimension_formula():
     for e in (0, 1, 2):
         for t in range(0, 7):
-            p = validate_params(e, 2 * e + 3 + t, t)
+            p = FamilyParams(e, 2 * e + 3 + t, t)
             n = 9 * e + 33 + 6 * t
             assert Member(p).chi_N == n * (n + 1) + 9 * e + 20 + 6 * t
 
 
 def test_normal_bundle_first_chern():
-    m = Member(validate_params(2, 7, 0))
+    m = Member(FamilyParams(2, 7, 0))
     n1, n2, n3 = normal_bundle_chern(m.ctx, 51, m.chern_TX)
     assert n1 == ChowClass(xi=50, h1=2, h2=15)
     assert isinstance(degree(n3), int)  # n3 reduces to a zero-cycle
@@ -101,17 +111,17 @@ def test_normal_bundle_first_chern():
     [(2, 7, 0, (14, 1, 0, 0)), (0, 3, 0, (13, 0, 0, 0)), (1, 5, 0, (13, 0, 0, 0))],
 )
 def test_tangent_cohomology_spots(e, b, t, table):
-    got = Member(validate_params(e, b, t)).tangent
+    got = Member(FamilyParams(e, b, t)).tangent
     assert got.as_tuple() == table
     assert got.chi == 13
 
 
 def test_tangent_rejects_off_regime():
     with pytest.raises(HypothesesError) as info:
-        Member(validate_params(2, 6, 0)).tangent
+        Member(FamilyParams(2, 6, 0)).tangent
     assert "paper_regime" in str(info.value) and "v2" in str(info.value)
     with pytest.raises(HypothesesError):
-        Member(validate_params(3, 9, 0)).tangent
+        Member(FamilyParams(3, 9, 0)).tangent
 
 
 def test_tangent_table_invariant():
@@ -123,12 +133,12 @@ def test_tangent_table_invariant():
 
 @pytest.mark.parametrize("e,b,t,codim", [(2, 7, 0, 1), (0, 3, 0, 0), (1, 5, 0, 0)])
 def test_scroll_locus_codim(e, b, t, codim):
-    p = validate_params(e, b, t)
+    p = FamilyParams(e, b, t)
     assert scroll_locus_codim(p, Member(p).tangent) == codim
 
 
 def test_component_dimension_report():
-    report = Member(validate_params(2, 7, 0)).hilbert
+    report = Member(FamilyParams(2, 7, 0)).hilbert
     assert report.n == 51
     assert report.d == 91
     assert report.chiN == report.dim_component == 2690
@@ -142,7 +152,7 @@ def test_component_dimension_report():
 def test_component_dimension_euler_sequence_identity():
     # second route: h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)
     for e, t in [(0, 0), (1, 0), (2, 0), (0, 3), (2, 5)]:
-        p = validate_params(e, 2 * e + 3 + t, t)
+        p = FamilyParams(e, 2 * e + 3 + t, t)
         report = Member(p).hilbert
         euler = (report.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
         assert report.dim_component == euler
@@ -150,6 +160,6 @@ def test_component_dimension_euler_sequence_identity():
 
 def test_component_dimension_gated():
     with pytest.raises(HypothesesError):
-        Member(validate_params(2, 6, 0)).hilbert
+        Member(FamilyParams(2, 6, 0)).hilbert
     with pytest.raises(HypothesesError):
-        Member(validate_params(3, 9, 0)).hilbert
+        Member(FamilyParams(3, 9, 0)).hilbert

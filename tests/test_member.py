@@ -17,11 +17,12 @@ from fescroll import (
     scroll_invariants,
     surface_lattice,
 )
-from fescroll.bundle_family import build_split, iter_valid_params, validate_params
+from fescroll.bundle_family import FamilyParams, build_split, iter_valid_params
 from fescroll.surface_lattice import ZERO
 
 COUNTED = {
-    bundle_family: ("chern", "invariant_r", "bundle_cohomology", "sym2_pieces"),
+    bundle_family: ("build_split", "chern", "invariant_r", "bundle_cohomology",
+                    "sym2_pieces"),
     chow_ring: ("chern_TX", "intersection_numbers"),
     hilbert_component: ("check_hypotheses", "tangent_cohomology"),
     scroll_invariants: ("hilbert_polynomial",),
@@ -56,8 +57,10 @@ def test_report_computes_each_value_once(calls, capsys):
     assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
     capsys.readouterr()
     assert dict(calls) == {
+        # once for the Chern cross-check, once for the member's split form
+        "build_split": 2,
         "chern": 1,
-        "invariant_r": 2,
+        "invariant_r": 1,
         "bundle_cohomology": 1,
         "sym2_pieces": 1,
         "check_hypotheses": 1,
@@ -73,6 +76,7 @@ def test_table_computes_chern_once_per_row(calls, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 54
     assert calls["chern"] == len(rows)
+    assert calls["build_split"] <= 2 * len(rows)
 
 
 def test_verify_computes_each_value_once_per_member(calls, capsys):
@@ -84,6 +88,7 @@ def test_verify_computes_each_value_once_per_member(calls, capsys):
     names = ("chern", "bundle_cohomology", "chern_TX", "intersection_numbers",
              "hilbert_polynomial")
     assert {name: calls[name] for name in names} == dict.fromkeys(names, members)
+    assert calls["build_split"] <= 2 * members
 
 
 def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):
@@ -100,6 +105,6 @@ def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):
     _replace_everywhere(monkeypatch, surface_lattice, "cohomology", recording)
     assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
     capsys.readouterr()
-    bundle = build_split(validate_params(2, 7, 0))
+    bundle = build_split(FamilyParams(2, 7, 0))
     pieces = (bundle.A, bundle.B, bundle.A - bundle.B, ZERO, bundle.B - bundle.A)
     assert classes == Counter(pieces)

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fescroll.bundle_family import (
+    FamilyParams,
     build_split,
     chern,
     ell_invariant,
     invariant_r,
     sym_chi,
-    validate_params,
 )
 from fescroll.chow_ring import (
     ChowClass,
@@ -54,7 +54,7 @@ def family_params(draw):
     e = draw(st.integers(min_value=0, max_value=4))
     t = draw(st.integers(min_value=0, max_value=6))
     k = draw(st.integers(min_value=0, max_value=e + t + 3))
-    return validate_params(e, e + k, t)
+    return FamilyParams(e, e + k, t)
 
 
 coefficients = st.integers(min_value=-9, max_value=9)
@@ -122,13 +122,13 @@ def wide_family_params(draw):
     e = draw(st.integers(min_value=0, max_value=8))
     t = draw(st.integers(min_value=0, max_value=200))
     b = draw(st.integers(min_value=e, max_value=2 * e + 3 + t))
-    return validate_params(e, b, t)
+    return FamilyParams(e, b, t)
 
 
 @settings(deadline=None)
 @given(wide_family_params(), st.sampled_from((1, 2, 3)))
 def test_invariant_r_matches_scan(params, d1):
-    assert invariant_r(params, d1) == _r_by_scan(params, d1)
+    assert invariant_r(build_split(params), d1) == _r_by_scan(params, d1)
 
 
 @given(surfaces, st.integers(0, 6), st.integers(-20, 19))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fescroll.bundle_family import build_split, iter_valid_params, sym_chi, validate_params
+from fescroll.bundle_family import FamilyParams, build_split, iter_valid_params, sym_chi
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.scroll_invariants import RationalCubic
@@ -13,7 +13,7 @@ from fescroll.scroll_invariants import RationalCubic
     [(2, 7, 0, 51, 91), (0, 3, 0, 33, 55), (1, 5, 0, 42, 73), (0, 5, 2, 45, 79)],
 )
 def test_embedding_dimension_and_degree_spots(e, b, t, n, d):
-    m = Member(validate_params(e, b, t))
+    m = Member(FamilyParams(e, b, t))
     assert m.n == n
     assert m.d == d
 
@@ -26,9 +26,9 @@ def test_dimension_and_degree_closed_forms():
 
 
 def test_hilbert_polynomial_coefficients():
-    poly = Member(validate_params(2, 7, 0)).hilbert_poly
+    poly = Member(FamilyParams(2, 7, 0)).hilbert_poly
     assert poly.to_pairs() == [[1, 1], [65, 6], [25, 1], [91, 6]]
-    poly0 = Member(validate_params(0, 3, 0)).hilbert_poly
+    poly0 = Member(FamilyParams(0, 3, 0)).hilbert_poly
     assert (poly0.c0, poly0.c1, poly0.c2, poly0.c3) == (
         Fraction(1),
         Fraction(47, 6),
@@ -48,7 +48,7 @@ def test_hilbert_polynomial_normalization():
 def test_hilbert_polynomial_matches_sym_chi_beyond_internal_range():
     # the constructor checks m in [0, 8]; push further here
     for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0), (4, 10, 6)]:
-        p = validate_params(e, b, t)
+        p = FamilyParams(e, b, t)
         poly = Member(p).hilbert_poly
         bun = build_split(p)
         for m in range(0, 13):
@@ -59,11 +59,11 @@ def test_hilbert_polynomial_matches_sym_chi_beyond_internal_range():
     "e,b,t,h0", [(2, 7, 0, 52), (0, 3, 0, 34), (1, 5, 0, 43)]
 )
 def test_vanishing_report(e, b, t, h0):
-    assert Member(validate_params(e, b, t)).h_of_L == (h0, 0, 0, 0)
+    assert Member(FamilyParams(e, b, t)).h_of_L == (h0, 0, 0, 0)
 
 
 def test_scroll_report_bundles_everything():
-    p = validate_params(2, 7, 0)
+    p = FamilyParams(2, 7, 0)
     report = Member(p)
     assert report.params == p
     assert report.n == 51

@@ -15,7 +15,7 @@ from fescroll import bundle_family as bf
 from fescroll import chow_ring as cr
 from fescroll import surface_lattice as sl
 from fescroll import verify
-from fescroll.bundle_family import invariant_r, iter_valid_params, validate_params
+from fescroll.bundle_family import FamilyParams, build_split, invariant_r, iter_valid_params
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 
@@ -26,7 +26,7 @@ UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3
 
 @pytest.mark.parametrize("d1", [1, 2, 3])
 def test_r_oracle_calls_cohomology_logarithmically(monkeypatch, d1):
-    p = validate_params(2, 3007, 3000)
+    p = FamilyParams(2, 3007, 3000)
     span = 3 * p.e + 6 + p.t + abs(p.b) + 4
     calls = []
     real = sl.cohomology
@@ -36,7 +36,7 @@ def test_r_oracle_calls_cohomology_logarithmically(monkeypatch, d1):
         return real(s, d)
 
     monkeypatch.setattr(sl, "cohomology", counting)
-    assert verify._r_by_scan(p, d1) == invariant_r(p, d1) == 3 * p.e + 5 + p.t
+    assert verify._r_by_scan(p, d1) == invariant_r(build_split(p), d1) == 3 * p.e + 5 + p.t
     # two window edges and one midpoint per halving, two summands each
     assert len(calls) <= 2 * (2 + math.ceil(math.log2(2 * span + 1)))
 
@@ -53,7 +53,7 @@ def _constant_h0(h0):
 def test_r_oracle_window_edges(monkeypatch, h0, message):
     monkeypatch.setattr(sl, "cohomology", _constant_h0(h0))
     with pytest.raises(ConsistencyError, match=message):
-        verify._r_by_scan(validate_params(2, 7, 0), 3)
+        verify._r_by_scan(FamilyParams(2, 7, 0), 3)
 
 
 # -- threshold certificate -----------------------------------------------------
@@ -63,7 +63,7 @@ def test_r_oracle_window_edges(monkeypatch, h0, message):
 @pytest.mark.parametrize("shift", [1, -1])
 def test_shifted_threshold_fails_the_uniformity_identity(monkeypatch, capsys, d1, shift):
     for p in iter_valid_params(1, 1):
-        r = invariant_r(p, d1)
+        r = invariant_r(build_split(p), d1)
         assert verify._is_threshold(Member(p), d1, r)
         assert not verify._is_threshold(Member(p), d1, r + shift)
     real = bf.invariant_r
@@ -77,7 +77,7 @@ def test_shifted_threshold_fails_the_uniformity_identity(monkeypatch, capsys, d1
 
 @pytest.mark.parametrize("e, b, t", [(2, 3007, 3000), (0, 3, 0)])
 def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e, b, t):
-    member = Member(validate_params(e, b, t))
+    member = Member(FamilyParams(e, b, t))
     calls = []
     real = sl.cohomology
 
