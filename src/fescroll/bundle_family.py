@@ -63,6 +63,11 @@ class FamilyParams(namedtuple("FamilyParams", "e b t")):
     def surface(self) -> Surface:
         return Surface(self.e)
 
+    @property
+    def paper_regime(self) -> bool:
+        """e <= 2 and b = 2e+3+t, where the paper proves v1, v2 and v3."""
+        return self.e <= 2 and self.b == 2 * self.e + 3 + self.t
+
 
 def iter_valid_params(e_max: int, t_max: int):
     """All valid (e, b, t) with e <= e_max, t <= t_max, ordered by (e, t, b)."""

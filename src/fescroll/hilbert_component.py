@@ -73,18 +73,17 @@ def check_hypotheses(
     v2 = tab_bma.h2 == 0
     v3 = tab_bma.h1 == 0
     e, b, t = params.e, params.b, params.t
-    regime = e <= 2 and b == 2 * e + 3 + t
     if v1 != (b < 6 + t + e):
         raise ConsistencyError(f"h1(A-B) = 0 iff b < 6+t+e violated at {params}")
     if v2 != (b >= 2 * e + 3 + t):
         raise ConsistencyError(f"h2(B-A) = 0 iff b >= 2e+3+t violated at {params}")
     if v3 != (b <= 2 * e + 3 + t):
         raise ConsistencyError(f"h1(B-A) = 0 iff b <= 2e+3+t violated at {params}")
-    if regime and not (v1 and v2 and v3):
+    if params.paper_regime and not (v1 and v2 and v3):
         raise ConsistencyError(
             f"e <= 2 and b = 2e+3+t must imply v1, v2, v3; violated at {params}"
         )
-    return HypothesisFlags(regime, v1, v2, v3)
+    return HypothesisFlags(params.paper_regime, v1, v2, v3)
 
 
 def normal_bundle_chern(
@@ -149,7 +148,7 @@ def chi_normal(
             f"chi(N) != (d-3e-3b-3t-12)*n + 122+21t+21e+21b-3d at {params}: "
             f"HRR gives {chi_n}, closed form {closed}"
         )
-    if e <= 2 and b == 2 * e + 3 + t:
+    if params.paper_regime:
         regime_form = n * (n + 1) + 9 * e + 20 + 6 * t
         if chi_n != regime_form:
             raise ConsistencyError(

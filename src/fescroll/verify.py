@@ -6,10 +6,10 @@ surface F_e and read its line-bundle tables from one shared _Sweep;
 member checks run once per valid (e, b, t) and read one shared Member.  So
 each table and each member value is derived once per sweep and the
 cross-check that guards it runs once; a value that raises is not kept, so
-each check that reads a broken value reports it.  A ConsistencyError that
-a check does not catch aborts that check alone, instead of the sweep, so a
-corrupted build reports every identity it breaks, starting from the most
-elementary one.
+each check that reads a broken value reports it.  A ConsistencyError raised
+while a check examines a surface or a member counts as one failed case of
+that check there, and the sweep goes on, so a corrupted build reports every
+identity it breaks on every subject it breaks them at.
 """
 
 from __future__ import annotations
@@ -29,23 +29,17 @@ _SEED = 20260817
 
 
 class CheckResult:
-    def __init__(self, name: str, cases: int, failures: list[str]) -> None:
+    """One identity's case count and capped failures, with its own seeded sample stream."""
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.cases = cases
-        self.failures = failures
+        self.cases = 0
+        self.failures: list[str] = []
+        self.rng = random.Random(_SEED)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-class _Recorder:
-    """Capped failure collector, with the check's own seeded sample stream."""
-
-    def __init__(self) -> None:
-        self.cases = 0
-        self.failures: list[str] = []
-        self.rng = random.Random(_SEED)
 
     def case(self, ok: bool, detail: str | Callable[[], str]) -> None:
         """Count one case; on failure keep its detail, up to the cap.
@@ -106,7 +100,7 @@ def _classes(bound: int = 12):
 
 
 @_register("K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)")
-def _check_canonical(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_canonical(rec: CheckResult, sweep: _Sweep) -> None:
     s = sweep.surface
     k = sl.canonical_class(s)
     genus_c0 = sl.intersect(s, k, sl.C0) + sl.intersect(s, sl.C0, sl.C0)
@@ -119,7 +113,7 @@ def _check_canonical(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("Serre duality: h^i(D) = h^{2-i}(K - D)")
-def _check_serre(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_serre(rec: CheckResult, sweep: _Sweep) -> None:
     s = sweep.surface
     k = sl.canonical_class(s)
     for d in _classes():
@@ -132,7 +126,7 @@ def _check_serre(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("Riemann-Roch: chi(D) = 1 + D.(D-K)/2 with D.(D-K) even")
-def _check_riemann_roch(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_riemann_roch(rec: CheckResult, sweep: _Sweep) -> None:
     s = sweep.surface
     k = sl.canonical_class(s)
     for d in _classes():
@@ -145,7 +139,7 @@ def _check_riemann_roch(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("h^0 = lattice-point count of the section polytope")
-def _check_lattice_oracle(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_lattice_oracle(rec: CheckResult, sweep: _Sweep) -> None:
     s = sweep.surface
     for d in _classes():
         expected = sl.h0_lattice_oracle(s, d)
@@ -155,7 +149,7 @@ def _check_lattice_oracle(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("effective iff a >= 0 and c >= 0 iff h^0 > 0 (nonzero D)")
-def _check_effective(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_effective(rec: CheckResult, sweep: _Sweep) -> None:
     s = sweep.surface
     for d in _classes():
         eff = sl.is_effective(s, d)
@@ -168,7 +162,7 @@ def _check_effective(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("h^0(a*C0 + c*f) nondecreasing in c for a >= 0")
-def _check_monotone(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
     s = sweep.surface
     for a in range(0, 7):
         previous = None
@@ -181,7 +175,7 @@ def _check_monotone(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("intersection pairing symmetric and bilinear")
-def _check_bilinear(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
     s, rng = sweep.surface, rec.rng
     for _ in range(200):
         d1, d2, d3 = (
@@ -197,7 +191,7 @@ def _check_bilinear(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("h^1 fiberwise route = h^1 chi-subtraction route")
-def _check_h1_routes(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_h1_routes(rec: CheckResult, sweep: _Sweep) -> None:
     # cohomology() raises when its two h^1 routes disagree; on top of that
     # its closed-form fiberwise sums are recomputed term by term over the
     # pushforward degrees (of D when a >= 0, of K - D when a <= -2)
@@ -228,16 +222,13 @@ def _check_h1_routes(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f, c2 = A.B = L.M+2 = 3b+8+t", "member")
-def _check_chern_presentations(rec: _Recorder, member: Member) -> None:
-    try:
-        member.chern
-        rec.case(True, "")
-    except ConsistencyError as exc:
-        rec.case(False, str(exc))
+def _check_chern_presentations(rec: CheckResult, member: Member) -> None:
+    member.chern  # raises on a mismatch
+    rec.case(True, "")
 
 
 @_register("ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every r in [0, 40]", "member")
-def _check_ell2(rec: _Recorder, member: Member) -> None:
+def _check_ell2(rec: CheckResult, member: Member) -> None:
     params = member.params
     expected = params.b - params.t - 2 * params.e - 4
     cd = member.chern
@@ -298,41 +289,34 @@ def _is_threshold(member: Member, d1: int, r: int) -> bool:
 
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
            "member")
-def _check_uniformity(rec: _Recorder, member: Member) -> None:
+def _check_uniformity(rec: CheckResult, member: Member) -> None:
     params = member.params
-    try:
-        evidence = member.uniformity
-        split = member.splitting_type
-        r = evidence.r
-        ok = (
-            r == 3 * params.e + 5 + params.t
-            and _is_threshold(member, 2, bf.invariant_r(member.split, 2))
-            and _is_threshold(member, 3, r)
-            and evidence.uniform
-            and evidence.ell3 == 0
-            and split == (3, 1)
-        )
-        rec.case(ok, lambda: f"{params}: r={r}, evidence={evidence}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{params}: {exc}")
+    evidence = member.uniformity
+    split = member.splitting_type
+    r = evidence.r
+    ok = (
+        r == 3 * params.e + 5 + params.t
+        and _is_threshold(member, 2, bf.invariant_r(member.split, 2))
+        and _is_threshold(member, 3, r)
+        and evidence.uniform
+        and evidence.ell3 == 0
+        and split == (3, 1)
+    )
+    rec.case(ok, lambda: f"{params}: r={r}, evidence={evidence}")
 
 
 @_register("h^0(E) = 5e+2b+4t+28 = chi(Sym^1 E), h^1 = h^2 = 0, "
            "h^0(A) = 6e+4t+24, h^0(B) = 2b+4-e", "member")
-def _check_bundle_cohomology(rec: _Recorder, member: Member) -> None:
-    params = member.params
-    try:
-        table = member.tables[2]
-        rec.case(
-            table.chi == bf.sym_chi(member.split, 1),
-            lambda: f"{params}: chi(E)={table.chi} != chi(Sym^1 E)",
-        )
-    except ConsistencyError as exc:
-        rec.case(False, f"{params}: {exc}")
+def _check_bundle_cohomology(rec: CheckResult, member: Member) -> None:
+    table = member.tables[2]
+    rec.case(
+        table.chi == bf.sym_chi(member.split, 1),
+        lambda: f"{member.params}: chi(E)={table.chi} != chi(Sym^1 E)",
+    )
 
 
 @_register("h^1(A - B) = 0 iff b < 6+t+e (boundary sweep)")
-def _check_window_v1(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_window_v1(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.surface.e
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
@@ -344,7 +328,7 @@ def _check_window_v1(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("h^2(B - A) = 0 iff b >= 2e+3+t (boundary sweep)")
-def _check_window_v2(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.surface.e
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
@@ -359,7 +343,7 @@ def _check_window_v2(rec: _Recorder, sweep: _Sweep) -> None:
 
 
 @_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)", "member")
-def _check_grothendieck(rec: _Recorder, member: Member) -> None:
+def _check_grothendieck(rec: CheckResult, member: Member) -> None:
     params, ctx = member.params, member.ctx
     lhs = cr.degree(cr.prod(ctx, cr.XI, cr.XI, cr.XI))
     rhs = sl.intersect(params.surface, ctx.c1, ctx.c1) - ctx.c2
@@ -384,7 +368,7 @@ def _coefficients(rng: random.Random, count: int) -> list[int]:
 
 
 @_register("Chow product commutative, associative, distributive", "member")
-def _check_ring_axioms(rec: _Recorder, member: Member) -> None:
+def _check_ring_axioms(rec: CheckResult, member: Member) -> None:
     ctx = member.ctx
     draws = _coefficients(rec.rng, 6 * 24)  # the stream of six draws of 24
     for i in range(0, 6 * 24, 24):
@@ -397,49 +381,40 @@ def _check_ring_axioms(rec: _Recorder, member: Member) -> None:
 
 
 @_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
-def _check_intersection_numbers(rec: _Recorder, member: Member) -> None:
-    try:
-        member.intersection_numbers  # raises on a mismatch
-        rec.case(True, "")
-    except ConsistencyError as exc:
-        rec.case(False, f"{member.params}: {exc}")
+def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
+    member.intersection_numbers  # raises on a mismatch
+    rec.case(True, "")
 
 
 @_register("deg c3(T_X) = 8 and -K.c2(T_X) = 24", "member")
-def _check_chern_tx(rec: _Recorder, member: Member) -> None:
+def _check_chern_tx(rec: CheckResult, member: Member) -> None:
     ctx = member.ctx
-    try:
-        c1x, c2x, c3x = member.chern_TX
-        ok = (
-            cr.degree(c3x) == 8
-            and cr.degree(cr.multiply(ctx, c1x, c2x)) == 24
-        )
-        rec.case(ok, lambda: f"{member.params}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{member.params}: {exc}")
+    c1x, c2x, c3x = member.chern_TX
+    ok = (
+        cr.degree(c3x) == 8
+        and cr.degree(cr.multiply(ctx, c1x, c2x)) == 24
+    )
+    rec.case(ok, lambda: f"{member.params}")
 
 
 # ------------------------------------------------------------------ scroll
 
 
 @_register("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1", "member")
-def _check_hilbert_poly(rec: _Recorder, member: Member) -> None:
-    try:
-        member.hilbert_poly  # raises on a mismatch
-        rec.case(True, "")
-    except ConsistencyError as exc:
-        rec.case(False, f"{member.params}: {exc}")
+def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
+    member.hilbert_poly  # raises on a mismatch
+    rec.case(True, "")
 
 
 @_register("P(m) is an integer for every integer m (sampled on [-6, 6])", "member")
-def _check_poly_integrality(rec: _Recorder, member: Member) -> None:
+def _check_poly_integrality(rec: CheckResult, member: Member) -> None:
     poly = member.hilbert_poly
     ok = all(poly.is_integral_at(m) for m in range(-6, 7))
     rec.case(ok, lambda: f"{member.params}: {poly}")
 
 
 @_register("d - 3e - 3b - 3t - 12 = n + 1", "member")
-def _check_degree_dimension_identity(rec: _Recorder, member: Member) -> None:
+def _check_degree_dimension_identity(rec: CheckResult, member: Member) -> None:
     params = member.params
     n, d = member.n, member.d
     lhs = d - 3 * params.e - 3 * params.b - 3 * params.t - 12
@@ -447,106 +422,82 @@ def _check_degree_dimension_identity(rec: _Recorder, member: Member) -> None:
 
 
 @_register("n = 5e+2b+4t+27 and d = 8e+5b+7t+40, each by two routes", "member")
-def _check_n_d_routes(rec: _Recorder, member: Member) -> None:
+def _check_n_d_routes(rec: CheckResult, member: Member) -> None:
     params = member.params
     e, b, t = params.e, params.b, params.t
-    try:
-        n, d = member.n, member.d  # d internally: chern, chow, closed form
-        ok = n == 5 * e + 2 * b + 4 * t + 27 and d == 8 * e + 5 * b + 7 * t + 40
-        rec.case(ok, lambda: f"{params}: n={n}, d={d}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{params}: {exc}")
+    n, d = member.n, member.d  # d internally: chern, chow, closed form
+    ok = n == 5 * e + 2 * b + 4 * t + 27 and d == 8 * e + 5 * b + 7 * t + 40
+    rec.case(ok, lambda: f"{params}: n={n}, d={d}")
 
 
 # ----------------------------------------------------------------- hilbert
 
 
 @_register("chi(N) by HRR = (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d", "member")
-def _check_chi_normal(rec: _Recorder, member: Member) -> None:
-    try:
-        member.chi_N  # raises on a mismatch
-        rec.case(True, "")
-    except ConsistencyError as exc:
-        rec.case(False, f"{member.params}: {exc}")
+def _check_chi_normal(rec: CheckResult, member: Member) -> None:
+    member.chi_N  # raises on a mismatch
+    rec.case(True, "")
 
 
 @_register("regime e<=2, b=2e+3+t: dim = chi(N) = n(n+1)+9e+20+6t and "
            "h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)", "regime")
-def _check_component_dimension(rec: _Recorder, member: Member) -> None:
+def _check_component_dimension(rec: CheckResult, member: Member) -> None:
     params = member.params
-    try:
-        report = member.hilbert
-        e, t, n = params.e, params.t, report.n
-        ok = (
-            report.dim_component == n * (n + 1) + 9 * e + 20 + 6 * t
-            and n == 9 * e + 33 + 6 * t
-            and report.hN == (report.chiN, 0, 0, 0)
-        )
-        rec.case(ok, lambda: f"{params}: report={report}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{params}: {exc}")
+    report = member.hilbert
+    e, t, n = params.e, params.t, report.n
+    ok = (
+        report.dim_component == n * (n + 1) + 9 * e + 20 + 6 * t
+        and n == 9 * e + 33 + 6 * t
+        and report.hN == (report.chiN, 0, 0, 0)
+    )
+    rec.case(ok, lambda: f"{params}: report={report}")
 
 
 @_register("regime e<=2, b=2e+3+t: h^0(T_X) = e+12, h^1(T_X) = e-1 for e > 0; "
            "(13, 0) at e = 0; chi(T_X) = 13", "regime")
-def _check_tangent(rec: _Recorder, member: Member) -> None:
+def _check_tangent(rec: CheckResult, member: Member) -> None:
     params = member.params
-    try:
-        table = member.tangent
-        e = params.e
-        expected = (13, 0) if e == 0 else (e + 12, e - 1)
-        ok = (
-            (table.h0, table.h1) == expected
-            and (table.h2, table.h3) == (0, 0)
-            and table.chi == 13
-        )
-        rec.case(ok, lambda: f"{params}: {table}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{params}: {exc}")
+    table = member.tangent
+    e = params.e
+    expected = (13, 0) if e == 0 else (e + 12, e - 1)
+    ok = (
+        (table.h0, table.h1) == expected
+        and (table.h2, table.h3) == (0, 0)
+        and table.chi == 13
+    )
+    rec.case(ok, lambda: f"{params}: {table}")
 
 
 @_register("regime e<=2, b=2e+3+t: scroll-locus codimension = e-1 (e > 0), 0 (e = 0)",
            "regime")
-def _check_codim(rec: _Recorder, member: Member) -> None:
+def _check_codim(rec: CheckResult, member: Member) -> None:
     params = member.params
-    try:
-        codim = hc.scroll_locus_codim(params, member.tangent)
-        expected = 0 if params.e == 0 else params.e - 1
-        rec.case(codim == expected, lambda: f"{params}: codim={codim}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{params}: {exc}")
+    codim = hc.scroll_locus_codim(params, member.tangent)
+    expected = 0 if params.e == 0 else params.e - 1
+    rec.case(codim == expected, lambda: f"{params}: codim={codim}")
 
 
 @_register("e <= 2 and b = 2e+3+t imply the computed vanishings v1, v2, v3", "member")
-def _check_flag_soundness(rec: _Recorder, member: Member) -> None:
-    try:
-        flags = member.flags
-        sound = (not flags.paper_regime) or (flags.v1 and flags.v2 and flags.v3)
-        rec.case(sound, lambda: f"{member.params}: {flags}")
-    except ConsistencyError as exc:
-        rec.case(False, f"{member.params}: {exc}")
+def _check_flag_soundness(rec: CheckResult, member: Member) -> None:
+    flags = member.flags
+    sound = (not flags.paper_regime) or (flags.v1 and flags.v2 and flags.v3)
+    rec.case(sound, lambda: f"{member.params}: {flags}")
 
 
 @_register("chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0")
-def _check_fiber_tangent(rec: _Recorder, sweep: _Sweep) -> None:
+def _check_fiber_tangent(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.surface.e
-    try:
-        table = hc._fiber_tangent_table(e)
-        rec.case(table[0] - table[1] + table[2] == 6, lambda: f"e={e}: {table}")
-    except ConsistencyError as exc:
-        rec.case(False, f"e={e}: {exc}")
+    table = hc._fiber_tangent_table(e)
+    rec.case(table[0] - table[1] + table[2] == 6, lambda: f"e={e}: {table}")
 
 
-def _visit(checks: list[tuple[int, Callable]], outcomes: list, subject) -> None:
-    """Call each (index, check) on subject; a ConsistencyError aborts that check alone."""
-    for i, fn in checks:
-        rec = outcomes[i]
-        if isinstance(rec, str):
-            continue
+def _visit(checks: list[tuple[Callable, CheckResult]], subject, label: str) -> None:
+    """Call each check on subject; a ConsistencyError is one failed case, at label."""
+    for fn, rec in checks:
         try:
             fn(rec, subject)
         except ConsistencyError as exc:
-            outcomes[i] = f"aborted: {exc}"
+            rec.case(False, f"{label}: {exc}")
 
 
 def run_all(e_max: int, t_max: int) -> list[CheckResult]:
@@ -556,22 +507,18 @@ def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     member checks one Member per valid (e, b, t), built in
     iter_valid_params order; each is let go when the next one replaces it,
     so one surface's tables, or one member's data, are alive at a time.  A
-    check that raises ConsistencyError is reported as aborted, with 0
-    cases, and is not called again.  Results come in registration order.
+    ConsistencyError raised while a check examines a surface or a member
+    counts as one failed case of that check, labelled e=<e> or with the
+    member's parameters, and the check goes on to the next subject.
+    Results come in registration order.
     """
-    # a recorder per check, or the message of the error that aborted it
-    outcomes: list[_Recorder | str] = [_Recorder() for _ in _CHECKS]
-    surface = [(i, fn) for i, (_n, fn) in enumerate(_CHECKS) if fn.sweep == "surface"]
-    member = [(i, fn) for i, (_n, fn) in enumerate(_CHECKS) if fn.sweep == "member"]
-    regime = [(i, fn) for i, (_n, fn) in enumerate(_CHECKS) if fn.sweep != "surface"]
+    results = [CheckResult(name) for name, _fn in _CHECKS]
+    checks = [(fn, rec) for (_name, fn), rec in zip(_CHECKS, results)]
+    surface = [(fn, rec) for fn, rec in checks if fn.sweep == "surface"]
+    member = [(fn, rec) for fn, rec in checks if fn.sweep == "member"]
+    regime = [(fn, rec) for fn, rec in checks if fn.sweep != "surface"]
     for e in range(e_max + 1):
-        _visit(surface, outcomes, _Sweep(e, t_max))
+        _visit(surface, _Sweep(e, t_max), f"e={e}")
     for params in bf.iter_valid_params(e_max, t_max):
-        in_regime = params.e <= 2 and params.b == 2 * params.e + 3 + params.t
-        _visit(regime if in_regime else member, outcomes, Member(params))
-    return [
-        CheckResult(name, 0, [outcome])
-        if isinstance(outcome, str)
-        else CheckResult(name, outcome.cases, outcome.failures)
-        for (name, _fn), outcome in zip(_CHECKS, outcomes)
-    ]
+        _visit(regime if params.paper_regime else member, Member(params), str(params))
+    return results

@@ -1,12 +1,16 @@
 """Internals of the verify battery: the r oracle and the threshold certificate,
-the per-surface table memo, the sample draws, the recorder, and the identity
-that a broken Chow pairing fails."""
+the per-surface table memo, the sample draws, the recorder, how an error
+raised inside an identity is counted, the identity names the benchmark
+traces, and the identity that a broken Chow pairing fails."""
 
+import json
 import math
 import random
 import sys
 import weakref
 from collections import Counter
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +90,7 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
         return real(s, d)
 
     monkeypatch.setattr(sl, "cohomology", counting)
-    rec = verify._Recorder()
+    rec = verify.CheckResult("identity")
     verify._check_uniformity(rec, member)
     assert (rec.cases, rec.failures) == (1, [])
     assert len(calls) <= 8
@@ -147,14 +151,14 @@ def _detail_not_called():
 
 
 def test_recorder_formats_no_detail_of_a_passing_case():
-    rec = verify._Recorder()
+    rec = verify.CheckResult("identity")
     for _ in range(100):
         rec.case(True, _detail_not_called)
     assert rec.cases == 100 and rec.failures == []
 
 
 def test_recorder_caps_failures_and_formats_only_kept_ones():
-    rec = verify._Recorder()
+    rec = verify.CheckResult("identity")
     for i in range(verify._MAX_FAILURES):
         rec.case(False, lambda i=i: f"failure {i}")
     for _ in range(20):
@@ -168,10 +172,66 @@ def test_recorder_caps_failures_and_formats_only_kept_ones():
 
 
 def test_recorder_keeps_string_details():
-    rec = verify._Recorder()
+    rec = verify.CheckResult("identity")
     rec.case(False, "plain")
     rec.case(False, lambda: "lazy")
     assert rec.failures == ["plain", "lazy"]
+
+
+# -- errors raised inside an identity ----------------------------------------
+
+LATTICE = "h^0 = lattice-point count of the section polytope"
+
+
+def _results_by_name(e_max, t_max):
+    return {result.name: result for result in verify.run_all(e_max, t_max)}
+
+
+def test_an_error_on_one_surface_is_one_failed_case_of_that_surface(monkeypatch):
+    real = sl.h0_lattice_oracle
+
+    def oracle(s, d):
+        if s.e == 1:
+            raise ConsistencyError("lattice count unavailable")
+        return real(s, d)
+
+    monkeypatch.setattr(sl, "h0_lattice_oracle", oracle)
+    results = _results_by_name(2, 0)
+    lattice = results.pop(LATTICE)
+    assert lattice.failures == ["e=1: lattice count unavailable"]
+    # every class of e = 0 and e = 2, and one case for e = 1
+    assert lattice.cases == 2 * len(verify._classes()) + 1
+    assert all(result.ok for result in results.values())
+
+
+def test_an_error_on_every_member_is_one_failed_case_per_member(monkeypatch):
+    def broken(member):
+        raise ConsistencyError("P(m) unavailable")
+
+    monkeypatch.setattr(Member, "hilbert_poly", property(broken))
+    results = _results_by_name(1, 1)
+    expected = [f"{p}: P(m) unavailable"
+                for p in islice(iter_valid_params(1, 1), verify._MAX_FAILURES)]
+    expected.append("... more failures suppressed")
+    # the guard identity that computes P(m) and the one that only reads it
+    for name in ("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1",
+                 "P(m) is an integer for every integer m (sampled on [-6, 6])"):
+        result = results.pop(name)
+        assert result.cases == bf.grid_member_count(1, 1)
+        assert result.failures == expected
+    assert all(result.ok for result in results.values())
+
+
+# -- the benchmark's view of verify --------------------------------------------
+
+
+def test_benchmark_traces_every_identity_by_its_function_name():
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    prefix = "verify.identity_s."
+    traced = {metric["name"].removeprefix(prefix) for metric in spec["per_layer"]
+              if metric["name"].startswith(prefix)}
+    assert traced == {fn.__name__ for _name, fn in verify._CHECKS}
+    assert all(fn.sweep in ("surface", "member", "regime") for _name, fn in verify._CHECKS)
 
 
 # -- Chow pairings ------------------------------------------------------------
