@@ -109,15 +109,17 @@ def extension_data(params: FamilyParams) -> ExtensionData:
     )
 
 
-def chern(params: FamilyParams) -> ChernData:
-    """Chern data, cross-asserted over all three presentations."""
+def chern(params: FamilyParams, bundle: SplitBundle) -> ChernData:
+    """Chern data, cross-asserted over all three presentations.
+
+    bundle is the member's split form build_split(params).
+    """
     s = params.surface
-    bun = build_split(params)
     ext = extension_data(params)
     c1_closed = DivisorClass(4, params.b + 3 * params.e + 6 + params.t)
     c2_closed = 3 * params.b + 8 + params.t
-    c1_split = bun.A + bun.B
-    c2_split = intersect(s, bun.A, bun.B)
+    c1_split = bundle.A + bundle.B
+    c2_split = intersect(s, bundle.A, bundle.B)
     c1_ext = ext.L + ext.M
     c2_ext = intersect(s, ext.L, ext.M) + ext.w_len
     if not (c1_closed == c1_split == c1_ext and c2_closed == c2_split == c2_ext):
@@ -156,36 +158,36 @@ def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
     )
 
 
-def splitting_type(params: FamilyParams, cd: ChernData, r3: int) -> tuple[int, int]:
-    """Generic splitting type on curves of class C0, decided by ell.
-
-    ell at d1=3 must vanish at the threshold r3 = invariant_r(bundle, 3),
-    and ell at d1=2 must be negative.  Its r coefficient 2*d1 - 4 vanishes
-    at d1=2, so one evaluation gives b-t-2e-4 for every r.
-    """
-    expected2 = params.b - params.t - 2 * params.e - 4
-    if ell_invariant(cd, params.e, 2, r3) != expected2:
-        raise ConsistencyError(f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={r3}")
-    if expected2 >= 0:
-        raise ConsistencyError(f"expected ell(c1,c2,2,r) = b-t-2e-4 < 0 at {params}")
-    if ell_invariant(cd, params.e, 3, r3) != 0:
-        raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={r3}")
-    return (3, 1)
-
-
 UniformityEvidence = namedtuple("UniformityEvidence", "uniform r ell2 ell3")
 
 
 def is_uniform(bundle: SplitBundle, cd: ChernData) -> UniformityEvidence:
     """Uniformity (ell vanishes at d1=3), with the witnessing numbers.
 
-    ell at d1=2 has r coefficient 2*d1 - 4 = 0, so, as in splitting_type,
-    it is evaluated at r3 rather than at its own threshold.
+    ell at d1=2 has r coefficient 2*d1 - 4 = 0, so it is evaluated at r3
+    rather than at its own threshold.
     """
     r3 = invariant_r(bundle, 3)
     ell3 = ell_invariant(cd, bundle.e, 3, r3)
     ell2 = ell_invariant(cd, bundle.e, 2, r3)
     return UniformityEvidence(uniform=ell3 == 0, r=r3, ell2=ell2, ell3=ell3)
+
+
+def splitting_type(params: FamilyParams, evidence: UniformityEvidence) -> tuple[int, int]:
+    """Generic splitting type on curves of class C0, decided by ell.
+
+    evidence is is_uniform(bundle, cd): ell at d1=3 must vanish at the
+    threshold r3 = invariant_r(bundle, 3), and ell at d1=2 must equal
+    b-t-2e-4 < 0.
+    """
+    expected2 = params.b - params.t - 2 * params.e - 4
+    if evidence.ell2 != expected2:
+        raise ConsistencyError(f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={evidence.r}")
+    if expected2 >= 0:
+        raise ConsistencyError(f"expected ell(c1,c2,2,r) = b-t-2e-4 < 0 at {params}")
+    if evidence.ell3 != 0:
+        raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={evidence.r}")
+    return (3, 1)
 
 
 def bundle_cohomology(

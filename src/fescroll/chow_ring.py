@@ -227,18 +227,15 @@ IntersectionNumbers = namedtuple("IntersectionNumbers", "L3 KL2 K2L K3 c2L Kc2 c
 
 
 def intersection_numbers(
-    ctx: ScrollContext, n: int, tangent: tuple[ChowClass, ChowClass, ChowClass]
+    ctx: ScrollContext, tangent: tuple[ChowClass, ChowClass, ChowClass]
 ) -> IntersectionNumbers:
     """All degree-3 pairings of L, K and the Chern classes of T_X.
 
     ``tangent`` is chern_TX(ctx).  Every entry is computed twice: by the
     Chow pairings triple() and pairing() and by the closed forms in
-    (d, e, b, t).  Any disagreement, or an n inconsistent with the
-    context, raises ConsistencyError.
+    (d, e, b, t).  Any disagreement raises ConsistencyError.
     """
     e, b, t = ctx.params.e, ctx.params.b, ctx.params.t
-    if n != 5 * e + 2 * b + 4 * t + 27:
-        raise ConsistencyError(f"n={n} inconsistent with context {ctx}")
     c1x, c2x, c3x = tangent
     k = -c1x  # K_X, as chern_TX checked
     by_chow = IntersectionNumbers(

@@ -220,7 +220,7 @@ def _report_plain(member: Member) -> str:
 def cmd_report(args) -> tuple[str, int]:
     member = Member(FamilyParams(args.e, args.b, args.t))
     # every format runs the checks the report lists, though the CSV row omits some
-    member.hilbert_poly, member.h_of_L, member.splitting_type
+    member.hilbert_poly, member.tables, member.splitting_type
     return _render(
         args.format,
         plain=lambda: _report_plain(member),

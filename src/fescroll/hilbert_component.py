@@ -186,7 +186,8 @@ def tangent_cohomology(
 
     flags come from check_hypotheses, n is the embedding dimension and
     pieces = sym2_pieces(bundle), the tables of the summands A-B, O and B-A
-    of Sym^2(E)(-c1).
+    of Sym^2(E)(-c1).  chi(T_X) = 13 and (h^0, h^1)(T_X) = (e+12, e-1) for
+    e > 0, (13, 0) at e = 0, are asserted.
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
@@ -214,16 +215,6 @@ def tangent_cohomology(
     return table
 
 
-def scroll_locus_codim(params: FamilyParams, table: TangentCohomology) -> int:
-    """Codimension of the scroll locus inside the component: h^1(T_X)."""
-    expected = 0 if params.e == 0 else params.e - 1
-    if table.h1 != expected:
-        raise ConsistencyError(
-            f"scroll-locus codimension != max(e-1, 0) at {params}: got {table.h1}"
-        )
-    return table.h1
-
-
 def component_dimension(
     params: FamilyParams,
     flags: HypothesisFlags,
@@ -236,7 +227,8 @@ def component_dimension(
 
     dim = chi(N) = h^0(N) once the flags hold.  The identification
     h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming from the Euler
-    sequence is run as a mandatory self-check.
+    sequence is run as a mandatory self-check.  The scroll locus has
+    codimension h^1(T_X), which tangent_cohomology asserts is max(e-1, 0).
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
@@ -246,7 +238,6 @@ def component_dimension(
             f"h^0(N) != (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) at {params}: "
             f"chi(N)={chi_n}, Euler-sequence value {h0_n_euler}"
         )
-    codim = scroll_locus_codim(params, tangent)
     return HilbertReport(
         params=params,
         flags=flags,
@@ -257,5 +248,5 @@ def component_dimension(
         hN=(chi_n, 0, 0, 0),
         hTX=tangent.as_tuple(),
         chiTX=tangent.chi,
-        codim_scroll_locus=codim,
+        codim_scroll_locus=tangent.h1,
     )

@@ -19,7 +19,6 @@ from . import bundle_family as bf
 from . import chow_ring as cr
 from . import hilbert_component as hc
 from . import scroll_invariants as si
-from .errors import ConsistencyError
 from .surface_lattice import CohomologyTable
 
 
@@ -30,7 +29,7 @@ class Member:
     @cached_property
     def chern(self) -> bf.ChernData:
         """c1 and c2 of E, agreed across the three presentations."""
-        return bf.chern(self.params)
+        return bf.chern(self.params, self.split)
 
     @cached_property
     def ctx(self) -> cr.ScrollContext:
@@ -58,13 +57,7 @@ class Member:
     @cached_property
     def h_of_L(self) -> tuple[int, int, int, int]:
         """h^i(X, L) for i = 0..3: the table of E with h^3 = 0."""
-        table = self.tables[2]
-        h_of_L = (table.h0, table.h1, table.h2, 0)
-        if h_of_L != (self.n + 1, 0, 0, 0):
-            raise ConsistencyError(
-                f"h^i(X, L) != (n+1, 0, 0, 0) at {self.params}: got {h_of_L}"
-            )
-        return h_of_L
+        return (*self.tables[2].as_tuple(), 0)
 
     @cached_property
     def uniformity(self) -> bf.UniformityEvidence:
@@ -73,7 +66,7 @@ class Member:
 
     @cached_property
     def splitting_type(self) -> tuple[int, int]:
-        return bf.splitting_type(self.params, self.chern, self.uniformity.r)
+        return bf.splitting_type(self.params, self.uniformity)
 
     @cached_property
     def chern_TX(self) -> tuple[cr.ChowClass, cr.ChowClass, cr.ChowClass]:
@@ -81,7 +74,7 @@ class Member:
 
     @cached_property
     def intersection_numbers(self) -> cr.IntersectionNumbers:
-        return cr.intersection_numbers(self.ctx, self.n, self.chern_TX)
+        return cr.intersection_numbers(self.ctx, self.chern_TX)
 
     @cached_property
     def hilbert_poly(self) -> si.RationalCubic:

@@ -12,14 +12,12 @@ import pytest
 from fescroll.bundle_family import (
     FamilyParams,
     build_split,
-    chern,
     ell_invariant,
     invariant_r,
     iter_valid_params,
     sym_chi,
 )
 from fescroll.chow_ring import XI, IntersectionNumbers, degree, prod
-from fescroll.hilbert_component import scroll_locus_codim
 from fescroll.member import Member
 from fescroll.surface_lattice import intersect
 from fescroll.verify import run_all
@@ -79,7 +77,7 @@ def test_c03_embedding_dimension_and_degree(criterion):
             assert n == 5 * p.e + 2 * p.b + 4 * p.t + 27
             assert d == 8 * p.e + 5 * p.b + 7 * p.t + 40
             assert d - 3 * p.e - 3 * p.b - 3 * p.t - 12 == n + 1
-            cd = chern(p)
+            cd = m.chern
             assert d == intersect(p.surface, cd.c1, cd.c1) - cd.c2
             ctx = m.ctx
             assert d == degree(prod(ctx, XI, XI, XI))
@@ -152,9 +150,8 @@ def test_c09_scroll_locus_codimension(criterion):
     with criterion("C9 scroll-locus codimension: 0 at e = 0, e-1 for e > 0"):
         for p in REGIME:
             expected = 0 if p.e == 0 else p.e - 1
-            assert scroll_locus_codim(p, Member(p).tangent) == expected
-        p = FamilyParams(2, 7, 0)
-        assert scroll_locus_codim(p, Member(p).tangent) == 1
+            assert Member(p).hilbert.codim_scroll_locus == expected
+        assert Member(FamilyParams(2, 7, 0)).hilbert.codim_scroll_locus == 1
 
 
 def test_c10_verification_battery(criterion):

@@ -71,14 +71,15 @@ def test_build_split_example():
 
 
 def test_chern_example():
-    data = chern(FamilyParams(2, 7, 0))
+    p = FamilyParams(2, 7, 0)
+    data = chern(p, build_split(p))
     assert data.c1 == D(4, 19)
     assert data.c2 == 29
 
 
 def test_chern_closed_form_across_grid():
     for p in iter_valid_params(4, 6):
-        data = chern(p)
+        data = chern(p, build_split(p))
         assert data.c1 == D(4, p.b + 3 * p.e + 6 + p.t)
         assert data.c2 == 3 * p.b + 8 + p.t
 
@@ -146,13 +147,13 @@ def test_invariant_r_rejects_bad_degree():
 )
 def test_ell_invariant_spots(e, b, t, d1, r, expected):
     p = FamilyParams(e, b, t)
-    assert ell_invariant(chern(p), e, d1, r) == expected
+    assert ell_invariant(chern(p, build_split(p)), e, d1, r) == expected
 
 
 def test_ell2_closed_form_and_negativity():
     for p in iter_valid_params(4, 6):
         want = p.b - p.t - 2 * p.e - 4
-        cd = chern(p)
+        cd = chern(p, build_split(p))
         for r in range(0, 41):
             assert ell_invariant(cd, p.e, 2, r) == want
         assert want < 0
@@ -160,7 +161,8 @@ def test_ell2_closed_form_and_negativity():
 
 def test_ell3_vanishes_at_r():
     for p in iter_valid_params(4, 6):
-        assert ell_invariant(chern(p), p.e, 3, invariant_r(build_split(p), 3)) == 0
+        bundle = build_split(p)
+        assert ell_invariant(chern(p, bundle), p.e, 3, invariant_r(bundle, 3)) == 0
 
 
 def test_splitting_type():

@@ -18,7 +18,6 @@ from fescroll.chow_ring import (
     pullback,
     triple,
 )
-from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, Surface, canonical_class, intersect
 
@@ -106,7 +105,7 @@ def _oracle_numbers(ctx):
 
 
 def test_intersection_numbers_record():
-    nums = intersection_numbers(CTX, 51, chern_TX(CTX))
+    nums = intersection_numbers(CTX, chern_TX(CTX))
     assert nums == IntersectionNumbers(
         L3=91, KL2=-100, K2L=88, K3=-56, c2L=42, Kc2=-24, c3=8
     )
@@ -117,20 +116,13 @@ def test_intersection_numbers_record():
 def test_scroll_degree_spots(e, b, t, l3):
     p = FamilyParams(e, b, t)
     ctx = Member(p).ctx
-    n = 5 * e + 2 * b + 4 * t + 27
-    assert intersection_numbers(ctx, n, chern_TX(ctx)).L3 == l3
+    assert intersection_numbers(ctx, chern_TX(ctx)).L3 == l3
 
 
 def test_intersection_numbers_grid_against_hand_expansion():
     for p in iter_valid_params(3, 3):
         ctx = Member(p).ctx
-        n = 5 * p.e + 2 * p.b + 4 * p.t + 27
-        assert intersection_numbers(ctx, n, chern_TX(ctx)) == _oracle_numbers(ctx)
-
-
-def test_intersection_numbers_rejects_wrong_n():
-    with pytest.raises(ConsistencyError, match="inconsistent"):
-        intersection_numbers(CTX, 50, chern_TX(CTX))
+        assert intersection_numbers(ctx, chern_TX(ctx)) == _oracle_numbers(ctx)
 
 
 def test_class_arithmetic():

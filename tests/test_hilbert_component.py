@@ -8,7 +8,6 @@ from fescroll.hilbert_component import (
     HypothesisFlags,
     TangentCohomology,
     normal_bundle_chern,
-    scroll_locus_codim,
 )
 from fescroll.member import Member
 
@@ -134,7 +133,7 @@ def test_tangent_table_invariant():
 @pytest.mark.parametrize("e,b,t,codim", [(2, 7, 0, 1), (0, 3, 0, 0), (1, 5, 0, 0)])
 def test_scroll_locus_codim(e, b, t, codim):
     p = FamilyParams(e, b, t)
-    assert scroll_locus_codim(p, Member(p).tangent) == codim
+    assert Member(p).hilbert.codim_scroll_locus == codim
 
 
 def test_component_dimension_report():

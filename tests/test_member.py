@@ -57,8 +57,7 @@ def test_report_computes_each_value_once(calls, capsys):
     assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
     capsys.readouterr()
     assert dict(calls) == {
-        # once for the Chern cross-check, once for the member's split form
-        "build_split": 2,
+        "build_split": 1,
         "chern": 1,
         "invariant_r": 1,
         "bundle_cohomology": 1,
@@ -88,7 +87,7 @@ def test_verify_computes_each_value_once_per_member(calls, capsys):
     names = ("chern", "bundle_cohomology", "chern_TX", "intersection_numbers",
              "hilbert_polynomial")
     assert {name: calls[name] for name in names} == dict.fromkeys(names, members)
-    assert calls["build_split"] <= 2 * members
+    assert calls["build_split"] == members
 
 
 def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):

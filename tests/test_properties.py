@@ -179,7 +179,8 @@ def test_pairings_reject_mixed_degrees(ctx, x, w, off_divisor, off_curve, k, slo
 
 @given(family_params(), st.integers(-20, 60))
 def test_ell2_independent_of_r(params, r):
-    assert ell_invariant(chern(params), params.e, 2, r) == params.b - params.t - 2 * params.e - 4
+    cd = chern(params, build_split(params))
+    assert ell_invariant(cd, params.e, 2, r) == params.b - params.t - 2 * params.e - 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,8 +247,8 @@ def test_flags_match_windows(params):
 
 @given(family_params())
 def test_chern_data_consistent(params):
-    data = chern(params)  # internally cross-asserts the three presentations
-    s = params.surface
     bun = build_split(params)
+    data = chern(params, bun)  # internally cross-asserts the three presentations
+    s = params.surface
     assert data.c1 == bun.A + bun.B
     assert data.c2 == intersect(s, bun.A, bun.B)

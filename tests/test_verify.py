@@ -1,6 +1,7 @@
 """Internals of the verify battery: the r oracle and the threshold certificate,
 the per-surface table memo, the sample draws, the recorder, how an error
-raised inside an identity is counted, the identity names the benchmark
+raised inside an identity is counted, the guard identities that fail when
+only a layer's own check catches a fault, the identity names the benchmark
 traces, and the identity that a broken Chow pairing fails."""
 
 import json
@@ -17,6 +18,7 @@ import pytest
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
 from fescroll import chow_ring as cr
+from fescroll import hilbert_component as hc
 from fescroll import surface_lattice as sl
 from fescroll import verify
 from fescroll.bundle_family import FamilyParams, build_split, invariant_r, iter_valid_params
@@ -24,6 +26,8 @@ from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 
 UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
+ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every r in [0, 40]"
+FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
 
 # -- r oracle ----------------------------------------------------------------
 
@@ -200,7 +204,7 @@ def test_an_error_on_one_surface_is_one_failed_case_of_that_surface(monkeypatch)
     lattice = results.pop(LATTICE)
     assert lattice.failures == ["e=1: lattice count unavailable"]
     # every class of e = 0 and e = 2, and one case for e = 1
-    assert lattice.cases == 2 * len(verify._classes()) + 1
+    assert lattice.cases == 2 * len(verify._CLASSES) + 1
     assert all(result.ok for result in results.values())
 
 
@@ -222,6 +226,54 @@ def test_an_error_on_every_member_is_one_failed_case_per_member(monkeypatch):
     assert all(result.ok for result in results.values())
 
 
+# -- faults that only a layer's own check catches --------------------------------
+
+
+def _verify_1_1_exit_code(capsys):
+    code = cli.main(["verify", "--e-max", "1", "--t-max", "1"])
+    capsys.readouterr()
+    return code
+
+
+def test_a_wrong_fiber_tangent_table_fails_every_guard_that_forces_it(monkeypatch, capsys):
+    # Riemann-Roch for T_{F_e} reads chi = 7, so _fiber_tangent_table raises,
+    # and with it tangent_cohomology on every regime member
+    real = hc.intersect
+    monkeypatch.setattr(hc, "intersect", lambda s, x, y: real(s, x, y) + 2)
+    assert _verify_1_1_exit_code(capsys) == 3
+    results = _results_by_name(1, 1)
+    message = "chi(T_F) != 6 at e={}: table (6, 0, 0), RR 7"
+    fiber = results.pop(FIBER_TANGENT)
+    assert fiber.cases == 2
+    assert fiber.failures == [f"e={e}: {message.format(e)}" for e in (0, 1)]
+    regime = [p for p in iter_valid_params(1, 1) if p.paper_regime]
+    for name, fn in verify._CHECKS:
+        if fn.sweep == "regime":
+            result = results.pop(name)
+            assert result.cases == len(regime) == 4
+            assert result.failures == [f"{p}: {message.format(p.e)}" for p in regime]
+    assert all(result.ok for result in results.values())
+
+
+def test_a_wrong_ell3_fails_the_uniformity_identity_through_splitting_type(
+        monkeypatch, capsys):
+    real = bf.ell_invariant
+    monkeypatch.setattr(bf, "ell_invariant",
+                        lambda cd, e, d1, r: real(cd, e, d1, r) + (d1 == 3))
+    assert _verify_1_1_exit_code(capsys) == 3
+    results = _results_by_name(1, 1)
+    uniformity = results.pop(UNIFORMITY)
+    assert uniformity.cases == bf.grid_member_count(1, 1)
+    members = islice(iter_valid_params(1, 1), verify._MAX_FAILURES)
+    assert uniformity.failures == [
+        *(f"{p}: expected ell(c1,c2,3,r) = 0 at {p}, r={3 * p.e + 5 + p.t}"
+          for p in members),
+        "... more failures suppressed",
+    ]
+    assert results[ELL2].ok
+    assert all(result.ok for result in results.values())
+
+
 # -- the benchmark's view of verify --------------------------------------------
 
 
@@ -232,6 +284,22 @@ def test_benchmark_traces_every_identity_by_its_function_name():
               if metric["name"].startswith(prefix)}
     assert traced == {fn.__name__ for _name, fn in verify._CHECKS}
     assert all(fn.sweep in ("surface", "member", "regime") for _name, fn in verify._CHECKS)
+
+
+def test_checks_keep_the_28_traced_identities_in_golden_order():
+    # bench/reference.py counts 28 identities; a dropped or reordered one
+    # must show here, not only as a benchmark failure
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    prefix = "verify.identity_s."
+    traced = [metric["name"].removeprefix(prefix) for metric in spec["per_layer"]
+              if metric["name"].startswith(prefix)]
+    golden = (root / "tests" / "golden" / "verify_4_6_plain.txt").read_text()
+    labels = [line.split("]  ", 1)[1] for line in golden.splitlines()
+              if line.startswith("PASS")]
+    assert len(verify._CHECKS) == len(traced) == len(labels) == 28
+    assert [fn.__name__ for _name, fn in verify._CHECKS] == traced
+    assert [name for name, _fn in verify._CHECKS] == labels
 
 
 # -- Chow pairings ------------------------------------------------------------
