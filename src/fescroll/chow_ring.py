@@ -30,7 +30,10 @@ and pairing() for a divisor class against a curve class, the pt row of
 multiply().  multiply() and prod() build the full normal form; the
 verification suite checks them against the ring axioms and the
 projective-bundle relation, and the tests check the pairings against
-them.
+them.  P(m) and chi(N) read the ring only through intersection_numbers():
+by Riemann-Roch each is a polynomial in those seven numbers.  Building
+the Chern classes of the normal bundle as Chow classes is kept as a test
+oracle for chi(N).
 """
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ engine computes rather than assumes:
     v3: h^1(B - A) = 0        (window b <= 2e+3+t)
 
 together with the literal regime flag e <= 2 and b = 2e+3+t.  The Euler
-characteristic chi(N) of the normal bundle is unconditional (Riemann-Roch
-needs no vanishing) and is exposed for every valid triple; identifying it
-with h^0(N) and with the component dimension is gated on the flags.
+characteristic chi(N) of the normal bundle is Hirzebruch-Riemann-Roch over
+the member's seven intersection numbers, so no Chow class is built here;
+the route through the Chern classes of N in the Chow ring is a test
+oracle.  chi(N) is unconditional (Riemann-Roch needs no vanishing) and is
+exposed for every valid triple; identifying it with h^0(N) and with the
+component dimension is gated on the flags.
 Operations called outside the regime raise HypothesesError listing the
 failing flags, so an unproved number can never appear in a proved field.
 """
@@ -20,15 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bundle_family import FamilyParams
-from .chow_ring import (
-    XI,
-    ChowClass,
-    ScrollContext,
-    degree,
-    multiply,
-    pairing,
-    triple,
-)
+from .chow_ring import IntersectionNumbers
 from .errors import ConsistencyError, HypothesesError, exact_div
 from .surface_lattice import CohomologyTable, Surface, canonical_class, intersect
 
@@ -86,61 +81,32 @@ def check_hypotheses(
     return HypothesisFlags(params.paper_regime, v1, v2, v3)
 
 
-def normal_bundle_chern(
-    ctx: ScrollContext, n: int, tangent: tuple[ChowClass, ChowClass, ChowClass]
-) -> tuple[ChowClass, ChowClass, ChowClass]:
-    """Chern classes of the normal bundle N of X in P^n.
-
-    From c(N) = (1 + L)^(n+1) / c(T_X):
-
-        n1 = K + (n+1) L
-        n2 = n(n+1)/2 L^2 + (n+1) L.K + K^2 - c2
-        n3 = (n-1)n(n+1)/6 L^3 + n(n+1)/2 K.L^2 + (n+1) K^2.L
-             - (n+1) c2.L - 2 c2.K + K^3 - c3
-
-    with c_i = c_i(T_X) given as ``tangent``.  The binomial prefactors are
-    integers; their divisibility is asserted.  n3 is a zero-cycle, built
-    from its degree-3 pairings.
-    """
-    c1x, c2x, c3x = tangent
-    k = -c1x  # K_X, as chern_TX checked
-    half = exact_div(n * (n + 1), 2, "n(n+1)/2")
-    sixth = exact_div((n - 1) * n * (n + 1), 6, "(n-1)n(n+1)/6")
-    l2 = multiply(ctx, XI, XI)
-    n1 = k + (n + 1) * XI
-    n2 = half * l2 + (n + 1) * multiply(ctx, XI, k) + multiply(ctx, k, k) - c2x
-    n3 = ChowClass(pt=(
-        sixth * triple(ctx, XI, XI, XI)
-        + half * triple(ctx, k, XI, XI)
-        + (n + 1) * triple(ctx, k, k, XI)
-        - (n + 1) * pairing(ctx, XI, c2x)
-        - 2 * pairing(ctx, k, c2x)
-        + triple(ctx, k, k, k)
-    )) - c3x
-    return n1, n2, n3
-
-
-def chi_normal(
-    ctx: ScrollContext, n: int, d: int, tangent: tuple[ChowClass, ChowClass, ChowClass]
-) -> int:
+def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) -> int:
     """chi(N) by Hirzebruch-Riemann-Roch; valid for every parameter triple.
 
-    chi(N) = 1/6 (n1^3 - 3 n1.n2 + 3 n3) + 1/4 c1.(n1^2 - 2 n2)
-             + 1/12 (c1^2 + c2).n1 + (n - 3)
+    N is the normal bundle of X in P^n, of rank n - 3, with c(N) =
+    (1 + L)^(n+1) / c(T_X).  With c_i = c_i(T_X) (Fulton, 15.2),
 
-    with c_i = c_i(T_X) given as ``tangent`` and rank N = n - 3; each
-    product is read off by the pairings triple() and pairing().  The result
-    must match the closed form (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d,
-    and on the regime e <= 2, b = 2e+3+t also n(n+1) + 9e + 20 + 6t.
+        12 chi(N) = 2 (n1^3 - 3 n1.n2 + 3 n3) + 3 c1.(n1^2 - 2 n2)
+                    + (c1^2 + c2).n1 + 12 (n - 3),
+
+    where n1 = K + pL and n1^2 - 2 n2 = pL^2 - K^2 + 2 c2 for p = n+1, so
+    each product is an integer polynomial in n and the member's
+    intersection numbers ``nums``.  The result must match the closed form
+    (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d, and on the regime
+    e <= 2, b = 2e+3+t also n(n+1) + 9e + 20 + 6t.
     """
-    params = ctx.params
-    n1, n2, n3 = normal_bundle_chern(ctx, n, tangent)
-    c1x, c2x, _c3x = tangent
-    ch3 = triple(ctx, n1, n1, n1) - 3 * pairing(ctx, n1, n2) + 3 * degree(n3)
-    ch2_td1 = triple(ctx, c1x, n1, n1) - 2 * pairing(ctx, c1x, n2)
-    ch1_td2 = triple(ctx, c1x, c1x, n1) + pairing(ctx, n1, c2x)
-    # twelve times chi(N), summed in integers and divided once
-    chi_n = exact_div(2 * ch3 + 3 * ch2_td1 + ch1_td2 + 12 * (n - 3), 12, "chi(N)")
+    l3, kl2, k2l, k3, c2l, kc2, c3 = nums
+    p = n + 1
+    h = exact_div(n * p, 2, "n(n+1)/2")
+    s = exact_div((n - 1) * n * p, 6, "(n-1)n(n+1)/6")
+    n1_cubed = k3 + 3 * p * k2l + 3 * p * p * kl2 + p ** 3 * l3
+    n1_n2 = k3 + 2 * p * k2l + (h + p * p) * kl2 + p * h * l3 - kc2 - p * c2l
+    n3 = s * l3 + h * kl2 + p * k2l - p * c2l - 2 * kc2 + k3 - c3
+    ch2_td1 = k3 - p * kl2 - 2 * kc2  # c1.(n1^2 - 2 n2)
+    ch1_td2 = k3 + p * k2l + kc2 + p * c2l  # (c1^2 + c2).n1
+    twelve_chi = 2 * (n1_cubed - 3 * n1_n2 + 3 * n3) + 3 * ch2_td1 + ch1_td2 + 12 * (n - 3)
+    chi_n = exact_div(twelve_chi, 12, "chi(N)")
     e, b, t = params.e, params.b, params.t
     closed = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
     if chi_n != closed:
@@ -173,7 +139,6 @@ def _fiber_tangent_table(e: int) -> tuple[int, int, int]:
 def tangent_cohomology(
     params: FamilyParams,
     flags: HypothesisFlags,
-    n: int,
     pieces: tuple[CohomologyTable, CohomologyTable, CohomologyTable],
 ) -> TangentCohomology:
     """h^i(T_X) from the relative-tangent sequence; gated on all flags.
@@ -184,10 +149,9 @@ def tangent_cohomology(
         h^0(T_X) = h^0(Sym^2 E (-c1)) + h^0(T_F),  h^1(T_X) = h^1(T_F),
         h^2 = h^3 = 0.
 
-    flags come from check_hypotheses, n is the embedding dimension and
-    pieces = sym2_pieces(bundle), the tables of the summands A-B, O and B-A
-    of Sym^2(E)(-c1).  chi(T_X) = 13 and (h^0, h^1)(T_X) = (e+12, e-1) for
-    e > 0, (13, 0) at e = 0, are asserted.
+    flags come from check_hypotheses and pieces = sym2_pieces(bundle).
+    chi(T_X) = 13 and (h^0, h^1)(T_X) = (e+12, e-1) for e > 0, (13, 0) at
+    e = 0, are asserted.
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
@@ -202,11 +166,9 @@ def tangent_cohomology(
     h0 = sym2.h0 + fiber[0]
     h1 = fiber[1]
     table = TangentCohomology(h0, h1, 0, 0, h0 - h1)
-    e, b = params.e, params.b
-    if table.chi != n - 6 * b + 3 * e - 2 or table.chi != 13:
-        raise ConsistencyError(
-            f"chi(T_X) != n-6b+3e-2 = 13 on the regime at {params}: got {table.chi}"
-        )
+    e = params.e
+    if table.chi != 13:
+        raise ConsistencyError(f"chi(T_X) != 13 on the regime at {params}: got {table.chi}")
     expected = (13, 0) if e == 0 else (e + 12, e - 1)
     if (table.h0, table.h1) != expected:
         raise ConsistencyError(

@@ -78,9 +78,7 @@ class Member:
 
     @cached_property
     def hilbert_poly(self) -> si.RationalCubic:
-        return si.hilbert_polynomial(
-            self.params, self.split, self.n, self.intersection_numbers
-        )
+        return si.hilbert_polynomial(self.params, self.split, self.intersection_numbers)
 
     @cached_property
     def sym2_pieces(self) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
@@ -95,12 +93,12 @@ class Member:
     @cached_property
     def chi_N(self) -> int:
         """Euler characteristic of the normal bundle; needs no hypotheses."""
-        return hc.chi_normal(self.ctx, self.n, self.d, self.chern_TX)
+        return hc.chi_normal(self.params, self.n, self.d, self.intersection_numbers)
 
     @cached_property
     def tangent(self) -> hc.TangentCohomology:
         """h^i(T_X); raises HypothesesError unless every flag holds."""
-        return hc.tangent_cohomology(self.params, self.flags, self.n, self.sym2_pieces)
+        return hc.tangent_cohomology(self.params, self.flags, self.sym2_pieces)
 
     @cached_property
     def hilbert(self) -> hc.HilbertReport:

@@ -1,14 +1,15 @@
+import ast
+from fractions import Fraction
+from math import comb
+from pathlib import Path
+
 import pytest
 
 from fescroll import hilbert_component
 from fescroll.bundle_family import FamilyParams, iter_valid_params
-from fescroll.chow_ring import ChowClass, degree
+from fescroll.chow_ring import ONE, XI, degree, multiply, prod
 from fescroll.errors import ConsistencyError, HypothesesError, exact_div
-from fescroll.hilbert_component import (
-    HypothesisFlags,
-    TangentCohomology,
-    normal_bundle_chern,
-)
+from fescroll.hilbert_component import HypothesisFlags, TangentCohomology, chi_normal
 from fescroll.member import Member
 
 
@@ -73,12 +74,14 @@ def test_chi_normal_closed_form_everywhere():
         assert Member(p).chi_N == want
 
 
-def test_chi_normal_rejects_a_non_integral_total(monkeypatch):
-    # one more on every pairing moves 12*chi(N) by -6n-29, which is odd
-    real = hilbert_component.pairing
-    monkeypatch.setattr(hilbert_component, "pairing", lambda ctx, x, w: real(ctx, x, w) + 1)
-    with pytest.raises(ConsistencyError, match=r"chi\(N\) not an integer"):
-        Member(FamilyParams(2, 7, 0)).chi_N
+def test_chi_normal_rejects_a_non_integral_total():
+    # one more on K.c2 moves 12*chi(N) by -11
+    m = Member(FamilyParams(2, 7, 0))
+    nums = m.intersection_numbers
+    bumped = nums._replace(Kc2=nums.Kc2 + 1)
+    assert chi_normal(m.params, m.n, m.d, nums) == 2690
+    with pytest.raises(ConsistencyError, match=r"chi\(N\) not an integer: 32269/12"):
+        chi_normal(m.params, m.n, m.d, bumped)
 
 
 def test_exact_div():
@@ -95,14 +98,54 @@ def test_regime_dimension_formula():
             assert Member(p).chi_N == n * (n + 1) + 9 * e + 20 + 6 * t
 
 
-def test_normal_bundle_first_chern():
-    m = Member(FamilyParams(2, 7, 0))
-    n1, n2, n3 = normal_bundle_chern(m.ctx, 51, m.chern_TX)
-    assert n1 == ChowClass(xi=50, h1=2, h2=15)
-    assert isinstance(degree(n3), int)  # n3 reduces to a zero-cycle
-    assert n2.z == n2.xi == n2.h1 == n2.h2 == 0  # n2 is pure degree two
-    with pytest.raises(ValueError):
-        degree(n1)
+def _chi_normal_by_chow_classes(member):
+    """chi(N) by HRR over Chern classes of N built in the Chow ring.
+
+    n_k = C(n+1, k) L^k - c1.n_(k-1) - c2.n_(k-2) - c3.n_(k-3) unwinds
+    c(N) c(T_X) = (1 + L)^(n+1); td(X) = 1 + c1/2 + (c1^2 + c2)/12 + c1.c2/24.
+    """
+    ctx, n = member.ctx, member.n
+    c = (ONE, *member.chern_TX)
+    ns, power = [ONE], ONE
+    for k in (1, 2, 3):
+        power = multiply(ctx, power, XI)
+        nk = comb(n + 1, k) * power
+        for j in range(1, k + 1):
+            nk = nk - multiply(ctx, c[j], ns[k - j])
+        ns.append(nk)
+    _, n1, n2, n3 = ns
+    _, c1, c2, _ = c
+    ch2 = prod(ctx, n1, n1) - 2 * n2  # twice ch_2(N)
+    ch3 = degree(prod(ctx, n1, n1, n1)) - 3 * degree(prod(ctx, n1, n2)) + 3 * degree(n3)
+    return (Fraction(ch3, 6)
+            + Fraction(degree(prod(ctx, c1, ch2)), 4)
+            + Fraction(degree(prod(ctx, prod(ctx, c1, c1) + c2, n1)), 12)
+            + Fraction((n - 3) * degree(prod(ctx, c1, c2)), 24))
+
+
+def test_chi_normal_matches_the_chow_class_oracle():
+    # HRR over Chow classes against HRR over the seven intersection numbers
+    grid = list(iter_valid_params(4, 6))
+    assert len(grid) == 315
+    for p in grid:
+        m = Member(p)
+        assert _chi_normal_by_chow_classes(m) == m.chi_N, p
+
+
+def test_hilbert_component_reads_only_the_intersection_numbers():
+    # Chow-class algebra stays behind chow_ring: hilbert_component may bind
+    # nothing of it except the IntersectionNumbers type
+    tree = ast.parse(Path(hilbert_component.__file__).read_text())
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("chow_ring"):
+                bound += [alias.name for alias in node.names]
+            elif any(alias.name == "chow_ring" for alias in node.names):
+                bound.append("chow_ring")
+        elif isinstance(node, ast.Import):
+            bound += [a.name for a in node.names if a.name.endswith("chow_ring")]
+    assert bound == ["IntersectionNumbers"]
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,43 @@ def test_table_computes_chern_once_per_row(calls, capsys):
     assert calls["build_split"] <= 2 * len(rows)
 
 
+def test_table_computes_intersection_numbers_once_per_row(calls, capsys):
+    argv = ["table", "--e-max", "2", "--t-max", "2", "--paper-regime-only"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 9
+    assert calls["intersection_numbers"] == len(rows)
+
+
+@pytest.mark.parametrize("argv", [["report", "-e", "2", "-b", "7", "-t", "0"],
+                                  ["hilbert", "-e", "2", "-t", "0"]])
+def test_chow_products_run_only_in_chern_tx(monkeypatch, capsys, argv):
+    # chi(N) and P(m) read the intersection numbers, which come from the
+    # pairings; the only full products are the two inside chern_TX
+    depth, inside = [0], []
+
+    def tracking(_name, fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def recording(_name, fn):
+        def wrapper(*args):
+            inside.append(depth[0] > 0)
+            return fn(*args)
+        return wrapper
+
+    _replace_everywhere(monkeypatch, chow_ring, "chern_TX", tracking)
+    _replace_everywhere(monkeypatch, chow_ring, "multiply", recording)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert inside == [True, True]
+
+
 def test_verify_computes_each_value_once_per_member(calls, capsys):
     # the member identities share one Member per (e, b, t)
     assert cli.main(["verify", "--e-max", "1", "--t-max", "1"]) == 0
