@@ -9,7 +9,6 @@ from .errors import ConsistencyError, HypothesesError, ParameterError
 from .surface_lattice import (
     CohomologyTable,
     DivisorClass,
-    Surface,
     canonical_class,
     cohomology,
     intersect,
@@ -24,7 +23,6 @@ __all__ = [
     "FamilyParams",
     "HypothesesError",
     "ParameterError",
-    "Surface",
     "canonical_class",
     "cohomology",
     "intersect",

@@ -30,7 +30,6 @@ from .surface_lattice import (
     ZERO,
     CohomologyTable,
     DivisorClass,
-    Surface,
     _chi,
     cohomology,
     intersect,
@@ -43,8 +42,8 @@ class FamilyParams(namedtuple("FamilyParams", "e b t")):
     __slots__ = ()
 
     def __new__(cls, e: int, b: int, t: int) -> FamilyParams:
-        # Surface() owns the e >= 0 check and its error message
-        Surface(e)
+        if e < 0:
+            raise ParameterError("e_negative", f"require e >= 0, got e={e}")
         if t < 0:
             raise ParameterError("t_negative", f"require t >= 0, got t={t}")
         if b <= -2:
@@ -58,10 +57,6 @@ class FamilyParams(namedtuple("FamilyParams", "e b t")):
                 "ampleness", f"ampleness forces b > e-1 = {e - 1}, got b={b}"
             )
         return tuple.__new__(cls, (e, b, t))
-
-    @property
-    def surface(self) -> Surface:
-        return Surface(self.e)
 
     @property
     def paper_regime(self) -> bool:
@@ -91,7 +86,7 @@ def grid_member_count(e_max: int, t_max: int) -> int:
 SplitBundle = namedtuple("SplitBundle", "A B e")
 ChernData = namedtuple("ChernData", "c1 c2")
 # extension presentation: 0 -> L -> E -> M tensor ideal of a cluster -> 0
-ExtensionData = namedtuple("ExtensionData", "L M w_len", defaults=(2,))
+ExtensionData = namedtuple("ExtensionData", "L M w_len")
 
 
 def build_split(params: FamilyParams) -> SplitBundle:
@@ -114,14 +109,14 @@ def chern(params: FamilyParams, bundle: SplitBundle) -> ChernData:
 
     bundle is the member's split form build_split(params).
     """
-    s = params.surface
+    e = params.e
     ext = extension_data(params)
     c1_closed = DivisorClass(4, params.b + 3 * params.e + 6 + params.t)
     c2_closed = 3 * params.b + 8 + params.t
     c1_split = bundle.A + bundle.B
-    c2_split = intersect(s, bundle.A, bundle.B)
+    c2_split = intersect(e, bundle.A, bundle.B)
     c1_ext = ext.L + ext.M
-    c2_ext = intersect(s, ext.L, ext.M) + ext.w_len
+    c2_ext = intersect(e, ext.L, ext.M) + ext.w_len
     if not (c1_closed == c1_split == c1_ext and c2_closed == c2_split == c2_ext):
         raise ConsistencyError(
             "c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f and c2 = A.B = L.M+2 = 3b+8+t "
@@ -197,10 +192,9 @@ def bundle_cohomology(
 
     bundle is build_split(params).
     """
-    s = params.surface
-    tab_a = cohomology(s, bundle.A)
-    tab_b = cohomology(s, bundle.B)
     e, b, t = params.e, params.b, params.t
+    tab_a = cohomology(e, bundle.A)
+    tab_b = cohomology(e, bundle.B)
     if tab_a.h0 != 6 * e + 4 * t + 24:
         raise ConsistencyError(f"h0(A) != 6e+4t+24 at {params}: got {tab_a.h0}")
     if tab_b.h0 != 2 * b + 4 - e:
@@ -231,9 +225,9 @@ def sym2_pieces(
     bundle: SplitBundle,
 ) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
     """Tables of A-B, O and B-A, the summands of Sym^2(E) twisted by -c1."""
-    s = Surface(bundle.e)
+    e = bundle.e
     return (
-        cohomology(s, bundle.A - bundle.B),
-        cohomology(s, ZERO),
-        cohomology(s, bundle.B - bundle.A),
+        cohomology(e, bundle.A - bundle.B),
+        cohomology(e, ZERO),
+        cohomology(e, bundle.B - bundle.A),
     )

@@ -42,7 +42,7 @@ from collections import namedtuple
 
 from .bundle_family import FamilyParams
 from .errors import ConsistencyError
-from .surface_lattice import DivisorClass, Surface, canonical_class
+from .surface_lattice import DivisorClass, canonical_class
 
 _new = tuple.__new__
 
@@ -198,7 +198,7 @@ def pairing(ctx: ScrollContext, x: ChowClass, w: ChowClass) -> int:
 
 def canonical_class_X(ctx: ScrollContext) -> ChowClass:
     """K_X = -2*xi + (K_{F_e} + c1)'."""
-    k_surf = canonical_class(Surface(ctx.e))
+    k_surf = canonical_class(ctx.e)
     return ChowClass(xi=-2) + pullback(k_surf + ctx.c1)
 
 
@@ -209,9 +209,8 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
     (the Euler number of any F_e is 4).  Self-checks: c1(T_X) = -K_X,
     deg c3 = 8 and -K.c2 = 24; failures raise ConsistencyError.
     """
-    s = Surface(ctx.e)
     t_rel = ChowClass(xi=2) - pullback(ctx.c1)
-    c1_fiber = pullback(-canonical_class(s))
+    c1_fiber = pullback(-canonical_class(ctx.e))
     c2_fiber = ChowClass(p=4)
     c1x = t_rel + c1_fiber
     c2x = multiply(ctx, t_rel, c1_fiber) + c2_fiber

@@ -17,7 +17,7 @@ import sys
 from .bundle_family import FamilyParams, grid_member_count, iter_valid_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
 from .member import Member
-from .surface_lattice import DivisorClass, Surface, cohomology
+from .surface_lattice import DivisorClass, cohomology
 from .verify import run_all
 
 _REPORT_CHECKS = [
@@ -250,7 +250,7 @@ def cmd_uniformity(args) -> tuple[str, int]:
 
 
 def cmd_cohomology(args) -> tuple[str, int]:
-    table = cohomology(Surface(args.e), DivisorClass(args.a, args.c))
+    table = cohomology(args.e, DivisorClass(args.a, args.c))
     return _render(
         args.format,
         plain=lambda: (

@@ -13,7 +13,8 @@ the member's seven intersection numbers, so no Chow class is built here;
 the route through the Chern classes of N in the Chow ring is a test
 oracle.  chi(N) is unconditional (Riemann-Roch needs no vanishing) and is
 exposed for every valid triple; identifying it with h^0(N) and with the
-component dimension is gated on the flags.
+component dimension is gated on the flags, and so is its regime form,
+which component_dimension() checks.
 Operations called outside the regime raise HypothesesError listing the
 failing flags, so an unproved number can never appear in a proved field.
 """
@@ -25,7 +26,7 @@ from collections import namedtuple
 from .bundle_family import FamilyParams
 from .chow_ring import IntersectionNumbers
 from .errors import ConsistencyError, HypothesesError, exact_div
-from .surface_lattice import CohomologyTable, Surface, canonical_class, intersect
+from .surface_lattice import CohomologyTable, canonical_class, intersect
 
 
 class HypothesisFlags(namedtuple("HypothesisFlags", "paper_regime v1 v2 v3")):
@@ -93,8 +94,7 @@ def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) 
     where n1 = K + pL and n1^2 - 2 n2 = pL^2 - K^2 + 2 c2 for p = n+1, so
     each product is an integer polynomial in n and the member's
     intersection numbers ``nums``.  The result must match the closed form
-    (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d, and on the regime
-    e <= 2, b = 2e+3+t also n(n+1) + 9e + 20 + 6t.
+    (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d.
     """
     l3, kl2, k2l, k3, c2l, kc2, c3 = nums
     p = n + 1
@@ -114,23 +114,15 @@ def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) 
             f"chi(N) != (d-3e-3b-3t-12)*n + 122+21t+21e+21b-3d at {params}: "
             f"HRR gives {chi_n}, closed form {closed}"
         )
-    if params.paper_regime:
-        regime_form = n * (n + 1) + 9 * e + 20 + 6 * t
-        if chi_n != regime_form:
-            raise ConsistencyError(
-                f"chi(N) != n(n+1)+9e+20+6t on the regime at {params}: "
-                f"got {chi_n}, expected {regime_form}"
-            )
     return chi_n
 
 
 def _fiber_tangent_table(e: int) -> tuple[int, int, int]:
     """h^i of the tangent bundle of F_e, with a Riemann-Roch cross-check."""
     table = (6, 0, 0) if e == 0 else (e + 5, e - 1, 0)
-    s = Surface(e)
-    minus_k = -canonical_class(s)
+    minus_k = -canonical_class(e)
     # rank-two Riemann-Roch: chi(T) = 2 chi(O) + c1.(c1 - K)/2 - c2, c2(T_F) = 4
-    chi_rr = 2 + intersect(s, minus_k, minus_k - canonical_class(s)) // 2 - 4
+    chi_rr = 2 + intersect(e, minus_k, minus_k - canonical_class(e)) // 2 - 4
     if table[0] - table[1] + table[2] != chi_rr or chi_rr != 6:
         raise ConsistencyError(f"chi(T_F) != 6 at e={e}: table {table}, RR {chi_rr}")
     return table
@@ -150,8 +142,8 @@ def tangent_cohomology(
         h^2 = h^3 = 0.
 
     flags come from check_hypotheses and pieces = sym2_pieces(bundle).
-    chi(T_X) = 13 and (h^0, h^1)(T_X) = (e+12, e-1) for e > 0, (13, 0) at
-    e = 0, are asserted.
+    (h^0, h^1)(T_X) = (e+12, e-1) for e > 0, (13, 0) at e = 0, is
+    asserted; each pair has chi(T_X) = h^0 - h^1 = 13.
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
@@ -167,8 +159,6 @@ def tangent_cohomology(
     h1 = fiber[1]
     table = TangentCohomology(h0, h1, 0, 0, h0 - h1)
     e = params.e
-    if table.chi != 13:
-        raise ConsistencyError(f"chi(T_X) != 13 on the regime at {params}: got {table.chi}")
     expected = (13, 0) if e == 0 else (e + 12, e - 1)
     if (table.h0, table.h1) != expected:
         raise ConsistencyError(
@@ -189,11 +179,19 @@ def component_dimension(
 
     dim = chi(N) = h^0(N) once the flags hold.  The identification
     h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming from the Euler
-    sequence is run as a mandatory self-check.  The scroll locus has
-    codimension h^1(T_X), which tangent_cohomology asserts is max(e-1, 0).
+    sequence is run as a mandatory self-check, and so is the regime form
+    chi(N) = n(n+1) + 9e + 20 + 6t (the flags all hold exactly on the
+    regime).  The scroll locus has codimension h^1(T_X), which
+    tangent_cohomology asserts is max(e-1, 0).
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
+    regime_form = n * (n + 1) + 9 * params.e + 20 + 6 * params.t
+    if chi_n != regime_form:
+        raise ConsistencyError(
+            f"chi(N) != n(n+1)+9e+20+6t on the regime at {params}: "
+            f"got {chi_n}, expected {regime_form}"
+        )
     h0_n_euler = (n + 1) ** 2 - 1 - tangent.h0 + tangent.h1
     if h0_n_euler != chi_n:
         raise ConsistencyError(

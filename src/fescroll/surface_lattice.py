@@ -2,8 +2,9 @@
 
 A numerical class on F_e = P(O + O(-e)) over P^1 is an integer pair (a, c)
 standing for a*C0 + c*f, where C0 is the section with C0^2 = -e and f a
-fiber (f^2 = 0, C0.f = 1).  Classes are pure lattice data: they carry no
-surface reference, and e enters every operation as an explicit argument.
+fiber (f^2 = 0, C0.f = 1).  Classes are pure lattice data; the surface is
+its integer e, the first argument of every operation.  Only cohomology()
+checks e >= 0, and nothing here tests the paper's regime.
 
 Cohomology is computed along two independent routes that are cross-checked
 on every call:
@@ -15,7 +16,7 @@ on every call:
 * chi by Riemann-Roch, h^2 by Serre duality, h^1 by subtraction.
 
 A disagreement can only come from a wrongly transcribed formula and raises
-ConsistencyError.  The kernel behind cohomology() and chi() (_chi,
+ConsistencyError.  The kernel behind cohomology() (_chi,
 _h0_fiberwise, _h1_fiberwise) works on plain integers (e, a, c), with K - D
 formed as (-2-a, -e-2-c), so a call allocates no intermediate classes.
 
@@ -31,17 +32,6 @@ from collections import namedtuple
 from .errors import ConsistencyError, ParameterError
 
 _new = tuple.__new__
-
-
-class Surface(namedtuple("Surface", "e")):
-    """The Hirzebruch surface F_e, identified by its invariant e >= 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, e: int) -> Surface:
-        if e < 0:
-            raise ParameterError("e_negative", f"require e >= 0, got e={e}")
-        return tuple.__new__(cls, (e,))
 
 
 class DivisorClass(namedtuple("DivisorClass", "a c")):
@@ -96,17 +86,17 @@ class CohomologyTable(namedtuple("CohomologyTable", "h0 h1 h2 chi")):
         return self[:3]
 
 
-def intersect(s: Surface, d1: DivisorClass, d2: DivisorClass) -> int:
-    """Intersection pairing forced by C0^2 = -e, f^2 = 0, C0.f = 1."""
-    return d1.a * d2.c + d2.a * d1.c - s.e * d1.a * d2.a
+def intersect(e: int, d1: DivisorClass, d2: DivisorClass) -> int:
+    """Intersection pairing forced by C0^2 = -e, f^2 = 0, C0.f = 1; pure in e."""
+    return d1.a * d2.c + d2.a * d1.c - e * d1.a * d2.a
 
 
-def canonical_class(s: Surface) -> DivisorClass:
-    """K_{F_e} = -2*C0 - (e+2)*f."""
-    return DivisorClass(-2, -(s.e + 2))
+def canonical_class(e: int) -> DivisorClass:
+    """K_{F_e} = -2*C0 - (e+2)*f; pure in e, so e may be any number type."""
+    return DivisorClass(-2, -(e + 2))
 
 
-def is_effective(s: Surface, d: DivisorClass) -> bool:
+def is_effective(e: int, d: DivisorClass) -> bool:
     """The effective cone is spanned by C0 and f.
 
     For d != 0 this is equivalent to h^0(d) > 0, and h^0(0) = 1; the
@@ -115,18 +105,18 @@ def is_effective(s: Surface, d: DivisorClass) -> bool:
     return d.a >= 0 and d.c >= 0
 
 
-def is_ample(s: Surface, d: DivisorClass) -> bool:
+def is_ample(e: int, d: DivisorClass) -> bool:
     """Positivity against C0 and f.  On a smooth projective toric surface
     such as F_e ample implies very ample (Cox, Little and Schenck, Toric
     Varieties, Section 6.1); no second route here checks very ampleness."""
-    return d.a > 0 and d.c > s.e * d.a
+    return d.a > 0 and d.c > e * d.a
 
 
-def pushforward_degrees(s: Surface, d: DivisorClass) -> list[int]:
+def pushforward_degrees(e: int, d: DivisorClass) -> list[int]:
     """P^1-degrees of the rank-(a+1) pushforward of a*C0 + c*f; needs a >= 0."""
     if d.a < 0:
         raise ValueError(f"pushforward needs a >= 0, got a={d.a}")
-    return [d.c - j * s.e for j in range(d.a + 1)]
+    return [d.c - j * e for j in range(d.a + 1)]
 
 
 def _chi(e: int, a: int, c: int) -> int:
@@ -139,11 +129,6 @@ def _chi(e: int, a: int, c: int) -> int:
     if pairing % 2 != 0:
         raise ConsistencyError(f"D.(D-K) odd for D={DivisorClass(a, c)} on F_{e}")
     return 1 + pairing // 2
-
-
-def chi(s: Surface, d: DivisorClass) -> int:
-    """Riemann-Roch: chi(D) = 1 + D.(D-K)/2.  The pairing is always even."""
-    return _chi(s.e, d.a, d.c)
 
 
 def _h0_fiberwise(e: int, a: int, c: int) -> int:
@@ -174,16 +159,18 @@ def _h1_fiberwise(e: int, a: int, c: int) -> int:
     return e * (first + a) * count // 2 - (c + 1) * count
 
 
-def cohomology(s: Surface, d: DivisorClass) -> CohomologyTable:
-    """Full table of a*C0 + c*f, the two h^1 routes cross-checked.
+def cohomology(e: int, d: DivisorClass) -> CohomologyTable:
+    """Full table of a*C0 + c*f on F_e, the two h^1 routes cross-checked.
 
     h^0 is the closed-form fiberwise sum over the pushforward degrees, h^2
     is h^0(K - D) by Serre duality, h^1 = h^0 + h^2 - chi.  Independently,
     h^1 is recomputed as its own fiberwise series (on D itself when a >= 0,
     on K - D when a <= -2; for a = -1 every group vanishes).  Any mismatch
-    raises ConsistencyError.
+    raises ConsistencyError; e < 0 raises ParameterError.
     """
-    e, a, c = s.e, d.a, d.c
+    if e < 0:
+        raise ParameterError("e_negative", f"require e >= 0, got e={e}")
+    a, c = d.a, d.c
     chi_d = _chi(e, a, c)
     if a == -1:
         if chi_d != 0:
@@ -203,7 +190,7 @@ def cohomology(s: Surface, d: DivisorClass) -> CohomologyTable:
     return CohomologyTable(h0, h1, h2, chi_d)
 
 
-def h0_lattice_oracle(s: Surface, d: DivisorClass) -> int:
+def h0_lattice_oracle(e: int, d: DivisorClass) -> int:
     """Brute-force section count, independent of the pushforward formula.
 
     Enumerates monomial sections: pairs (j, m) with 0 <= j <= a and
@@ -213,7 +200,7 @@ def h0_lattice_oracle(s: Surface, d: DivisorClass) -> int:
         return 0
     count = 0
     for j in range(d.a + 1):
-        top = d.c - j * s.e
+        top = d.c - j * e
         for _m in range(top + 1):
             count += 1
     return count

@@ -1,8 +1,8 @@
 """Named identity checks swept over parameter grids.
 
 Each check reports how many cases it examined and a list of failure
-descriptions (empty on success).  Surface and window checks run once per
-surface F_e and read its line-bundle tables from one shared _Sweep;
+descriptions (empty on success).  The surface and window checks run once
+per surface F_e and read its line-bundle tables from one shared _Sweep;
 member checks run once per valid (e, b, t) and read one shared Member.  So
 each table and each member value is derived once per sweep and the
 cross-check that guards it runs once; a value that raises is not kept, so
@@ -82,14 +82,14 @@ class _Sweep:
     keeps cohomology(F_e, d) for this surface only, unless computing it raised."""
 
     def __init__(self, e: int, t_max: int) -> None:
-        self.surface = sl.Surface(e)
+        self.e = e
         self.t_max = t_max
         self._tables: dict[sl.DivisorClass, sl.CohomologyTable] = {}
 
     def table(self, d: sl.DivisorClass) -> sl.CohomologyTable:
         tab = self._tables.get(d)
         if tab is None:
-            tab = self._tables[d] = sl.cohomology(self.surface, d)
+            tab = self._tables[d] = sl.cohomology(self.e, d)
         return tab
 
 
@@ -102,93 +102,93 @@ _CLASSES = tuple(sl.DivisorClass(a, c) for a in range(-12, 13) for c in range(-1
 
 @_register("K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)")
 def _check_canonical(rec: CheckResult, sweep: _Sweep) -> None:
-    s = sweep.surface
-    k = sl.canonical_class(s)
-    genus_c0 = sl.intersect(s, k, sl.C0) + sl.intersect(s, sl.C0, sl.C0)
-    genus_f = sl.intersect(s, k, sl.FIBER) + sl.intersect(s, sl.FIBER, sl.FIBER)
+    e = sweep.e
+    k = sl.canonical_class(e)
+    genus_c0 = sl.intersect(e, k, sl.C0) + sl.intersect(e, sl.C0, sl.C0)
+    genus_f = sl.intersect(e, k, sl.FIBER) + sl.intersect(e, sl.FIBER, sl.FIBER)
     rec.case(
         genus_c0 == -2 and genus_f == -2,
-        lambda: f"e={s.e}: K={k} fails adjunction: "
+        lambda: f"e={e}: K={k} fails adjunction: "
                 f"K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
     )
 
 
 @_register("Serre duality: h^i(D) = h^{2-i}(K - D)")
 def _check_serre(rec: CheckResult, sweep: _Sweep) -> None:
-    s = sweep.surface
-    k = sl.canonical_class(s)
+    e = sweep.e
+    k = sl.canonical_class(e)
     for d in _CLASSES:
         tab = sweep.table(d)
         dual = sweep.table(k - d)
         rec.case(
             (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0),
-            lambda: f"e={s.e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
+            lambda: f"e={e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
         )
 
 
 @_register("Riemann-Roch: chi(D) = 1 + D.(D-K)/2 with D.(D-K) even")
 def _check_riemann_roch(rec: CheckResult, sweep: _Sweep) -> None:
-    s = sweep.surface
-    k = sl.canonical_class(s)
+    e = sweep.e
+    k = sl.canonical_class(e)
     for d in _CLASSES:
-        pairing = sl.intersect(s, d, d - k)
+        pairing = sl.intersect(e, d, d - k)
         tab = sweep.table(d)
         rec.case(
             pairing % 2 == 0 and tab.chi == 1 + pairing // 2,
-            lambda: f"e={s.e} D={d}: pairing={pairing}, chi={tab.chi}",
+            lambda: f"e={e} D={d}: pairing={pairing}, chi={tab.chi}",
         )
 
 
 @_register("h^0 = lattice-point count of the section polytope")
 def _check_lattice_oracle(rec: CheckResult, sweep: _Sweep) -> None:
-    s = sweep.surface
+    e = sweep.e
     for d in _CLASSES:
-        expected = sl.h0_lattice_oracle(s, d)
+        expected = sl.h0_lattice_oracle(e, d)
         got = sweep.table(d).h0
         rec.case(got == expected,
-                 lambda: f"e={s.e} D={d}: h0={got}, lattice count {expected}")
+                 lambda: f"e={e} D={d}: h0={got}, lattice count {expected}")
 
 
 @_register("effective iff a >= 0 and c >= 0 iff h^0 > 0 (nonzero D)")
 def _check_effective(rec: CheckResult, sweep: _Sweep) -> None:
-    s = sweep.surface
+    e = sweep.e
     for d in _CLASSES:
-        eff = sl.is_effective(s, d)
+        eff = sl.is_effective(e, d)
         h0 = sweep.table(d).h0
         if d == sl.ZERO:
-            rec.case(eff and h0 == 1, lambda: f"e={s.e}: h0(0) = {h0}")
+            rec.case(eff and h0 == 1, lambda: f"e={e}: h0(0) = {h0}")
         else:
             rec.case(eff == (h0 > 0),
-                     lambda: f"e={s.e} D={d}: effective={eff}, h0={h0}")
+                     lambda: f"e={e} D={d}: effective={eff}, h0={h0}")
 
 
 @_register("h^0(a*C0 + c*f) nondecreasing in c for a >= 0")
 def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
-    s = sweep.surface
+    e = sweep.e
     for a in range(0, 7):
         previous = None
         for c in range(-12, 13):
             h0 = sweep.table(sl.DivisorClass(a, c)).h0
             if previous is not None:
                 rec.case(h0 >= previous,
-                         lambda: f"e={s.e} a={a} c={c}: {previous} -> {h0}")
+                         lambda: f"e={e} a={a} c={c}: {previous} -> {h0}")
             previous = h0
 
 
 @_register("intersection pairing symmetric and bilinear")
 def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
-    s, rng = sweep.surface, rec.rng
+    e, rng = sweep.e, rec.rng
     for _ in range(200):
         d1, d2, d3 = (
             sl.DivisorClass(rng.randint(-30, 30), rng.randint(-30, 30))
             for _ in range(3)
         )
         k = rng.randint(-5, 5)
-        symmetric = sl.intersect(s, d1, d2) == sl.intersect(s, d2, d1)
-        linear = sl.intersect(s, d1 + k * d2, d3) == sl.intersect(
-            s, d1, d3
-        ) + k * sl.intersect(s, d2, d3)
-        rec.case(symmetric and linear, lambda: f"e={s.e} D1={d1} D2={d2} D3={d3} k={k}")
+        symmetric = sl.intersect(e, d1, d2) == sl.intersect(e, d2, d1)
+        linear = sl.intersect(e, d1 + k * d2, d3) == sl.intersect(
+            e, d1, d3
+        ) + k * sl.intersect(e, d2, d3)
+        rec.case(symmetric and linear, lambda: f"e={e} D1={d1} D2={d2} D3={d3} k={k}")
 
 
 @_register("h^1 fiberwise route = h^1 chi-subtraction route")
@@ -196,25 +196,25 @@ def _check_h1_routes(rec: CheckResult, sweep: _Sweep) -> None:
     # cohomology() raises when its two h^1 routes disagree; on top of that
     # its closed-form fiberwise sums are recomputed term by term over the
     # pushforward degrees (of D when a >= 0, of K - D when a <= -2)
-    s = sweep.surface
-    k = sl.canonical_class(s)
+    e = sweep.e
+    k = sl.canonical_class(e)
     for d in _CLASSES:
         try:
             tab = sweep.table(d)
         except ConsistencyError as exc:
-            rec.case(False, f"e={s.e} D={d}: {exc}")
+            rec.case(False, f"e={e} D={d}: {exc}")
             continue
         if d.a == -1:
             rec.case(tab.as_tuple() == (0, 0, 0),
-                     lambda: f"e={s.e} D={d}: {tab.as_tuple()}")
+                     lambda: f"e={e} D={d}: {tab.as_tuple()}")
             continue
-        degrees = sl.pushforward_degrees(s, d if d.a >= 0 else k - d)
+        degrees = sl.pushforward_degrees(e, d if d.a >= 0 else k - d)
         h0 = sum(max(0, deg + 1) for deg in degrees)
         h1 = sum(max(0, -deg - 1) for deg in degrees)
         got = (tab.h0, tab.h1) if d.a >= 0 else (tab.h2, tab.h1)
         rec.case(
             got == (h0, h1),
-            lambda: f"e={s.e} D={d}: table {tab.as_tuple()}, "
+            lambda: f"e={e} D={d}: table {tab.as_tuple()}, "
                     f"pushforward sums {(h0, h1)}",
         )
 
@@ -239,10 +239,10 @@ def _check_ell2(rec: CheckResult, member: Member) -> None:
     rec.case(ok, lambda: f"{params}: expected {expected}")
 
 
-def _twisted_h0(s: sl.Surface, bun: bf.SplitBundle, d1: int, ell: int) -> int:
-    """h^0(E(-d1*C0 + ell*f)) for E = A + B, read from cohomology()."""
+def _twisted_h0(bun: bf.SplitBundle, d1: int, ell: int) -> int:
+    """h^0(E(-d1*C0 + ell*f)) for E = A + B on F_e, read from cohomology()."""
     twist = sl.DivisorClass(-d1, ell)
-    return sl.cohomology(s, bun.A + twist).h0 + sl.cohomology(s, bun.B + twist).h0
+    return sl.cohomology(bun.e, bun.A + twist).h0 + sl.cohomology(bun.e, bun.B + twist).h0
 
 
 def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
@@ -256,11 +256,10 @@ def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     provably lies inside the window; h^0 > 0 at its lower edge, or h^0 = 0
     at its upper edge, is an internal-consistency failure.
     """
-    s = params.surface
     bun = bf.build_split(params)
 
     def h0(ell: int) -> int:
-        return _twisted_h0(s, bun, d1, ell)
+        return _twisted_h0(bun, d1, ell)
 
     span = 3 * params.e + 6 + params.t + abs(params.b) + 4
     if h0(-span) != 0:
@@ -284,8 +283,8 @@ def _is_threshold(member: Member, d1: int, r: int) -> bool:
     h^0 is nondecreasing in ell, that holds exactly when _r_by_scan finds r,
     with four cohomology calls whatever the size of r.
     """
-    s, bun = member.params.surface, member.split
-    return _twisted_h0(s, bun, d1, -r - 1) == 0 < _twisted_h0(s, bun, d1, -r)
+    bun = member.split
+    return _twisted_h0(bun, d1, -r - 1) == 0 < _twisted_h0(bun, d1, -r)
 
 
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
@@ -315,7 +314,7 @@ def _check_bundle_cohomology(rec: CheckResult, member: Member) -> None:
 
 @_register("h^1(A - B) = 0 iff b < 6+t+e (boundary sweep)")
 def _check_window_v1(rec: CheckResult, sweep: _Sweep) -> None:
-    e = sweep.surface.e
+    e = sweep.e
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
             h1 = sweep.table(sl.DivisorClass(2, 3 * e + 4 + t - b)).h1
@@ -327,7 +326,7 @@ def _check_window_v1(rec: CheckResult, sweep: _Sweep) -> None:
 
 @_register("h^2(B - A) = 0 iff b >= 2e+3+t (boundary sweep)")
 def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
-    e = sweep.surface.e
+    e = sweep.e
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
             h2 = sweep.table(sl.DivisorClass(-2, b - 3 * e - 4 - t)).h2
@@ -343,7 +342,7 @@ def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
 @_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)", "member")
 def _check_grothendieck(rec: CheckResult, member: Member) -> None:
     lhs = cr.degree(cr.prod(member.ctx, cr.XI, cr.XI, cr.XI))
-    d = member.d  # c1^2 - c2, which scroll_degree checks against its pairing route
+    d = member.d  # c1^2 - c2, which scroll_degree checks against 8e+5b+7t+40
     rec.case(lhs == d, lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
 
 
@@ -417,7 +416,7 @@ def _check_degree_dimension_identity(rec: CheckResult, member: Member) -> None:
 @_register("n = 5e+2b+4t+27 and d = 8e+5b+7t+40, each by two routes", "member")
 def _check_n_d_routes(rec: CheckResult, member: Member) -> None:
     member.n  # bundle_cohomology raises unless h^0(E) = 5e+2b+4t+28
-    member.d  # scroll_degree raises unless c1^2-c2 = deg xi^3 = 8e+5b+7t+40
+    member.d  # scroll_degree raises unless c1^2-c2 = 8e+5b+7t+40
     rec.case(True, "")
 
 
@@ -433,7 +432,7 @@ def _check_chi_normal(rec: CheckResult, member: Member) -> None:
 @_register("regime e<=2, b=2e+3+t: dim = chi(N) = n(n+1)+9e+20+6t and "
            "h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)", "regime")
 def _check_component_dimension(rec: CheckResult, member: Member) -> None:
-    member.hilbert  # chi_normal and component_dimension raise on a mismatch
+    member.hilbert  # component_dimension raises on a mismatch
     rec.case(True, "")
 
 
@@ -459,7 +458,7 @@ def _check_flag_soundness(rec: CheckResult, member: Member) -> None:
 
 @_register("chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0")
 def _check_fiber_tangent(rec: CheckResult, sweep: _Sweep) -> None:
-    hc._fiber_tangent_table(sweep.surface.e)  # raises unless chi = 6 by Riemann-Roch
+    hc._fiber_tangent_table(sweep.e)  # raises unless chi = 6 by Riemann-Roch
     rec.case(True, "")
 
 
@@ -475,7 +474,7 @@ def _visit(checks: list[tuple[Callable, CheckResult]], subject, label: str) -> N
 def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     """Run every registered check over the grid; checks never abort each other.
 
-    Surface checks share one _Sweep per surface F_e, e = 0..e_max, and
+    The surface checks share one _Sweep per surface F_e, e = 0..e_max, and
     member checks one Member per valid (e, b, t), built in
     iter_valid_params order; each is let go when the next one replaces it,
     so one surface's tables, or one member's data, are alive at a time.  A

@@ -78,7 +78,7 @@ def test_c03_embedding_dimension_and_degree(criterion):
             assert d == 8 * p.e + 5 * p.b + 7 * p.t + 40
             assert d - 3 * p.e - 3 * p.b - 3 * p.t - 12 == n + 1
             cd = m.chern
-            assert d == intersect(p.surface, cd.c1, cd.c1) - cd.c2
+            assert d == intersect(p.e, cd.c1, cd.c1) - cd.c2
             ctx = m.ctx
             assert d == degree(prod(ctx, XI, XI, XI))
 

@@ -25,7 +25,6 @@ D = DivisorClass
 def test_valid_params_accepted():
     p = FamilyParams(2, 7, 0)
     assert (p.e, p.b, p.t) == (2, 7, 0)
-    assert p.surface.e == 2
 
 
 @pytest.mark.parametrize(
@@ -103,8 +102,8 @@ def _r_by_oracle(params, d1):
     best = None
     for r in range(-span, span + 1):
         shift = D(d1, r)
-        sections = h0_lattice_oracle(params.surface, bundle.A - shift)
-        sections += h0_lattice_oracle(params.surface, bundle.B - shift)
+        sections = h0_lattice_oracle(params.e, bundle.A - shift)
+        sections += h0_lattice_oracle(params.e, bundle.B - shift)
         if sections > 0:
             best = r
     return best
@@ -184,8 +183,8 @@ def test_is_uniform_evidence():
 def test_bundle_cohomology_spots():
     p = FamilyParams(2, 7, 0)
     assert Member(p).tables[2].as_tuple() == (52, 0, 0)
-    assert cohomology(p.surface, D(3, 11)).h0 == 36
-    assert cohomology(p.surface, D(1, 8)).h0 == 16
+    assert cohomology(p.e, D(3, 11)).h0 == 36
+    assert cohomology(p.e, D(1, 8)).h0 == 16
 
     q = FamilyParams(0, 3, 0)
     assert Member(q).tables[2].as_tuple() == (34, 0, 0)
@@ -219,19 +218,19 @@ def test_sym2_twisted_cohomology_spots():
 def test_window_h1_a_minus_b():
     for p in iter_valid_params(4, 6):
         bundle = build_split(p)
-        h1 = cohomology(p.surface, bundle.A - bundle.B).h1
+        h1 = cohomology(p.e, bundle.A - bundle.B).h1
         assert (h1 == 0) == (p.b < 6 + p.t + p.e)
 
 
 def test_window_h2_b_minus_a():
     for p in iter_valid_params(4, 6):
         bundle = build_split(p)
-        h2 = cohomology(p.surface, bundle.B - bundle.A).h2
+        h2 = cohomology(p.e, bundle.B - bundle.A).h2
         assert (h2 == 0) == (p.b >= 2 * p.e + 3 + p.t)
 
 
 def test_window_h1_b_minus_a():
     for p in iter_valid_params(4, 6):
         bundle = build_split(p)
-        h1 = cohomology(p.surface, bundle.B - bundle.A).h1
+        h1 = cohomology(p.e, bundle.B - bundle.A).h1
         assert (h1 == 0) == (p.b <= 2 * p.e + 3 + p.t)

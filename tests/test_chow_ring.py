@@ -19,7 +19,7 @@ from fescroll.chow_ring import (
     triple,
 )
 from fescroll.member import Member
-from fescroll.surface_lattice import C0, FIBER, DivisorClass, Surface, canonical_class, intersect
+from fescroll.surface_lattice import C0, FIBER, DivisorClass, canonical_class, intersect
 
 CTX = Member(FamilyParams(2, 7, 0)).ctx
 
@@ -86,19 +86,19 @@ def test_chern_tx_fixtures():
 def _oracle_numbers(ctx):
     # independent route: expand each triple product by hand using only the
     # reduction relations, so every answer is a surface pairing
-    s = Surface(ctx.e)
-    kf = canonical_class(s)
+    e = ctx.e
+    kf = canonical_class(e)
     k = kf + ctx.c1  # divisor part of K_X = -2*xi + k'
-    c1sq = intersect(s, ctx.c1, ctx.c1)
+    c1sq = intersect(e, ctx.c1, ctx.c1)
     d = c1sq - ctx.c2
-    kc1 = intersect(s, k, ctx.c1)
-    ksq = intersect(s, k, k)
+    kc1 = intersect(e, k, ctx.c1)
+    ksq = intersect(e, k, k)
     return IntersectionNumbers(
         L3=d,
         KL2=-2 * d + kc1,
         K2L=4 * d - 4 * kc1 + ksq,
         K3=-8 * d + 12 * kc1 - 6 * ksq,
-        c2L=4 - intersect(s, ctx.c1, kf),
+        c2L=4 - intersect(e, ctx.c1, kf),
         Kc2=-24,
         c3=8,
     )

@@ -318,7 +318,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     # corrupt the canonical class; the adjunction identity must catch it
     monkeypatch.setattr(
         "fescroll.surface_lattice.canonical_class",
-        lambda s: DivisorClass(2, s.e + 2),
+        lambda e: DivisorClass(2, e + 2),
     )
     code, out, _ = run_cli(capsys, "verify", "--e-max", "0", "--t-max", "0")
     assert code == 3

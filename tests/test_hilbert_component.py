@@ -6,11 +6,26 @@ from pathlib import Path
 import pytest
 
 from fescroll import hilbert_component
-from fescroll.bundle_family import FamilyParams, iter_valid_params
-from fescroll.chow_ring import ONE, XI, degree, multiply, prod
+from fescroll.bundle_family import FamilyParams, build_split, chern, iter_valid_params
+from fescroll.chow_ring import (
+    ONE,
+    XI,
+    ScrollContext,
+    chern_TX,
+    degree,
+    intersection_numbers,
+    multiply,
+    prod,
+)
 from fescroll.errors import ConsistencyError, HypothesesError, exact_div
-from fescroll.hilbert_component import HypothesisFlags, TangentCohomology, chi_normal
+from fescroll.hilbert_component import (
+    HypothesisFlags,
+    TangentCohomology,
+    chi_normal,
+    component_dimension,
+)
 from fescroll.member import Member
+from fescroll.scroll_invariants import scroll_degree
 
 
 def flags_tuple(p):
@@ -84,10 +99,34 @@ def test_chi_normal_rejects_a_non_integral_total():
         chi_normal(m.params, m.n, m.d, bumped)
 
 
+@pytest.mark.parametrize("e, b, t", [(0, 3, 0), (1, 4, 3), (2, 7, 0), (3, 5, 2), (5, 20, 40)])
+def test_the_ungated_chain_runs_on_a_number_type_without_order(monkeypatch, e, b, t):
+    # complex has +, -, * and == but no <, //, % or divmod, so the chain from
+    # the split form to chi(N) tests no inequality and no regime; exact_div
+    # is the one division, replaced here by true division
+    monkeypatch.setattr(hilbert_component, "exact_div", lambda x, k, what: x / k)
+    params = tuple.__new__(FamilyParams, (complex(e), complex(b), complex(t)))
+    cd = chern(params, build_split(params))
+    ctx = ScrollContext(params, cd.c1, cd.c2)
+    d = scroll_degree(ctx)
+    nums = intersection_numbers(ctx, chern_TX(ctx))
+    n = 5 * params.e + 2 * params.b + 4 * params.t + 27  # h^0(E) - 1
+    member = Member(FamilyParams(e, b, t))
+    assert (n, d) == (member.n, member.d)
+    assert nums == member.intersection_numbers
+    assert chi_normal(params, n, d, nums) == member.chi_N
+
+
 def test_exact_div():
     assert exact_div(-12, 4, "x") == -3
     with pytest.raises(ConsistencyError, match=r"^x not an integer: 13/4$"):
         exact_div(13, 4, "x")
+
+
+def test_component_dimension_checks_the_regime_form():
+    m = Member(FamilyParams(2, 7, 0))
+    with pytest.raises(ConsistencyError, match=r"chi\(N\) != n\(n\+1\)\+9e\+20\+6t"):
+        component_dimension(m.params, m.flags, m.n, m.d, m.chi_N + 1, m.tangent)
 
 
 def test_regime_dimension_formula():

@@ -23,7 +23,7 @@ from fescroll.surface_lattice import ZERO
 COUNTED = {
     bundle_family: ("build_split", "chern", "invariant_r", "bundle_cohomology",
                     "sym2_pieces"),
-    chow_ring: ("chern_TX", "intersection_numbers"),
+    chow_ring: ("chern_TX", "intersection_numbers", "triple"),
     hilbert_component: ("check_hypotheses", "tangent_cohomology"),
     scroll_invariants: ("hilbert_polynomial",),
 }
@@ -65,6 +65,7 @@ def test_report_computes_each_value_once(calls, capsys):
         "check_hypotheses": 1,
         "chern_TX": 1,
         "intersection_numbers": 1,
+        "triple": 4,  # deg xi^3 is read once, as L3 of intersection_numbers
         "tangent_cohomology": 1,
         "hilbert_polynomial": 1,
     }
@@ -76,6 +77,8 @@ def test_table_computes_chern_once_per_row(calls, capsys):
     assert len(rows) == 54
     assert calls["chern"] == len(rows)
     assert calls["build_split"] <= 2 * len(rows)
+    # d is c1^2 - c2: only the 9 regime rows build the intersection numbers
+    assert calls["triple"] == 9 * 4
 
 
 def test_table_computes_intersection_numbers_once_per_row(calls, capsys):
@@ -133,9 +136,9 @@ def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):
     classes = Counter()
 
     def recording(_name, fn):
-        def wrapper(s, d):
+        def wrapper(e, d):
             classes[d] += 1
-            return fn(s, d)
+            return fn(e, d)
         return wrapper
 
     _replace_everywhere(monkeypatch, surface_lattice, "cohomology", recording)

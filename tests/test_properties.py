@@ -25,7 +25,6 @@ from fescroll.member import Member
 from fescroll.scroll_invariants import RationalCubic
 from fescroll.surface_lattice import (
     DivisorClass,
-    Surface,
     _h0_fiberwise,
     _h1_fiberwise,
     canonical_class,
@@ -36,7 +35,7 @@ from fescroll.surface_lattice import (
 )
 from fescroll.verify import _r_by_scan
 
-surfaces = st.integers(min_value=0, max_value=6).map(Surface)
+surfaces = st.integers(min_value=0, max_value=6)  # F_e, as its integer e
 classes = st.builds(
     DivisorClass,
     st.integers(min_value=-30, max_value=30),
@@ -79,42 +78,42 @@ def scroll_contexts(draw):
 
 
 @given(surfaces, classes, classes, classes, st.integers(-7, 7))
-def test_pairing_symmetric_bilinear(s, d1, d2, d3, k):
-    assert intersect(s, d1, d2) == intersect(s, d2, d1)
-    assert intersect(s, d1 + k * d2, d3) == intersect(s, d1, d3) + k * intersect(s, d2, d3)
+def test_pairing_symmetric_bilinear(e, d1, d2, d3, k):
+    assert intersect(e, d1, d2) == intersect(e, d2, d1)
+    assert intersect(e, d1 + k * d2, d3) == intersect(e, d1, d3) + k * intersect(e, d2, d3)
 
 
 @given(surfaces, classes)
-def test_serre_involution(s, d):
-    k = canonical_class(s)
-    tab = cohomology(s, d)
-    dual = cohomology(s, k - d)
+def test_serre_involution(e, d):
+    k = canonical_class(e)
+    tab = cohomology(e, d)
+    dual = cohomology(e, k - d)
     assert (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0)
 
 
 @given(surfaces, classes)
-def test_riemann_roch_holds(s, d):
-    pairing = intersect(s, d, d - canonical_class(s))
+def test_riemann_roch_holds(e, d):
+    pairing = intersect(e, d, d - canonical_class(e))
     assert pairing % 2 == 0
-    assert cohomology(s, d).chi == 1 + pairing // 2
+    assert cohomology(e, d).chi == 1 + pairing // 2
 
 
 @given(surfaces, small_classes)
-def test_h0_equals_lattice_count(s, d):
-    assert cohomology(s, d).h0 == h0_lattice_oracle(s, d)
+def test_h0_equals_lattice_count(e, d):
+    assert cohomology(e, d).h0 == h0_lattice_oracle(e, d)
 
 
 @given(
-    st.integers(min_value=0, max_value=8).map(Surface),
+    st.integers(min_value=0, max_value=8),
     st.builds(DivisorClass, st.integers(-300, 300), st.integers(-300, 300)),
 )
-def test_closed_form_sums_match_pushforward(s, d):
+def test_closed_form_sums_match_pushforward(e, d):
     if d.a < 0:
-        assert _h0_fiberwise(s.e, d.a, d.c) == 0
+        assert _h0_fiberwise(e, d.a, d.c) == 0
         return
-    degrees = pushforward_degrees(s, d)
-    assert _h0_fiberwise(s.e, d.a, d.c) == sum(max(0, deg + 1) for deg in degrees)
-    assert _h1_fiberwise(s.e, d.a, d.c) == sum(max(0, -deg - 1) for deg in degrees)
+    degrees = pushforward_degrees(e, d)
+    assert _h0_fiberwise(e, d.a, d.c) == sum(max(0, deg + 1) for deg in degrees)
+    assert _h1_fiberwise(e, d.a, d.c) == sum(max(0, -deg - 1) for deg in degrees)
 
 
 @st.composite
@@ -132,9 +131,9 @@ def test_invariant_r_matches_scan(params, d1):
 
 
 @given(surfaces, st.integers(0, 6), st.integers(-20, 19))
-def test_h0_monotone_in_fiber_twist(s, a, c):
-    lower = cohomology(s, DivisorClass(a, c)).h0
-    upper = cohomology(s, DivisorClass(a, c + 1)).h0
+def test_h0_monotone_in_fiber_twist(e, a, c):
+    lower = cohomology(e, DivisorClass(a, c)).h0
+    upper = cohomology(e, DivisorClass(a, c + 1)).h0
     assert upper >= lower
 
 
@@ -249,6 +248,5 @@ def test_flags_match_windows(params):
 def test_chern_data_consistent(params):
     bun = build_split(params)
     data = chern(params, bun)  # internally cross-asserts the three presentations
-    s = params.surface
     assert data.c1 == bun.A + bun.B
-    assert data.c2 == intersect(s, bun.A, bun.B)
+    assert data.c2 == intersect(params.e, bun.A, bun.B)

@@ -15,14 +15,13 @@ from fescroll.errors import ConsistencyError, ParameterError
 from fescroll.hilbert_component import TangentCohomology
 from fescroll.member import Member
 from fescroll.scroll_invariants import RationalCubic
-from fescroll.surface_lattice import CohomologyTable, DivisorClass, Surface
+from fescroll.surface_lattice import ZERO, CohomologyTable, DivisorClass, cohomology
 
 M = Member(FamilyParams(2, 7, 0))
 PARAMS = "FamilyParams(e=2, b=7, t=0)"
 FLAGS = "HypothesisFlags(paper_regime=True, v1=True, v2=True, v3=True)"
 
 REPRS = [
-    (Surface(2), "Surface(e=2)"),
     (DivisorClass(4, 19), "DivisorClass(a=4, c=19)"),
     (M.tables[2], "CohomologyTable(h0=52, h1=0, h2=0, chi=52)"),
     (M.params, PARAMS),
@@ -61,7 +60,7 @@ def test_derived_fields_are_bound_at_construction():
 
 
 @pytest.mark.parametrize("build, reason, message", [
-    (lambda: Surface(-1), "e_negative", "require e >= 0, got e=-1"),
+    (lambda: cohomology(-1, ZERO), "e_negative", "require e >= 0, got e=-1"),
     (lambda: FamilyParams(-1, 0, 0), "e_negative", "require e >= 0, got e=-1"),
     (lambda: FamilyParams(0, 0, -1), "t_negative", "require t >= 0, got t=-1"),
     (lambda: FamilyParams(0, -2, 0), "b_lower", "require b > -2, got b=-2"),

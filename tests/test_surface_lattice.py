@@ -7,9 +7,7 @@ from fescroll.surface_lattice import (
     ZERO,
     CohomologyTable,
     DivisorClass,
-    Surface,
     canonical_class,
-    chi,
     cohomology,
     h0_lattice_oracle,
     intersect,
@@ -19,7 +17,7 @@ from fescroll.surface_lattice import (
 )
 
 D = DivisorClass
-F0, F1, F2 = Surface(0), Surface(1), Surface(2)
+F0, F1, F2 = 0, 1, 2  # the surface F_e is its integer e
 
 
 def _h_p1(deg):
@@ -34,18 +32,17 @@ def kunneth_table(a, c):
     return (h0a * h0c, h0a * h1c + h1a * h0c, h1a * h1c)
 
 
-def test_surface_rejects_negative_e():
+def test_cohomology_rejects_negative_e():
     with pytest.raises(ParameterError) as info:
-        Surface(-1)
+        cohomology(-1, ZERO)
     assert info.value.reason == "e_negative"
 
 
 def test_intersection_form_on_generators():
     for e in range(5):
-        s = Surface(e)
-        assert intersect(s, C0, C0) == -e
-        assert intersect(s, FIBER, FIBER) == 0
-        assert intersect(s, C0, FIBER) == 1
+        assert intersect(e, C0, C0) == -e
+        assert intersect(e, FIBER, FIBER) == 0
+        assert intersect(e, C0, FIBER) == 1
 
 
 def test_intersect_example():
@@ -61,10 +58,9 @@ def test_canonical_class():
 def test_adjunction_pins_canonical_class():
     # K is the unique class with K.C0 + C0^2 = -2 and K.f + f^2 = -2
     for e in range(7):
-        s = Surface(e)
-        k = canonical_class(s)
-        assert intersect(s, k, C0) + intersect(s, C0, C0) == -2
-        assert intersect(s, k, FIBER) == -2
+        k = canonical_class(e)
+        assert intersect(e, k, C0) + intersect(e, C0, C0) == -2
+        assert intersect(e, k, FIBER) == -2
 
 
 def test_effective_examples():
@@ -76,15 +72,14 @@ def test_effective_examples():
 
 def test_effective_matches_h0():
     for e in range(4):
-        s = Surface(e)
         for a in range(-8, 9):
             for c in range(-8, 9):
                 d = D(a, c)
-                h0 = cohomology(s, d).h0
+                h0 = cohomology(e, d).h0
                 if d == ZERO:
-                    assert h0 == 1 and is_effective(s, d)
+                    assert h0 == 1 and is_effective(e, d)
                 else:
-                    assert is_effective(s, d) == (h0 > 0)
+                    assert is_effective(e, d) == (h0 > 0)
 
 
 def test_ample_examples():
@@ -99,7 +94,7 @@ def test_pushforward_degrees():
     assert pushforward_degrees(F2, D(3, 11)) == [11, 9, 7, 5]
     assert pushforward_degrees(F1, D(1, 2)) == [2, 1]
     for e in range(4):
-        assert pushforward_degrees(Surface(e), D(0, 7)) == [7]
+        assert pushforward_degrees(e, D(0, 7)) == [7]
     with pytest.raises(ValueError):
         pushforward_degrees(F2, D(-1, 3))
 
@@ -107,7 +102,7 @@ def test_pushforward_degrees():
 def test_cohomology_examples():
     assert cohomology(F2, D(3, 11)).as_tuple() == (36, 0, 0)
     for e in range(5):
-        assert cohomology(Surface(e), ZERO).as_tuple() == (1, 0, 0)
+        assert cohomology(e, ZERO).as_tuple() == (1, 0, 0)
     assert cohomology(F0, D(-2, 0)).as_tuple() == (0, 1, 0)
 
 
@@ -119,18 +114,16 @@ def test_cohomology_against_kunneth_on_f0():
 
 def test_a_equals_minus_one_stratum_vanishes():
     for e in range(5):
-        s = Surface(e)
         for c in range(-10, 11):
-            table = cohomology(s, D(-1, c))
+            table = cohomology(e, D(-1, c))
             assert table.as_tuple() == (0, 0, 0)
-            assert table.chi == chi(s, D(-1, c)) == 0
+            assert table.chi == 0
 
 
 def test_canonical_class_cohomology():
     # h^2(K) = h^0(O) = 1 by duality
     for e in range(5):
-        s = Surface(e)
-        assert cohomology(s, canonical_class(s)).as_tuple() == (0, 0, 1)
+        assert cohomology(e, canonical_class(e)).as_tuple() == (0, 0, 1)
 
 
 @pytest.mark.parametrize("corrupted", ["_h0_fiberwise", "_h1_fiberwise"])
@@ -154,33 +147,30 @@ def test_lattice_oracle_examples():
 
 def test_lattice_oracle_matches_cohomology():
     for e in range(5):
-        s = Surface(e)
         for a in range(-12, 13):
             for c in range(-12, 13):
-                assert h0_lattice_oracle(s, D(a, c)) == cohomology(s, D(a, c)).h0
+                assert h0_lattice_oracle(e, D(a, c)) == cohomology(e, D(a, c)).h0
 
 
 def test_serre_duality_involution():
     for e in range(5):
-        s = Surface(e)
-        k = canonical_class(s)
+        k = canonical_class(e)
         for a in range(-12, 13):
             for c in range(-12, 13):
-                tab = cohomology(s, D(a, c))
-                dual = cohomology(s, k - D(a, c))
+                tab = cohomology(e, D(a, c))
+                dual = cohomology(e, k - D(a, c))
                 assert (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0)
 
 
 def test_riemann_roch_parity_and_chi():
     for e in range(5):
-        s = Surface(e)
-        k = canonical_class(s)
+        k = canonical_class(e)
         for a in range(-12, 13):
             for c in range(-12, 13):
                 d = D(a, c)
-                pairing = intersect(s, d, d - k)
+                pairing = intersect(e, d, d - k)
                 assert pairing % 2 == 0
-                assert cohomology(s, d).chi == 1 + pairing // 2
+                assert cohomology(e, d).chi == 1 + pairing // 2
 
 
 def test_table_invariant_rejects_mismatched_chi():

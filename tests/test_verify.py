@@ -39,9 +39,9 @@ def test_r_oracle_calls_cohomology_logarithmically(monkeypatch, d1):
     calls = []
     real = sl.cohomology
 
-    def counting(s, d):
+    def counting(e, d):
         calls.append(d)
-        return real(s, d)
+        return real(e, d)
 
     monkeypatch.setattr(sl, "cohomology", counting)
     assert verify._r_by_scan(p, d1) == invariant_r(build_split(p), d1) == 3 * p.e + 5 + p.t
@@ -89,9 +89,9 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
     calls = []
     real = sl.cohomology
 
-    def counting(s, d):
+    def counting(e, d):
         calls.append(d)
-        return real(s, d)
+        return real(e, d)
 
     monkeypatch.setattr(sl, "cohomology", counting)
     rec = verify.CheckResult("identity")
@@ -108,13 +108,13 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     computed = Counter()
     real = sl.cohomology
 
-    def counting(s, d):
+    def counting(e, d):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code not in surface_checks:
             frame = frame.f_back
         if frame is not None:
-            computed[s.e, d.a, d.c] += 1
-        return real(s, d)
+            computed[e, d.a, d.c] += 1
+        return real(e, d)
 
     sweeps, alive_at_creation = [], []
 
@@ -194,10 +194,10 @@ def _results_by_name(e_max, t_max):
 def test_an_error_on_one_surface_is_one_failed_case_of_that_surface(monkeypatch):
     real = sl.h0_lattice_oracle
 
-    def oracle(s, d):
-        if s.e == 1:
+    def oracle(e, d):
+        if e == 1:
             raise ConsistencyError("lattice count unavailable")
-        return real(s, d)
+        return real(e, d)
 
     monkeypatch.setattr(sl, "h0_lattice_oracle", oracle)
     results = _results_by_name(2, 0)
@@ -239,7 +239,7 @@ def test_a_wrong_fiber_tangent_table_fails_every_guard_that_forces_it(monkeypatc
     # Riemann-Roch for T_{F_e} reads chi = 7, so _fiber_tangent_table raises,
     # and with it tangent_cohomology on every regime member
     real = hc.intersect
-    monkeypatch.setattr(hc, "intersect", lambda s, x, y: real(s, x, y) + 2)
+    monkeypatch.setattr(hc, "intersect", lambda e, x, y: real(e, x, y) + 2)
     assert _verify_1_1_exit_code(capsys) == 3
     results = _results_by_name(1, 1)
     message = "chi(T_F) != 6 at e={}: table (6, 0, 0), RR 7"
