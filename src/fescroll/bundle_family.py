@@ -30,8 +30,8 @@ from .surface_lattice import (
     ZERO,
     CohomologyTable,
     DivisorClass,
+    SurfaceTables,
     _chi,
-    cohomology,
     intersect,
 )
 
@@ -67,9 +67,14 @@ class FamilyParams(namedtuple("FamilyParams", "e b t")):
 def iter_valid_params(e_max: int, t_max: int):
     """All valid (e, b, t) with e <= e_max, t <= t_max, ordered by (e, t, b)."""
     for e in range(e_max + 1):
-        for t in range(t_max + 1):
-            for b in range(e, 2 * e + 4 + t):
-                yield FamilyParams(e, b, t)
+        yield from surface_params(e, t_max)
+
+
+def surface_params(e: int, t_max: int):
+    """All valid (e, b, t) on F_e with t <= t_max, ordered by (t, b)."""
+    for t in range(t_max + 1):
+        for b in range(e, 2 * e + 4 + t):
+            yield FamilyParams(e, b, t)
 
 
 def grid_member_count(e_max: int, t_max: int) -> int:
@@ -186,15 +191,15 @@ def splitting_type(params: FamilyParams, evidence: UniformityEvidence) -> tuple[
 
 
 def bundle_cohomology(
-    params: FamilyParams, bundle: SplitBundle
+    params: FamilyParams, bundle: SplitBundle, tables: SurfaceTables
 ) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
     """Tables of A, B and E = A + B; the closed forms for each are asserted.
 
-    bundle is build_split(params).
+    bundle is build_split(params), and tables are those of its surface F_e.
     """
     e, b, t = params.e, params.b, params.t
-    tab_a = cohomology(e, bundle.A)
-    tab_b = cohomology(e, bundle.B)
+    tab_a = tables[bundle.A]
+    tab_b = tables[bundle.B]
     if tab_a.h0 != 6 * e + 4 * t + 24:
         raise ConsistencyError(f"h0(A) != 6e+4t+24 at {params}: got {tab_a.h0}")
     if tab_b.h0 != 2 * b + 4 - e:
@@ -222,12 +227,8 @@ def sym_chi(bundle: SplitBundle, m: int) -> int:
 
 
 def sym2_pieces(
-    bundle: SplitBundle,
+    bundle: SplitBundle, tables: SurfaceTables
 ) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
-    """Tables of A-B, O and B-A, the summands of Sym^2(E) twisted by -c1."""
-    e = bundle.e
-    return (
-        cohomology(e, bundle.A - bundle.B),
-        cohomology(e, ZERO),
-        cohomology(e, bundle.B - bundle.A),
-    )
+    """Tables of A-B, O and B-A, the summands of Sym^2(E) twisted by -c1,
+    read from the tables of the bundle's surface F_e."""
+    return tables[bundle.A - bundle.B], tables[ZERO], tables[bundle.B - bundle.A]

@@ -14,10 +14,10 @@ import gc
 import os
 import sys
 
-from .bundle_family import FamilyParams, grid_member_count, iter_valid_params
+from .bundle_family import FamilyParams, grid_member_count, surface_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
 from .member import Member
-from .surface_lattice import DivisorClass, cohomology
+from .surface_lattice import DivisorClass, SurfaceTables, cohomology
 from .verify import run_all
 
 _REPORT_CHECKS = [
@@ -348,9 +348,12 @@ def _check_grid(e_max: int, t_max: int) -> None:
 
 def cmd_table(args) -> tuple[str, int]:
     _check_grid(args.e_max, args.t_max)
-    members = map(Member, iter_valid_params(args.e_max, args.t_max))
-    rows = [_member_row(member) for member in members
-            if member.flags.paper_regime or not args.paper_regime_only]
+    rows = []
+    for e in range(args.e_max + 1):
+        surface = SurfaceTables(e)  # the members of F_e share its tables
+        members = (Member(params, surface) for params in surface_params(e, args.t_max))
+        rows += (_member_row(member) for member in members
+                 if member.flags.paper_regime or not args.paper_regime_only)
     return _render(
         args.format,
         # plain and csv coincide for a grid listing

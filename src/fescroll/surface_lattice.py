@@ -19,6 +19,8 @@ A disagreement can only come from a wrongly transcribed formula and raises
 ConsistencyError.  The kernel behind cohomology() (_chi,
 _h0_fiberwise, _h1_fiberwise) works on plain integers (e, a, c), with K - D
 formed as (-2-a, -e-2-c), so a call allocates no intermediate classes.
+SurfaceTables keeps one surface's tables, each computed once, for the
+members and the identities that read them.
 
 The degree list itself (pushforward_degrees) and the lattice-point count
 (h0_lattice_oracle) stay as linear-time oracles for the verification suite
@@ -188,6 +190,24 @@ def cohomology(e: int, d: DivisorClass) -> CohomologyTable:
             f"chi-subtraction gives {h1}, fiberwise gives {direct}"
         )
     return CohomologyTable(h0, h1, h2, chi_d)
+
+
+class SurfaceTables(dict):
+    """The line-bundle tables of one surface F_e, each computed once.
+
+    tables[d] is cohomology(e, d), computed on the first lookup through this
+    module's global, so a replacement of cohomology sees every computation;
+    a lookup whose computation raised stores nothing.  Members of one grid
+    command share their surface's tables; nothing keeps them beyond it.
+    """
+
+    def __init__(self, e: int) -> None:
+        super().__init__()
+        self.e = e
+
+    def __missing__(self, d: DivisorClass) -> CohomologyTable:
+        table = self[d] = cohomology(self.e, d)
+        return table
 
 
 def h0_lattice_oracle(e: int, d: DivisorClass) -> int:

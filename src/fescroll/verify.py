@@ -1,15 +1,17 @@
 """Named identity checks swept over parameter grids.
 
 Each check reports how many cases it examined and a list of failure
-descriptions (empty on success).  The surface and window checks run once
-per surface F_e and read its line-bundle tables from one shared _Sweep;
-member checks run once per valid (e, b, t) and read one shared Member.  So
-each table and each member value is derived once per sweep and the
-cross-check that guards it runs once; a value that raises is not kept, so
-each check that reads a broken value reports it.  A ConsistencyError raised
-while a check examines a surface or a member counts as one failed case of
-that check there, and the sweep goes on, so a corrupted build reports every
-identity it breaks on every subject it breaks them at.
+descriptions (empty on success).  The grid is walked surface by surface:
+the surface and window checks run once per surface F_e on its _Sweep, then
+the member checks once per valid (e, b, t) of that surface on one shared
+Member, which reads its line-bundle tables from the same _Sweep.  So each
+table is computed once per surface, each member value once per member,
+and the cross-check that guards it runs once; a value that raises is not
+kept, so each check that reads a broken value reports it.  A
+ConsistencyError raised while a check examines a surface or a member
+counts as one failed case of that check there, and the sweep goes on, so
+a corrupted build reports every identity it breaks on every subject it
+breaks them at.
 
 A closed form is asserted once, in the layer function that computes the
 value, so that report and hilbert are checked too.  Where that assertion
@@ -77,20 +79,13 @@ def _register(name: str, sweep: str = "surface"):
     return wrap
 
 
-class _Sweep:
-    """One surface F_e of the grid, with t_max and a memo of its tables: table(d)
-    keeps cohomology(F_e, d) for this surface only, unless computing it raised."""
+class _Sweep(sl.SurfaceTables):
+    """One surface F_e of the grid: the tables its identities and its members
+    share, and t_max, the bound of the window sweeps."""
 
     def __init__(self, e: int, t_max: int) -> None:
-        self.e = e
+        super().__init__(e)
         self.t_max = t_max
-        self._tables: dict[sl.DivisorClass, sl.CohomologyTable] = {}
-
-    def table(self, d: sl.DivisorClass) -> sl.CohomologyTable:
-        tab = self._tables.get(d)
-        if tab is None:
-            tab = self._tables[d] = sl.cohomology(self.e, d)
-        return tab
 
 
 # the classes a*C0 + c*f with |a|, |c| <= 12 that the surface identities sweep
@@ -118,8 +113,8 @@ def _check_serre(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.e
     k = sl.canonical_class(e)
     for d in _CLASSES:
-        tab = sweep.table(d)
-        dual = sweep.table(k - d)
+        tab = sweep[d]
+        dual = sweep[k - d]
         rec.case(
             (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0),
             lambda: f"e={e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
@@ -132,7 +127,7 @@ def _check_riemann_roch(rec: CheckResult, sweep: _Sweep) -> None:
     k = sl.canonical_class(e)
     for d in _CLASSES:
         pairing = sl.intersect(e, d, d - k)
-        tab = sweep.table(d)
+        tab = sweep[d]
         rec.case(
             pairing % 2 == 0 and tab.chi == 1 + pairing // 2,
             lambda: f"e={e} D={d}: pairing={pairing}, chi={tab.chi}",
@@ -144,7 +139,7 @@ def _check_lattice_oracle(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.e
     for d in _CLASSES:
         expected = sl.h0_lattice_oracle(e, d)
-        got = sweep.table(d).h0
+        got = sweep[d].h0
         rec.case(got == expected,
                  lambda: f"e={e} D={d}: h0={got}, lattice count {expected}")
 
@@ -154,7 +149,7 @@ def _check_effective(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.e
     for d in _CLASSES:
         eff = sl.is_effective(e, d)
-        h0 = sweep.table(d).h0
+        h0 = sweep[d].h0
         if d == sl.ZERO:
             rec.case(eff and h0 == 1, lambda: f"e={e}: h0(0) = {h0}")
         else:
@@ -168,7 +163,7 @@ def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
     for a in range(0, 7):
         previous = None
         for c in range(-12, 13):
-            h0 = sweep.table(sl.DivisorClass(a, c)).h0
+            h0 = sweep[sl.DivisorClass(a, c)].h0
             if previous is not None:
                 rec.case(h0 >= previous,
                          lambda: f"e={e} a={a} c={c}: {previous} -> {h0}")
@@ -200,7 +195,7 @@ def _check_h1_routes(rec: CheckResult, sweep: _Sweep) -> None:
     k = sl.canonical_class(e)
     for d in _CLASSES:
         try:
-            tab = sweep.table(d)
+            tab = sweep[d]
         except ConsistencyError as exc:
             rec.case(False, f"e={e} D={d}: {exc}")
             continue
@@ -239,10 +234,12 @@ def _check_ell2(rec: CheckResult, member: Member) -> None:
     rec.case(ok, lambda: f"{params}: expected {expected}")
 
 
-def _twisted_h0(bun: bf.SplitBundle, d1: int, ell: int) -> int:
-    """h^0(E(-d1*C0 + ell*f)) for E = A + B on F_e, read from cohomology()."""
+def _twisted_h0(member: Member, d1: int, ell: int) -> int:
+    """h^0(E(-d1*C0 + ell*f)) for E = A + B on F_e, read from the member's
+    surface tables, that is from cohomology()."""
+    bun, tables = member.split, member.surface
     twist = sl.DivisorClass(-d1, ell)
-    return sl.cohomology(bun.e, bun.A + twist).h0 + sl.cohomology(bun.e, bun.B + twist).h0
+    return tables[bun.A + twist].h0 + tables[bun.B + twist].h0
 
 
 def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
@@ -256,10 +253,10 @@ def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
     provably lies inside the window; h^0 > 0 at its lower edge, or h^0 = 0
     at its upper edge, is an internal-consistency failure.
     """
-    bun = bf.build_split(params)
+    member = Member(params)
 
     def h0(ell: int) -> int:
-        return _twisted_h0(bun, d1, ell)
+        return _twisted_h0(member, d1, ell)
 
     span = 3 * params.e + 6 + params.t + abs(params.b) + 4
     if h0(-span) != 0:
@@ -281,10 +278,9 @@ def _is_threshold(member: Member, d1: int, r: int) -> bool:
 
     h^0(E(-d1*C0 + ell*f)) vanishes at ell = -r-1 and not at ell = -r.  As
     h^0 is nondecreasing in ell, that holds exactly when _r_by_scan finds r,
-    with four cohomology calls whatever the size of r.
+    with four table lookups whatever the size of r.
     """
-    bun = member.split
-    return _twisted_h0(bun, d1, -r - 1) == 0 < _twisted_h0(bun, d1, -r)
+    return _twisted_h0(member, d1, -r - 1) == 0 < _twisted_h0(member, d1, -r)
 
 
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
@@ -317,7 +313,7 @@ def _check_window_v1(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.e
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
-            h1 = sweep.table(sl.DivisorClass(2, 3 * e + 4 + t - b)).h1
+            h1 = sweep[sl.DivisorClass(2, 3 * e + 4 + t - b)].h1
             rec.case(
                 (h1 == 0) == (b < 6 + t + e),
                 lambda: f"e={e} t={t} b={b}: h1(A-B)={h1}",
@@ -329,7 +325,7 @@ def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.e
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
-            h2 = sweep.table(sl.DivisorClass(-2, b - 3 * e - 4 - t)).h2
+            h2 = sweep[sl.DivisorClass(-2, b - 3 * e - 4 - t)].h2
             rec.case(
                 (h2 == 0) == (b >= 2 * e + 3 + t),
                 lambda: f"e={e} t={t} b={b}: h2(B-A)={h2}",
@@ -471,17 +467,26 @@ def _visit(checks: list[tuple[Callable, CheckResult]], subject, label: str) -> N
             rec.case(False, f"{label}: {exc}")
 
 
+def _visit_surface(sweep: _Sweep, surface: list, member: list, regime: list) -> None:
+    """The surface checks on sweep, then the member or regime checks on each
+    valid member of F_e, every Member reading its tables from sweep."""
+    _visit(surface, sweep, f"e={sweep.e}")
+    for params in bf.surface_params(sweep.e, sweep.t_max):
+        _visit(regime if params.paper_regime else member, Member(params, sweep), str(params))
+
+
 def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     """Run every registered check over the grid; checks never abort each other.
 
-    The surface checks share one _Sweep per surface F_e, e = 0..e_max, and
-    member checks one Member per valid (e, b, t), built in
-    iter_valid_params order; each is let go when the next one replaces it,
-    so one surface's tables, or one member's data, are alive at a time.  A
-    ConsistencyError raised while a check examines a surface or a member
-    counts as one failed case of that check, labelled e=<e> or with the
-    member's parameters, and the check goes on to the next subject.
-    Results come in registration order.
+    The grid is walked surface by surface, e = 0..e_max: the surface checks
+    on one _Sweep of F_e, then the member checks on one Member per valid
+    (e, b, t) of F_e, in iter_valid_params order, each Member sharing the
+    sweep's tables.  Each is let go when the next one replaces it, so one
+    surface's tables, and one member's data, are alive at a time; each
+    check still sees its subjects in grid order.  A ConsistencyError raised
+    while a check examines a surface or a member counts as one failed case
+    of that check, labelled e=<e> or with the member's parameters, and the
+    check goes on to the next subject.  Results come in registration order.
     """
     results = [CheckResult(name) for name, _fn in _CHECKS]
     checks = [(fn, rec) for (_name, fn), rec in zip(_CHECKS, results)]
@@ -489,7 +494,6 @@ def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     member = [(fn, rec) for fn, rec in checks if fn.sweep == "member"]
     regime = [(fn, rec) for fn, rec in checks if fn.sweep != "surface"]
     for e in range(e_max + 1):
-        _visit(surface, _Sweep(e, t_max), f"e={e}")
-    for params in bf.iter_valid_params(e_max, t_max):
-        _visit(regime if params.paper_regime else member, Member(params), str(params))
+        # built in the call, so the last surface's sweep is gone before this one
+        _visit_surface(_Sweep(e, t_max), surface, member, regime)
     return results

@@ -13,7 +13,13 @@ from fescroll.bundle_family import (
 )
 from fescroll.errors import ParameterError
 from fescroll.member import Member
-from fescroll.surface_lattice import DivisorClass, cohomology, h0_lattice_oracle
+from fescroll.surface_lattice import (
+    DivisorClass,
+    SurfaceTables,
+    cohomology,
+    h0_lattice_oracle,
+    is_ample,
+)
 from fescroll.verify import _r_by_scan
 
 D = DivisorClass
@@ -48,6 +54,23 @@ def test_rejection_messages_cite_bounds():
         FamilyParams(0, 4, 0)
     with pytest.raises(ParameterError, match=r"b > e-1 = 1"):
         FamilyParams(2, 1, 0)
+
+
+def test_ampleness_inequality_is_ampleness_of_b():
+    # b > e-1 is the ampleness of B = C0 + (b+1)*f, and A = 3*C0 + (3e+5+t)*f
+    # is ample on every member
+    for e in range(7):
+        for t in range(7):
+            for b in range(-3, 2 * e + 6 + t):
+                bundle = build_split(tuple.__new__(FamilyParams, (e, b, t)))
+                try:
+                    FamilyParams(e, b, t)
+                except ParameterError:
+                    accepted = False
+                else:
+                    accepted = True
+                    assert is_ample(e, bundle.A)
+                assert accepted == (b < 2 * e + 4 + t and is_ample(e, bundle.B))
 
 
 def test_iter_valid_params_grid_size():
@@ -208,7 +231,8 @@ def test_sym_chi_small_cases():
 
 def test_sym2_twisted_cohomology_spots():
     for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0)]:
-        tab_amb, tab_trivial, tab_bma = sym2_pieces(build_split(FamilyParams(e, b, t)))
+        bundle = build_split(FamilyParams(e, b, t))
+        tab_amb, tab_trivial, tab_bma = sym2_pieces(bundle, SurfaceTables(e))
         assert (tab_amb + tab_trivial + tab_bma).as_tuple() == (7, 0, 0)
 
 

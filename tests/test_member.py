@@ -1,4 +1,5 @@
-"""Each member's values are computed once per CLI call.
+"""Each member's values are computed once per CLI call, and each line-bundle
+table once per surface.
 
 Counting wrappers replace a function in every fescroll namespace that
 binds it, because the modules import each other's functions by name.
@@ -18,7 +19,9 @@ from fescroll import (
     surface_lattice,
 )
 from fescroll.bundle_family import FamilyParams, build_split, iter_valid_params
-from fescroll.surface_lattice import ZERO
+from fescroll.errors import ConsistencyError
+from fescroll.member import Member
+from fescroll.surface_lattice import ZERO, SurfaceTables
 
 COUNTED = {
     bundle_family: ("build_split", "chern", "invariant_r", "bundle_cohomology",
@@ -147,3 +150,52 @@ def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):
     bundle = build_split(FamilyParams(2, 7, 0))
     pieces = (bundle.A, bundle.B, bundle.A - bundle.B, ZERO, bundle.B - bundle.A)
     assert classes == Counter(pieces)
+
+
+def _counting_cohomology(monkeypatch, fail_on=None):
+    """Count surface_lattice.cohomology calls by (e, class); raise at fail_on."""
+    computed = Counter()
+    real = surface_lattice.cohomology
+
+    def counting(e, d):
+        computed[e, d] += 1
+        if d == fail_on:
+            raise ConsistencyError(f"table of {d} unavailable")
+        return real(e, d)
+
+    monkeypatch.setattr(surface_lattice, "cohomology", counting)
+    return computed
+
+
+def _member_classes(params):
+    bundle = build_split(params)
+    return bundle.A, bundle.B, bundle.A - bundle.B, ZERO, bundle.B - bundle.A
+
+
+def test_table_computes_each_line_bundle_table_once_per_surface(monkeypatch, capsys):
+    # the members of one surface share its tables: 270 lookups, 75 tables
+    computed = _counting_cohomology(monkeypatch)
+    assert cli.main(["table", "--e-max", "2", "--t-max", "2"]) == 0
+    capsys.readouterr()
+    grid = list(iter_valid_params(2, 2))
+    read = {(p.e, d) for p in grid for d in _member_classes(p)}
+    assert (5 * len(grid), len(read)) == (270, 75)
+    assert computed == Counter(read)
+
+
+def test_a_table_that_raised_is_not_kept(monkeypatch):
+    # two members of F_2 with the same A - B; each reads it afresh, and so
+    # does the first member once the table can be computed again
+    first, second = FamilyParams(2, 7, 0), FamilyParams(2, 8, 1)
+    amb = build_split(first).A - build_split(first).B
+    assert amb == build_split(second).A - build_split(second).B
+    real = surface_lattice.cohomology
+    computed = _counting_cohomology(monkeypatch, fail_on=amb)
+    surface = SurfaceTables(2)
+    members = Member(first, surface), Member(second, surface)
+    for member in members:
+        with pytest.raises(ConsistencyError, match="unavailable"):
+            member.flags
+    assert computed[2, amb] == 2 and amb not in surface
+    monkeypatch.setattr(surface_lattice, "cohomology", real)
+    assert members[0].flags.all_hold()

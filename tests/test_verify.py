@@ -7,7 +7,6 @@ traces, and the identity that a broken Chow pairing fails."""
 import json
 import math
 import random
-import sys
 import weakref
 from collections import Counter
 from itertools import islice
@@ -104,16 +103,13 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
 
 
 def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
-    surface_checks = {fn.__code__ for _name, fn in verify._CHECKS if fn.sweep == "surface"}
+    # every cohomology call of run_all, the member identities and the
+    # threshold certificate included, reads the one sweep of its surface
     computed = Counter()
     real = sl.cohomology
 
     def counting(e, d):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code not in surface_checks:
-            frame = frame.f_back
-        if frame is not None:
-            computed[e, d.a, d.c] += 1
+        computed[e, d.a, d.c] += 1
         return real(e, d)
 
     sweeps, alive_at_creation = [], []
@@ -130,6 +126,16 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
         assert all(result.ok for result in verify.run_all(1, 2))
     # once per surface in each run: no table outlives its run_all
     assert computed and set(computed.values()) == {2}
+    # among them the five tables of every member and the twists that
+    # certify its thresholds
+    for p in iter_valid_params(1, 2):
+        bun = build_split(p)
+        classes = [bun.A, bun.B, bun.A - bun.B, sl.ZERO, bun.B - bun.A]
+        for d1 in (2, 3):
+            r = invariant_r(bun, d1)
+            twists = (sl.DivisorClass(-d1, ell) for ell in (-r - 1, -r))
+            classes += (summand + twist for twist in twists for summand in (bun.A, bun.B))
+        assert all((p.e, d.a, d.c) in computed for d in classes)
     # one sweep per surface, each gone before the next is built and after run_all
     assert alive_at_creation == [0, 0, 0, 0]
     assert all(ref() is None for ref in sweeps)
