@@ -53,8 +53,7 @@ class TangentCohomology(namedtuple("TangentCohomology", "h0 h1 h2 h3 chi")):
 
 
 HilbertReport = namedtuple(
-    "HilbertReport",
-    "params flags n d chiN dim_component hN hTX chiTX codim_scroll_locus",
+    "HilbertReport", "chiN dim_component hN hTX chiTX codim_scroll_locus"
 )
 
 
@@ -171,11 +170,10 @@ def component_dimension(
     params: FamilyParams,
     flags: HypothesisFlags,
     n: int,
-    d: int,
     chi_n: int,
     tangent: TangentCohomology,
 ) -> HilbertReport:
-    """Full report from the member's n, d, chi(N) and h^i(T_X).
+    """Full report from the member's n, chi(N) and h^i(T_X).
 
     dim = chi(N) = h^0(N) once the flags hold.  The identification
     h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming from the Euler
@@ -199,10 +197,6 @@ def component_dimension(
             f"chi(N)={chi_n}, Euler-sequence value {h0_n_euler}"
         )
     return HilbertReport(
-        params=params,
-        flags=flags,
-        n=n,
-        d=d,
         chiN=chi_n,
         dim_component=chi_n,
         hN=(chi_n, 0, 0, 0),

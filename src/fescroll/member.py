@@ -97,7 +97,7 @@ class Member:
         return cr.intersection_numbers(self.ctx, self.chern_TX)
 
     @_once
-    def hilbert_poly(self) -> si.RationalCubic:
+    def hilbert_poly(self) -> si.BinomialCubic:
         return si.hilbert_polynomial(self.params, self.split, self.intersection_numbers)
 
     @_once
@@ -124,5 +124,5 @@ class Member:
     def hilbert(self) -> hc.HilbertReport:
         """The component report; raises HypothesesError unless every flag holds."""
         return hc.component_dimension(
-            self.params, self.flags, self.n, self.d, self.chi_N, self.tangent
+            self.params, self.flags, self.n, self.chi_N, self.tangent
         )

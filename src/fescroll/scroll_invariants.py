@@ -6,76 +6,50 @@ route).  The Hilbert polynomial comes from Riemann-Roch on X,
 
     P(m) = (m^3/6) L^3 - (m^2/4) L^2.K + (m/12) L.(K^2 + c2) + 1,
 
-and is cross-checked against the independent oracle chi(Sym^m E) for
-m in [0, 8] on every construction.  Nothing here tests the paper's
-regime: hilbert_component.component_dimension() checks the regime forms.
+held by its integer coefficients in the binomial basis and cross-checked
+against the independent oracle chi(Sym^m E) for m in [0, 8] on every
+construction.  Nothing here tests the paper's regime:
+hilbert_component.component_dimension() checks the regime forms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .bundle_family import FamilyParams, SplitBundle, sym_chi
 from .chow_ring import IntersectionNumbers, ScrollContext
-from .errors import ConsistencyError
+from .errors import ConsistencyError, exact_div
 from .surface_lattice import intersect
 
 
-class RationalCubic(namedtuple("RationalCubic", "c0 c1 c2 c3 den nums")):
-    """Cubic with exact rational coefficients, ascending degree.
+class BinomialCubic(namedtuple("BinomialCubic", "p0 p1 p2 p3")):
+    """P(m) = p0 + p1*m + p2*C(m, 2) + p3*C(m, 3) with integers p0..p3.
 
-    Must be integer-valued on the integers; sampled on [-6, 6] at
-    construction time (a cubic integral on four consecutive integers is
-    integral everywhere, so the sample is a proof).  Values are computed
-    in integers: den * P(m) by Horner's rule, with den the lcm of the
-    coefficient denominators, so P(m) is an integer iff den divides it.
-    Built as RationalCubic(c0, c1, c2, c3); den and nums are derived.
+    A cubic is integer-valued on the integers iff its coefficients in the
+    binomial basis are integers (Polya), so the record is its own proof of
+    integrality and value_at is exact for every integer m.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction
-    ) -> RationalCubic:
-        coeffs = (c0, c1, c2, c3)
-        den = lcm(*(coeff.denominator for coeff in coeffs))
-        nums = tuple(coeff.numerator * (den // coeff.denominator) for coeff in coeffs)
-        self = tuple.__new__(cls, (*coeffs, den, nums))
-        for m in range(-6, 7):
-            if not self.is_integral_at(m):
-                raise ConsistencyError(f"cubic not integer-valued at m={m}: {self}")
-        return self
-
-    def __repr__(self) -> str:
-        return (f"RationalCubic(c0={self.c0!r}, c1={self.c1!r}, "
-                f"c2={self.c2!r}, c3={self.c3!r})")
-
-    def _scaled(self, m: int) -> int:
-        """den * P(m)."""
-        n0, n1, n2, n3 = self.nums
-        return ((n3 * m + n2) * m + n1) * m + n0
-
-    def is_integral_at(self, m: int) -> bool:
-        return self._scaled(m) % self.den == 0
-
-    def __call__(self, m: int) -> Fraction:
-        return Fraction(self._scaled(m), self.den)
-
     def value_at(self, m: int) -> int:
-        value, remainder = divmod(self._scaled(m), self.den)
-        if remainder:
-            raise ConsistencyError(f"cubic not integer-valued at m={m}: {self}")
-        return value
+        p0, p1, p2, p3 = self
+        return p0 + p1 * m + p2 * (m * (m - 1) // 2) + p3 * (m * (m - 1) * (m - 2) // 6)
+
+    def monomial(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The exact rational coefficients of 1, m, m^2, m^3, for printing."""
+        p0, p1, p2, p3 = self
+        return (Fraction(p0), p1 - Fraction(p2, 2) + Fraction(p3, 3),
+                Fraction(p2 - p3, 2), Fraction(p3, 6))
 
     def to_pairs(self) -> list[list[int]]:
         """[[numerator, denominator], ...] by ascending degree, for JSON."""
-        return [[coeff.numerator, coeff.denominator] for coeff in self[:4]]
+        return [[coeff.numerator, coeff.denominator] for coeff in self.monomial()]
 
     def pretty(self) -> str:
         terms = []
-        for power, coeff in enumerate(self[:4]):
+        for power, coeff in enumerate(self.monomial()):
             if coeff == 0:
                 continue
             mono = "" if power == 0 else ("m" if power == 1 else f"m^{power}")
@@ -102,18 +76,22 @@ def scroll_degree(ctx: ScrollContext) -> int:
 
 def hilbert_polynomial(
     params: FamilyParams, bundle: SplitBundle, nums: IntersectionNumbers
-) -> RationalCubic:
+) -> BinomialCubic:
     """Hilbert polynomial of (X, L), verified against chi(Sym^m E) on [0, 8].
 
     bundle is the member's split form E = A + B and nums its intersection
-    numbers.  P(0) = 1 holds by construction (c0 = 1), and P(1) = n+1 is
-    the m = 1 case, since chi(E) = h^0(E) = n+1 by bundle_cohomology.
+    numbers.  Riemann-Roch in the binomial basis gives p3 = L3,
+    p2 = L3 - KL2/2 and p1 = (2 L3 - 3 KL2 + K2L + c2L)/12; each division
+    goes through exact_div, so a coefficient that is not an integer raises.
+    P(0) = 1 holds by construction (p0 = 1), and P(1) = n+1 is the m = 1
+    case, since chi(E) = h^0(E) = n+1 by bundle_cohomology.
     """
-    poly = RationalCubic(
-        c0=Fraction(1),
-        c1=Fraction(nums.K2L + nums.c2L, 12),
-        c2=Fraction(-nums.KL2, 4),
-        c3=Fraction(nums.L3, 6),
+    l3, kl2 = nums.L3, nums.KL2
+    poly = BinomialCubic(
+        p0=1,
+        p1=exact_div(2 * l3 - 3 * kl2 + nums.K2L + nums.c2L, 12, "P(m) coefficient p1"),
+        p2=l3 - exact_div(kl2, 2, "P(m) coefficient p2"),
+        p3=l3,
     )
     for m in range(0, 9):
         expected = sym_chi(bundle, m)

@@ -395,9 +395,10 @@ def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
     rec.case(True, "")
 
 
-@_register("P(m) is an integer for every integer m (sampled on [-6, 6])", "member")
+@_register("P(m) is an integer for every integer m "
+           "(integer coefficients in the binomial basis)", "member")
 def _check_poly_integrality(rec: CheckResult, member: Member) -> None:
-    member.hilbert_poly  # RationalCubic raises unless integral on [-6, 6]
+    member.hilbert_poly  # exact_div raises unless each binomial coefficient is an integer
     rec.case(True, "")
 
 

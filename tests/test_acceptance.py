@@ -115,8 +115,8 @@ def test_c06_component_dimension(criterion):
     with criterion("C6 component dimension: dim = chi(N) = n(n+1)+9e+20+6t "
                    "with n = 9e+33+6t on the regime"):
         for p in REGIME:
-            report = Member(p).hilbert
-            n = report.n
+            member = Member(p)
+            report, n = member.hilbert, member.n
             assert n == 9 * p.e + 33 + 6 * p.t
             assert report.dim_component == report.chiN
             assert report.dim_component == n * (n + 1) + 9 * p.e + 20 + 6 * p.t
@@ -141,8 +141,9 @@ def test_c08_euler_sequence_identity(criterion):
     with criterion("C8 Euler-sequence identity: "
                    "h0(N) = (n+1)^2 - 1 - h0(T_X) + h1(T_X)"):
         for p in REGIME:
-            report = Member(p).hilbert
-            euler = (report.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
+            member = Member(p)
+            report = member.hilbert
+            euler = (member.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
             assert report.hN[0] == euler
 
 

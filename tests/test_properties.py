@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +18,8 @@ from fescroll.chow_ring import (
     prod,
     triple,
 )
-from fescroll.errors import ConsistencyError
 from fescroll.member import Member
-from fescroll.scroll_invariants import RationalCubic
+from fescroll.scroll_invariants import BinomialCubic
 from fescroll.surface_lattice import (
     DivisorClass,
     _h0_fiberwise,
@@ -182,10 +179,16 @@ def test_ell2_independent_of_r(params, r):
     assert ell_invariant(cd, params.e, 2, r) == params.b - params.t - 2 * params.e - 4
 
 
+def _monomial_value(poly, m):
+    return sum(coeff * m ** k for k, coeff in enumerate(poly.monomial()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(family_params(), st.integers(-50, 50))
 def test_hilbert_polynomial_integral(params, m):
-    assert Member(params).hilbert_poly(m).denominator == 1
+    poly = Member(params).hilbert_poly
+    assert all(type(p) is int for p in poly)
+    assert poly.value_at(m) == _monomial_value(poly, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,35 +198,14 @@ def test_hilbert_polynomial_counts_sections(params, m):
     assert poly.value_at(m) == sym_chi(build_split(params), m)
 
 
-@st.composite
-def cubic_coefficients(draw):
-    """Four rational coefficients, ascending degree; about a quarter integer-valued."""
-    if draw(st.booleans()):
-        return draw(st.lists(
-            st.builds(Fraction, st.integers(-500, 500), st.sampled_from([1, 2, 3, 6, 12, 35])),
-            min_size=4, max_size=4))
-    # k0 + k1*m + k2*m(m-1)/2 + k3*m(m-1)(m-2)/6, then maybe one coefficient nudged
-    k0, k1, k2, k3 = (draw(st.integers(-300, 300)) for _ in range(4))
-    coeffs = [Fraction(k0), k1 - Fraction(k2, 2) + Fraction(k3, 3),
-              Fraction(k2 - k3, 2), Fraction(k3, 6)]
-    coeffs[draw(st.integers(0, 3))] += draw(st.sampled_from([0, 0, Fraction(1, 2),
-                                                             Fraction(1, 3)]))
-    return coeffs
-
-
-@given(cubic_coefficients(), st.integers(-10**6, 10**6))
-def test_rational_cubic_integer_evaluation_matches_fractions(coeffs, m):
-    def exact(x):
-        return sum(coeff * x ** k for k, coeff in enumerate(coeffs))
-
-    if any(exact(x).denominator != 1 for x in range(-6, 7)):
-        with pytest.raises(ConsistencyError, match="not integer-valued"):
-            RationalCubic(*coeffs)
-        return
-    poly = RationalCubic(*coeffs)
-    assert poly(m) == exact(m)
-    assert poly.is_integral_at(m)
-    assert poly.value_at(m) == exact(m)
+@given(st.builds(BinomialCubic, *(st.integers() for _ in range(4))),
+       st.integers(-10**6, 10**6))
+def test_binomial_cubic_value_matches_its_printed_coefficients(poly, m):
+    # value_at sums the binomial basis in integers; the printed monomial
+    # coefficients are exact rationals, evaluated here in Fractions
+    value = poly.value_at(m)
+    assert type(value) is int
+    assert value == _monomial_value(poly, m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from fescroll.bundle_family import FamilyParams, build_split, iter_valid_params, sym_chi
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
-from fescroll.scroll_invariants import RationalCubic
+from fescroll.scroll_invariants import BinomialCubic, hilbert_polynomial
 
 
 @pytest.mark.parametrize(
@@ -28,13 +26,10 @@ def test_dimension_and_degree_closed_forms():
 def test_hilbert_polynomial_coefficients():
     poly = Member(FamilyParams(2, 7, 0)).hilbert_poly
     assert poly.to_pairs() == [[1, 1], [65, 6], [25, 1], [91, 6]]
+    assert poly == BinomialCubic(p0=1, p1=51, p2=141, p3=91)
     poly0 = Member(FamilyParams(0, 3, 0)).hilbert_poly
-    assert (poly0.c0, poly0.c1, poly0.c2, poly0.c3) == (
-        Fraction(1),
-        Fraction(47, 6),
-        Fraction(16),
-        Fraction(55, 6),
-    )
+    assert poly0 == BinomialCubic(p0=1, p1=33, p2=87, p3=55)
+    assert poly0.to_pairs() == [[1, 1], [47, 6], [16, 1], [55, 6]]
 
 
 def test_hilbert_polynomial_normalization():
@@ -72,22 +67,31 @@ def test_scroll_report_bundles_everything():
     assert report.hilbert_poly.value_at(1) == 52
 
 
-def test_rational_cubic_rejects_non_integral():
-    with pytest.raises(ConsistencyError, match="not integer-valued"):
-        RationalCubic(Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
-    with pytest.raises(ConsistencyError):
-        RationalCubic(Fraction(0), Fraction(1, 3), Fraction(0), Fraction(0))
+@pytest.mark.parametrize("bump, message", [
+    # one more on c2.L moves p1's total by 1
+    ({"c2L": 1}, "P(m) coefficient p1 not an integer: 613/12"),
+    # one less on K.L^2 makes it odd; three less on K^2.L keeps p1's total
+    ({"KL2": -1, "K2L": -3}, "P(m) coefficient p2 not an integer: -101/2"),
+])
+def test_hilbert_polynomial_rejects_a_non_integral_coefficient(bump, message):
+    m = Member(FamilyParams(2, 7, 0))
+    nums = m.intersection_numbers
+    assert hilbert_polynomial(m.params, m.split, nums) == m.hilbert_poly
+    bumped = nums._replace(**{name: getattr(nums, name) + k for name, k in bump.items()})
+    with pytest.raises(ConsistencyError) as exc:
+        hilbert_polynomial(m.params, m.split, bumped)
+    assert str(exc.value) == message
 
 
-def test_rational_cubic_accepts_binomial_type():
-    # m(m+1)/2 is integral on the integers despite fractional coefficients
-    poly = RationalCubic(Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0))
+def test_binomial_cubic_of_an_integer_valued_cubic_with_fractional_monomials():
+    # m(m+1)/2 = m + C(m, 2)
+    poly = BinomialCubic(0, 1, 1, 0)
     assert poly.value_at(4) == 10
-    assert poly(-3) == Fraction(3)
+    assert poly.value_at(-3) == 3
     assert poly.to_pairs() == [[0, 1], [1, 2], [1, 2], [0, 1]]
+    assert poly.pretty() == "(1/2)*m + (1/2)*m^2"
 
 
-def test_rational_cubic_pretty():
-    poly = RationalCubic(Fraction(1), Fraction(65, 6), Fraction(25), Fraction(91, 6))
-    text = poly.pretty()
-    assert "65/6" in text and "91/6" in text and "m^3" in text
+def test_binomial_cubic_pretty():
+    text = BinomialCubic(1, 51, 141, 91).pretty()
+    assert text == "1 + (65/6)*m + 25*m^2 + (91/6)*m^3"

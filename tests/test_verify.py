@@ -225,7 +225,8 @@ def test_an_error_on_every_member_is_one_failed_case_per_member(monkeypatch):
     expected.append("... more failures suppressed")
     # the guard identity that computes P(m) and the one that only reads it
     for name in ("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1",
-                 "P(m) is an integer for every integer m (sampled on [-6, 6])"):
+                 "P(m) is an integer for every integer m "
+                 "(integer coefficients in the binomial basis)"):
         result = results.pop(name)
         assert result.cases == bf.grid_member_count(1, 1)
         assert result.failures == expected
