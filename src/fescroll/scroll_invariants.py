@@ -8,7 +8,9 @@ route).  The Hilbert polynomial comes from Riemann-Roch on X,
 
 held by its integer coefficients in the binomial basis and cross-checked
 against the independent oracle chi(Sym^m E) for m in [0, 8] on every
-construction.  Nothing here tests the paper's regime:
+construction; bundle_family.sym_chi gives chi(Sym^m E) in closed form in
+m, and the tests check that against the sum of its m+1 Riemann-Roch
+summands.  Nothing here tests the paper's regime:
 hilbert_component.component_dimension() checks the regime forms.
 """
 
@@ -40,7 +42,7 @@ class BinomialCubic(namedtuple("BinomialCubic", "p0 p1 p2 p3")):
     def monomial(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """The exact rational coefficients of 1, m, m^2, m^3, for printing."""
         p0, p1, p2, p3 = self
-        return (Fraction(p0), p1 - Fraction(p2, 2) + Fraction(p3, 3),
+        return (Fraction(p0), Fraction(6 * p1 - 3 * p2 + 2 * p3, 6),
                 Fraction(p2 - p3, 2), Fraction(p3, 6))
 
     def to_pairs(self) -> list[list[int]]:

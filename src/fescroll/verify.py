@@ -395,11 +395,14 @@ def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
     rec.case(True, "")
 
 
-@_register("P(m) is an integer for every integer m "
-           "(integer coefficients in the binomial basis)", "member")
+@_register("P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)",
+           "member")
 def _check_poly_integrality(rec: CheckResult, member: Member) -> None:
-    member.hilbert_poly  # exact_div raises unless each binomial coefficient is an integer
-    rec.case(True, "")
+    # integrality needs no identity of its own: P(m)'s coefficients in the
+    # binomial basis are integers; the name stays, as the benchmark's
+    # per-identity timings are keyed by it
+    p_minus_1 = member.hilbert_poly.value_at(-1)
+    rec.case(p_minus_1 == 0, lambda: f"{member.params}: P(-1)={p_minus_1}")
 
 
 @_register("d - 3e - 3b - 3t - 12 = n + 1", "member")

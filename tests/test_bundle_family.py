@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fescroll import surface_lattice
 from fescroll.bundle_family import (
     FamilyParams,
     build_split,
@@ -227,6 +229,48 @@ def test_sym_chi_small_cases():
     assert sym_chi(bundle, 1) == 52
     with pytest.raises(ValueError):
         sym_chi(bundle, -1)
+
+
+def _sym_chi_by_summands(bundle, m):
+    """chi(Sym^m E) term by term: Riemann-Roch on each of i*A + (m-i)*B."""
+    e = bundle.e
+    da, dc = bundle.A.a - bundle.B.a, bundle.A.c - bundle.B.c
+    a0, c0 = m * bundle.B.a, m * bundle.B.c
+    return sum(surface_lattice._chi(e, a0 + i * da, c0 + i * dc) for i in range(m + 1))
+
+
+def test_sym_chi_matches_its_summands_on_the_grid():
+    for p in iter_valid_params(8, 12):
+        bundle = build_split(p)
+        for m in range(41):
+            assert sym_chi(bundle, m) == _sym_chi_by_summands(bundle, m)
+
+
+@st.composite
+def wide_members(draw):
+    e = draw(st.integers(0, 60))
+    t = draw(st.integers(0, 3000))
+    return FamilyParams(e, draw(st.integers(e, 2 * e + 3 + t)), t)
+
+
+@settings(deadline=None)
+@given(wide_members(), st.integers(0, 200))
+def test_sym_chi_matches_its_summands_on_wide_members(params, m):
+    bundle = build_split(params)
+    assert sym_chi(bundle, m) == _sym_chi_by_summands(bundle, m)
+
+
+def test_sym_chi_makes_no_riemann_roch_call(monkeypatch):
+    calls = []
+    real = surface_lattice._chi
+    monkeypatch.setattr(surface_lattice, "_chi", lambda *args: calls.append(args) or real(*args))
+    bundle = build_split(FamilyParams(2, 7, 0))
+    assert sym_chi(bundle, 10) == _sym_chi_by_summands(bundle, 10)
+    assert len(calls) == 11  # the counter sees each of the oracle's summands
+    calls.clear()
+    assert sym_chi(bundle, 10**6) > 0
+    assert calls == []
+
 
 
 def test_sym2_twisted_cohomology_spots():

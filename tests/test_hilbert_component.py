@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fescroll import hilbert_component, scroll_invariants
+from fescroll import bundle_family, hilbert_component, scroll_invariants
 from fescroll.bundle_family import FamilyParams, build_split, chern, iter_valid_params
 from fescroll.chow_ring import (
     ONE,
@@ -102,14 +102,14 @@ def test_chi_normal_rejects_a_non_integral_total():
 @pytest.mark.parametrize("e, b, t", [(0, 3, 0), (1, 4, 3), (2, 7, 0), (3, 5, 2), (5, 20, 40)])
 def test_the_ungated_chain_runs_on_a_number_type_without_order(monkeypatch, e, b, t):
     # complex has +, -, * and == but no <, //, % or divmod, so the chain from
-    # the split form to chi(N) and to P(m)'s binomial coefficients tests no
-    # inequality and no regime; exact_div is the one division, replaced here
-    # by true division.  sym_chi loops over range(m+1), so the comparison
-    # of P(m) with chi(Sym^m E) reads the integer member's split form.
-    for module in (hilbert_component, scroll_invariants):
+    # the split form to chi(N), to P(m)'s binomial coefficients and to its
+    # comparison with chi(Sym^m E) for m in [0, 8] tests no inequality and no
+    # regime; exact_div is the one division, replaced here by true division.
+    for module in (bundle_family, hilbert_component, scroll_invariants):
         monkeypatch.setattr(module, "exact_div", lambda x, k, what: x / k)
     params = tuple.__new__(FamilyParams, (complex(e), complex(b), complex(t)))
-    cd = chern(params, build_split(params))
+    bundle = build_split(params)
+    cd = chern(params, bundle)
     ctx = ScrollContext(params, cd.c1, cd.c2)
     d = scroll_degree(ctx)
     nums = intersection_numbers(ctx, chern_TX(ctx))
@@ -118,7 +118,7 @@ def test_the_ungated_chain_runs_on_a_number_type_without_order(monkeypatch, e, b
     assert (n, d) == (member.n, member.d)
     assert nums == member.intersection_numbers
     assert chi_normal(params, n, d, nums) == member.chi_N
-    poly = hilbert_polynomial(params, member.split, nums)
+    poly = hilbert_polynomial(params, bundle, nums)
     assert all(isinstance(p, complex) for p in poly[1:])
     assert poly == member.hilbert_poly
 

@@ -41,12 +41,14 @@ def test_hilbert_polynomial_normalization():
 
 
 def test_hilbert_polynomial_matches_sym_chi_beyond_internal_range():
-    # the constructor checks m in [0, 8]; push further here
-    for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0), (4, 10, 6)]:
+    # the constructor checks m in [0, 8]; push further here.  P(m) =
+    # chi(Sym^m E) for every m >= 0 (Hartshorne III Ex. 8.4), and both
+    # sides are O(1) in m
+    for e, b, t in [(2, 7, 0), (0, 3, 0), (1, 5, 0), (4, 10, 6), (60, 100, 3000)]:
         p = FamilyParams(e, b, t)
         poly = Member(p).hilbert_poly
         bun = build_split(p)
-        for m in range(0, 13):
+        for m in (*range(0, 13), 10**40):
             assert poly.value_at(m) == sym_chi(bun, m)
 
 

@@ -18,6 +18,7 @@ import fescroll.cli as cli
 from fescroll import bundle_family as bf
 from fescroll import chow_ring as cr
 from fescroll import hilbert_component as hc
+from fescroll import scroll_invariants as si
 from fescroll import surface_lattice as sl
 from fescroll import verify
 from fescroll.bundle_family import FamilyParams, build_split, invariant_r, iter_valid_params
@@ -27,6 +28,7 @@ from fescroll.member import Member
 UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
 ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every r in [0, 40]"
 FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
+P_MINUS_1 = "P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)"
 
 # -- r oracle ----------------------------------------------------------------
 
@@ -223,10 +225,8 @@ def test_an_error_on_every_member_is_one_failed_case_per_member(monkeypatch):
     expected = [f"{p}: P(m) unavailable"
                 for p in islice(iter_valid_params(1, 1), verify._MAX_FAILURES)]
     expected.append("... more failures suppressed")
-    # the guard identity that computes P(m) and the one that only reads it
-    for name in ("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1",
-                 "P(m) is an integer for every integer m "
-                 "(integer coefficients in the binomial basis)"):
+    # the guard identity that computes P(m) and the one that evaluates it at -1
+    for name in ("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1", P_MINUS_1):
         result = results.pop(name)
         assert result.cases == bf.grid_member_count(1, 1)
         assert result.failures == expected
@@ -278,6 +278,20 @@ def test_a_wrong_ell3_fails_the_uniformity_identity_through_splitting_type(
         "... more failures suppressed",
     ]
     assert results[ELL2].ok
+    assert all(result.ok for result in results.values())
+
+
+def test_a_wrong_constant_term_fails_only_the_p_minus_one_identity(monkeypatch, capsys):
+    # the layer's own check is bypassed, so only the P(-1) = 0 route sees it
+    real = si.hilbert_polynomial
+    monkeypatch.setattr(si, "hilbert_polynomial", lambda *args: real(*args)._replace(p0=2))
+    assert _verify_1_1_exit_code(capsys) == 3
+    results = _results_by_name(1, 1)
+    p_minus_1 = results.pop(P_MINUS_1)
+    assert p_minus_1.cases == bf.grid_member_count(1, 1)
+    members = islice(iter_valid_params(1, 1), verify._MAX_FAILURES)
+    assert p_minus_1.failures == [*(f"{p}: P(-1)=1" for p in members),
+                                  "... more failures suppressed"]
     assert all(result.ok for result in results.values())
 
 
