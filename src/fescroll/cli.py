@@ -3,16 +3,16 @@
 Subcommands: report, uniformity, cohomology, hilbpoly, hilbert, table,
 verify.  Output formats: plain (default), json (a single object per
 invocation), csv (fixed header row).  Exit codes: 0 success, 1 invalid
-parameters, 2 theorem hypotheses not satisfied, 3 internal-consistency
-failure.
+parameters or usage, 2 theorem hypotheses not satisfied, 3
+internal-consistency failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .bundle_family import FamilyParams, grid_member_count, surface_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
@@ -387,97 +387,98 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 _INT = {"type": int, "required": True}
-_MEMBER = (("-e", _INT), ("-b", _INT), ("-t", _INT))
-_GRID = (("--e-max", _INT), ("--t-max", _INT))
-_OUTPUT = (("--format", {"choices": ("plain", "json", "csv"), "default": "plain"}),
-           ("--out", {"help": "write output to this file"}))
+_MEMBER = {"-e": _INT, "-b": _INT, "-t": _INT}
+_GRID = {"--e-max": _INT, "--t-max": _INT}
+_OUTPUT = {"--format": {"choices": ("plain", "json", "csv"), "default": "plain"}, "--out": {}}
 
-# name -> (help, arguments, defaults); each command runs cmd_<name>, looked
-# up when argv is parsed so that a rebinding of cmd_<name> is honoured
+# name -> (help, {flag: spec}); each command runs cmd_<name>, looked up when
+# argv is parsed so that a rebinding of cmd_<name> is honoured
 _COMMANDS = {
-    "report": ("all invariants of one member", _MEMBER + _OUTPUT, {}),
-    "uniformity": ("restriction invariants r and ell", _MEMBER + _OUTPUT, {}),
-    "cohomology": ("h^i of a*C0 + c*f on F_e",
-                   (("-e", _INT), ("-a", _INT), ("-c", _INT), *_OUTPUT), {}),
-    "hilbpoly": ("Hilbert polynomial of (X, L)", _MEMBER + _OUTPUT, {}),
+    "report": ("all invariants of one member", {**_MEMBER, **_OUTPUT}),
+    "uniformity": ("restriction invariants r and ell", {**_MEMBER, **_OUTPUT}),
+    "cohomology": ("h^i of a*C0 + c*f on F_e", {"-e": _INT, "-a": _INT, "-c": _INT, **_OUTPUT}),
+    "hilbpoly": ("Hilbert polynomial of (X, L)", {**_MEMBER, **_OUTPUT}),
     "hilbert": ("Hilbert-scheme component report (b = 2e+3+t unless forced)",
-                (("-e", _INT), ("-t", _INT), ("--force-b", {"type": int}), *_OUTPUT), {}),
+                {"-e": _INT, "-t": _INT, "--force-b": {"type": int}, **_OUTPUT}),
     "table": ("grid of invariants, one row per (e, b, t)",
-              (*_GRID, ("--paper-regime-only", {"action": "store_true"}), *_OUTPUT), {}),
-    "verify": ("run every identity check over a grid", (*_GRID, ("--out", {})),
-               {"format": "plain"}),
+              {**_GRID, "--paper-regime-only": {"switch": True, "default": False}, **_OUTPUT}),
+    "verify": ("run every identity check over a grid", {**_GRID, "--out": {}}),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fescroll",
-        description="Exact invariants of rank-two bundles on F_e and their scrolls",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, defaults) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            sub.add_argument(flag, **options)
-        sub.set_defaults(func=globals()[f"cmd_{name}"], **defaults)
-    return parser
+def _usage_error(command: str, problem: str) -> ParameterError:
+    return ParameterError("usage", f"{command}: {problem}")
 
 
-def _table_parse(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace build_parser() gives argv, read off _COMMANDS, or None.
+def _help(command: str | None) -> SimpleNamespace:
+    """The call that prints the help of command, or of fescroll when None."""
+    if command is None:
+        lines = ["usage: fescroll <command> [flags]; fescroll <command> -h lists the flags",
+                 "", "Exact invariants of rank-two bundles on F_e and their scrolls", "",
+                 *(f"  {name:<10}  {text}" for name, (text, _flags) in _COMMANDS.items())]
+    else:
+        text, flags = _COMMANDS[command]
+        usage = ["usage: fescroll", command]
+        for flag, spec in flags.items():
+            kind = spec.get("choices") or ["INT" if "type" in spec else "PATH"]
+            word = flag if spec.get("switch") else f"{flag} {'|'.join(kind)}"
+            usage.append(word if spec.get("required") else f"[{word}]")
+        lines = [" ".join(usage), "", text]
+    return SimpleNamespace(func=lambda _args: ("\n".join(lines), 0), out=None)
 
-    Only argv that argparse provably parses the same way is read here: a
-    command, then its flags, each spelled out in full and given at most
-    once, every required one among them.  A flag's value may start with
-    `-` only as a negative ASCII integer (argparse may take any other such
-    token for an option), and must convert by the flag's `type` and lie in
-    its `choices`.  Anything else (help, abbreviations, `--flag=value`,
-    `-e2`, `--`, repeats, bad values, missing flags) gives None.
+
+def _value(command: str, flag: str, spec: dict, token: str | None):
+    """flag's value in token, by its type and among its choices; `-` may lead only an int."""
+    if token is None:
+        raise _usage_error(command, f"missing the value of {flag}")
+    if token[:1] == "-" and not (token[1:].isascii() and token[1:].isdigit()):
+        raise _usage_error(command, f"{flag} needs a value, not {token!r}")
+    try:
+        value = spec.get("type", str)(token)
+    except ValueError:
+        kind = f"an integer of at most {sys.get_int_max_str_digits()} digits"
+        raise _usage_error(command, f"{flag} takes {kind}, not {token!r}") from None
+    if value not in spec.get("choices", [value]):
+        raise _usage_error(command, f"{flag} takes {'|'.join(spec['choices'])}, not {token!r}")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The call argv spells, every flag of its command set; else a usage ParameterError.
+
+    argv is a command, then its flags, each spelled out in full, at most once,
+    every required one among them, and each but a switch followed by its value.
+    -h or --help in place of the command or of a flag asks for help.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    _help, arguments, defaults = _COMMANDS[argv[0]]
-    specs = dict(arguments)
-    given = {}
-    tokens = iter(argv[1:])
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in _COMMANDS:
+        problem = "missing command" if command is None else f"unknown command {command!r}"
+        raise _usage_error("fescroll", f"{problem}; choose one of {', '.join(_COMMANDS)}")
+    flags, given, tokens = _COMMANDS[command][1], {}, iter(argv[1:])
     for flag in tokens:
-        spec = specs.get(flag)
-        if spec is None or flag in given:
-            return None
-        if spec.get("action") == "store_true":
-            given[flag] = True
-            continue
-        value = next(tokens, "-")  # a missing value reads as "-", refused here
-        if value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit()):
-            return None
-        if "type" in spec:
-            try:
-                value = spec["type"](value)
-            except ValueError:
-                return None
-        if "choices" in spec and value not in spec["choices"]:
-            return None
-        given[flag] = value
-    if any(spec.get("required") and flag not in given for flag, spec in arguments):
-        return None
-    args = argparse.Namespace(command=argv[0], func=globals()[f"cmd_{argv[0]}"], **defaults)
-    for flag, spec in arguments:
-        default = False if spec.get("action") == "store_true" else spec.get("default")
-        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
-    return args
+        if flag in ("-h", "--help"):
+            return _help(command)
+        if flag in given or flag not in flags:
+            raise _usage_error(command, f"repeated flag {flag!r}" if flag in given else
+                               f"unknown argument {flag!r}; {command} takes {', '.join(flags)}")
+        spec = flags[flag]
+        given[flag] = spec.get("switch") or _value(command, flag, spec, next(tokens, None))
+    missing = [flag for flag, spec in flags.items() if spec.get("required") and flag not in given]
+    if missing:
+        raise _usage_error(command, f"missing {', '.join(missing)}")
+    return SimpleNamespace(command=command, func=globals()[f"cmd_{command}"], **{
+        flag.lstrip("-").replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in flags.items()})
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as build_parser() does, building no parser when it can.
-
-    Plain valid argv is read straight off _COMMANDS; help and every usage
-    error go through the full tree, which prints argparse's own message.
-    """
-    args = _table_parse(argv)
-    return build_parser().parse_args(argv) if args is None else args
+def build_parser():
+    """Return _parse.  bench/child.py --setup times this call, so the name stays."""
+    return _parse
 
 
-def _run(args: argparse.Namespace) -> tuple[str, int]:
+def _run(args: SimpleNamespace) -> tuple[str, int]:
     """Run the parsed command; an output too long to print is a ParameterError."""
     try:
         return args.func(args)
@@ -494,15 +495,12 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         text, code = _run(args)
-    except ParameterError as exc:
+    except (ParameterError, HypothesesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HypothesesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, HypothesesError) else 1
     except ConsistencyError as exc:
         print(f"error: internal consistency: {exc}", file=sys.stderr)
         return 3
@@ -510,8 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
-        except OSError as exc:
-            reason = exc.strerror or exc
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
             return 1
     else:

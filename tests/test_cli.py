@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import gc
 import io
@@ -16,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fescroll
 import fescroll.cli as cli
 from fescroll.bundle_family import grid_member_count, iter_valid_params
+from fescroll.errors import ParameterError
 from fescroll.surface_lattice import DivisorClass
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -419,6 +419,13 @@ def test_out_unwritable_path_exits_1(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def test_out_path_with_nul_exits_1(capsys):
+    # no shell passes a NUL byte, but a caller of main can; open() refuses it
+    code, out, err = run_cli(capsys, "table", "--e-max", "0", "--t-max", "0", "--out", "a\0b")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write a\0b: embedded null byte\n"
+
+
 def _fresh_env():
     """os.environ with this checkout's fescroll first on PYTHONPATH."""
     src = str(Path(fescroll.__file__).resolve().parents[1])
@@ -469,16 +476,18 @@ def test_huge_cohomology_output_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
-def test_unknown_command_exits_via_argparse():
-    with pytest.raises(SystemExit):
-        cli.main(["no-such-command"])
+def test_unknown_command_exits_1(capsys):
+    code, out, err = run_cli(capsys, "no-such-command")
+    assert code == 1 and out == ""
+    assert err == ("error: fescroll: unknown command 'no-such-command'; choose one of "
+                   "report, uniformity, cohomology, hilbpoly, hilbert, table, verify\n")
 
 
 # -- parsing ------------------------------------------------------------------
-# main reads plain valid argv straight off cli._COMMANDS and hands the rest to
-# the full tree; the result must be what the full tree gives: the same
-# Namespace, or the same exit code, stdout and stderr (help and usage errors
-# included)
+# cli._parse reads argv off cli._COMMANDS: a command, then its flags, each
+# spelled out in full and given at most once, each but a switch followed by
+# its value.  Every other argv is a usage error: exit 1 and a message
+# "error: <command>: ..." that names the token at fault.
 
 COMMANDS = ["report", "uniformity", "cohomology", "hilbpoly", "hilbert", "table", "verify"]
 FLAGS = [
@@ -521,83 +530,7 @@ PARSE_CORPUS = [
     ["verify", "--e", "1", "--t-max", "1", "--out", "v.txt"],
 ]
 
-
-def _parse_outcome(parse, argv):
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return vars(parse(list(argv)))  # func compares by identity
-    except SystemExit as exc:
-        return exc.code, out.getvalue(), err.getvalue()
-
-
-def _assert_same_parse(argv):
-    expected = _parse_outcome(cli.build_parser().parse_args, argv)
-    assert _parse_outcome(cli._parse, argv) == expected, argv
-
-
-@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
-def test_parse_matches_full_tree_on_corpus(monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    _assert_same_parse(argv)
-
-
-tokens = st.lists(
-    st.one_of(st.sampled_from(COMMANDS + ["bogus"] + FLAGS + WORDS),
-              st.integers(-5, 50).map(str)),
-    max_size=10,
-)
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.one_of(st.tuples(st.sampled_from(COMMANDS + ["bogus"]), tokens)
-                 .map(lambda pair: [pair[0], *pair[1]]), tokens))
-def test_parse_matches_full_tree_on_random_tokens(monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    _assert_same_parse(argv)
-
-
-# canonical valid argv: every flag of a command spelled out once, in any order
-INTS = st.one_of(st.integers(-50, 50), st.integers(-(10**4300 - 1), 10**4300 - 1)).map(str)
-PATHS = st.text(max_size=8).filter(lambda path: not path.startswith("-"))
-OUTPUT = {"--format": st.sampled_from(["plain", "json", "csv"]), "--out": PATHS}
-MEMBER = {"-e": INTS, "-b": INTS, "-t": INTS}
-GRID = {"--e-max": INTS, "--t-max": INTS}
-VALID = {  # command -> (required flags, optional flags); None: takes no value
-    "report": (MEMBER, OUTPUT),
-    "uniformity": (MEMBER, OUTPUT),
-    "cohomology": ({"-e": INTS, "-a": INTS, "-c": INTS}, OUTPUT),
-    "hilbpoly": (MEMBER, OUTPUT),
-    "hilbert": ({"-e": INTS, "-t": INTS}, {"--force-b": INTS, **OUTPUT}),
-    "table": (GRID, {"--paper-regime-only": None, **OUTPUT}),
-    "verify": (GRID, {"--out": PATHS}),
-}
-
-
-@st.composite
-def valid_argv(draw):
-    command = draw(st.sampled_from(COMMANDS))
-    required, optional = VALID[command]
-    values = {**required, **optional}
-    flags = [*required, *(flag for flag in optional if draw(st.booleans()))]
-    argv = [command]
-    for flag in draw(st.permutations(flags)):
-        argv.append(flag)
-        if values[flag] is not None:
-            argv.append(draw(values[flag]))
-    return argv
-
-
-@settings(max_examples=300, deadline=None)
-@given(valid_argv())
-def test_table_route_matches_full_tree_on_valid_argv(argv):
-    args = cli._table_parse(argv)
-    assert isinstance(args, argparse.Namespace), argv
-    assert vars(args) == vars(cli.build_parser().parse_args(argv))
-
-
-# tokens where int(), str.isdigit() and argparse's option test may disagree
+# tokens where int(), str.isdigit() and a test for a negative number may disagree
 EDGE_TOKENS = [
     "-5\n", "-\u0663", "\u0663", " 3", "+3", "3_0", "", "-x y", "5" * 5000,
     "9" * 4300, "-" + "9" * 4300, "9" * 4301, "-0", "-", "--5", "-1.5", "1e3",
@@ -617,28 +550,161 @@ EDGE_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("argv", EDGE_CORPUS, ids=repr)
-def test_parse_matches_full_tree_on_edge_tokens(monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    _assert_same_parse(argv)
+def _usage_message(argv):
+    """The message of the usage error argv gives, or None when argv parses."""
+    try:
+        cli._parse(list(argv))
+    except ParameterError as exc:
+        assert exc.reason == "usage"
+        return str(exc)
+    return None
 
 
-def test_valid_call_builds_no_parser(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
+@pytest.mark.parametrize("argv", PARSE_CORPUS + EDGE_CORPUS, ids=repr)
+def test_corpus_parses_or_exits_1_naming_the_token(capsys, argv):
+    message = _usage_message(argv)
+    if message is None:
+        return
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else "fescroll"
+    problem = message.removeprefix(f"{command}: ")
+    # a token that is there is named as repr() writes it; one that is not, as missing
+    assert problem != message and (problem.startswith("missing ")
+                                   or any(repr(token) in problem for token in argv)), message
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 0
-    assert cli.main(["cohomology", "-e", "2", "-a", "3", "-c", "5"]) == 0
-    assert built == []
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["report", "-e", "2", "-b", "7", "-t", "0", "extra"])
-    assert exc.value.code == 2
-    assert "fescroll: error: unrecognized arguments: extra" in capsys.readouterr().err
+USAGE_ERRORS = [
+    (["report", "-e", "x", "-b", "1", "-t", "0"],
+     "-e takes an integer of at most 4300 digits, not 'x'"),
+    (["verify", "--e-max", "1", "--t-max", "1", "--format", "json"],
+     "unknown argument '--format'; verify takes --e-max, --t-max, --out"),
+    (["report", "-e", "2", "-b", "7", "-t", "0", "--force-b", "3"],
+     "unknown argument '--force-b'; report takes -e, -b, -t, --format, --out"),
+    (["report", "-e", "2", "-b", "7", "-t", "0", "extra"],
+     "unknown argument 'extra'; report takes -e, -b, -t, --format, --out"),
+    (["report", "-e2", "-b7", "-t0"],
+     "unknown argument '-e2'; report takes -e, -b, -t, --format, --out"),
+    (["cohomology", "-e", "2", "-a", "3", "-c", "5", "-a", "4"], "repeated flag '-a'"),
+    (["cohomology", "-e", "2", "-a", "3", "-c", "5", "--format", "xml"],
+     "--format takes plain|json|csv, not 'xml'"),
+    (["cohomology", "-e", "2", "-a", "3", "-c", "5", "--out"], "missing the value of --out"),
+    (["cohomology", "-e", "2", "-a", "3", "-c", "5", "--out", "-x"],
+     "--out needs a value, not '-x'"),
+    (["table", "--e-max", "1"], "missing --t-max"),
+]
+
+
+@pytest.mark.parametrize("argv, problem", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_exits_1_naming_the_token(capsys, argv, problem):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {argv[0]}: {problem}\n")
+
+
+def test_no_command_exits_1(capsys):
+    assert run_cli(capsys) == (1, "", "error: fescroll: missing command; choose one of "
+                                      "report, uniformity, cohomology, hilbpoly, hilbert, "
+                                      "table, verify\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command(capsys, flag):
+    code, out, err = run_cli(capsys, flag)
+    assert code == 0 and err == ""
+    for name, (help_text, _flags) in cli._COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(help_text)}$", out, re.M), name
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_lists_every_flag(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert code == 0 and err == ""
+    usage = out.split("\n")[0].split()
+    assert usage[:3] == ["usage:", "fescroll", command]
+    flags = [*cli._COMMANDS[command][1]]
+    assert [word.strip("[]") for word in usage if word.lstrip("[").startswith("-")] == flags
+    # -h in place of a later flag asks for the same help
+    assert run_cli(capsys, command, flags[0], "1", "-h") == (code, out, err)
+
+
+# canonical valid argv: every flag of a command spelled out once, in any order
+INTS = st.one_of(st.integers(-50, 50), st.integers(-(10**4300 - 1), 10**4300 - 1)).map(str)
+PATHS = st.text(max_size=8).filter(lambda path: not path.startswith("-"))
+OUTPUT = {"--format": st.sampled_from(["plain", "json", "csv"]), "--out": PATHS}
+MEMBER = {"-e": INTS, "-b": INTS, "-t": INTS}
+GRID = {"--e-max": INTS, "--t-max": INTS}
+VALID = {  # command -> (required flags, optional flags); None: takes no value
+    "report": (MEMBER, OUTPUT),
+    "uniformity": (MEMBER, OUTPUT),
+    "cohomology": ({"-e": INTS, "-a": INTS, "-c": INTS}, OUTPUT),
+    "hilbpoly": (MEMBER, OUTPUT),
+    "hilbert": ({"-e": INTS, "-t": INTS}, {"--force-b": INTS, **OUTPUT}),
+    "table": (GRID, {"--paper-regime-only": None, **OUTPUT}),
+    "verify": (GRID, {"--out": PATHS}),
+}
+DEFAULTS = {"--format": "plain", "--paper-regime-only": False}
+
+
+@st.composite
+def valid_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    required, optional = VALID[command]
+    values = {**required, **optional}
+    flags = [*required, *(flag for flag in optional if draw(st.booleans()))]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if values[flag] is not None:
+            argv.append(draw(values[flag]))
+    return argv
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_argv())
+def test_valid_argv_parses_to_the_call_it_spells(argv):
+    command, tokens = argv[0], iter(argv[1:])
+    required, optional = VALID[command]
+    values = {**required, **optional}
+    expected = {"command": command, "func": getattr(cli, f"cmd_{command}"),
+                **{_dest(flag): DEFAULTS.get(flag) for flag in values}}
+    for flag in tokens:
+        value = True if values[flag] is None else next(tokens)
+        expected[_dest(flag)] = int(value) if values[flag] is INTS else value
+    assert vars(cli._parse(argv)) == expected
+
+
+# every flag, malformed flags, values out of range and integers past what
+# int() reads (4301 digits) or what str() writes back (4300 digits)
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from([*COMMANDS, "bogus", *FLAGS, *WORDS, "9" * 4301, "-" + "9" * 4300]),
+    st.integers(-5, 50).map(str),
+)
+EXTREME_B = st.one_of(st.integers(-(10**4300 - 1), 10**4300 - 1),
+                      st.sampled_from([10**4300 - 1, -(10**4300 - 1)])).map(str)
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from([*COMMANDS, "bogus"]), st.lists(FUZZ_TOKENS, max_size=10))
+    .map(lambda pair: [pair[0], *pair[1]]),
+    st.lists(FUZZ_TOKENS, max_size=10),
+    st.tuples(st.integers(-5, 50), st.integers(-5, 50), EXTREME_B)
+    .map(lambda etb: ["hilbert", "-e", str(etb[0]), "-t", str(etb[1]), "--force-b", etb[2]]),
+    valid_argv(),
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FUZZ_ARGV)
+def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(cli, "MAX_GRID_MEMBERS", 50)  # keeps every drawn verify short
+    monkeypatch.chdir(tmp_path)  # where --out writes
+    code, out, err = run_cli(capsys, *argv)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
 
 
 def _fresh_child(code: str) -> subprocess.CompletedProcess:
@@ -651,8 +717,9 @@ def test_cli_import_leaves_out_dataclass_and_json_machinery():
     proc = _fresh_child(
         "import sys\n"
         "import fescroll.cli\n"
-        "print(sorted(name for name in ('dataclasses', 'inspect', 'json', 'fescroll.verify')\n"
-        "             if name in sys.modules))\n"
+        "names = ('argparse', 'dataclasses', 'gettext', 'inspect', 'json', 'locale',\n"
+        "         'fescroll.verify')\n"
+        "print(sorted(name for name in names if name in sys.modules))\n"
     )
     assert proc.returncode == 0, proc.stderr
     # bench/tracer.py reads sys.modules["fescroll.verify"], so it stays eager
@@ -673,8 +740,7 @@ VALID_CALLS = [
 
 
 def test_valid_call_imports_no_module():
-    # argparse's gettext imports locale on the first parser a process builds,
-    # and json.dumps would import the json package
+    # json.dumps would import the json package
     proc = _fresh_child(
         "import sys\n"
         "import fescroll.cli as cli\n"
