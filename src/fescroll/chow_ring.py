@@ -28,12 +28,13 @@ the point coefficient: triple() for three divisor classes, from
 
 and pairing() for a divisor class against a curve class, the pt row of
 multiply().  multiply() and prod() build the full normal form; the
-verification suite checks them against the ring axioms and the
-projective-bundle relation, and the tests check the pairings against
-them.  P(m) and chi(N) read the ring only through intersection_numbers():
-by Riemann-Roch each is a polynomial in those seven numbers.  Building
-the Chern classes of the normal bundle as Chow classes is kept as a test
-oracle for chi(N).
+verification suite proves the ring axioms on symbolic classes and checks
+the projective-bundle relation, and the tests check the pairings against
+them.  Only a wrong formula makes a class of mixed degree, so the
+pairings and degree() raise ConsistencyError on one.  P(m) and chi(N)
+read the ring only through intersection_numbers(): by Riemann-Roch each
+is a polynomial in those seven numbers.  Building the Chern classes of
+the normal bundle as Chow classes is kept as a test oracle for chi(N).
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def prod(ctx: ScrollContext, first: ChowClass, *rest: ChowClass) -> ChowClass:
 def degree(x: ChowClass) -> int:
     """Coefficient of pt for a zero-cycle; lower-degree terms must vanish."""
     if any(x[:7]):
-        raise ValueError(f"not a zero-cycle: {x}")
+        raise ConsistencyError(f"not a zero-cycle: {x}")
     return x.pt
 
 
@@ -151,7 +152,7 @@ def _divisor(x: ChowClass) -> tuple[int, int, int]:
     """(xi, h1, h2) of a pure divisor class."""
     z, xi, h1, h2, xih1, xih2, p, pt = x
     if z or xih1 or xih2 or p or pt:
-        raise ValueError(f"not a divisor class: {x}")
+        raise ConsistencyError(f"not a divisor class: {x}")
     return xi, h1, h2
 
 
@@ -188,7 +189,7 @@ def pairing(ctx: ScrollContext, x: ChowClass, w: ChowClass) -> int:
     u, p, q = _divisor(x)
     wz, wxi, wh1, wh2, wxih1, wxih2, wp, wpt = w
     if wz or wxi or wh1 or wh2 or wpt:
-        raise ValueError(f"not a curve class: {w}")
+        raise ConsistencyError(f"not a curve class: {w}")
     return (
         u * (wxih1 * ctx.c1_c0 + wxih2 * ctx.c1.a + wp)
         + p * (wxih2 - ctx.e * wxih1)

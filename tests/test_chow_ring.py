@@ -18,6 +18,7 @@ from fescroll.chow_ring import (
     pullback,
     triple,
 )
+from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, canonical_class, intersect
 
@@ -56,9 +57,9 @@ def test_pullback_products():
 
 
 def test_degree_rejects_mixed_classes():
-    with pytest.raises(ValueError, match="zero-cycle"):
+    with pytest.raises(ConsistencyError, match="zero-cycle"):
         degree(XI)
-    with pytest.raises(ValueError, match="zero-cycle"):
+    with pytest.raises(ConsistencyError, match="zero-cycle"):
         degree(ChowClass(xih1=1, pt=5))
     assert degree(ChowClass(pt=-3)) == -3
     assert degree(ChowClass()) == 0
@@ -145,9 +146,9 @@ def test_pairing_spots():
     assert triple(CTX, k, XI, XI) == -100
     assert pairing(CTX, XI, c2x) == 42
     assert pairing(CTX, k, c2x) == -24
-    with pytest.raises(ValueError, match="not a divisor class"):
+    with pytest.raises(ConsistencyError, match="not a divisor class"):
         triple(CTX, XI, XI, ONE)
-    with pytest.raises(ValueError, match="not a curve class"):
+    with pytest.raises(ConsistencyError, match="not a curve class"):
         pairing(CTX, XI, XI)
 
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fescroll
 import fescroll.cli as cli
+from fescroll import chow_ring
 from fescroll.bundle_family import grid_member_count, iter_valid_params
 from fescroll.errors import ParameterError
 from fescroll.surface_lattice import DivisorClass
@@ -328,6 +329,22 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     match = re.fullmatch(r"(\d+) identities checked, (\d+) passed, (\d+) failed", summary)
     assert match, summary
     assert int(match.group(3)) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--e-max", "1", "--t-max", "1"),
+    ("report", "-e", "2", "-b", "7", "-t", "0"),
+])
+def test_mixed_degree_product_exits_3_without_traceback(capsys, monkeypatch, argv):
+    # x*y gains x.xi*y.h1 points, so chern_TX hands pairing() a c2(T_X)
+    # that is not a curve class: a wrong formula, not a usage error
+    real = chow_ring.multiply
+    monkeypatch.setattr(chow_ring, "multiply", lambda ctx, x, y: real(ctx, x, y)
+                        + chow_ring.ChowClass(pt=x.xi * y.h1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "Traceback" not in out + err
+    assert "not a curve class" in out + err
 
 
 # -- huge coefficients ----------------------------------------------------------

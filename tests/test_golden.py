@@ -32,17 +32,16 @@ def _sym_chi_off_at_5(real):
     return sym_chi
 
 
-def _multiply_adds_a_point(real):
-    # x*y gains a point when x has constant term 7 and y does not
+def _multiply_reads_h2_for_h1(real):
+    # the pt' row subtracts e*(x.h1*y.h2) where C0'^2 = -e*pt' gives e*(x.h1*y.h1)
     def multiply(ctx, x, y):
-        extra = chow_ring.ChowClass(pt=1 if x.z == 7 != y.z else 0)
-        return real(ctx, x, y) + extra
+        return real(ctx, x, y) + chow_ring.ChowClass(p=ctx.e * x.h1 * (y.h1 - y.h2))
     return multiply
 
 
 FAULTS = {
     "sym_chi": (scroll_invariants, "sym_chi", _sym_chi_off_at_5),
-    "multiply": (chow_ring, "multiply", _multiply_adds_a_point),
+    "multiply": (chow_ring, "multiply", _multiply_reads_h2_for_h1),
 }
 
 CASES = [

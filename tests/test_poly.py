@@ -1,0 +1,64 @@
+"""Poly against int arithmetic: random +, -, * expressions over three
+variables and integers, evaluated as polynomials and then at a point,
+agree with the same expressions evaluated on integers at that point."""
+
+import math
+import operator
+
+from hypothesis import given, strategies as st
+
+from fescroll.poly import Poly
+
+VARIABLES = ("x", "y", "z")
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+expressions = st.recursive(
+    st.sampled_from(VARIABLES) | st.integers(-20, 20),
+    lambda inner: st.tuples(st.sampled_from(sorted(OPERATORS)), inner, inner),
+    max_leaves=12,
+)
+points = st.fixed_dictionaries({name: st.integers(-50, 50) for name in VARIABLES})
+
+
+def evaluate(expr, values):
+    """expr with each variable name replaced by values[name]."""
+    if isinstance(expr, tuple):
+        op, left, right = expr
+        return OPERATORS[op](evaluate(left, values), evaluate(right, values))
+    return values[expr] if isinstance(expr, str) else expr
+
+
+def at(poly, point):
+    return sum(c * math.prod(point[name] for name in mono) for mono, c in poly.terms.items())
+
+
+SYMBOLS = {name: Poly.var(name) for name in VARIABLES}
+
+
+@given(expressions, points)
+def test_poly_evaluates_like_int_arithmetic(expr, point):
+    poly = Poly([]) + evaluate(expr, SYMBOLS)  # a bare integer leaf becomes a Poly
+    assert at(poly, point) == evaluate(expr, point)
+    assert all(poly.terms.values())  # no zero coefficient is stored
+    assert all(list(mono) == sorted(mono) for mono in poly.terms)
+
+
+@given(expressions, st.integers(-20, 20))
+def test_poly_equals_an_int_exactly_when_it_is_that_constant(expr, k):
+    poly = Poly([]) + evaluate(expr, SYMBOLS)
+    constant = set(poly.terms) <= {()}
+    value = poly.terms.get((), 0)
+    assert (poly == k) == (k == poly) == (constant and value == k)
+    assert (poly != k) == (not (poly == k))
+    assert (poly - poly == 0) and not (poly - poly != 0)
+    assert bool(poly) == (poly != 0)
+
+
+def test_poly_cancels_and_keeps_no_zero_coefficient():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert x * y - y * x == 0
+    assert (x * y - y * x).terms == {}
+    assert (x + 1) * (x - 1) == x * x - 1
+    assert ((x + y) * (x - y) - x * x).terms == {("y", "y"): -1}
+    assert 3 - x + x == 3 and 2 * x != x + 2
+    assert x != y and x != "x"

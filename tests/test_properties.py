@@ -18,6 +18,7 @@ from fescroll.chow_ring import (
     prod,
     triple,
 )
+from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.scroll_invariants import BinomialCubic
 from fescroll.surface_lattice import (
@@ -165,11 +166,11 @@ def test_pairings_reject_mixed_degrees(ctx, x, w, off_divisor, off_curve, k, slo
     mixed = _plus_at(x, off_divisor, k)  # x plus a term outside degree one
     args = [x, x, x]
     args[slot] = mixed
-    with pytest.raises(ValueError, match="not a divisor class"):
+    with pytest.raises(ConsistencyError, match="not a divisor class"):
         triple(ctx, *args)
-    with pytest.raises(ValueError, match="not a divisor class"):
+    with pytest.raises(ConsistencyError, match="not a divisor class"):
         pairing(ctx, mixed, w)
-    with pytest.raises(ValueError, match="not a curve class"):
+    with pytest.raises(ConsistencyError, match="not a curve class"):
         pairing(ctx, x, _plus_at(w, off_curve, k))
 
 

@@ -1,12 +1,17 @@
 """Internals of the verify battery: the r oracle and the threshold certificate,
-the per-surface table memo, the sample draws, the recorder, how an error
-raised inside an identity is counted, the guard identities that fail when
-only a layer's own check catches a fault, the identity names the benchmark
-traces, and the identity that a broken Chow pairing fails."""
+the per-surface table memo, the symbolic identities with their sampled
+oracle, their straight-line premise and the mutants they catch, the
+recorder, how an error raised inside an identity is counted, the guard
+identities that fail when only a layer's own check catches a fault, the
+identity names the benchmark traces, and the identity that a broken Chow
+pairing fails."""
 
+import ast
+import inspect
 import json
 import math
 import random
+import textwrap
 import weakref
 from collections import Counter
 from itertools import islice
@@ -26,7 +31,9 @@ from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 
 UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
-ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every r in [0, 40]"
+ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r"
+RING_AXIOMS = "Chow product commutative, associative, distributive"
+GROTHENDIECK = "deg xi^3 = c1^2 - c2 (projective-bundle relation)"
 FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
 P_MINUS_1 = "P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)"
 
@@ -143,16 +150,110 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     assert all(ref() is None for ref in sweeps)
 
 
-# -- ring-axiom draws ---------------------------------------------------------
+# -- symbolic identities ------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345, verify._SEED])
-def test_coefficient_draws_equal_randint(seed):
-    rng, reference = random.Random(seed), random.Random(seed)
-    got = verify._coefficients(rng, 10**4)
-    assert got == [reference.randint(-9, 9) for _ in range(10**4)]
-    # both generators are left in the same state, so later draws agree too
-    assert rng.getstate() == reference.getstate()
+def _multiply_adds_a_point(real):
+    # x*y gains a point when x has constant term 7 and y does not: a fault
+    # that branches on values, which no identity on symbols can see
+    def multiply(ctx, x, y):
+        extra = cr.ChowClass(pt=1 if x.z == 7 != y.z else 0)
+        return real(ctx, x, y) + extra
+    return multiply
+
+
+def _sampled_ring_axiom_failures(multiply):
+    """Members of (4, 6) where multiply breaks an axiom on six seeded random triples."""
+    rng = random.Random(20260817)
+    failing = []
+    for p in iter_valid_params(4, 6):
+        ctx = Member(p).ctx
+        for _ in range(6):
+            x, y, z = (cr.ChowClass(*(rng.randint(-9, 9) for _ in range(8)))
+                       for _ in range(3))
+            xy = multiply(ctx, x, y)
+            if not (xy == multiply(ctx, y, x)
+                    and multiply(ctx, xy, z) == multiply(ctx, x, multiply(ctx, y, z))
+                    and multiply(ctx, x, y + z) == xy + multiply(ctx, x, z)):
+                failing.append(p)
+    return failing
+
+
+def test_sampled_ring_axioms_are_the_oracle_for_value_branching_faults(monkeypatch):
+    assert _sampled_ring_axiom_failures(cr.multiply) == []
+    fault = _multiply_adds_a_point(cr.multiply)
+    assert _sampled_ring_axiom_failures(fault)
+    # the symbolic identity reads x.z == 7 as false and misses the fault
+    monkeypatch.setattr(cr, "multiply", fault)
+    assert _results_by_name(1, 1)[RING_AXIOMS].ok
+
+
+_BRANCHING = (ast.If, ast.IfExp, ast.Compare, ast.BoolOp, ast.Match, ast.For, ast.AsyncFor,
+              ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [cr.multiply, cr.ScrollContext, cr.ChowClass, sl.DivisorClass, sl.intersect,
+     bf.ell_invariant],
+    ids=lambda code: code.__qualname__,
+)
+def test_code_proved_on_symbols_is_straight_line(code):
+    # a branch or a loop on values runs one path for the symbols and may
+    # take another for some integers, so the proof would not cover them
+    tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
+    assert [type(node).__name__ for node in ast.walk(tree)
+            if isinstance(node, _BRANCHING)] == []
+
+
+def _mutant(fn, old: str, new: str):
+    """fn recompiled from its source with the one occurrence of old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def _ell_plus_a_product_vanishing_on_0_to_40(real):
+    def ell_invariant(cd, e, d1, r):
+        extra = math.prod(r - j for j in range(41)) if d1 == 2 else 0
+        return real(cd, e, d1, r) + extra
+    return ell_invariant
+
+
+# each mutant, by the module it replaces a function of, the identity that
+# must fail and one that must still pass
+MUTANTS = {
+    "xixi*ca to xixi*cc": (
+        cr, _mutant(cr.multiply, "xixi * ca,", "xixi * cc,"), RING_AXIOMS, None),
+    "e*(xh1*yh1) to e*(xh1*yh2)": (
+        cr, _mutant(cr.multiply, "e * (xh1 * yh1)", "e * (xh1 * yh2)"), RING_AXIOMS, None),
+    "doubled xp*yxi": (
+        cr, _mutant(cr.multiply, "(xxi * yp + xp * yxi)", "(xxi * yp + 2 * xp * yxi)"),
+        RING_AXIOMS, None),
+    # c2 is a free variable of the proof, so only the projective-bundle
+    # relation sees it doubled
+    "doubled c2": (
+        cr, _mutant(cr.multiply, "xixi * ctx.c2", "xixi * 2 * ctx.c2"), GROTHENDIECK,
+        RING_AXIOMS),
+    # zero at every r in [0, 40], which the threshold r3 never leaves on (1, 1)
+    "ell plus prod(r - j)": (
+        bf, _ell_plus_a_product_vanishing_on_0_to_40(bf.ell_invariant), ELL2, UNIFORMITY),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_a_mutant_fails_its_identity(monkeypatch, mutant):
+    module, fn, failing, passing = MUTANTS[mutant]
+    monkeypatch.setattr(module, fn.__name__, fn)
+    results = _results_by_name(1, 1)
+    assert not results[failing].ok
+    if failing == RING_AXIOMS:
+        assert any(axiom in results[failing].failures[0]
+                   for axiom in ("commutativity", "associativity", "distributivity"))
+    if passing:
+        assert results[passing].ok
 
 
 # -- recorder -----------------------------------------------------------------
