@@ -17,8 +17,8 @@ effective) is read off the split form in O(1), and the closed-form
 ell(c1, c2, d1, r) decides the generic splitting type.  ell at d1=2 equals
 b-t-2e-4 < 0 for every valid member and every r; ell at d1=3 equals 0, so
 the family is uniform of splitting type (3, 1).  The verification suite
-keeps a brute-force scan over fiber twists, with h^0 from cohomology(), as
-the oracle it compares the threshold against.
+certifies the threshold at its two neighbouring fiber twists, with h^0 from
+cohomology(); the tests keep a scan over all the twists as its oracle.
 
 chi(Sym^m E), the second route to the Hilbert polynomial, is a closed form
 in m: the Riemann-Roch summands of its m+1 line bundles are quadratic in

@@ -35,35 +35,36 @@ pairings and degree() raise ConsistencyError on one.  P(m) and chi(N)
 read the ring only through intersection_numbers(): by Riemann-Roch each
 is a polynomial in those seven numbers.  Building the Chern classes of
 the normal bundle as Chow classes is kept as a test oracle for chi(N).
+The ring knows a member only through ScrollContext(e, c1, c2), so it runs
+as well on symbolic c1 and c2; intersection_numbers() also takes the
+member's (e, b, t), for its closed forms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .bundle_family import FamilyParams
 from .errors import ConsistencyError
 from .surface_lattice import DivisorClass, canonical_class
 
 _new = tuple.__new__
 
 
-class ScrollContext(namedtuple("ScrollContext", "params c1 c2 e c1_c0")):
-    """Everything the ring structure needs: the member and the Chern data of E.
+class ScrollContext(namedtuple("ScrollContext", "e c1 c2 c1_c0")):
+    """Everything the ring structure needs: the surface F_e and the Chern data of E.
 
-    Built as ScrollContext(params, c1, c2).  e and c1_c0 = c1.C0 =
-    c1.c - e*c1.a are bound once, at construction, for the products and
-    pairings; c1.f is c1.a.
+    Built as ScrollContext(e, c1, c2).  c1_c0 = c1.C0 = c1.c - e*c1.a is
+    bound once, at construction, for the products and pairings; c1.f is
+    c1.a.
     """
 
     __slots__ = ()
 
-    def __new__(cls, params: FamilyParams, c1: DivisorClass, c2: int) -> ScrollContext:
-        e = params.e
-        return tuple.__new__(cls, (params, c1, c2, e, c1.c - e * c1.a))
+    def __new__(cls, e: int, c1: DivisorClass, c2: int) -> ScrollContext:
+        return tuple.__new__(cls, (e, c1, c2, c1.c - e * c1.a))
 
     def __repr__(self) -> str:
-        return f"ScrollContext(params={self.params!r}, c1={self.c1!r}, c2={self.c2!r})"
+        return f"ScrollContext(e={self.e!r}, c1={self.c1!r}, c2={self.c2!r})"
 
 
 class ChowClass(namedtuple("ChowClass", "z xi h1 h2 xih1 xih2 p pt", defaults=(0,) * 8)):
@@ -230,15 +231,15 @@ IntersectionNumbers = namedtuple("IntersectionNumbers", "L3 KL2 K2L K3 c2L Kc2 c
 
 
 def intersection_numbers(
-    ctx: ScrollContext, tangent: tuple[ChowClass, ChowClass, ChowClass]
+    params: tuple[int, int, int], ctx: ScrollContext, tangent: tuple[ChowClass, ...]
 ) -> IntersectionNumbers:
     """All degree-3 pairings of L, K and the Chern classes of T_X.
 
-    ``tangent`` is chern_TX(ctx).  Every entry is computed twice: by the
-    Chow pairings triple() and pairing() and by the closed forms in
-    (d, e, b, t).  Any disagreement raises ConsistencyError.
+    ``params`` is the member's (e, b, t) and ``tangent`` chern_TX(ctx).  Every
+    entry is computed twice: by the Chow pairings triple() and pairing() and
+    by the closed forms in (d, e, b, t).  Any disagreement raises ConsistencyError.
     """
-    e, b, t = ctx.params.e, ctx.params.b, ctx.params.t
+    e, b, t = params
     c1x, c2x, c3x = tangent
     k = -c1x  # K_X, as chern_TX checked
     by_chow = IntersectionNumbers(

@@ -114,15 +114,15 @@ def _render(fmt: str, plain, payload, rows, header=None, code: int = 0) -> tuple
 def _member_row(member: Member) -> dict:
     """The columns of `report --format csv`; table selects _TABLE_HEADER of them."""
     p, cd, evidence, flags = member.params, member.chern, member.uniformity, member.flags
-    hb = member.hilbert if flags.all_hold() else None
+    h_of_n = member.h_of_N if flags.all_hold() else None
     return {
         "e": p.e, "b": p.b, "t": p.t, "n": member.n, "d": member.d,
         "c1_a": cd.c1.a, "c1_c": cd.c1.c, "c2": cd.c2,
         "r": evidence.r, "ell2": evidence.ell2, "ell3": evidence.ell3,
         "h0E": member.tables[2].h0,
         "paper_regime": flags.paper_regime,
-        "dim": hb and hb.dim_component,
-        "codim": hb and hb.codim_scroll_locus,
+        "dim": h_of_n and h_of_n[0],
+        "codim": h_of_n and member.tangent.h1,
     }
 
 
@@ -132,7 +132,8 @@ def _hilbert_payload(member: Member) -> dict:
     Unless every flag holds, chi(N) carries a note saying it is only an
     Euler characteristic, and the proved fields are None.
     """
-    hb = member.hilbert if member.flags.all_hold() else None
+    h_of_n = member.h_of_N if member.flags.all_hold() else None
+    tangent = h_of_n and member.tangent
     payload = {
         "params": member.params._asdict(),
         "flags": member.flags._asdict(),
@@ -140,15 +141,15 @@ def _hilbert_payload(member: Member) -> dict:
         "d": member.d,
         "chiN": member.chi_N,
     }
-    if hb is None:
+    if h_of_n is None:
         payload["chiN_note"] = ("euler characteristic only; not identified with h^0(N) "
                                 "because the flags above do not all hold")
     payload.update(
-        dim_component=hb and hb.dim_component,
-        hN=hb and list(hb.hN),
-        hTX=hb and list(hb.hTX),
-        chiTX=hb and hb.chiTX,
-        codim_scroll_locus=hb and hb.codim_scroll_locus,
+        dim_component=h_of_n and h_of_n[0],
+        hN=h_of_n and list(h_of_n),
+        hTX=tangent and list(tangent.as_tuple()),
+        chiTX=tangent and tangent.chi,
+        codim_scroll_locus=tangent and tangent.h1,
     )
     return payload
 
@@ -205,11 +206,10 @@ def _report_plain(member: Member) -> str:
     lines.append(f"h^i(X, L) = {member.h_of_L}")
     lines.append("P(m) = " + member.hilbert_poly.pretty())
     if member.flags.all_hold():
-        hb = member.hilbert
+        dim, tangent = member.h_of_N[0], member.tangent
         lines.append(
-            f"hilbert: dim = {hb.dim_component}, "
-            f"codim of scroll locus = {hb.codim_scroll_locus}, "
-            f"chi(N) = {hb.chiN}, h(T_X) = {hb.hTX}, chi(T_X) = {hb.chiTX}"
+            f"hilbert: dim = {dim}, codim of scroll locus = {tangent.h1}, "
+            f"chi(N) = {member.chi_N}, h(T_X) = {tangent.as_tuple()}, chi(T_X) = {tangent.chi}"
         )
     else:
         lines.append("hilbert: not reported (hypothesis flags do not all hold)")
@@ -296,11 +296,11 @@ def _hilbert_plain(member: Member, payload: dict) -> str:
         f"n = {member.n}, d = {member.d}",
     ]
     if flags.all_hold():
-        hb = member.hilbert
-        lines.append(f"dim = {hb.dim_component} (= chi(N) = h^0(N) = {hb.chiN})")
-        lines.append(f"h(N) = {hb.hN}")
-        lines.append(f"h(T_X) = {hb.hTX}, chi(T_X) = {hb.chiTX}")
-        lines.append(f"codim of scroll locus = {hb.codim_scroll_locus}")
+        h_of_n, tangent = member.h_of_N, member.tangent
+        lines.append(f"dim = {h_of_n[0]} (= chi(N) = h^0(N) = {member.chi_N})")
+        lines.append(f"h(N) = {h_of_n}")
+        lines.append(f"h(T_X) = {tangent.as_tuple()}, chi(T_X) = {tangent.chi}")
+        lines.append(f"codim of scroll locus = {tangent.h1}")
     else:
         failing = ", ".join(flags.failing())
         lines.append(f"hypotheses not satisfied: {failing}")
@@ -440,6 +440,8 @@ def _value(command: str, flag: str, spec: dict, token: str | None):
         raise _usage_error(command, f"{flag} takes {kind}, not {token!r}") from None
     if value not in spec.get("choices", [value]):
         raise _usage_error(command, f"{flag} takes {'|'.join(spec['choices'])}, not {token!r}")
+    if value == "":
+        raise _usage_error(command, f"{flag} takes a path, not ''")
     return value
 
 

@@ -12,11 +12,11 @@ characteristic chi(N) of the normal bundle is Hirzebruch-Riemann-Roch over
 the member's seven intersection numbers, so no Chow class is built here;
 the route through the Chern classes of N in the Chow ring is a test
 oracle.  chi(N) is unconditional (Riemann-Roch needs no vanishing) and is
-exposed for every valid triple; identifying it with h^0(N) and with the
-component dimension is gated on the flags, and so is its regime form,
-which component_dimension() checks.
-Operations called outside the regime raise HypothesesError listing the
-failing flags, so an unproved number can never appear in a proved field.
+exposed for every valid triple.  tangent_cohomology() is the one gate: off
+the regime it raises HypothesesError listing the failing flags, and
+component_dimension() reads its h^i(T_X), so h^i(N), whose h^0 is the
+component dimension, is gated too: an unproved number can never appear
+in a proved field.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class TangentCohomology(namedtuple("TangentCohomology", "h0 h1 h2 h3 chi")):
         return self[:4]
 
 
-HilbertReport = namedtuple(
-    "HilbertReport", "chiN dim_component hN hTX chiTX codim_scroll_locus"
-)
-
-
 def check_hypotheses(
     params: FamilyParams, tab_amb: CohomologyTable, tab_bma: CohomologyTable
 ) -> HypothesisFlags:
@@ -90,21 +85,21 @@ def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) 
         12 chi(N) = 2 (n1^3 - 3 n1.n2 + 3 n3) + 3 c1.(n1^2 - 2 n2)
                     + (c1^2 + c2).n1 + 12 (n - 3),
 
-    where n1 = K + pL and n1^2 - 2 n2 = pL^2 - K^2 + 2 c2 for p = n+1, so
-    each product is an integer polynomial in n and the member's
-    intersection numbers ``nums``.  The result must match the closed form
+    where n1 = K + pL and n1^2 - 2 n2 = pL^2 - K^2 + 2 c2 for p = n+1.  n2
+    and n3 bring in C(n+1, 2) and C(n+1, 3) six times over, as 3n(n+1) and
+    (n-1)n(n+1), so 12 chi(N) is one integer polynomial in n and the
+    intersection numbers ``nums``, divided once.  It must match the closed form
     (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d.
     """
     l3, kl2, k2l, k3, c2l, kc2, c3 = nums
     p = n + 1
-    h = exact_div(n * p, 2, "n(n+1)/2")
-    s = exact_div((n - 1) * n * p, 6, "(n-1)n(n+1)/6")
+    six_h, six_s = 3 * n * p, (n - 1) * n * p
     n1_cubed = k3 + 3 * p * k2l + 3 * p * p * kl2 + p ** 3 * l3
-    n1_n2 = k3 + 2 * p * k2l + (h + p * p) * kl2 + p * h * l3 - kc2 - p * c2l
-    n3 = s * l3 + h * kl2 + p * k2l - p * c2l - 2 * kc2 + k3 - c3
+    six_n1_n2 = 6 * (k3 + 2 * p * k2l + p * p * kl2 - kc2 - p * c2l) + six_h * (kl2 + p * l3)
+    six_n3 = six_s * l3 + six_h * kl2 + 6 * (p * k2l - p * c2l - 2 * kc2 + k3 - c3)
     ch2_td1 = k3 - p * kl2 - 2 * kc2  # c1.(n1^2 - 2 n2)
     ch1_td2 = k3 + p * k2l + kc2 + p * c2l  # (c1^2 + c2).n1
-    twelve_chi = 2 * (n1_cubed - 3 * n1_n2 + 3 * n3) + 3 * ch2_td1 + ch1_td2 + 12 * (n - 3)
+    twelve_chi = 2 * n1_cubed - six_n1_n2 + six_n3 + 3 * ch2_td1 + ch1_td2 + 12 * (n - 3)
     chi_n = exact_div(twelve_chi, 12, "chi(N)")
     e, b, t = params.e, params.b, params.t
     closed = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
@@ -167,23 +162,17 @@ def tangent_cohomology(
 
 
 def component_dimension(
-    params: FamilyParams,
-    flags: HypothesisFlags,
-    n: int,
-    chi_n: int,
-    tangent: TangentCohomology,
-) -> HilbertReport:
-    """Full report from the member's n, chi(N) and h^i(T_X).
+    params: FamilyParams, n: int, chi_n: int, tangent: TangentCohomology
+) -> tuple[int, int, int, int]:
+    """h^i(N) = (chi(N), 0, 0, 0) from the member's n, chi(N) and h^i(T_X).
 
-    dim = chi(N) = h^0(N) once the flags hold.  The identification
-    h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming from the Euler
-    sequence is run as a mandatory self-check, and so is the regime form
-    chi(N) = n(n+1) + 9e + 20 + 6t (the flags all hold exactly on the
-    regime).  The scroll locus has codimension h^1(T_X), which
+    tangent comes from tangent_cohomology, so the flags hold and h^0(N) =
+    chi(N) is the component dimension.  The identification h^0(N) =
+    (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) coming from the Euler sequence is run
+    as a mandatory self-check, and so is the regime form chi(N) = n(n+1) +
+    9e + 20 + 6t.  The scroll locus has codimension h^1(T_X), which
     tangent_cohomology asserts is max(e-1, 0).
     """
-    if not flags.all_hold():
-        raise HypothesesError(flags.failing())
     regime_form = n * (n + 1) + 9 * params.e + 20 + 6 * params.t
     if chi_n != regime_form:
         raise ConsistencyError(
@@ -196,11 +185,4 @@ def component_dimension(
             f"h^0(N) != (n+1)^2 - 1 - h^0(T_X) + h^1(T_X) at {params}: "
             f"chi(N)={chi_n}, Euler-sequence value {h0_n_euler}"
         )
-    return HilbertReport(
-        chiN=chi_n,
-        dim_component=chi_n,
-        hN=(chi_n, 0, 0, 0),
-        hTX=tangent.as_tuple(),
-        chiTX=tangent.chi,
-        codim_scroll_locus=tangent.h1,
-    )
+    return (chi_n, 0, 0, 0)

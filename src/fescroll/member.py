@@ -53,7 +53,7 @@ class Member:
 
     @_once
     def ctx(self) -> cr.ScrollContext:
-        return cr.ScrollContext(self.params, self.chern.c1, self.chern.c2)
+        return cr.ScrollContext(self.params.e, self.chern.c1, self.chern.c2)
 
     @_once
     def split(self) -> bf.SplitBundle:
@@ -72,7 +72,7 @@ class Member:
     @_once
     def d(self) -> int:
         """Degree of the scroll."""
-        return si.scroll_degree(self.ctx)
+        return si.scroll_degree(self.params, self.ctx)
 
     @_once
     def h_of_L(self) -> tuple[int, int, int, int]:
@@ -94,7 +94,7 @@ class Member:
 
     @_once
     def intersection_numbers(self) -> cr.IntersectionNumbers:
-        return cr.intersection_numbers(self.ctx, self.chern_TX)
+        return cr.intersection_numbers(self.params, self.ctx, self.chern_TX)
 
     @_once
     def hilbert_poly(self) -> si.BinomialCubic:
@@ -121,8 +121,7 @@ class Member:
         return hc.tangent_cohomology(self.params, self.flags, self.sym2_pieces)
 
     @_once
-    def hilbert(self) -> hc.HilbertReport:
-        """The component report; raises HypothesesError unless every flag holds."""
-        return hc.component_dimension(
-            self.params, self.flags, self.n, self.chi_N, self.tangent
-        )
+    def h_of_N(self) -> tuple[int, int, int, int]:
+        """h^i(N) for i = 0..3, h^0 the component dimension; raises
+        HypothesesError unless every flag holds, as tangent does."""
+        return hc.component_dimension(self.params, self.n, self.chi_N, self.tangent)

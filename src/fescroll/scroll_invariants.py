@@ -63,9 +63,8 @@ class BinomialCubic(namedtuple("BinomialCubic", "p0 p1 p2 p3")):
         return " + ".join(terms) if terms else "0"
 
 
-def scroll_degree(ctx: ScrollContext) -> int:
+def scroll_degree(params: FamilyParams, ctx: ScrollContext) -> int:
     """d = c1^2 - c2 on F_e against 8e+5b+7t+40; intersection_numbers() checks L3."""
-    params = ctx.params
     by_chern = intersect(ctx.e, ctx.c1, ctx.c1) - ctx.c2
     closed = 8 * params.e + 5 * params.b + 7 * params.t + 40
     if by_chern != closed:

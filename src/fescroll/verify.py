@@ -16,7 +16,8 @@ breaks them at.
 A closed form is asserted once, in the layer function that computes the
 value, so that report and hilbert are checked too.  Where that assertion
 is all an identity states, the identity is a guard: it forces the value
-and counts one case.  The others run a route of their own against it.
+and counts one case.  The others run a route of their own against it:
+r, for one, is certified by h^0 at its two neighbouring fiber twists.
 """
 
 from __future__ import annotations
@@ -226,53 +227,22 @@ def _check_ell2(rec: CheckResult, member: Member) -> None:
              lambda: f"{params}: ell = {ell}, expected {expected}")
 
 
-def _twisted_h0(member: Member, d1: int, ell: int) -> int:
-    """h^0(E(-d1*C0 + ell*f)) for E = A + B on F_e, read from the member's
-    surface tables, that is from cohomology()."""
-    bun, tables = member.split, member.surface
-    twist = sl.DivisorClass(-d1, ell)
-    return tables[bun.A + twist].h0 + tables[bun.B + twist].h0
-
-
-def _r_by_scan(params: bf.FamilyParams, d1: int) -> int:
-    """Section threshold r by a search over fiber twists: the oracle for invariant_r.
-
-    Finds the smallest ell with h^0(E(-d1*C0 + ell*f)) > 0, h^0 from
-    cohomology(), so it shares nothing with the effectivity closed form in
-    invariant_r.  h^0 is nondecreasing in ell (each pushforward degree
-    grows with ell), so a bisection over the window [-span, span] finds it
-    with O(log span) cohomology calls.  For d1 in {1, 2, 3} the threshold
-    provably lies inside the window; h^0 > 0 at its lower edge, or h^0 = 0
-    at its upper edge, is an internal-consistency failure.
-    """
-    member = Member(params)
-
-    def h0(ell: int) -> int:
-        return _twisted_h0(member, d1, ell)
-
-    span = 3 * params.e + 6 + params.t + abs(params.b) + 4
-    if h0(-span) != 0:
-        raise ConsistencyError(f"section threshold below the scan window at {params}, d1={d1}")
-    if h0(span) == 0:
-        raise ConsistencyError(f"no section threshold in the scan window at {params}, d1={d1}")
-    lo, hi = -span, span  # invariant: h0(lo) == 0 < h0(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if h0(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return -hi
-
-
 def _is_threshold(member: Member, d1: int, r: int) -> bool:
     """Whether r is the section threshold of E against -d1*C0, by its two neighbours.
 
-    h^0(E(-d1*C0 + ell*f)) vanishes at ell = -r-1 and not at ell = -r.  As
-    h^0 is nondecreasing in ell, that holds exactly when _r_by_scan finds r,
-    with four table lookups whatever the size of r.
+    h^0(E(-d1*C0 + ell*f)), read from the member's surface tables, that is
+    from cohomology() and not from the effectivity closed form in
+    invariant_r, vanishes at ell = -r-1 and not at ell = -r.  As h^0 is
+    nondecreasing in ell, that holds exactly when a scan over fiber twists
+    finds r, with four table lookups whatever the size of r.
     """
-    return _twisted_h0(member, d1, -r - 1) == 0 < _twisted_h0(member, d1, -r)
+    bun, tables = member.split, member.surface
+
+    def h0(ell: int) -> int:
+        twist = sl.DivisorClass(-d1, ell)
+        return tables[bun.A + twist].h0 + tables[bun.B + twist].h0
+
+    return h0(-r - 1) == 0 < h0(-r)
 
 
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
@@ -344,10 +314,10 @@ def _a_term(diff: cr.ChowClass) -> str:
 def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
     # multiply is straight-line code, so on classes x, y, z whose coefficients
     # and c1, c2 are variables each axiom is a polynomial identity, proved for
-    # every class of every member of F_e; the context reads only e of (e, e, 0)
+    # every class of every member of F_e
     e = sweep.e
     c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
-    mul = partial(cr.multiply, cr.ScrollContext(bf.FamilyParams(e, e, 0), c1, Poly.var("c2")))
+    mul = partial(cr.multiply, cr.ScrollContext(e, c1, Poly.var("c2")))
     x, y, z = (cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
                for name in "xyz")
     xy = mul(x, y)
@@ -418,7 +388,7 @@ def _check_chi_normal(rec: CheckResult, member: Member) -> None:
 @_register("regime e<=2, b=2e+3+t: dim = chi(N) = n(n+1)+9e+20+6t and "
            "h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)", "regime")
 def _check_component_dimension(rec: CheckResult, member: Member) -> None:
-    member.hilbert  # component_dimension raises on a mismatch
+    member.h_of_N  # component_dimension raises on a mismatch
     rec.case(True, "")
 
 

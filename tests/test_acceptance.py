@@ -116,14 +116,13 @@ def test_c06_component_dimension(criterion):
                    "with n = 9e+33+6t on the regime"):
         for p in REGIME:
             member = Member(p)
-            report, n = member.hilbert, member.n
+            h_of_n, n = member.h_of_N, member.n
             assert n == 9 * p.e + 33 + 6 * p.t
-            assert report.dim_component == report.chiN
-            assert report.dim_component == n * (n + 1) + 9 * p.e + 20 + 6 * p.t
-            assert report.hN == (report.chiN, 0, 0, 0)
-        assert Member(FamilyParams(2, 7, 0)).hilbert.dim_component == 2690
-        assert Member(FamilyParams(0, 3, 0)).hilbert.dim_component == 1142
-        assert Member(FamilyParams(1, 5, 0)).hilbert.dim_component == 1835
+            assert h_of_n == (member.chi_N, 0, 0, 0)
+            assert h_of_n[0] == n * (n + 1) + 9 * p.e + 20 + 6 * p.t
+        assert Member(FamilyParams(2, 7, 0)).h_of_N[0] == 2690
+        assert Member(FamilyParams(0, 3, 0)).h_of_N[0] == 1142
+        assert Member(FamilyParams(1, 5, 0)).h_of_N[0] == 1835
 
 
 def test_c07_tangent_cohomology(criterion):
@@ -142,17 +141,17 @@ def test_c08_euler_sequence_identity(criterion):
                    "h0(N) = (n+1)^2 - 1 - h0(T_X) + h1(T_X)"):
         for p in REGIME:
             member = Member(p)
-            report = member.hilbert
-            euler = (member.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
-            assert report.hN[0] == euler
+            tangent = member.tangent
+            euler = (member.n + 1) ** 2 - 1 - tangent.h0 + tangent.h1
+            assert member.h_of_N[0] == euler
 
 
 def test_c09_scroll_locus_codimension(criterion):
     with criterion("C9 scroll-locus codimension: 0 at e = 0, e-1 for e > 0"):
         for p in REGIME:
             expected = 0 if p.e == 0 else p.e - 1
-            assert Member(p).hilbert.codim_scroll_locus == expected
-        assert Member(FamilyParams(2, 7, 0)).hilbert.codim_scroll_locus == 1
+            assert Member(p).tangent.h1 == expected
+        assert Member(FamilyParams(2, 7, 0)).tangent.h1 == 1
 
 
 def test_c10_verification_battery(criterion):

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from fescroll.bundle_family import FamilyParams, iter_valid_params
+import fescroll
+from fescroll.bundle_family import FamilyParams, build_split, chern, iter_valid_params
 from fescroll.chow_ring import (
     ONE,
     POINT,
@@ -8,6 +12,7 @@ from fescroll.chow_ring import (
     XI,
     ChowClass,
     IntersectionNumbers,
+    ScrollContext,
     canonical_class_X,
     chern_TX,
     degree,
@@ -20,9 +25,12 @@ from fescroll.chow_ring import (
 )
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
+from fescroll.poly import Poly
+from fescroll.scroll_invariants import scroll_degree
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, canonical_class, intersect
 
-CTX = Member(FamilyParams(2, 7, 0)).ctx
+PARAMS = FamilyParams(2, 7, 0)
+CTX = Member(PARAMS).ctx
 
 
 def test_context_from_params():
@@ -106,7 +114,7 @@ def _oracle_numbers(ctx):
 
 
 def test_intersection_numbers_record():
-    nums = intersection_numbers(CTX, chern_TX(CTX))
+    nums = intersection_numbers(PARAMS, CTX, chern_TX(CTX))
     assert nums == IntersectionNumbers(
         L3=91, KL2=-100, K2L=88, K3=-56, c2L=42, Kc2=-24, c3=8
     )
@@ -117,13 +125,53 @@ def test_intersection_numbers_record():
 def test_scroll_degree_spots(e, b, t, l3):
     p = FamilyParams(e, b, t)
     ctx = Member(p).ctx
-    assert intersection_numbers(ctx, chern_TX(ctx)).L3 == l3
+    assert intersection_numbers(p, ctx, chern_TX(ctx)).L3 == l3
 
 
 def test_intersection_numbers_grid_against_hand_expansion():
     for p in iter_valid_params(3, 3):
         ctx = Member(p).ctx
-        assert intersection_numbers(ctx, chern_TX(ctx)) == _oracle_numbers(ctx)
+        assert intersection_numbers(p, ctx, chern_TX(ctx)) == _oracle_numbers(ctx)
+
+
+def test_the_division_free_chain_runs_on_polynomials():
+    # from the split form to the intersection numbers nothing divides, branches
+    # or compares but for equality, so on variables e, b, t the chain gives the
+    # closed forms of every member at once, with nothing patched
+    e, b, t = (Poly.var(name) for name in "ebt")
+    params = FamilyParams._make((e, b, t))  # namedtuple's own constructor: no validation
+    cd = chern(params, build_split(params))
+    ctx = ScrollContext(params.e, cd.c1, cd.c2)
+    d = scroll_degree(params, ctx)
+    assert d == 8 * e + 5 * b + 7 * t + 40
+    assert intersection_numbers(params, ctx, chern_TX(ctx)) == IntersectionNumbers(
+        L3=d,
+        KL2=-10 * e - 4 * b - 8 * t - 52,
+        K2L=12 * e + 8 * t + 64,
+        K3=-16 * e + 8 * b - 8 * t - 80,
+        c2L=2 * e + 2 * b + 2 * t + 24,
+        Kc2=-24,
+        c3=8,
+    )
+
+
+_UPPER_LAYERS = {"bundle_family", "member", "scroll_invariants", "hilbert_component",
+                 "verify", "cli"}
+
+
+@pytest.mark.parametrize("layer", ["surface_lattice", "chow_ring", "poly"])
+def test_lower_layers_import_no_member_layer(layer):
+    # the surface, the Chow ring and the polynomial type know no member, so a
+    # context is built from (e, c1, c2) alone, symbolic or not
+    tree = ast.parse(Path(fescroll.__file__).with_name(f"{layer}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)  # from . import x
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert imported & _UPPER_LAYERS == set()
 
 
 def test_class_arithmetic():

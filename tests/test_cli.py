@@ -608,6 +608,9 @@ USAGE_ERRORS = [
     (["cohomology", "-e", "2", "-a", "3", "-c", "5", "--out", "-x"],
      "--out needs a value, not '-x'"),
     (["table", "--e-max", "1"], "missing --t-max"),
+    # an empty path is no path: the output must not fall back to stdout
+    (["report", "-e", "2", "-b", "7", "-t", "0", "--out", ""], "--out takes a path, not ''"),
+    (["verify", "--e-max", "0", "--t-max", "0", "--out", ""], "--out takes a path, not ''"),
 ]
 
 
@@ -645,7 +648,7 @@ def test_command_help_lists_every_flag(capsys, command):
 
 # canonical valid argv: every flag of a command spelled out once, in any order
 INTS = st.one_of(st.integers(-50, 50), st.integers(-(10**4300 - 1), 10**4300 - 1)).map(str)
-PATHS = st.text(max_size=8).filter(lambda path: not path.startswith("-"))
+PATHS = st.text(min_size=1, max_size=8).filter(lambda path: not path.startswith("-"))
 OUTPUT = {"--format": st.sampled_from(["plain", "json", "csv"]), "--out": PATHS}
 MEMBER = {"-e": INTS, "-b": INTS, "-t": INTS}
 GRID = {"--e-max": INTS, "--t-max": INTS}

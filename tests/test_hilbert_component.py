@@ -107,12 +107,12 @@ def test_the_ungated_chain_runs_on_a_number_type_without_order(monkeypatch, e, b
     # regime; exact_div is the one division, replaced here by true division.
     for module in (bundle_family, hilbert_component, scroll_invariants):
         monkeypatch.setattr(module, "exact_div", lambda x, k, what: x / k)
-    params = tuple.__new__(FamilyParams, (complex(e), complex(b), complex(t)))
+    params = FamilyParams._make((complex(e), complex(b), complex(t)))  # skips validation
     bundle = build_split(params)
     cd = chern(params, bundle)
-    ctx = ScrollContext(params, cd.c1, cd.c2)
-    d = scroll_degree(ctx)
-    nums = intersection_numbers(ctx, chern_TX(ctx))
+    ctx = ScrollContext(params.e, cd.c1, cd.c2)
+    d = scroll_degree(params, ctx)
+    nums = intersection_numbers(params, ctx, chern_TX(ctx))
     n = 5 * params.e + 2 * params.b + 4 * params.t + 27  # h^0(E) - 1
     member = Member(FamilyParams(e, b, t))
     assert (n, d) == (member.n, member.d)
@@ -132,7 +132,14 @@ def test_exact_div():
 def test_component_dimension_checks_the_regime_form():
     m = Member(FamilyParams(2, 7, 0))
     with pytest.raises(ConsistencyError, match=r"chi\(N\) != n\(n\+1\)\+9e\+20\+6t"):
-        component_dimension(m.params, m.flags, m.n, m.chi_N + 1, m.tangent)
+        component_dimension(m.params, m.n, m.chi_N + 1, m.tangent)
+
+
+def test_component_dimension_checks_the_euler_sequence():
+    m = Member(FamilyParams(2, 7, 0))
+    assert component_dimension(m.params, m.n, m.chi_N, m.tangent) == (2690, 0, 0, 0)
+    with pytest.raises(ConsistencyError, match=r"Euler-sequence value 2689"):
+        component_dimension(m.params, m.n, m.chi_N, TangentCohomology(15, 1, 0, 0, 14))
 
 
 def test_regime_dimension_formula():
@@ -220,17 +227,15 @@ def test_tangent_table_invariant():
 
 @pytest.mark.parametrize("e,b,t,codim", [(2, 7, 0, 1), (0, 3, 0, 0), (1, 5, 0, 0)])
 def test_scroll_locus_codim(e, b, t, codim):
+    # the codimension of the scroll locus is h^1(T_X)
     p = FamilyParams(e, b, t)
-    assert Member(p).hilbert.codim_scroll_locus == codim
+    assert Member(p).tangent.h1 == codim
 
 
 def test_component_dimension_report():
-    report = Member(FamilyParams(2, 7, 0)).hilbert
-    assert report.chiN == report.dim_component == 2690
-    assert report.hN == (2690, 0, 0, 0)
-    assert report.hTX == (14, 1, 0, 0)
-    assert report.chiTX == 13
-    assert report.codim_scroll_locus == 1
+    member = Member(FamilyParams(2, 7, 0))
+    assert member.h_of_N == (member.chi_N, 0, 0, 0) == (2690, 0, 0, 0)
+    assert member.tangent == (14, 1, 0, 0, 13)
 
 
 def test_component_dimension_euler_sequence_identity():
@@ -238,13 +243,13 @@ def test_component_dimension_euler_sequence_identity():
     for e, t in [(0, 0), (1, 0), (2, 0), (0, 3), (2, 5)]:
         p = FamilyParams(e, 2 * e + 3 + t, t)
         member = Member(p)
-        report = member.hilbert
-        euler = (member.n + 1) ** 2 - 1 - report.hTX[0] + report.hTX[1]
-        assert report.dim_component == euler
+        euler = (member.n + 1) ** 2 - 1 - member.tangent.h0 + member.tangent.h1
+        assert member.h_of_N[0] == euler
 
 
 def test_component_dimension_gated():
+    # tangent_cohomology is the one gate, and h(N) reads the tangent table
+    with pytest.raises(HypothesesError, match="paper_regime, v2"):
+        Member(FamilyParams(2, 6, 0)).h_of_N
     with pytest.raises(HypothesesError):
-        Member(FamilyParams(2, 6, 0)).hilbert
-    with pytest.raises(HypothesesError):
-        Member(FamilyParams(3, 9, 0)).hilbert
+        Member(FamilyParams(3, 9, 0)).h_of_N

@@ -31,7 +31,7 @@ from fescroll.surface_lattice import (
     intersect,
     pushforward_degrees,
 )
-from fescroll.verify import _r_by_scan
+from fescroll.verify import _is_threshold
 
 surfaces = st.integers(min_value=0, max_value=6)  # F_e, as its integer e
 classes = st.builds(
@@ -72,7 +72,7 @@ def scroll_contexts(draw):
     params = draw(family_params())
     if draw(st.booleans()):
         return Member(params).ctx
-    return ScrollContext(params, draw(small_classes), draw(st.integers(-30, 30)))
+    return ScrollContext(params.e, draw(small_classes), draw(st.integers(-30, 30)))
 
 
 @given(surfaces, classes, classes, classes, st.integers(-7, 7))
@@ -125,7 +125,9 @@ def wide_family_params(draw):
 @settings(deadline=None)
 @given(wide_family_params(), st.sampled_from((1, 2, 3)))
 def test_invariant_r_matches_scan(params, d1):
-    assert invariant_r(build_split(params), d1) == _r_by_scan(params, d1)
+    # h^0 from cohomology() vanishes one fiber twist past r and not at r, which
+    # is what a scan over the twists finds, as h^0 is monotone in the twist
+    assert _is_threshold(Member(params), d1, invariant_r(build_split(params), d1))
 
 
 @given(surfaces, st.integers(0, 6), st.integers(-20, 19))

@@ -1,5 +1,5 @@
-"""Internals of the verify battery: the r oracle and the threshold certificate,
-the per-surface table memo, the symbolic identities with their sampled
+"""Internals of the verify battery: the threshold certificate for r, the
+per-surface table memo, the symbolic identities with their sampled
 oracle, their straight-line premise and the mutants they catch, the
 recorder, how an error raised inside an identity is counted, the guard
 identities that fail when only a layer's own check catches a fault, the
@@ -36,41 +36,6 @@ RING_AXIOMS = "Chow product commutative, associative, distributive"
 GROTHENDIECK = "deg xi^3 = c1^2 - c2 (projective-bundle relation)"
 FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
 P_MINUS_1 = "P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)"
-
-# -- r oracle ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("d1", [1, 2, 3])
-def test_r_oracle_calls_cohomology_logarithmically(monkeypatch, d1):
-    p = FamilyParams(2, 3007, 3000)
-    span = 3 * p.e + 6 + p.t + abs(p.b) + 4
-    calls = []
-    real = sl.cohomology
-
-    def counting(e, d):
-        calls.append(d)
-        return real(e, d)
-
-    monkeypatch.setattr(sl, "cohomology", counting)
-    assert verify._r_by_scan(p, d1) == invariant_r(build_split(p), d1) == 3 * p.e + 5 + p.t
-    # two window edges and one midpoint per halving, two summands each
-    assert len(calls) <= 2 * (2 + math.ceil(math.log2(2 * span + 1)))
-
-
-def _constant_h0(h0):
-    table = sl.CohomologyTable(h0, 0, 0, h0)
-    return lambda s, d: table
-
-
-@pytest.mark.parametrize(
-    "h0, message",
-    [(1, "below the scan window"), (0, "no section threshold in the scan window")],
-)
-def test_r_oracle_window_edges(monkeypatch, h0, message):
-    monkeypatch.setattr(sl, "cohomology", _constant_h0(h0))
-    with pytest.raises(ConsistencyError, match=message):
-        verify._r_by_scan(FamilyParams(2, 7, 0), 3)
-
 
 # -- threshold certificate -----------------------------------------------------
 
