@@ -20,7 +20,7 @@ the family is uniform of splitting type (3, 1).  The verification suite
 certifies the threshold at its two neighbouring fiber twists, with h^0 from
 cohomology(); the tests keep a scan over all the twists as its oracle.
 
-chi(Sym^m E), the second route to the Hilbert polynomial, is a closed form
+chi(Sym^m E), the route that gives the Hilbert polynomial, is a closed form
 in m: the Riemann-Roch summands of its m+1 line bundles are quadratic in
 the summand's index, so sym_chi sums them by Faulhaber's formulas in O(1).
 The tests keep the term-by-term sum as its oracle.
@@ -223,8 +223,8 @@ def sym_chi(bundle: SplitBundle, m: int) -> int:
     a*C0 + c*f with a = m*B.a + i*da and c = m*B.c + i*dc, and Riemann-Roch
     gives chi(a*C0 + c*f) = (a+1)(c+1) - e*a(a+1)/2.  Both terms are
     quadratic in i, so their sum over i is Faulhaber's, with the power sums
-    s0 = m+1, s1 = m(m+1)/2 and s2 = m(m+1)(2m+1)/6: O(1) in m.  The sum of
-    the summands is kept as the test oracle.
+    s0 = m+1, s1 = m(m+1)/2 and s2 = m(m+1)(2m+1)/6: O(1) in m.  A.a and
+    B.a are literals, so sum_aa is an integer whatever c is.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")

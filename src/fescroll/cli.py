@@ -351,9 +351,8 @@ def cmd_table(args) -> tuple[str, int]:
     rows = []
     for e in range(args.e_max + 1):
         surface = SurfaceTables(e)  # the members of F_e share its tables
-        members = (Member(params, surface) for params in surface_params(e, args.t_max))
-        rows += (_member_row(member) for member in members
-                 if member.flags.paper_regime or not args.paper_regime_only)
+        rows += (_member_row(Member(params, surface)) for params in surface_params(e, args.t_max)
+                 if not args.paper_regime_only or params.paper_regime)
     return _render(
         args.format,
         # plain and csv coincide for a grid listing

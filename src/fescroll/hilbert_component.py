@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .bundle_family import FamilyParams
 from .chow_ring import IntersectionNumbers
-from .errors import ConsistencyError, HypothesesError, exact_div
+from .errors import ConsistencyError, HypothesesError
 from .surface_lattice import CohomologyTable, canonical_class, intersect
 
 
@@ -88,25 +88,24 @@ def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) 
     where n1 = K + pL and n1^2 - 2 n2 = pL^2 - K^2 + 2 c2 for p = n+1.  n2
     and n3 bring in C(n+1, 2) and C(n+1, 3) six times over, as 3n(n+1) and
     (n-1)n(n+1), so 12 chi(N) is one integer polynomial in n and the
-    intersection numbers ``nums``, divided once.  It must match the closed form
-    (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d.
+    intersection numbers ``nums``.  It must be 12 times the closed form
+    (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d, an integer.
     """
     l3, kl2, k2l, k3, c2l, kc2, c3 = nums
     p = n + 1
     six_h, six_s = 3 * n * p, (n - 1) * n * p
-    n1_cubed = k3 + 3 * p * k2l + 3 * p * p * kl2 + p ** 3 * l3
+    n1_cubed = k3 + 3 * p * k2l + 3 * p * p * kl2 + p * p * p * l3
     six_n1_n2 = 6 * (k3 + 2 * p * k2l + p * p * kl2 - kc2 - p * c2l) + six_h * (kl2 + p * l3)
     six_n3 = six_s * l3 + six_h * kl2 + 6 * (p * k2l - p * c2l - 2 * kc2 + k3 - c3)
     ch2_td1 = k3 - p * kl2 - 2 * kc2  # c1.(n1^2 - 2 n2)
     ch1_td2 = k3 + p * k2l + kc2 + p * c2l  # (c1^2 + c2).n1
     twelve_chi = 2 * n1_cubed - six_n1_n2 + six_n3 + 3 * ch2_td1 + ch1_td2 + 12 * (n - 3)
-    chi_n = exact_div(twelve_chi, 12, "chi(N)")
     e, b, t = params.e, params.b, params.t
-    closed = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
-    if chi_n != closed:
+    chi_n = (d - 3 * e - 3 * b - 3 * t - 12) * n + 122 + 21 * t + 21 * e + 21 * b - 3 * d
+    if twelve_chi != 12 * chi_n:
         raise ConsistencyError(
-            f"chi(N) != (d-3e-3b-3t-12)*n + 122+21t+21e+21b-3d at {params}: "
-            f"HRR gives {chi_n}, closed form {closed}"
+            f"12*chi(N) != 12*((d-3e-3b-3t-12)*n + 122+21t+21e+21b-3d) at {params}: "
+            f"HRR gives {twelve_chi}, closed form {12 * chi_n}"
         )
     return chi_n
 

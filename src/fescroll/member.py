@@ -5,7 +5,7 @@ computed on first access and kept, and the layer functions take the
 values they build on as arguments, so every value is derived once per
 member and the cross-check that guards it runs once, when it is first
 computed: the Chern data give the Chow ring, the ring gives the
-intersection numbers, and those give P(m) and chi(N).
+intersection numbers, and those check chi(N) and P(m) = chi(Sym^m E).
 
 Nothing is cached across members but the line-bundle tables of their
 surface: a grid command builds one SurfaceTables per F_e and hands it to

@@ -2,16 +2,14 @@
 
 The sections of E embed X = P(E) in P^n with n = h^0(E) - 1 and degree
 d = c1^2 - c2 (deg xi^3 = L^3 in intersection_numbers() is its second
-route).  The Hilbert polynomial comes from Riemann-Roch on X,
+route).  The Hilbert polynomial P(m) = chi(Sym^m E) is held by its integer
+coefficients in the binomial basis, read off bundle_family.sym_chi at
+m = 0..3 and checked by multiplication against Riemann-Roch on X,
 
     P(m) = (m^3/6) L^3 - (m^2/4) L^2.K + (m/12) L.(K^2 + c2) + 1,
 
-held by its integer coefficients in the binomial basis and cross-checked
-against the independent oracle chi(Sym^m E) for m in [0, 8] on every
-construction; bundle_family.sym_chi gives chi(Sym^m E) in closed form in
-m, and the tests check that against the sum of its m+1 Riemann-Roch
-summands.  Nothing here tests the paper's regime:
-hilbert_component.component_dimension() checks the regime forms.
+and against sym_chi for m in [4, 8].  Nothing here tests the paper's
+regime: hilbert_component.component_dimension() checks the regime forms.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from fractions import Fraction
 
 from .bundle_family import FamilyParams, SplitBundle, sym_chi
 from .chow_ring import IntersectionNumbers, ScrollContext
-from .errors import ConsistencyError, exact_div
+from .errors import ConsistencyError
 from .surface_lattice import intersect
 
 
@@ -78,23 +76,27 @@ def scroll_degree(params: FamilyParams, ctx: ScrollContext) -> int:
 def hilbert_polynomial(
     params: FamilyParams, bundle: SplitBundle, nums: IntersectionNumbers
 ) -> BinomialCubic:
-    """Hilbert polynomial of (X, L), verified against chi(Sym^m E) on [0, 8].
+    """Hilbert polynomial of (X, L), checked by Riemann-Roch and on [4, 8].
 
     bundle is the member's split form E = A + B and nums its intersection
-    numbers.  Riemann-Roch in the binomial basis gives p3 = L3,
-    p2 = L3 - KL2/2 and p1 = (2 L3 - 3 KL2 + K2L + c2L)/12; each division
-    goes through exact_div, so a coefficient that is not an integer raises.
-    P(0) = 1 holds by construction (p0 = 1), and P(1) = n+1 is the m = 1
-    case, since chi(E) = h^0(E) = n+1 by bundle_cohomology.
+    numbers.  p0..p3 are the finite differences of chi(Sym^m E) at m = 0,
+    so integers; Riemann-Roch on X (chi(O_X) = 1), with nothing divided,
+    gives (p0, 12 p1, 2 p2, p3) = (1, 2 L3 - 3 KL2 + K2L + c2L, 2 L3 - KL2, L3).
+    P(1) = chi(E) = h^0(E) = n+1 by bundle_cohomology.
     """
+    v0, v1, v2, v3 = (sym_chi(bundle, m) for m in range(4))
+    poly = BinomialCubic(v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0)
     l3, kl2 = nums.L3, nums.KL2
-    poly = BinomialCubic(
-        p0=1,
-        p1=exact_div(2 * l3 - 3 * kl2 + nums.K2L + nums.c2L, 12, "P(m) coefficient p1"),
-        p2=l3 - exact_div(kl2, 2, "P(m) coefficient p2"),
-        p3=l3,
-    )
-    for m in range(0, 9):
+    for relation, by_sym, by_rr in (
+        ("p0 = 1", poly.p0, 1),
+        ("12*p1 = 2L3-3KL2+K2L+c2L", 12 * poly.p1, 2 * l3 - 3 * kl2 + nums.K2L + nums.c2L),
+        ("2*p2 = 2L3-KL2", 2 * poly.p2, 2 * l3 - kl2),
+        ("p3 = L3", poly.p3, l3),
+    ):
+        if by_sym != by_rr:
+            raise ConsistencyError(f"Riemann-Roch {relation} fails at {params}: "
+                                   f"chi(Sym^m E) gives {by_sym}, Riemann-Roch {by_rr}")
+    for m in range(4, 9):
         expected = sym_chi(bundle, m)
         if poly.value_at(m) != expected:
             raise ConsistencyError(

@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 
 import fescroll
-from fescroll.bundle_family import FamilyParams, build_split, chern, iter_valid_params
+from fescroll.bundle_family import (
+    FamilyParams,
+    UniformityEvidence,
+    build_split,
+    chern,
+    is_uniform,
+    iter_valid_params,
+)
 from fescroll.chow_ring import (
     ONE,
     POINT,
@@ -24,9 +31,10 @@ from fescroll.chow_ring import (
     triple,
 )
 from fescroll.errors import ConsistencyError
+from fescroll.hilbert_component import chi_normal
 from fescroll.member import Member
 from fescroll.poly import Poly
-from fescroll.scroll_invariants import scroll_degree
+from fescroll.scroll_invariants import BinomialCubic, hilbert_polynomial, scroll_degree
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, canonical_class, intersect
 
 PARAMS = FamilyParams(2, 7, 0)
@@ -134,25 +142,70 @@ def test_intersection_numbers_grid_against_hand_expansion():
         assert intersection_numbers(p, ctx, chern_TX(ctx)) == _oracle_numbers(ctx)
 
 
-def test_the_division_free_chain_runs_on_polynomials():
-    # from the split form to the intersection numbers nothing divides, branches
-    # or compares but for equality, so on variables e, b, t the chain gives the
-    # closed forms of every member at once, with nothing patched
-    e, b, t = (Poly.var(name) for name in "ebt")
+E, B, T = (Poly.var(name) for name in "ebt")
+
+
+def _symbolic_chain(e, b, t):
     params = FamilyParams._make((e, b, t))  # namedtuple's own constructor: no validation
-    cd = chern(params, build_split(params))
+    bundle = build_split(params)
+    cd = chern(params, bundle)
     ctx = ScrollContext(params.e, cd.c1, cd.c2)
+    n = 5 * e + 2 * b + 4 * t + 27  # h^0(E) - 1; cohomology() branches, so not run here
     d = scroll_degree(params, ctx)
-    assert d == 8 * e + 5 * b + 7 * t + 40
-    assert intersection_numbers(params, ctx, chern_TX(ctx)) == IntersectionNumbers(
+    return params, bundle, cd, n, d, intersection_numbers(params, ctx, chern_TX(ctx))
+
+
+def test_the_division_free_chain_runs_on_polynomials():
+    # from the split form to P(m) and chi(N) nothing divides but sym_chi's
+    # halving of an integer, and nothing branches on e, b or t or compares
+    # them but for equality, so on variables the chain gives the closed forms
+    # of every member at once, with nothing patched
+    params, bundle, cd, n, d, nums = _symbolic_chain(E, B, T)
+    assert d == 8 * E + 5 * B + 7 * T + 40
+    assert nums == IntersectionNumbers(
         L3=d,
-        KL2=-10 * e - 4 * b - 8 * t - 52,
-        K2L=12 * e + 8 * t + 64,
-        K3=-16 * e + 8 * b - 8 * t - 80,
-        c2L=2 * e + 2 * b + 2 * t + 24,
+        KL2=-10 * E - 4 * B - 8 * T - 52,
+        K2L=12 * E + 8 * T + 64,
+        K3=-16 * E + 8 * B - 8 * T - 80,
+        c2L=2 * E + 2 * B + 2 * T + 24,
         Kc2=-24,
         c3=8,
     )
+    assert is_uniform(bundle, cd) == UniformityEvidence(
+        uniform=True, r=3 * E + 5 + T, ell2=B - T - 2 * E - 4, ell3=0
+    )
+    assert hilbert_polynomial(params, bundle, nums) == BinomialCubic(
+        1, 5 * E + 2 * B + 4 * T + 27, 13 * E + 7 * B + 11 * T + 66, 8 * E + 5 * B + 7 * T + 40
+    )
+    assert chi_normal(params, n, d, nums) == (
+        25 * E * E + 20 * E * B + 40 * E * T + 4 * B * B + 16 * B * T + 16 * T * T
+        + 272 * E + 116 * B + 220 * T + 758
+    )
+
+
+def test_riemann_roch_rejects_a_symbolic_total_off_its_integer_route():
+    # the multiplied-out Riemann-Roch checks fail on polynomials as on integers
+    params, bundle, _cd, n, d, nums = _symbolic_chain(E, B, T)
+    with pytest.raises(ConsistencyError, match=r"^Riemann-Roch 12\*p1 = "):
+        hilbert_polynomial(params, bundle, nums._replace(KL2=nums.KL2 + E))
+    with pytest.raises(ConsistencyError, match=r"^12\*chi\(N\) != "):
+        chi_normal(params, n, d, nums._replace(Kc2=nums.Kc2 + 1))
+
+
+def _deformation_invariants(e, b, t):
+    params, bundle, cd, n, d, nums = _symbolic_chain(e, b, t)
+    return (n, d, cd.c2, *nums, hilbert_polynomial(params, bundle, nums),
+            chi_normal(params, n, d, nums))
+
+
+def test_the_deformation_of_f_e_to_f_e_minus_2_keeps_the_invariants():
+    # F_e deforms to F_{e-2}, C0 going to C0' - f, which takes the member
+    # (e, b, t) to (e-2, b-1, t+3): n, d, c2, the intersection numbers, P and
+    # chi(N) are the same polynomials there; a shift that is no deformation
+    # changes them
+    invariants = _deformation_invariants(E, B, T)
+    assert _deformation_invariants(E - 2, B - 1, T + 3) == invariants
+    assert _deformation_invariants(E - 1, B - 1, T + 3) != invariants
 
 
 _UPPER_LAYERS = {"bundle_family", "member", "scroll_invariants", "hilbert_component",

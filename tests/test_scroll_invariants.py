@@ -1,5 +1,6 @@
 import pytest
 
+from fescroll import scroll_invariants
 from fescroll.bundle_family import FamilyParams, build_split, iter_valid_params, sym_chi
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
@@ -69,11 +70,14 @@ def test_scroll_report_bundles_everything():
     assert report.hilbert_poly.value_at(1) == 52
 
 
+_AT_2_7_0 = "fails at FamilyParams(e=2, b=7, t=0): chi(Sym^m E) gives"
+
+
 @pytest.mark.parametrize("bump, message", [
     # one more on c2.L moves p1's total by 1
-    ({"c2L": 1}, "P(m) coefficient p1 not an integer: 613/12"),
+    ({"c2L": 1}, f"Riemann-Roch 12*p1 = 2L3-3KL2+K2L+c2L {_AT_2_7_0} 612, Riemann-Roch 613"),
     # one less on K.L^2 makes it odd; three less on K^2.L keeps p1's total
-    ({"KL2": -1, "K2L": -3}, "P(m) coefficient p2 not an integer: -101/2"),
+    ({"KL2": -1, "K2L": -3}, f"Riemann-Roch 2*p2 = 2L3-KL2 {_AT_2_7_0} 282, Riemann-Roch 283"),
 ])
 def test_hilbert_polynomial_rejects_a_non_integral_coefficient(bump, message):
     m = Member(FamilyParams(2, 7, 0))
@@ -82,6 +86,23 @@ def test_hilbert_polynomial_rejects_a_non_integral_coefficient(bump, message):
     bumped = nums._replace(**{name: getattr(nums, name) + k for name, k in bump.items()})
     with pytest.raises(ConsistencyError) as exc:
         hilbert_polynomial(m.params, m.split, bumped)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("m, message", [
+    # chi(O_F) = chi(Sym^0 E) against chi(O_X) = 1
+    (0, f"Riemann-Roch p0 = 1 {_AT_2_7_0} 2, Riemann-Roch 1"),
+    # chi(Sym^2 E) enters p2 and p3, and Riemann-Roch on X catches it
+    (2, f"Riemann-Roch 2*p2 = 2L3-KL2 {_AT_2_7_0} 284, Riemann-Roch 282"),
+    # m = 6 is past the coefficients; the comparison on [4, 8] catches it
+    (6, "P(m) != chi(Sym^m E) at FamilyParams(e=2, b=7, t=0), m=6: P=4242, chi=4243"),
+])
+def test_hilbert_polynomial_catches_a_wrong_sym_chi(monkeypatch, m, message):
+    member = Member(FamilyParams(2, 7, 0))
+    real = scroll_invariants.sym_chi
+    monkeypatch.setattr(scroll_invariants, "sym_chi", lambda bundle, k: real(bundle, k) + (k == m))
+    with pytest.raises(ConsistencyError) as exc:
+        hilbert_polynomial(member.params, member.split, member.intersection_numbers)
     assert str(exc.value) == message
 
 
