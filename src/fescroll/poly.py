@@ -5,6 +5,10 @@ sorted tuple of its variables' names (x^2*y is ("x", "x", "y")), and keeps
 no zero coefficient.  +, -, * and == take a Poly or an int, so straight-line
 integer code run on Poly variables proves an identity for every integer
 value of them: it holds exactly when its two sides are equal polynomials.
+
+Arithmetic builds each result's dict directly and relies on two invariants:
+no zero coefficient is stored, and a Poly is never mutated, so a result may
+share an operand (p + 0 is p).  Only Poly(pairs) and Poly.var normalise.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ class Poly:
     def __init__(self, pairs: Iterable[tuple[tuple[str, ...], int]]) -> None:
         terms: dict[tuple[str, ...], int] = {}
         for mono, c in pairs:
+            mono = tuple(sorted(mono))
             terms[mono] = terms.get(mono, 0) + c
         self.terms = {mono: c for mono, c in terms.items() if c}
 
@@ -26,25 +31,39 @@ class Poly:
         return cls([((name,), 1)])
 
     def __add__(self, other: Poly | int) -> Poly:
-        return Poly([*self.terms.items(), *_lift(other).terms.items()])
+        if isinstance(other, int):
+            if not other:
+                return self
+            return _fold(self.terms, {(): int(other)}, 1)  # a bool as the int it equals
+        return _fold(self.terms, other.terms, 1)
+
+    def __sub__(self, other: Poly | int) -> Poly:
+        if isinstance(other, int):
+            return self + -other
+        return _fold(self.terms, other.terms, -1)
 
     def __mul__(self, other: Poly | int) -> Poly:
-        return Poly((tuple(sorted(m1 + m2)), c1 * c2)
-                    for m2, c2 in _lift(other).terms.items() for m1, c1 in self.terms.items())
+        if isinstance(other, int):
+            return _make({mono: c * other for mono, c in self.terms.items()} if other else {})
+        terms: dict[tuple[str, ...], int] = {}
+        for m2, c2 in other.terms.items():
+            for m1, c1 in self.terms.items():
+                mono = tuple(sorted(m1 + m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return _make({mono: c for mono, c in terms.items() if c})
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self) -> Poly:
         return self * -1
 
-    def __sub__(self, other: Poly | int) -> Poly:
-        return self + -_lift(other)
-
     def __rsub__(self, other: int) -> Poly:
         return -self + other
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, (Poly, int)) and self.terms == _lift(other).terms
+        if isinstance(other, int):
+            return self.terms == {(): other} if other else not self.terms
+        return isinstance(other, Poly) and self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)  # not the zero polynomial, as for an int
@@ -54,5 +73,22 @@ class Poly:
         return " + ".join("*".join((str(c),) + mono) for mono, c in terms) or "0"
 
 
-def _lift(x: Poly | int) -> Poly:
-    return x if isinstance(x, Poly) else Poly([((), x)])
+def _make(terms: dict[tuple[str, ...], int]) -> Poly:
+    """The Poly holding terms, which must be sorted monomials with nonzero coefficients."""
+    poly = object.__new__(Poly)
+    poly.terms = terms
+    return poly
+
+
+def _fold(left: dict, right: dict, sign: int) -> Poly:
+    """left + sign*right, folding the smaller dict into a copy of the larger."""
+    if len(left) < len(right) and sign == 1:
+        left, right = right, left
+    terms = left.copy()
+    for mono, c in right.items():
+        c = terms.get(mono, 0) + sign * c
+        if c:
+            terms[mono] = c
+        else:
+            del terms[mono]
+    return _make(terms)

@@ -1,6 +1,8 @@
 """Poly against int arithmetic: random +, -, * expressions over three
-variables and integers, evaluated as polynomials and then at a point,
-agree with the same expressions evaluated on integers at that point."""
+variables, integers and bools, evaluated as polynomials and then at a
+point, agree with the same expressions evaluated on integers at that
+point.  Poly's arithmetic builds its results directly; the normalising
+constructor Poly(pairs) is the oracle it is checked against."""
 
 import math
 import operator
@@ -13,7 +15,7 @@ VARIABLES = ("x", "y", "z")
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 expressions = st.recursive(
-    st.sampled_from(VARIABLES) | st.integers(-20, 20),
+    st.sampled_from(VARIABLES) | st.integers(-20, 20) | st.booleans(),
     lambda inner: st.tuples(st.sampled_from(sorted(OPERATORS)), inner, inner),
     max_leaves=12,
 )
@@ -40,6 +42,7 @@ def test_poly_evaluates_like_int_arithmetic(expr, point):
     poly = Poly([]) + evaluate(expr, SYMBOLS)  # a bare integer leaf becomes a Poly
     assert at(poly, point) == evaluate(expr, point)
     assert all(poly.terms.values())  # no zero coefficient is stored
+    assert all(type(c) is int for c in poly.terms.values())  # a bool adds as an int
     assert all(list(mono) == sorted(mono) for mono in poly.terms)
 
 
@@ -62,3 +65,38 @@ def test_poly_cancels_and_keeps_no_zero_coefficient():
     assert ((x + y) * (x - y) - x * x).terms == {("y", "y"): -1}
     assert 3 - x + x == 3 and 2 * x != x + 2
     assert x != y and x != "x"
+
+
+def as_poly(expr):
+    return Poly([]) + evaluate(expr, SYMBOLS)
+
+
+@given(expressions, expressions, st.integers(-20, 20) | st.just(0) | st.booleans())
+def test_arithmetic_matches_the_normalising_constructor(left, right, k):
+    a, b = as_poly(left), as_poly(right)
+    before = dict(a.terms), dict(b.terms)
+    neg_b = [(mono, -c) for mono, c in b.terms.items()]
+    assert (a + b).terms == Poly([*a.terms.items(), *b.terms.items()]).terms
+    assert (a - b).terms == Poly([*a.terms.items(), *neg_b]).terms
+    assert (a * b).terms == Poly((tuple(sorted(m1 + m2)), c1 * c2)
+                                 for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()).terms
+    assert (a * k).terms == (k * a).terms == Poly((mono, c * k) for mono, c in a.terms.items()).terms
+    assert (a + k).terms == (k + a).terms == Poly([*a.terms.items(), ((), k)]).terms
+    assert (a - k).terms == Poly([*a.terms.items(), ((), -k)]).terms
+    assert (k - a).terms == Poly([((), k), *((mono, -c) for mono, c in a.terms.items())]).terms
+    assert (-a).terms == Poly((mono, -c) for mono, c in a.terms.items()).terms
+    assert (dict(a.terms), dict(b.terms)) == before  # no operation mutates an operand
+
+
+def test_bool_operands_act_as_the_ints_they_equal():
+    x = Poly.var("x")
+    assert x * True == x and (x * False).terms == {}
+    assert Poly([]) + False == 0 and (Poly([]) + False).terms == {}
+    assert repr(Poly([]) + True) == "1" and repr(x - True) == "-1 + 1*x"
+    assert x == x + False and x != x + True and Poly([]) + True == True
+
+
+def test_the_constructor_sorts_each_monomial():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert Poly([(("y", "x"), 1)]) == x * y
+    assert Poly([(("y", "x"), 1), (("x", "y"), -1)]).terms == {}

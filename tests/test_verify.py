@@ -29,6 +29,7 @@ from fescroll import verify
 from fescroll.bundle_family import FamilyParams, build_split, invariant_r, iter_valid_params
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
+from fescroll.poly import Poly
 
 UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
 ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r"
@@ -71,6 +72,25 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
     verify._check_uniformity(rec, member)
     assert (rec.cases, rec.failures) == (1, [])
     assert len(calls) <= 8
+
+
+def test_ell2_identity_normalises_only_its_variable(monkeypatch):
+    # Poly arithmetic builds its results directly, so the one pass through
+    # the normalising constructor is Poly.var("r"); no int operand is lifted
+    member = Member(FamilyParams(2, 7, 0))
+    calls = []
+    real = Poly.__init__
+
+    def counting(self, pairs):
+        pairs = list(pairs)
+        calls.append(pairs)
+        real(self, pairs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    rec = verify.CheckResult("identity")
+    verify._check_ell2(rec, member)
+    assert (rec.cases, rec.failures) == (1, [])
+    assert calls == [[(("r",), 1)]]
 
 
 # -- per-surface table memo ----------------------------------------------------
