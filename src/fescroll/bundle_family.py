@@ -23,7 +23,10 @@ cohomology(); the tests keep a scan over all the twists as its oracle.
 chi(Sym^m E), the route that gives the Hilbert polynomial, is a closed form
 in m: the Riemann-Roch summands of its m+1 line bundles are quadratic in
 the summand's index, so sym_chi sums them by Faulhaber's formulas in O(1).
-The tests keep the term-by-term sum as its oracle.
+Twelve times that sum is straight-line code with no division, so on
+polynomial variables e, b, t and m it is one identity in Z[e, b, t, m]:
+the tests prove P(m) = chi(Sym^m E) on it, and keep the term-by-term sum as
+its oracle.
 """
 
 from __future__ import annotations
@@ -216,26 +219,34 @@ def bundle_cohomology(
     return tab_a, tab_b, table
 
 
-def sym_chi(bundle: SplitBundle, m: int) -> int:
-    """chi of the m-th symmetric power of A + B, in closed form in m.
+def _twelve_sym_chi(bundle: SplitBundle, m: int) -> int:
+    """12 chi(Sym^m E), with no division and no comparison, so m may be a variable.
 
     Sym^m splits into the line bundles i*A + (m-i)*B, i = 0..m, of class
     a*C0 + c*f with a = m*B.a + i*da and c = m*B.c + i*dc, and Riemann-Roch
     gives chi(a*C0 + c*f) = (a+1)(c+1) - e*a(a+1)/2.  Both terms are
     quadratic in i, so their sum over i is Faulhaber's, with the power sums
-    s0 = m+1, s1 = m(m+1)/2 and s2 = m(m+1)(2m+1)/6: O(1) in m.  A.a and
-    B.a are literals, so sum_aa is an integer whatever c is.
+    s0 = m+1, s1 = m(m+1)/2 and s2 = m(m+1)(2m+1)/6: O(1) in m.  Scaled by
+    6 they are polynomials in m, so 12 chi = 2*six_ac - e*six_aa is one.
+    """
+    da, dc = bundle.A.a - bundle.B.a, bundle.A.c - bundle.B.c
+    a0, c0 = m * bundle.B.a, m * bundle.B.c
+    six_s0, six_s1, six_s2 = 6 * (m + 1), 3 * m * (m + 1), m * (m + 1) * (2 * m + 1)
+    # 6 times the sums of (a+1)(c+1) and of a(a+1) over the m+1 summands
+    six_ac = (six_s0 * (a0 + 1) * (c0 + 1) + six_s1 * ((a0 + 1) * dc + (c0 + 1) * da)
+              + six_s2 * da * dc)
+    six_aa = six_s0 * a0 * (a0 + 1) + six_s1 * da * (2 * a0 + 1) + six_s2 * da * da
+    return 2 * six_ac - bundle.e * six_aa
+
+
+def sym_chi(bundle: SplitBundle, m: int) -> int:
+    """chi of the m-th symmetric power of A + B, in closed form in m >= 0.
+
+    It is _twelve_sym_chi divided by 12, the one exactness check of the sum.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    da, dc = bundle.A.a - bundle.B.a, bundle.A.c - bundle.B.c
-    a0, c0 = m * bundle.B.a, m * bundle.B.c
-    s0, s1 = m + 1, m * (m + 1) // 2
-    s2 = s1 * (2 * m + 1) // 3
-    # sum of (a+1)(c+1) and of a(a+1) over the m+1 summands
-    sum_ac = s0 * (a0 + 1) * (c0 + 1) + s1 * ((a0 + 1) * dc + (c0 + 1) * da) + s2 * da * dc
-    sum_aa = s0 * a0 * (a0 + 1) + s1 * da * (2 * a0 + 1) + s2 * da * da
-    return sum_ac - bundle.e * exact_div(sum_aa, 2, "sum of a(a+1)/2 over Sym^m E")
+    return exact_div(_twelve_sym_chi(bundle, m), 12, "chi(Sym^m E) = (2*six_ac - e*six_aa)/12")
 
 
 def sym2_pieces(

@@ -23,7 +23,7 @@ from .verify import run_all
 _REPORT_CHECKS = [
     "c1 and c2 agree across the three presentations",
     "degree agrees across c1^2-c2, deg xi^3 and the closed form",
-    "Hilbert polynomial matches chi(Sym^m E) on m in [0, 8]",
+    "Hilbert polynomial from chi(Sym^m E) at m = 0..3 agrees with Riemann-Roch on X",
     "cohomology of E matches its closed forms",
     "ell(c1, c2, 2, r) = b-t-2e-4 < 0 independent of r",
     "ell(c1, c2, 3, r) = 0 at r = 3e+5+t",

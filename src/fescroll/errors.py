@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all engine modules, and sym_chi's halving.
+"""Exception hierarchy shared by all engine modules, and sym_chi's division by 12.
 
 The CLI maps these to exit codes: invalid parameters exit 1, unsatisfied
 theorem hypotheses exit 2, internal consistency failures exit 3.

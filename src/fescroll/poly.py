@@ -5,6 +5,7 @@ sorted tuple of its variables' names (x^2*y is ("x", "x", "y")), and keeps
 no zero coefficient.  +, -, * and == take a Poly or an int, so straight-line
 integer code run on Poly variables proves an identity for every integer
 value of them: it holds exactly when its two sides are equal polynomials.
+divmod by an int works coefficient by coefficient.
 
 Arithmetic builds each result's dict directly and relies on two invariants:
 no zero coefficient is stored, and a Poly is never mutated, so a result may
@@ -53,6 +54,18 @@ class Poly:
         return _make({mono: c for mono, c in terms.items() if c})
 
     __radd__, __rmul__ = __add__, __mul__
+
+    def __divmod__(self, k: int) -> tuple[Poly, Poly]:
+        """(q, r) with self = k*q + r, by divmod of each coefficient by the int k.
+
+        r is zero exactly when k divides every coefficient, so exact_div
+        runs unchanged on a Poly.
+        """
+        if not isinstance(k, int):
+            return NotImplemented
+        pairs = [(mono, divmod(c, k)) for mono, c in self.terms.items()]
+        return (_make({mono: q for mono, (q, _r) in pairs if q}),
+                _make({mono: r for mono, (_q, r) in pairs if r}))
 
     def __neg__(self) -> Poly:
         return self * -1

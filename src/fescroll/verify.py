@@ -347,7 +347,17 @@ def _check_chern_tx(rec: CheckResult, member: Member) -> None:
 
 @_register("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1", "member")
 def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
-    member.hilbert_poly  # raises on a mismatch
+    # hilbert_polynomial reads P off chi(Sym^m E) at m = 0..3 and checks it
+    # against Riemann-Roch on X; the tests prove that the cubic is chi(Sym^m E)
+    # for every m, and this comparison past its four values is their oracle
+    poly, params = member.hilbert_poly, member.params
+    for m in range(4, 9):
+        expected = bf.sym_chi(member.split, m)
+        if poly.value_at(m) != expected:
+            raise ConsistencyError(
+                f"P(m) != chi(Sym^m E) at {params}, m={m}: "
+                f"P={poly.value_at(m)}, chi={expected}"
+            )
     rec.case(True, "")
 
 
@@ -427,12 +437,18 @@ def _visit(checks: list[tuple[Callable, CheckResult]], subject, label: str) -> N
             rec.case(False, f"{label}: {exc}")
 
 
-def _visit_surface(sweep: _Sweep, surface: list, member: list, regime: list) -> None:
+def _visit_surface(sweep: _Sweep, surface: list, member: list, regime: list) -> tuple[int, int]:
     """The surface checks on sweep, then the member or regime checks on each
-    valid member of F_e, every Member reading its tables from sweep."""
+    valid member of F_e, every Member reading its tables from sweep; returns
+    how many members, and how many regime members, were visited."""
     _visit(surface, sweep, f"e={sweep.e}")
+    members = regime_members = 0
     for params in bf.surface_params(sweep.e, sweep.t_max):
-        _visit(regime if params.paper_regime else member, Member(params, sweep), str(params))
+        in_regime = params.paper_regime
+        members += 1
+        regime_members += in_regime
+        _visit(regime if in_regime else member, Member(params, sweep), str(params))
+    return members, regime_members
 
 
 def run_all(e_max: int, t_max: int) -> list[CheckResult]:
@@ -447,13 +463,28 @@ def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     while a check examines a surface or a member counts as one failed case
     of that check, labelled e=<e> or with the member's parameters, and the
     check goes on to the next subject.  Results come in registration order.
+
+    The walk is counted against the grid's closed forms: grid_member_count
+    members, of which one per (e, t) with e <= min(e_max, 2) is in the
+    regime.  A walk that misses a member, or a regime predicate that misses
+    one, would leave identities unchecked while they pass, so a mismatch
+    raises ConsistencyError.
     """
     results = [CheckResult(name) for name, _fn in _CHECKS]
     checks = [(fn, rec) for (_name, fn), rec in zip(_CHECKS, results)]
     surface = [(fn, rec) for fn, rec in checks if fn.sweep == "surface"]
     member = [(fn, rec) for fn, rec in checks if fn.sweep == "member"]
     regime = [(fn, rec) for fn, rec in checks if fn.sweep != "surface"]
+    members = regime_members = 0
     for e in range(e_max + 1):
         # built in the call, so the last surface's sweep is gone before this one
-        _visit_surface(_Sweep(e, t_max), surface, member, regime)
+        on_surface, in_regime = _visit_surface(_Sweep(e, t_max), surface, member, regime)
+        members += on_surface
+        regime_members += in_regime
+    expected = (bf.grid_member_count(e_max, t_max), (min(e_max, 2) + 1) * (t_max + 1))
+    if (members, regime_members) != expected:
+        raise ConsistencyError(
+            f"the walk of e <= {e_max}, t <= {t_max} visited {members} members, "
+            f"{regime_members} in the regime; the grid has {expected[0]}, {expected[1]}"
+        )
     return results

@@ -157,9 +157,10 @@ def _symbolic_chain(e, b, t):
 
 def test_the_division_free_chain_runs_on_polynomials():
     # from the split form to P(m) and chi(N) nothing divides but sym_chi's
-    # halving of an integer, and nothing branches on e, b or t or compares
-    # them but for equality, so on variables the chain gives the closed forms
-    # of every member at once, with nothing patched
+    # exact_div by 12, which a Poly does coefficient by coefficient, and
+    # nothing branches on e, b or t or compares them but for equality, so on
+    # variables the chain gives the closed forms of every member at once,
+    # with nothing patched
     params, bundle, cd, n, d, nums = _symbolic_chain(E, B, T)
     assert d == 8 * E + 5 * B + 7 * T + 40
     assert nums == IntersectionNumbers(

@@ -773,6 +773,20 @@ def test_valid_call_imports_no_module():
     assert proc.stderr == ""
 
 
+def test_valid_calls_leave_out_fractions_and_decimal():
+    # P(m) prints from integer pairs, so no rational type is imported
+    proc = _fresh_child(
+        "import sys\n"
+        "import fescroll.cli as cli\n"
+        f"codes = [cli.main(argv) for argv in {VALID_CALLS!r}]\n"
+        "sys.stderr.write(' '.join(name for name in ('fractions', 'decimal', 'numbers')\n"
+        "                          if name in sys.modules))\n"
+        "sys.exit(max(codes))\n"
+    )
+    assert proc.returncode == 0 and "P(m) = 1 + (65/6)*m + 25*m^2 + (91/6)*m^3" in proc.stdout
+    assert proc.stderr == ""
+
+
 # -- json writer ----------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 import fescroll.cli as cli
-from fescroll import chow_ring, scroll_invariants
+from fescroll import bundle_family, chow_ring
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = ("plain", "json", "csv")
@@ -40,7 +40,7 @@ def _multiply_reads_h2_for_h1(real):
 
 
 FAULTS = {
-    "sym_chi": (scroll_invariants, "sym_chi", _sym_chi_off_at_5),
+    "sym_chi": (bundle_family, "sym_chi", _sym_chi_off_at_5),
     "multiply": (chow_ring, "multiply", _multiply_reads_h2_for_h1),
 }
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fescroll import bundle_family as bf
 from fescroll import hilbert_component
 from fescroll.bundle_family import FamilyParams, build_split, chern, iter_valid_params
 from fescroll.chow_ring import (
@@ -62,6 +63,18 @@ def test_regime_implies_all_vanishings():
             assert Member(p).flags.all_hold()
 
 
+def test_check_hypotheses_rejects_a_nonzero_h1_of_b_minus_a():
+    # v3 holds on every member, so an h^1(B - A) read as 1 is a fault; the
+    # regime flag must equal v1 and v2 and v3, which tests/test_verify.py
+    # shows with a wrong paper_regime
+    member = Member(FamilyParams(1, 3, 0))
+    tab_amb, _trivial, tab_bma = member.sym2_pieces
+    with pytest.raises(ConsistencyError) as exc:
+        hilbert_component.check_hypotheses(member.params, tab_amb, tab_bma._replace(h1=1))
+    assert str(exc.value) == (
+        "h1(B-A) = 0 must hold on every member; violated at FamilyParams(e=1, b=3, t=0)")
+
+
 def test_paper_regime_holds_exactly_when_every_flag_holds():
     # the shared CSV row writes flags.paper_regime in the paper_regime column,
     # which report --format csv used to write as flags.all_hold()
@@ -104,11 +117,15 @@ def test_chi_normal_rejects_a_non_integral_total():
 
 
 @pytest.mark.parametrize("e, b, t", [(0, 3, 0), (1, 4, 3), (2, 7, 0), (3, 5, 2), (5, 20, 40)])
-def test_the_ungated_chain_runs_on_a_number_type_without_order(e, b, t):
+def test_the_ungated_chain_runs_on_a_number_type_without_order(monkeypatch, e, b, t):
     # complex has +, -, * and == but no <, //, % or divmod, so the chain from
-    # the split form to chi(N), to P(m)'s binomial coefficients and to its
-    # comparison with chi(Sym^m E) for m in [0, 8] tests no inequality and no
-    # regime; sym_chi's one division halves an integer, so nothing is patched
+    # the split form to chi(N) and to P(m)'s binomial coefficients, read off
+    # chi(Sym^m E) for m in [0, 3], tests no inequality and no regime.  Its
+    # one division is sym_chi's exact_div by 12, which complex lacks; each
+    # part of these complex numbers is a small integer held exactly in a
+    # float, which has divmod, so exact_div runs on the parts
+    monkeypatch.setattr(bf, "exact_div", lambda x, k, what: complex(
+        exact_div(x.real, k, what), exact_div(x.imag, k, what)))
     params = FamilyParams._make((complex(e), complex(b), complex(t)))  # skips validation
     bundle = build_split(params)
     cd = chern(params, bundle)

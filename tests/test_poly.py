@@ -1,14 +1,17 @@
 """Poly against int arithmetic: random +, -, * expressions over three
 variables, integers and bools, evaluated as polynomials and then at a
 point, agree with the same expressions evaluated on integers at that
-point.  Poly's arithmetic builds its results directly; the normalising
-constructor Poly(pairs) is the oracle it is checked against."""
+point, and so does divmod by an int where it divides.  Poly's arithmetic
+builds its results directly; the normalising constructor Poly(pairs) is
+the oracle it is checked against."""
 
 import math
 import operator
 
+import pytest
 from hypothesis import given, strategies as st
 
+from fescroll.errors import ConsistencyError, exact_div
 from fescroll.poly import Poly
 
 VARIABLES = ("x", "y", "z")
@@ -100,3 +103,28 @@ def test_the_constructor_sorts_each_monomial():
     x, y = Poly.var("x"), Poly.var("y")
     assert Poly([(("y", "x"), 1)]) == x * y
     assert Poly([(("y", "x"), 1), (("x", "y"), -1)]).terms == {}
+
+
+@given(expressions, st.integers(-12, 12).filter(bool), points)
+def test_divmod_by_an_int_matches_int_arithmetic(expr, k, point):
+    poly = as_poly(expr)
+    quotient, remainder = divmod(poly, k)
+    assert quotient * k + remainder == poly
+    # each remainder coefficient is that of int divmod, so zero exactly
+    # when k divides its coefficient
+    assert remainder.terms == {mono: c % k for mono, c in poly.terms.items() if c % k}
+    assert all(quotient.terms.values()) and all(type(c) is int for c in quotient.terms.values())
+    # a multiple of k divides exactly, and its quotient evaluates like int division
+    multiple = poly * k
+    quotient, remainder = divmod(multiple, k)
+    assert remainder == 0 and quotient == poly
+    assert at(quotient, point) == at(multiple, point) // k
+
+
+def test_exact_div_of_a_poly_raises_unless_every_coefficient_divides():
+    x = Poly.var("x")
+    assert exact_div(12 * x * x - 24, 12, "p") == x * x - 2
+    with pytest.raises(ConsistencyError, match=r"^p not an integer: -24 \+ 6\*x\*x/12$"):
+        exact_div(6 * x * x - 24, 12, "p")
+    with pytest.raises(TypeError):
+        divmod(x, x)  # only by an int

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -183,7 +185,7 @@ def test_ell2_independent_of_r(params, r):
 
 
 def _monomial_value(poly, m):
-    return sum(coeff * m ** k for k, coeff in enumerate(poly.monomial()))
+    return sum(Fraction(num, den) * m ** k for k, (num, den) in enumerate(poly.to_pairs()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,6 +211,39 @@ def test_binomial_cubic_value_matches_its_printed_coefficients(poly, m):
     value = poly.value_at(m)
     assert type(value) is int
     assert value == _monomial_value(poly, m)
+
+
+def _fraction_monomial(poly):
+    """The coefficients of 1, m, m^2, m^3 as Fractions, as the printer once held them."""
+    p0, p1, p2, p3 = poly
+    return (Fraction(p0), Fraction(6 * p1 - 3 * p2 + 2 * p3, 6),
+            Fraction(p2 - p3, 2), Fraction(p3, 6))
+
+
+def _fraction_pretty(poly):
+    """The printer as it was on Fractions, the oracle of the integer one."""
+    terms = []
+    for power, coeff in enumerate(_fraction_monomial(poly)):
+        if coeff == 0:
+            continue
+        mono = "" if power == 0 else ("m" if power == 1 else f"m^{power}")
+        body = str(coeff) if not mono else (
+            mono if coeff == 1 else f"({coeff})*{mono}" if coeff.denominator != 1
+            else f"{coeff}*{mono}"
+        )
+        terms.append(body)
+    return " + ".join(terms) if terms else "0"
+
+
+binomial_coefficients = (st.sampled_from([0, 1, -1]) | st.integers(-10**40, 10**40)
+                         | st.integers())
+
+
+@given(st.builds(BinomialCubic, *(binomial_coefficients for _ in range(4))))
+def test_integer_printing_matches_the_fraction_printer(poly):
+    assert poly.to_pairs() == [[coeff.numerator, coeff.denominator]
+                               for coeff in _fraction_monomial(poly)]
+    assert poly.pretty() == _fraction_pretty(poly)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,11 @@
 """Internals of the verify battery: the threshold certificate for r, the
 per-surface table memo, the symbolic identities with their sampled
 oracle, their straight-line premise and the mutants they catch, the
-recorder, how an error raised inside an identity is counted, the guard
-identities that fail when only a layer's own check catches a fault, the
-identity names the benchmark traces, and the identity that a broken Chow
-pairing fails."""
+proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the comparison on
+[4, 8] that is its oracle, the recorder, how an error raised inside an
+identity is counted, the guard identities that fail when only a layer's
+own check catches a fault, the count of the walk, the identity names the
+benchmark traces, and the identity that a broken Chow pairing fails."""
 
 import ast
 import inspect
@@ -37,6 +38,7 @@ RING_AXIOMS = "Chow product commutative, associative, distributive"
 GROTHENDIECK = "deg xi^3 = c1^2 - c2 (projective-bundle relation)"
 FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
 P_MINUS_1 = "P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)"
+P_OF_M = "P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1"
 
 # -- threshold certificate -----------------------------------------------------
 
@@ -175,20 +177,22 @@ def test_sampled_ring_axioms_are_the_oracle_for_value_branching_faults(monkeypat
 
 _BRANCHING = (ast.If, ast.IfExp, ast.Compare, ast.BoolOp, ast.Match, ast.For, ast.AsyncFor,
               ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_DIVIDING = (ast.Div, ast.FloorDiv, ast.Mod)
 
 
 @pytest.mark.parametrize(
     "code",
     [cr.multiply, cr.ScrollContext, cr.ChowClass, sl.DivisorClass, sl.intersect,
-     bf.ell_invariant],
+     bf.ell_invariant, bf._twelve_sym_chi],
     ids=lambda code: code.__qualname__,
 )
 def test_code_proved_on_symbols_is_straight_line(code):
     # a branch or a loop on values runs one path for the symbols and may
-    # take another for some integers, so the proof would not cover them
+    # take another for some integers, so the proof would not cover them;
+    # a division of a polynomial need not be one, so nothing divides either
     tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
     assert [type(node).__name__ for node in ast.walk(tree)
-            if isinstance(node, _BRANCHING)] == []
+            if isinstance(node, _BRANCHING + _DIVIDING)] == []
 
 
 def _mutant(fn, old: str, new: str):
@@ -226,6 +230,42 @@ MUTANTS = {
     "ell plus prod(r - j)": (
         bf, _ell_plus_a_product_vanishing_on_0_to_40(bf.ell_invariant), ELL2, UNIFORMITY),
 }
+
+
+E, B, T, M = (Poly.var(name) for name in "ebtm")
+
+
+def _twelve_p_minus(twelve_sym_chi):
+    """12 P(m) - twelve_sym_chi(E, m) on variables e, b, t and m.
+
+    P's binomial coefficients (p0, p1, p2, p3) are the chain's own: the
+    split form, its Chern data and intersection numbers, and
+    hilbert_polynomial, which reads them off sym_chi at m = 0..3 and checks
+    them against Riemann-Roch on X, all run on the variables e, b and t.
+    """
+    params = FamilyParams._make((E, B, T))  # namedtuple's own constructor: no validation
+    bundle = build_split(params)
+    ctx = cr.ScrollContext(E, *bf.chern(params, bundle))
+    nums = cr.intersection_numbers(params, ctx, cr.chern_TX(ctx))
+    p0, p1, p2, p3 = si.hilbert_polynomial(params, bundle, nums)
+    twelve_p = 12 * p0 + 12 * p1 * M + 6 * p2 * M * (M - 1) + 2 * p3 * M * (M - 1) * (M - 2)
+    return twelve_p - twelve_sym_chi(bundle, M)
+
+
+def test_p_of_m_is_chi_of_sym_m_e_in_z_e_b_t_m():
+    # _twelve_sym_chi is straight-line and divides nowhere, so on variables it
+    # is 12 chi(Sym^m E) of every member at every m >= 0 at once: the cubic
+    # through m = 0..3 is chi(Sym^m E) for every m, and verify's comparison
+    # on [4, 8] is the oracle of this proof
+    assert _twelve_p_minus(bf._twelve_sym_chi) == 0
+    # so P(-1) = chi(O_X(-1)) = 0, which verify checks member by member
+    bundle = build_split(FamilyParams._make((E, B, T)))
+    assert bf._twelve_sym_chi(bundle, -1) == 0
+
+
+def test_a_mutant_of_the_six_s2_term_fails_the_identity_in_m():
+    mutant = _mutant(bf._twelve_sym_chi, "m * (m + 1) * (2 * m + 1)", "m * (m + 1) * (2 * m - 1)")
+    assert _twelve_p_minus(mutant) != 0
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
@@ -367,18 +407,95 @@ def test_a_wrong_ell3_fails_the_uniformity_identity_through_splitting_type(
     assert all(result.ok for result in results.values())
 
 
-def test_a_wrong_constant_term_fails_only_the_p_minus_one_identity(monkeypatch, capsys):
-    # the layer's own check is bypassed, so only the P(-1) = 0 route sees it
+def test_a_wrong_constant_term_fails_the_p_minus_one_and_p_of_m_identities(
+        monkeypatch, capsys):
+    # the layer's own check is bypassed, so only the routes that evaluate P
+    # see it: P(-1) = 0, and the comparison with chi(Sym^m E) on [4, 8]
     real = si.hilbert_polynomial
     monkeypatch.setattr(si, "hilbert_polynomial", lambda *args: real(*args)._replace(p0=2))
     assert _verify_1_1_exit_code(capsys) == 3
     results = _results_by_name(1, 1)
-    p_minus_1 = results.pop(P_MINUS_1)
-    assert p_minus_1.cases == bf.grid_member_count(1, 1)
-    members = islice(iter_valid_params(1, 1), verify._MAX_FAILURES)
+    p_minus_1, p_of_m = results.pop(P_MINUS_1), results.pop(P_OF_M)
+    assert p_minus_1.cases == p_of_m.cases == bf.grid_member_count(1, 1)
+    members = list(islice(iter_valid_params(1, 1), verify._MAX_FAILURES))
     assert p_minus_1.failures == [*(f"{p}: P(-1)=1" for p in members),
                                   "... more failures suppressed"]
+    chi4 = [bf.sym_chi(build_split(p), 4) for p in members]
+    assert p_of_m.failures == [
+        *(f"{p}: P(m) != chi(Sym^m E) at {p}, m=4: P={chi + 1}, chi={chi}"
+          for p, chi in zip(members, chi4)),
+        "... more failures suppressed",
+    ]
     assert all(result.ok for result in results.values())
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_a_wrong_sym_chi_past_the_coefficients_fails_the_p_of_m_identity(
+        monkeypatch, capsys, m):
+    # hilbert_polynomial reads chi(Sym^m E) at m = 0..3 only; the comparison
+    # on [4, 8] sees a wrong value at either end of it and inside
+    real = bf.sym_chi
+    monkeypatch.setattr(bf, "sym_chi", lambda bundle, k: real(bundle, k) + (k == m))
+    assert _verify_1_1_exit_code(capsys) == 3
+    results = _results_by_name(1, 1)
+    p_of_m = results.pop(P_OF_M)
+    assert p_of_m.cases == bf.grid_member_count(1, 1)
+    first = next(iter_valid_params(1, 1))
+    chi = real(build_split(first), m)
+    assert p_of_m.failures[0] == (
+        f"{first}: P(m) != chi(Sym^m E) at {first}, m={m}: P={chi}, chi={chi + 1}")
+    assert all(result.ok for result in results.values())
+
+
+def _count_sym_chi(monkeypatch) -> list:
+    calls = []
+    real = bf.sym_chi
+    monkeypatch.setattr(bf, "sym_chi", lambda bundle, m: calls.append(m) or real(bundle, m))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["report", "hilbpoly"])
+def test_a_single_member_call_reads_sym_chi_at_m_0_to_3(monkeypatch, capsys, command):
+    calls = _count_sym_chi(monkeypatch)
+    assert cli.main([command, "-e", "2", "-b", "7", "-t", "0"]) == 0
+    capsys.readouterr()
+    assert calls == [0, 1, 2, 3]
+
+
+def test_verify_reads_sym_chi_ten_times_per_member(monkeypatch, capsys):
+    # m = 0..3 for P, m = 4..8 for the comparison and m = 1 for chi(E)
+    calls = _count_sym_chi(monkeypatch)
+    assert _verify_1_1_exit_code(capsys) == 0
+    assert Counter(calls) == {m: bf.grid_member_count(1, 1) * (1 + (m == 1))
+                              for m in range(9)}
+
+
+# -- the count of the walk ------------------------------------------------------
+
+
+def test_a_wrong_regime_predicate_exits_3_from_verify_and_report(monkeypatch, capsys):
+    # with b = 2e+4+t no member is in the regime: the regime identities
+    # would pass on 0 cases, and report would print no component
+    # the getter's source carries its @property, so the mutant is a property
+    wrong = _mutant(bf.FamilyParams.paper_regime.fget, "2 * self.e + 3", "2 * self.e + 4")
+    monkeypatch.setattr(bf.FamilyParams, "paper_regime", wrong)
+    assert cli.main(["verify", "--e-max", "3", "--t-max", "3"]) == 3
+    assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "the walk of e <= 3, t <= 3 visited 112 members, 0 in the regime; " \
+           "the grid has 112, 12" in err
+    assert "e <= 2 and b = 2e+3+t must hold iff v1, v2, v3 do; violated at " \
+           "FamilyParams(e=2, b=7, t=0)" in err
+
+
+def test_a_walk_that_misses_a_member_exits_3(monkeypatch, capsys):
+    real = bf.surface_params
+    monkeypatch.setattr(bf, "surface_params",
+                        lambda e, t_max: [p for p in real(e, t_max) if p != (1, 3, 1)])
+    with pytest.raises(ConsistencyError, match="visited 19 members, 4 in the regime; "
+                                               "the grid has 20, 4$"):
+        verify.run_all(1, 1)
+    assert _verify_1_1_exit_code(capsys) == 3
 
 
 # -- the benchmark's view of verify --------------------------------------------
