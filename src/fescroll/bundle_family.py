@@ -15,10 +15,12 @@ The fiber-restriction invariants live here too: for a twist by -d1*C0 the
 threshold r (the largest fiber coefficient of a summand that stays
 effective) is read off the split form in O(1), and the closed-form
 ell(c1, c2, d1, r) decides the generic splitting type.  ell at d1=2 equals
-b-t-2e-4 < 0 for every valid member and every r; ell at d1=3 equals 0, so
-the family is uniform of splitting type (3, 1).  The verification suite
-certifies the threshold at its two neighbouring fiber twists, with h^0 from
-cohomology(); the tests keep a scan over all the twists as its oracle.
+b-t-2e-4 for every r, < 0 by validation's b < 2e+4+t, so nothing here
+compares it; ell at d1=3 equals 0, so the family is uniform of splitting
+type (3, 1), which the fiber degrees (A.f, B.f) confirm.  The verification
+suite certifies the threshold at its two neighbouring fiber twists, with
+h^0 from cohomology(); the tests keep a scan over all the twists as its
+oracle.
 
 chi(Sym^m E), the route that gives the Hilbert polynomial, is a closed form
 in m: the Riemann-Roch summands of its m+1 line bundles are quadratic in
@@ -35,6 +37,7 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ParameterError, exact_div
 from .surface_lattice import (
+    FIBER,
     ZERO,
     CohomologyTable,
     DivisorClass,
@@ -180,21 +183,26 @@ def is_uniform(bundle: SplitBundle, cd: ChernData) -> UniformityEvidence:
     return UniformityEvidence(uniform=ell3 == 0, r=r3, ell2=ell2, ell3=ell3)
 
 
-def splitting_type(params: FamilyParams, evidence: UniformityEvidence) -> tuple[int, int]:
-    """Generic splitting type on curves of class C0, decided by ell.
+def splitting_type(
+    params: FamilyParams, bundle: SplitBundle, cd: ChernData, evidence: UniformityEvidence
+) -> tuple[int, int]:
+    """Generic splitting type on curves of class C0, by two routes.
 
     evidence is is_uniform(bundle, cd): ell at d1=3 must vanish at the
     threshold r3 = invariant_r(bundle, 3), and ell at d1=2 must equal
-    b-t-2e-4 < 0.
+    b-t-2e-4.  ell then decides the type (d1, c1.f - d1) at d1 = 3, which
+    must be the fiber degrees (A.f, B.f) of the split form.
     """
-    expected2 = params.b - params.t - 2 * params.e - 4
-    if evidence.ell2 != expected2:
+    if evidence.ell2 != params.b - params.t - 2 * params.e - 4:
         raise ConsistencyError(f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={evidence.r}")
-    if expected2 >= 0:
-        raise ConsistencyError(f"expected ell(c1,c2,2,r) = b-t-2e-4 < 0 at {params}")
     if evidence.ell3 != 0:
         raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={evidence.r}")
-    return (3, 1)
+    by_ell = (3, intersect(bundle.e, cd.c1, FIBER) - 3)
+    by_split = (intersect(bundle.e, bundle.A, FIBER), intersect(bundle.e, bundle.B, FIBER))
+    if by_ell != by_split:
+        raise ConsistencyError(
+            f"splitting type {by_ell} by ell != (A.f, B.f) = {by_split} at {params}")
+    return by_split
 
 
 def bundle_cohomology(

@@ -25,7 +25,7 @@ _REPORT_CHECKS = [
     "degree agrees across c1^2-c2, deg xi^3 and the closed form",
     "Hilbert polynomial from chi(Sym^m E) at m = 0..3 agrees with Riemann-Roch on X",
     "cohomology of E matches its closed forms",
-    "ell(c1, c2, 2, r) = b-t-2e-4 < 0 independent of r",
+    "ell(c1, c2, 2, r) = b-t-2e-4 at r = 3e+5+t",
     "ell(c1, c2, 3, r) = 0 at r = 3e+5+t",
 ]
 

@@ -13,11 +13,12 @@ characteristic chi(N) of the normal bundle is Hirzebruch-Riemann-Roch over
 the member's seven intersection numbers, so no Chow class is built here;
 the route through the Chern classes of N in the Chow ring is a test
 oracle.  chi(N) is unconditional (Riemann-Roch needs no vanishing) and is
-exposed for every valid triple.  tangent_cohomology() is the one gate: off
-the regime it raises HypothesesError listing the failing flags, and
-component_dimension() reads its h^i(T_X), so h^i(N), whose h^0 is the
-component dimension, is gated too: an unproved number can never appear
-in a proved field.
+exposed for every valid triple, and so is chi(T_X), HRR over the same
+numbers, which the tangent table must match.  tangent_cohomology() is the
+one gate: off the regime it raises HypothesesError listing the failing
+flags, and component_dimension() reads its h^i(T_X), so h^i(N), whose h^0
+is the component dimension, is gated too: an unproved number can never
+appear in a proved field.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import namedtuple
 
 from .bundle_family import FamilyParams
 from .chow_ring import IntersectionNumbers
-from .errors import ConsistencyError, HypothesesError
+from .errors import ConsistencyError, HypothesesError, exact_div
 from .surface_lattice import CohomologyTable, canonical_class, intersect
 
 
@@ -116,6 +117,16 @@ def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) 
     return chi_n
 
 
+def chi_tangent(nums: IntersectionNumbers) -> int:
+    """chi(T_X) by Hirzebruch-Riemann-Roch; valid for every parameter triple.
+
+    For the rank-three T_X with c_i = c_i(T_X), the degree-3 part of
+    ch(T_X) td(X) is c1^3/2 - 19 c1.c2/24 + c3/2, and c1 = -K.
+    """
+    return exact_div(19 * nums.Kc2 - 12 * nums.K3 + 12 * nums.c3, 24,
+                     "chi(T_X) = (19 K.c2 - 12 K^3 + 12 c3)/24")
+
+
 def _fiber_tangent_table(e: int) -> tuple[int, int, int]:
     """h^i of the tangent bundle of F_e, with a Riemann-Roch cross-check."""
     table = (6, 0, 0) if e == 0 else (e + 5, e - 1, 0)
@@ -131,6 +142,7 @@ def tangent_cohomology(
     params: FamilyParams,
     flags: HypothesisFlags,
     pieces: tuple[CohomologyTable, CohomologyTable, CohomologyTable],
+    chi: int,
 ) -> TangentCohomology:
     """h^i(T_X) from the relative-tangent sequence; gated on all flags.
 
@@ -140,9 +152,10 @@ def tangent_cohomology(
         h^0(T_X) = h^0(Sym^2 E (-c1)) + h^0(T_F),  h^1(T_X) = h^1(T_F),
         h^2 = h^3 = 0.
 
-    flags come from check_hypotheses and pieces = sym2_pieces(bundle).
+    flags come from check_hypotheses, pieces = sym2_pieces(bundle) and chi
+    is chi_tangent(nums), which the record checks against h^0 - h^1.
     (h^0, h^1)(T_X) = (e+12, e-1) for e > 0, (13, 0) at e = 0, is
-    asserted; each pair has chi(T_X) = h^0 - h^1 = 13.
+    asserted too.
     """
     if not flags.all_hold():
         raise HypothesesError(flags.failing())
@@ -156,7 +169,7 @@ def tangent_cohomology(
     fiber = _fiber_tangent_table(params.e)
     h0 = sym2.h0 + fiber[0]
     h1 = fiber[1]
-    table = TangentCohomology(h0, h1, 0, 0, h0 - h1)
+    table = TangentCohomology(h0, h1, 0, 0, chi)
     e = params.e
     expected = (13, 0) if e == 0 else (e + 12, e - 1)
     if (table.h0, table.h1) != expected:

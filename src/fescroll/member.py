@@ -86,7 +86,7 @@ class Member:
 
     @_once
     def splitting_type(self) -> tuple[int, int]:
-        return bf.splitting_type(self.params, self.uniformity)
+        return bf.splitting_type(self.params, self.split, self.chern, self.uniformity)
 
     @_once
     def chern_TX(self) -> tuple[cr.ChowClass, cr.ChowClass, cr.ChowClass]:
@@ -118,7 +118,8 @@ class Member:
     @_once
     def tangent(self) -> hc.TangentCohomology:
         """h^i(T_X); raises HypothesesError unless every flag holds."""
-        return hc.tangent_cohomology(self.params, self.flags, self.sym2_pieces)
+        chi = hc.chi_tangent(self.intersection_numbers)
+        return hc.tangent_cohomology(self.params, self.flags, self.sym2_pieces, chi)
 
     @_once
     def h_of_N(self) -> tuple[int, int, int, int]:

@@ -249,7 +249,7 @@ def _is_threshold(member: Member, d1: int, r: int) -> bool:
            "member")
 def _check_uniformity(rec: CheckResult, member: Member) -> None:
     params = member.params
-    member.splitting_type  # raises unless ell2 = b-t-2e-4 < 0 and ell3 = 0 at r
+    member.splitting_type  # raises unless ell2 = b-t-2e-4, ell3 = 0 at r and its routes agree
     evidence = member.uniformity
     r = evidence.r
     ok = (

@@ -7,17 +7,8 @@ import pytest
 
 from fescroll import bundle_family as bf
 from fescroll import hilbert_component
-from fescroll.bundle_family import FamilyParams, build_split, chern, iter_valid_params
-from fescroll.chow_ring import (
-    ONE,
-    XI,
-    ScrollContext,
-    chern_TX,
-    degree,
-    intersection_numbers,
-    multiply,
-    prod,
-)
+from fescroll.bundle_family import FamilyParams, iter_valid_params
+from fescroll.chow_ring import ONE, XI, degree, multiply, prod
 from fescroll.errors import ConsistencyError, HypothesesError, exact_div
 from fescroll.hilbert_component import (
     HypothesisFlags,
@@ -26,7 +17,7 @@ from fescroll.hilbert_component import (
     component_dimension,
 )
 from fescroll.member import Member
-from fescroll.scroll_invariants import hilbert_polynomial, scroll_degree
+from fescroll.surface_lattice import CohomologyTable
 
 
 def flags_tuple(p):
@@ -114,32 +105,6 @@ def test_chi_normal_rejects_a_non_integral_total():
         "12*chi(N) != 12*((d-3e-3b-3t-12)*n + 122+21t+21e+21b-3d) at "
         "FamilyParams(e=2, b=7, t=0): HRR gives 32269, closed form 32280"
     )
-
-
-@pytest.mark.parametrize("e, b, t", [(0, 3, 0), (1, 4, 3), (2, 7, 0), (3, 5, 2), (5, 20, 40)])
-def test_the_ungated_chain_runs_on_a_number_type_without_order(monkeypatch, e, b, t):
-    # complex has +, -, * and == but no <, //, % or divmod, so the chain from
-    # the split form to chi(N) and to P(m)'s binomial coefficients, read off
-    # chi(Sym^m E) for m in [0, 3], tests no inequality and no regime.  Its
-    # one division is sym_chi's exact_div by 12, which complex lacks; each
-    # part of these complex numbers is a small integer held exactly in a
-    # float, which has divmod, so exact_div runs on the parts
-    monkeypatch.setattr(bf, "exact_div", lambda x, k, what: complex(
-        exact_div(x.real, k, what), exact_div(x.imag, k, what)))
-    params = FamilyParams._make((complex(e), complex(b), complex(t)))  # skips validation
-    bundle = build_split(params)
-    cd = chern(params, bundle)
-    ctx = ScrollContext(params.e, cd.c1, cd.c2)
-    d = scroll_degree(params, ctx)
-    nums = intersection_numbers(params, ctx, chern_TX(ctx))
-    n = 5 * params.e + 2 * params.b + 4 * params.t + 27  # h^0(E) - 1
-    member = Member(FamilyParams(e, b, t))
-    assert (n, d) == (member.n, member.d)
-    assert nums == member.intersection_numbers
-    assert chi_normal(params, n, d, nums) == member.chi_N
-    poly = hilbert_polynomial(params, bundle, nums)
-    assert all(isinstance(p, complex) for p in poly)
-    assert poly == member.hilbert_poly
 
 
 def test_exact_div():
@@ -235,6 +200,23 @@ def test_tangent_rejects_off_regime():
     assert "paper_regime" in str(info.value) and "v2" in str(info.value)
     with pytest.raises(HypothesesError):
         Member(FamilyParams(3, 9, 0)).tangent
+
+
+def test_tangent_checks_its_table_against_chi_by_hrr(monkeypatch):
+    # one more section of O raises h^0(T_X) to 15, off chi(T_X) = 13 by HRR
+    real = bf.sym2_pieces
+
+    def two_sections_of_o(bundle, tables):
+        tab_amb, _trivial, tab_bma = real(bundle, tables)
+        return tab_amb, CohomologyTable(2, 0, 0, 2), tab_bma
+
+    monkeypatch.setattr(bf, "sym2_pieces", two_sections_of_o)
+    member = Member(FamilyParams(2, 7, 0))
+    assert hilbert_component.chi_tangent(member.intersection_numbers) == 13
+    with pytest.raises(ConsistencyError) as exc:
+        member.tangent
+    assert str(exc.value) == (
+        "chi != h0 - h1 + h2 - h3: TangentCohomology(h0=15, h1=1, h2=0, h3=0, chi=13)")
 
 
 def test_tangent_table_invariant():

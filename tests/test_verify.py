@@ -235,37 +235,32 @@ MUTANTS = {
 E, B, T, M = (Poly.var(name) for name in "ebtm")
 
 
-def _twelve_p_minus(twelve_sym_chi):
-    """12 P(m) - twelve_sym_chi(E, m) on variables e, b, t and m.
+def _twelve_p_minus(member, twelve_sym_chi):
+    """12 P(m) - twelve_sym_chi(E, m) on the symbolic member and a variable m.
 
-    P's binomial coefficients (p0, p1, p2, p3) are the chain's own: the
-    split form, its Chern data and intersection numbers, and
-    hilbert_polynomial, which reads them off sym_chi at m = 0..3 and checks
-    them against Riemann-Roch on X, all run on the variables e, b and t.
+    P's binomial coefficients (p0, p1, p2, p3) are the member's own
+    hilbert_poly, which reads them off sym_chi at m = 0..3 and checks them
+    against Riemann-Roch on X, all on the variables e, b and t.
     """
-    params = FamilyParams._make((E, B, T))  # namedtuple's own constructor: no validation
-    bundle = build_split(params)
-    ctx = cr.ScrollContext(E, *bf.chern(params, bundle))
-    nums = cr.intersection_numbers(params, ctx, cr.chern_TX(ctx))
-    p0, p1, p2, p3 = si.hilbert_polynomial(params, bundle, nums)
+    p0, p1, p2, p3 = member.hilbert_poly
     twelve_p = 12 * p0 + 12 * p1 * M + 6 * p2 * M * (M - 1) + 2 * p3 * M * (M - 1) * (M - 2)
-    return twelve_p - twelve_sym_chi(bundle, M)
+    return twelve_p - twelve_sym_chi(member.split, M)
 
 
-def test_p_of_m_is_chi_of_sym_m_e_in_z_e_b_t_m():
+def test_p_of_m_is_chi_of_sym_m_e_in_z_e_b_t_m(symbolic_member):
     # _twelve_sym_chi is straight-line and divides nowhere, so on variables it
     # is 12 chi(Sym^m E) of every member at every m >= 0 at once: the cubic
     # through m = 0..3 is chi(Sym^m E) for every m, and verify's comparison
     # on [4, 8] is the oracle of this proof
-    assert _twelve_p_minus(bf._twelve_sym_chi) == 0
+    member = symbolic_member(E, B, T)
+    assert _twelve_p_minus(member, bf._twelve_sym_chi) == 0
     # so P(-1) = chi(O_X(-1)) = 0, which verify checks member by member
-    bundle = build_split(FamilyParams._make((E, B, T)))
-    assert bf._twelve_sym_chi(bundle, -1) == 0
+    assert bf._twelve_sym_chi(member.split, -1) == 0
 
 
-def test_a_mutant_of_the_six_s2_term_fails_the_identity_in_m():
+def test_a_mutant_of_the_six_s2_term_fails_the_identity_in_m(symbolic_member):
     mutant = _mutant(bf._twelve_sym_chi, "m * (m + 1) * (2 * m + 1)", "m * (m + 1) * (2 * m - 1)")
-    assert _twelve_p_minus(mutant) != 0
+    assert _twelve_p_minus(symbolic_member(E, B, T), mutant) != 0
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
