@@ -14,11 +14,12 @@ ParameterError.
 The fiber-restriction invariants live here too: for a twist by -d1*C0 the
 threshold r (the largest fiber coefficient of a summand that stays
 effective) is read off the split form in O(1), and the closed-form
-ell(c1, c2, d1, r) decides the generic splitting type.  ell at d1=2 equals
-b-t-2e-4 for every r, < 0 by validation's b < 2e+4+t, so nothing here
-compares it; ell at d1=3 equals 0, so the family is uniform of splitting
-type (3, 1), which the fiber degrees (A.f, B.f) confirm.  The verification
-suite certifies the threshold at its two neighbouring fiber twists, with
+ell(c1, c2, d1, r) decides the generic splitting type.  is_uniform makes
+them one record and checks each value there: ell at d1=2 must equal
+b-t-2e-4 (for every r, and < 0 by validation's b < 2e+4+t, so no order is
+compared), ell at d1=3 must vanish at r, and the type (3, 1) that ell
+decides must be the fiber degrees (A.f, B.f).  The verification suite
+certifies the threshold at its two neighbouring fiber twists, with
 h^0 from cohomology(); the tests keep a scan over all the twists as its
 oracle.
 
@@ -168,41 +169,31 @@ def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
     )
 
 
-UniformityEvidence = namedtuple("UniformityEvidence", "uniform r ell2 ell3")
+UniformityEvidence = namedtuple("UniformityEvidence", "uniform r ell2 ell3 splitting_type")
 
 
-def is_uniform(bundle: SplitBundle, cd: ChernData) -> UniformityEvidence:
-    """Uniformity (ell vanishes at d1=3), with the witnessing numbers.
+def is_uniform(params: FamilyParams, bundle: SplitBundle, cd: ChernData) -> UniformityEvidence:
+    """Uniformity of splitting type (3, 1), with the witnessing numbers, each checked.
 
-    ell at d1=2 has r coefficient 2*d1 - 4 = 0, so it is evaluated at r3
-    rather than at its own threshold.
+    ell at d1=3 must vanish at the threshold r3 = invariant_r(bundle, 3),
+    and ell at d1=2, whose r coefficient 2*d1 - 4 is 0, must equal
+    b-t-2e-4 there.  ell then decides the type (d1, c1.f - d1) at d1 = 3,
+    which must be the fiber degrees (A.f, B.f) of the split form.  So the
+    member is uniform whenever this returns.
     """
     r3 = invariant_r(bundle, 3)
-    ell3 = ell_invariant(cd, bundle.e, 3, r3)
     ell2 = ell_invariant(cd, bundle.e, 2, r3)
-    return UniformityEvidence(uniform=ell3 == 0, r=r3, ell2=ell2, ell3=ell3)
-
-
-def splitting_type(
-    params: FamilyParams, bundle: SplitBundle, cd: ChernData, evidence: UniformityEvidence
-) -> tuple[int, int]:
-    """Generic splitting type on curves of class C0, by two routes.
-
-    evidence is is_uniform(bundle, cd): ell at d1=3 must vanish at the
-    threshold r3 = invariant_r(bundle, 3), and ell at d1=2 must equal
-    b-t-2e-4.  ell then decides the type (d1, c1.f - d1) at d1 = 3, which
-    must be the fiber degrees (A.f, B.f) of the split form.
-    """
-    if evidence.ell2 != params.b - params.t - 2 * params.e - 4:
-        raise ConsistencyError(f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={evidence.r}")
-    if evidence.ell3 != 0:
-        raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={evidence.r}")
+    ell3 = ell_invariant(cd, bundle.e, 3, r3)
+    if ell2 != params.b - params.t - 2 * params.e - 4:
+        raise ConsistencyError(f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={r3}")
+    if ell3 != 0:
+        raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={r3}")
     by_ell = (3, intersect(bundle.e, cd.c1, FIBER) - 3)
     by_split = (intersect(bundle.e, bundle.A, FIBER), intersect(bundle.e, bundle.B, FIBER))
     if by_ell != by_split:
         raise ConsistencyError(
             f"splitting type {by_ell} by ell != (A.f, B.f) = {by_split} at {params}")
-    return by_split
+    return UniformityEvidence(uniform=True, r=r3, ell2=ell2, ell3=ell3, splitting_type=by_split)
 
 
 def bundle_cohomology(

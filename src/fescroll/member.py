@@ -81,12 +81,8 @@ class Member:
 
     @_once
     def uniformity(self) -> bf.UniformityEvidence:
-        """r, ell2 and ell3."""
-        return bf.is_uniform(self.split, self.chern)
-
-    @_once
-    def splitting_type(self) -> tuple[int, int]:
-        return bf.splitting_type(self.params, self.split, self.chern, self.uniformity)
+        """r, ell2, ell3 and the splitting type, each checked."""
+        return bf.is_uniform(self.params, self.split, self.chern)
 
     @_once
     def chern_TX(self) -> tuple[cr.ChowClass, cr.ChowClass, cr.ChowClass]:

@@ -14,10 +14,11 @@ a corrupted build reports every identity it breaks on every subject it
 breaks them at.
 
 A closed form is asserted once, in the layer function that computes the
-value, so that report and hilbert are checked too.  Where that assertion
-is all an identity states, the identity is a guard: it forces the value
-and counts one case.  The others run a route of their own against it:
-r, for one, is certified by h^0 at its two neighbouring fiber twists.
+value, so that report, table and the other commands are checked too.
+Where that assertion is all an identity states, the identity is a guard:
+it forces the value and counts one case.  The others run a route of
+their own against it: r, for one, is certified by h^0 at its two
+neighbouring fiber twists.
 """
 
 from __future__ import annotations
@@ -97,13 +98,16 @@ _CLASSES = tuple(sl.DivisorClass(a, c) for a in range(-12, 13) for c in range(-1
 
 @_register("K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)")
 def _check_canonical(rec: CheckResult, sweep: _Sweep) -> None:
+    # adjunction cannot tell C0 from C0 + f, so the basis is pinned first
     e = sweep.e
     k = sl.canonical_class(e)
-    genus_c0 = sl.intersect(e, k, sl.C0) + sl.intersect(e, sl.C0, sl.C0)
-    genus_f = sl.intersect(e, k, sl.FIBER) + sl.intersect(e, sl.FIBER, sl.FIBER)
+    basis = (sl.intersect(e, sl.C0, sl.C0), sl.intersect(e, sl.FIBER, sl.FIBER),
+             sl.intersect(e, sl.C0, sl.FIBER))
+    genus_c0 = sl.intersect(e, k, sl.C0) + basis[0]
+    genus_f = sl.intersect(e, k, sl.FIBER) + basis[1]
     rec.case(
-        genus_c0 == -2 and genus_f == -2,
-        lambda: f"e={e}: K={k} fails adjunction: "
+        basis == (-e, 0, 1) and genus_c0 == -2 and genus_f == -2,
+        lambda: f"e={e}: K={k}, C0={sl.C0}, f={sl.FIBER}: (C0^2, f^2, C0.f) = {basis}, "
                 f"K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
     )
 
@@ -249,8 +253,7 @@ def _is_threshold(member: Member, d1: int, r: int) -> bool:
            "member")
 def _check_uniformity(rec: CheckResult, member: Member) -> None:
     params = member.params
-    member.splitting_type  # raises unless ell2 = b-t-2e-4, ell3 = 0 at r and its routes agree
-    evidence = member.uniformity
+    evidence = member.uniformity  # raises unless ell2 = b-t-2e-4, ell3 = 0 and the types agree
     r = evidence.r
     ok = (
         r == 3 * params.e + 5 + params.t
@@ -348,8 +351,10 @@ def _check_chern_tx(rec: CheckResult, member: Member) -> None:
 @_register("P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1", "member")
 def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
     # hilbert_polynomial reads P off chi(Sym^m E) at m = 0..3 and checks it
-    # against Riemann-Roch on X; the tests prove that the cubic is chi(Sym^m E)
-    # for every m, and this comparison past its four values is their oracle
+    # against Riemann-Roch on X (p0 = 1 there); the tests prove that the cubic
+    # is chi(Sym^m E) for every m, and this comparison past its four values is
+    # their oracle.  P(1) = chi(E) is compared with n+1 = h^0(E), read from
+    # the table of E
     poly, params = member.hilbert_poly, member.params
     for m in range(4, 9):
         expected = bf.sym_chi(member.split, m)
@@ -358,7 +363,8 @@ def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
                 f"P(m) != chi(Sym^m E) at {params}, m={m}: "
                 f"P={poly.value_at(m)}, chi={expected}"
             )
-    rec.case(True, "")
+    p_of_1 = poly.value_at(1)
+    rec.case(p_of_1 == member.n + 1, lambda: f"{params}: P(1)={p_of_1}, n={member.n}")
 
 
 @_register("P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)",

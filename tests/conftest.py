@@ -7,7 +7,13 @@ closed form of every member at once.  n = h^0(E) - 1 is given as
 5e+2b+4t+27, because cohomology() branches on values; a proof checks it
 against chi(Sym^1 E) - 1.  The values that read line-bundle tables (n,
 tables, h_of_L, sym2_pieces, flags, tangent, h_of_N) are not run.
+
+_mutant(fn, old, new) is fn recompiled with one edit, for the tests that
+check a fault is caught; import it with `from conftest import _mutant`.
 """
+
+import inspect
+import textwrap
 
 import pytest
 
@@ -25,3 +31,12 @@ def _symbolic_member(e, b, t) -> Member:
 def symbolic_member():
     """The factory symbolic_member(e, b, t) of symbolic members."""
     return _symbolic_member
+
+
+def _mutant(fn, old: str, new: str):
+    """fn recompiled from its source with the one occurrence of old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]

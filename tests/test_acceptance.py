@@ -55,7 +55,7 @@ def test_c01_uniform_splitting_type(criterion):
             assert ev.uniform and ev.r == r
             assert ev.ell2 == p.b - p.t - 2 * p.e - 4 < 0
             assert ev.ell3 == ell_invariant(m.chern, p.e, 3, r) == 0
-            assert m.splitting_type == (3, 1)
+            assert ev.splitting_type == (3, 1)
 
 
 def test_c02_bundle_cohomology(criterion):

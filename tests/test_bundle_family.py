@@ -173,32 +173,13 @@ def test_ell_invariant_spots(e, b, t, d1, r, expected):
     assert ell_invariant(chern(p, build_split(p)), e, d1, r) == expected
 
 
-def test_ell2_closed_form_and_negativity():
-    for p in iter_valid_params(4, 6):
-        want = p.b - p.t - 2 * p.e - 4
-        cd = chern(p, build_split(p))
-        for r in range(0, 41):
-            assert ell_invariant(cd, p.e, 2, r) == want
-        assert want < 0
-
-
-def test_ell3_vanishes_at_r():
-    for p in iter_valid_params(4, 6):
-        bundle = build_split(p)
-        assert ell_invariant(chern(p, bundle), p.e, 3, invariant_r(bundle, 3)) == 0
-
-
-def test_splitting_type():
-    for p in [FamilyParams(2, 7, 0), FamilyParams(0, 3, 0), FamilyParams(3, 9, 4)]:
-        assert Member(p).splitting_type == (3, 1)
-
-
 def test_is_uniform_evidence():
     ev = Member(FamilyParams(2, 5, 3)).uniformity
     assert ev.uniform
     assert ev.r == 14
     assert ev.ell2 == -6
     assert ev.ell3 == 0
+    assert ev.splitting_type == (3, 1)
 
 
 # -- cohomology of the bundle and its symmetric square -----------------------

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fescroll
 import fescroll.cli as cli
+from fescroll import bundle_family as bf
 from fescroll import chow_ring
 from fescroll.bundle_family import grid_member_count, iter_valid_params
 from fescroll.errors import ParameterError
@@ -834,3 +835,56 @@ def test_warm_json_call_leaves_no_cyclic_garbage(argv):
             gc.set_debug(0)
             gc.garbage.clear()
     assert garbage == []
+
+
+# -- r and ell on every path --------------------------------------------------
+# is_uniform checks r, ell2, ell3 and the splitting type where it makes them,
+# so a fault in any of them stops every command that prints them, in every
+# format, before it prints anything
+
+SAMPLE_VALUES = {"-e": "2", "-b": "7", "-t": "0", "-a": "3", "-c": "5",
+                 "--e-max": "1", "--t-max": "1"}
+
+RESTRICTION_FAULTS = {
+    "ell at d1=2 off by one": (
+        "ell_invariant", lambda real: lambda cd, e, d1, r: real(cd, e, d1, r) + (d1 == 2)),
+    "ell at d1=3 off by one": (
+        "ell_invariant", lambda real: lambda cd, e, d1, r: real(cd, e, d1, r) + (d1 == 3)),
+    "r off by one": ("invariant_r", lambda real: lambda bundle, d1: real(bundle, d1) + 1),
+}
+
+
+def _sample_calls(command: str) -> list[list[str]]:
+    """One call of command per format it takes, its required flags set from SAMPLE_VALUES."""
+    flags = cli._COMMANDS[command][1]
+    argv = [command]
+    for flag, spec in flags.items():
+        if spec.get("required"):
+            argv += [flag, SAMPLE_VALUES[flag]]
+    formats = flags["--format"]["choices"] if "--format" in flags else []
+    return [[*argv, "--format", fmt] for fmt in formats] or [argv]
+
+
+@pytest.fixture(scope="module")
+def ell2_calls() -> list[list[str]]:
+    """Every sample call of each command whose unfaulted output prints ell2."""
+    calls = []
+    for command in cli._COMMANDS:
+        samples = _sample_calls(command)
+        outputs = io.StringIO()
+        with contextlib.redirect_stdout(outputs), contextlib.redirect_stderr(io.StringIO()):
+            for argv in samples:
+                cli.main(argv)
+        if "ell2" in outputs.getvalue():
+            calls += samples
+    return calls
+
+
+@pytest.mark.parametrize("fault", RESTRICTION_FAULTS)
+def test_a_fault_in_r_or_ell_stops_every_command_that_prints_them(
+        monkeypatch, capsys, ell2_calls, fault):
+    assert {argv[0] for argv in ell2_calls} >= {"report", "uniformity", "table"}
+    name, corrupt = RESTRICTION_FAULTS[fault]
+    monkeypatch.setattr(bf, name, corrupt(getattr(bf, name)))
+    results = {" ".join(argv): run_cli(capsys, *argv)[:2] for argv in ell2_calls}
+    assert results == dict.fromkeys(results, (3, ""))

@@ -7,7 +7,6 @@ from fescroll.bundle_family import (
     FamilyParams,
     build_split,
     chern,
-    ell_invariant,
     invariant_r,
     sym_chi,
 )
@@ -176,12 +175,6 @@ def test_pairings_reject_mixed_degrees(ctx, x, w, off_divisor, off_curve, k, slo
         pairing(ctx, mixed, w)
     with pytest.raises(ConsistencyError, match="not a curve class"):
         pairing(ctx, x, _plus_at(w, off_curve, k))
-
-
-@given(family_params(), st.integers(-20, 60))
-def test_ell2_independent_of_r(params, r):
-    cd = chern(params, build_split(params))
-    assert ell_invariant(cd, params.e, 2, r) == params.b - params.t - 2 * params.e - 4
 
 
 def _monomial_value(poly, m):

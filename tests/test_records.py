@@ -27,7 +27,8 @@ REPRS = [
     (M.chern, "ChernData(c1=DivisorClass(a=4, c=19), c2=29)"),
     (extension_data(M.params),
      "ExtensionData(L=DivisorClass(a=1, c=7), M=DivisorClass(a=3, c=12), w_len=2)"),
-    (M.uniformity, "UniformityEvidence(uniform=True, r=11, ell2=-1, ell3=0)"),
+    (M.uniformity,
+     "UniformityEvidence(uniform=True, r=11, ell2=-1, ell3=0, splitting_type=(3, 1))"),
     (M.ctx, "ScrollContext(e=2, c1=DivisorClass(a=4, c=19), c2=29)"),
     (M.intersection_numbers,
      "IntersectionNumbers(L3=91, KL2=-100, K2L=88, K3=-56, c2L=42, Kc2=-24, c3=8)"),

@@ -6,11 +6,10 @@ member at once, and a fault in member.py fails it.  Poly defines no order:
 a comparison of e, b or t anywhere on the ungated chain raises TypeError.
 """
 
-import inspect
 import math
-import textwrap
 
 import pytest
+from conftest import _mutant
 
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
@@ -64,9 +63,8 @@ def _assert_closed_forms(member):
         c3=8,
     )
     assert member.uniformity == UniformityEvidence(
-        uniform=True, r=3 * E + 5 + T, ell2=B - T - 2 * E - 4, ell3=0
+        uniform=True, r=3 * E + 5 + T, ell2=B - T - 2 * E - 4, ell3=0, splitting_type=(3, 1)
     )
-    assert member.splitting_type == (3, 1)
     assert member.hilbert_poly == BinomialCubic(
         1, 5 * E + 2 * B + 4 * T + 27, 13 * E + 7 * B + 11 * T + 66, 8 * E + 5 * B + 7 * T + 40
     )
@@ -84,15 +82,6 @@ def test_the_closed_forms_of_every_member(symbolic_member):
     _assert_closed_forms(symbolic_member(E, B, T))
 
 
-def _mutant(fn, old: str, new: str):
-    """fn recompiled from its source with the one occurrence of old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1
-    namespace = dict(vars(inspect.getmodule(fn)))
-    exec(source.replace(old, new), namespace)
-    return namespace[fn.__name__]
-
-
 @pytest.mark.parametrize("name, old, new", [
     ("ctx", "self.chern.c2)", "self.chern.c2 + 1)"),  # a layer's own check raises
     ("chi_N", "self.n, self.d", "self.n + 1, self.d"),  # only the closed form sees it
@@ -104,6 +93,14 @@ def test_a_wiring_mutant_of_member_fails_the_closed_forms(
         _assert_closed_forms(symbolic_member(E, B, T))
 
 
+def test_ell2_is_b_minus_t_minus_2e_minus_4_for_every_r(symbolic_member):
+    # ell is straight-line, so on a variable r this is the identity in
+    # Z[e, b, t, r] that is_uniform checks at r3 only; ell3 = 0 at r3 is
+    # among the closed forms
+    member, r = symbolic_member(E, B, T), Poly.var("r")
+    assert bf.ell_invariant(member.chern, E, 2, r) == B - T - 2 * E - 4
+
+
 @pytest.mark.parametrize("old, new, by_ell", [
     ("(3, intersect", "(4, intersect", (4, 1)),
     ("FIBER) - 3)", "FIBER) - 2)", (3, 2)),
@@ -112,11 +109,11 @@ def test_a_mutant_splitting_type_fails_against_the_split_form(
         monkeypatch, capsys, symbolic_member, old, new, by_ell):
     # the type that ell decides is checked against (A.f, B.f), so a wrong
     # constant in it makes report exit 3, and fails on the symbolic member
-    monkeypatch.setattr(bf, "splitting_type", _mutant(bf.splitting_type, old, new))
+    monkeypatch.setattr(bf, "is_uniform", _mutant(bf.is_uniform, old, new))
     assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 3
     assert f"splitting type {by_ell} by ell != (A.f, B.f) = (3, 1)" in capsys.readouterr().err
     with pytest.raises(ConsistencyError, match=r"^splitting type "):
-        symbolic_member(E, B, T).splitting_type
+        symbolic_member(E, B, T).uniformity
 
 
 def test_riemann_roch_rejects_a_symbolic_total_off_its_integer_route(symbolic_member):
@@ -147,7 +144,7 @@ def test_the_regime_forms_on_the_symbolic_regime_member(symbolic_member):
 def _deformation_invariants(member):
     nums = member.intersection_numbers
     return (member.n, member.d, member.chern.c2, *nums, member.hilbert_poly, member.chi_N,
-            hc.chi_tangent(nums), member.splitting_type)
+            hc.chi_tangent(nums), member.uniformity.splitting_type)
 
 
 def test_the_deformation_of_f_e_to_f_e_minus_2_keeps_the_invariants(symbolic_member):

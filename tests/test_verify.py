@@ -19,6 +19,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from conftest import _mutant
 
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
@@ -32,6 +33,7 @@ from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.poly import Poly
 
+CANONICAL = "K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)"
 UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
 ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r"
 RING_AXIOMS = "Chow product commutative, associative, distributive"
@@ -93,6 +95,19 @@ def test_ell2_identity_normalises_only_its_variable(monkeypatch):
     verify._check_ell2(rec, member)
     assert (rec.cases, rec.failures) == (1, [])
     assert calls == [[(("r",), 1)]]
+
+
+def test_a_c0_of_c0_plus_f_fails_the_canonical_identity(monkeypatch, capsys):
+    # C0 + f satisfies adjunction as C0 does, so only the pinned basis
+    # C0^2 = -e, f^2 = 0, C0.f = 1 tells them apart
+    monkeypatch.setattr(sl, "C0", sl.DivisorClass(1, 1))
+    assert cli.main(["verify", "--e-max", "3", "--t-max", "3"]) == 3
+    failing = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failing == [f"FAIL  [     4 cases]  {CANONICAL}"]
+    canonical = _results_by_name(0, 0)[CANONICAL]
+    assert canonical.failures == [
+        "e=0: K=DivisorClass(a=-2, c=-2), C0=DivisorClass(a=1, c=1), "
+        "f=DivisorClass(a=0, c=1): (C0^2, f^2, C0.f) = (2, 0, 1), K.C0+C0^2=-2, K.f+f^2=-2"]
 
 
 # -- per-surface table memo ----------------------------------------------------
@@ -193,15 +208,6 @@ def test_code_proved_on_symbols_is_straight_line(code):
     tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
     assert [type(node).__name__ for node in ast.walk(tree)
             if isinstance(node, _BRANCHING + _DIVIDING)] == []
-
-
-def _mutant(fn, old: str, new: str):
-    """fn recompiled from its source with the one occurrence of old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1
-    namespace = dict(vars(inspect.getmodule(fn)))
-    exec(source.replace(old, new), namespace)
-    return namespace[fn.__name__]
 
 
 def _ell_plus_a_product_vanishing_on_0_to_40(real):
@@ -440,6 +446,18 @@ def test_a_wrong_sym_chi_past_the_coefficients_fails_the_p_of_m_identity(
     assert p_of_m.failures[0] == (
         f"{first}: P(m) != chi(Sym^m E) at {first}, m={m}: P={chi}, chi={chi + 1}")
     assert all(result.ok for result in results.values())
+
+
+def test_n_read_as_h0_of_e_fails_the_p_of_m_identity_at_p_of_1(monkeypatch, capsys):
+    # P(1) = chi(E) = h^0(E), so an n of h^0(E) fails the P(1) = n+1 of the label
+    wrong_n = _mutant(vars(Member)["n"].fn, "self.tables[2].h0 - 1", "self.tables[2].h0")
+    monkeypatch.setattr(Member, "n", wrong_n)
+    assert _verify_1_1_exit_code(capsys) == 3
+    p_of_m = _results_by_name(1, 1)[P_OF_M]
+    assert p_of_m.cases == bf.grid_member_count(1, 1)
+    first = next(iter_valid_params(1, 1))
+    h0 = Member(first).tables[2].h0
+    assert p_of_m.failures[0] == f"{first}: P(1)={h0}, n={h0}"
 
 
 def _count_sym_chi(monkeypatch) -> list:
