@@ -21,15 +21,20 @@ and anything above degree 3 vanishes.  These rules force
 xi^3 = c1^2 - c2, the degree of the embedded scroll.
 
 Every number the engine reads off X is the degree of a product of
-complementary degrees, so it is computed by two pairings that give only
-the point coefficient: triple() for three divisor classes, from
+complementary degrees.  intersection_numbers() reads all seven in one pass:
+it writes K_X = u*xi + D' once and expands the four triple products of
+L = xi and K_X by
 
     xi^3 = c1^2 - c2,  xi^2.D' = c1.D,  xi.D1'.D2' = D1.D2,  D1'.D2'.D3' = 0,
 
-and pairing() for a divisor class against a curve class, the pt row of
-multiply().  multiply() and prod() build the full normal form; the
-verification suite proves the ring axioms on symbolic classes and checks
-the projective-bundle relation, and the tests check the pairings against
+takes c2.L and K.c2 from the curve coordinates of c2(T_X) and c3 from
+degree(), and checks each number against its closed form in (d, e, b, t).
+triple() (three divisor classes) and pairing() (a divisor class against a
+curve class, the pt row of multiply()) compute one pairing each from the
+classes themselves; they are verify's oracle for the seven numbers.
+multiply() and prod() build the full normal form; the verification suite
+proves the ring axioms on symbolic classes and checks the
+projective-bundle relation, and the tests check the pairings against
 them.  Only a wrong formula makes a class of mixed degree, so the
 pairings and degree() raise ConsistencyError on one.  P(m) and chi(N)
 read the ring only through intersection_numbers(): by Riemann-Roch each
@@ -98,14 +103,13 @@ class ChowClass(namedtuple("ChowClass", "z xi h1 h2 xih1 xih2 p pt", defaults=(0
 
 
 XI = ChowClass(xi=1)
-ONE = ChowClass(z=1)
-PT_PULLBACK = ChowClass(p=1)
-POINT = ChowClass(pt=1)
+_TWO_XI = ChowClass(xi=2)
+_C2_FIBER = ChowClass(p=4)  # c2(T_F)' = 4 pt': the Euler number of any F_e is 4
 
 
 def pullback(d: DivisorClass) -> ChowClass:
     """Pullback of a divisor class from F_e."""
-    return ChowClass(h1=d.a, h2=d.c)
+    return _new(ChowClass, (0, 0, d.a, d.c, 0, 0, 0, 0))
 
 
 def multiply(ctx: ScrollContext, x: ChowClass, y: ChowClass) -> ChowClass:
@@ -201,7 +205,7 @@ def pairing(ctx: ScrollContext, x: ChowClass, w: ChowClass) -> int:
 def canonical_class_X(ctx: ScrollContext) -> ChowClass:
     """K_X = -2*xi + (K_{F_e} + c1)'."""
     k_surf = canonical_class(ctx.e)
-    return ChowClass(xi=-2) + pullback(k_surf + ctx.c1)
+    return pullback(k_surf + ctx.c1) - _TWO_XI
 
 
 def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
@@ -211,16 +215,17 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
     (the Euler number of any F_e is 4).  Self-checks: c1(T_X) = -K_X,
     deg c3 = 8 and -K.c2 = 24; failures raise ConsistencyError.
     """
-    t_rel = ChowClass(xi=2) - pullback(ctx.c1)
-    c1_fiber = pullback(-canonical_class(ctx.e))
-    c2_fiber = ChowClass(p=4)
+    c1, k_surf = ctx.c1, canonical_class(ctx.e)
+    t_rel = _new(ChowClass, (0, 2, -c1.a, -c1.c, 0, 0, 0, 0))  # 2*xi - c1'
+    c1_fiber = _new(ChowClass, (0, 0, -k_surf.a, -k_surf.c, 0, 0, 0, 0))  # -K_F'
     c1x = t_rel + c1_fiber
-    c2x = multiply(ctx, t_rel, c1_fiber) + c2_fiber
-    c3x = multiply(ctx, t_rel, c2_fiber)
+    c2x = multiply(ctx, t_rel, c1_fiber) + _C2_FIBER
+    c3x = multiply(ctx, t_rel, _C2_FIBER)
     if c1x != -canonical_class_X(ctx):
         raise ConsistencyError("c1(T_X) != -K_X")
-    if degree(c3x) != 8:
-        raise ConsistencyError(f"deg c3(T_X) != 8: got {degree(c3x)}")
+    c3 = degree(c3x)
+    if c3 != 8:
+        raise ConsistencyError(f"deg c3(T_X) != 8: got {c3}")
     minus_k_c2 = pairing(ctx, c1x, c2x)
     if minus_k_c2 != 24:
         raise ConsistencyError(f"-K.c2(T_X) != 24: got {minus_k_c2}")
@@ -230,40 +235,58 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
 IntersectionNumbers = namedtuple("IntersectionNumbers", "L3 KL2 K2L K3 c2L Kc2 c3")
 
 
+def _read_numbers(ctx: ScrollContext, tangent: tuple[ChowClass, ...]) -> IntersectionNumbers:
+    """The seven numbers of intersection_numbers(), for any context and its chern_TX.
+
+    With K_X = -c1(T_X) = u*xi + (p*C0 + q*f)', T = c1^2 - c2, cD = c1.D and
+    DD = D.D, the rules of triple() give L^3 = T, K.L^2 = u*T + cD,
+    K^2.L = u^2*T + 2u*cD + DD and K^3 = u^3*T + 3u^2*cD + 3u*DD; c2.L and
+    K.c2 are pairing()'s sums over the curve coordinates of c2(T_X).
+    """
+    c1x, c2x, c3x = tangent
+    e, c1_c0, c1_f = ctx.e, ctx.c1_c0, ctx.c1.a
+    u, p, q = -c1x.xi, -c1x.h1, -c1x.h2
+    top = c1_f * c1_c0 + ctx.c1.c * c1_f - ctx.c2
+    c_d = p * c1_c0 + q * c1_f
+    d_d = 2 * p * q - e * p * p
+    _z, _xi, _h1, _h2, wxih1, wxih2, wp, _pt = c2x
+    c2_l = wxih1 * c1_c0 + wxih2 * c1_f + wp
+    return _new(IntersectionNumbers, (
+        top,
+        u * top + c_d,
+        u * u * top + 2 * u * c_d + d_d,
+        u * u * u * top + 3 * u * u * c_d + 3 * u * d_d,
+        c2_l,
+        u * c2_l + p * (wxih2 - e * wxih1) + q * wxih1,
+        degree(c3x),
+    ))
+
+
 def intersection_numbers(
     params: tuple[int, int, int], ctx: ScrollContext, tangent: tuple[ChowClass, ...]
 ) -> IntersectionNumbers:
     """All degree-3 pairings of L, K and the Chern classes of T_X.
 
     ``params`` is the member's (e, b, t) and ``tangent`` chern_TX(ctx).  Every
-    entry is computed twice: by the Chow pairings triple() and pairing() and
-    by the closed forms in (d, e, b, t).  Any disagreement raises ConsistencyError.
+    entry is computed twice: read off K_X and c2(T_X) in one pass, and by the
+    closed forms in (d, e, b, t).  Any disagreement raises ConsistencyError.
+    verify compares the entries with triple() and pairing() as well.
     """
     e, b, t = params
-    c1x, c2x, c3x = tangent
-    k = -c1x  # K_X, as chern_TX checked
-    by_chow = IntersectionNumbers(
-        L3=triple(ctx, XI, XI, XI),
-        KL2=triple(ctx, k, XI, XI),
-        K2L=triple(ctx, k, k, XI),
-        K3=triple(ctx, k, k, k),
-        c2L=pairing(ctx, XI, c2x),
-        Kc2=pairing(ctx, k, c2x),
-        c3=degree(c3x),
-    )
+    by_chow = _read_numbers(ctx, tangent)
     d = 8 * e + 5 * b + 7 * t + 40
-    closed = IntersectionNumbers(
-        L3=d,
-        KL2=-2 * d + 6 * e + 28 + 6 * t + 6 * b,
-        K2L=4 * d - 20 * b - 20 * t - 20 * e - 96,
-        K3=-8 * d + 48 * b + 48 * t + 48 * e + 240,
-        c2L=2 * e + 24 + 2 * b + 2 * t,
-        Kc2=-24,
-        c3=8,
+    closed = (
+        d,
+        -2 * d + 6 * e + 28 + 6 * t + 6 * b,
+        4 * d - 20 * b - 20 * t - 20 * e - 96,
+        -8 * d + 48 * b + 48 * t + 48 * e + 240,
+        2 * e + 24 + 2 * b + 2 * t,
+        -24,
+        8,
     )
     if by_chow != closed:
         raise ConsistencyError(
             f"intersection numbers disagree with closed forms at e={e}, b={b}, t={t}: "
-            f"chow={by_chow}, closed={closed}"
+            f"chow={by_chow}, closed={IntersectionNumbers._make(closed)}"
         )
     return by_chow

@@ -70,6 +70,9 @@ def scroll_degree(params: bf.FamilyParams, ctx: ScrollContext) -> int:
     return by_chern
 
 
+_RR_RELATIONS = ("p0 = 1", "12*p1 = 2L3-3KL2+K2L+c2L", "2*p2 = 2L3-KL2", "p3 = L3")
+
+
 def hilbert_polynomial(
     params: bf.FamilyParams, bundle: bf.SplitBundle, nums: IntersectionNumbers
 ) -> BinomialCubic:
@@ -84,13 +87,11 @@ def hilbert_polynomial(
     v0, v1, v2, v3 = (bf.sym_chi(bundle, m) for m in range(4))
     poly = BinomialCubic(v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0)
     l3, kl2 = nums.L3, nums.KL2
-    for relation, by_sym, by_rr in (
-        ("p0 = 1", poly.p0, 1),
-        ("12*p1 = 2L3-3KL2+K2L+c2L", 12 * poly.p1, 2 * l3 - 3 * kl2 + nums.K2L + nums.c2L),
-        ("2*p2 = 2L3-KL2", 2 * poly.p2, 2 * l3 - kl2),
-        ("p3 = L3", poly.p3, l3),
-    ):
-        if by_sym != by_rr:
-            raise ConsistencyError(f"Riemann-Roch {relation} fails at {params}: "
-                                   f"chi(Sym^m E) gives {by_sym}, Riemann-Roch {by_rr}")
+    by_sym = (poly.p0, 12 * poly.p1, 2 * poly.p2, poly.p3)
+    by_rr = (1, 2 * l3 - 3 * kl2 + nums.K2L + nums.c2L, 2 * l3 - kl2, l3)
+    if by_sym != by_rr:
+        for relation, sym, rr in zip(_RR_RELATIONS, by_sym, by_rr):
+            if sym != rr:
+                raise ConsistencyError(f"Riemann-Roch {relation} fails at {params}: "
+                                       f"chi(Sym^m E) gives {sym}, Riemann-Roch {rr}")
     return poly

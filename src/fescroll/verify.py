@@ -333,13 +333,23 @@ def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
 
 @_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
 def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
-    member.intersection_numbers  # raises on a mismatch
-    rec.case(True, "")
+    # intersection_numbers reads the numbers off K_X and c2(T_X) in one pass
+    # and checks them against the closed forms; this route takes each of the
+    # six pairings from the classes themselves, by triple() and pairing()
+    ctx, nums = member.ctx, member.intersection_numbers
+    c1x, c2x, _c3x = member.chern_TX
+    k, xi = -c1x, cr.XI
+    by_pairings = (cr.triple(ctx, xi, xi, xi), cr.triple(ctx, k, xi, xi),
+                   cr.triple(ctx, k, k, xi), cr.triple(ctx, k, k, k),
+                   cr.pairing(ctx, xi, c2x), cr.pairing(ctx, k, c2x))
+    rec.case(nums[:6] == by_pairings,
+             lambda: f"{member.params}: numbers={nums}, by triple/pairing={by_pairings}")
 
 
 @_register("deg c3(T_X) = 8 and -K.c2(T_X) = 24", "member")
 def _check_chern_tx(rec: CheckResult, member: Member) -> None:
-    # chern_TX checks both by its pairings; this is the full-product route
+    # chern_TX checks deg c3 and -K.c2 by degree() and pairing(); this is
+    # the full-product route for -K.c2
     c1x, c2x, _c3x = member.chern_TX
     minus_k_c2 = cr.degree(cr.multiply(member.ctx, c1x, c2x))
     rec.case(minus_k_c2 == 24, lambda: f"{member.params}: -K.c2(T_X)={minus_k_c2}")

@@ -6,9 +6,6 @@ import pytest
 import fescroll
 from fescroll.bundle_family import FamilyParams, iter_valid_params
 from fescroll.chow_ring import (
-    ONE,
-    POINT,
-    PT_PULLBACK,
     XI,
     ChowClass,
     IntersectionNumbers,
@@ -28,6 +25,7 @@ from fescroll.surface_lattice import C0, FIBER, DivisorClass, canonical_class, i
 
 PARAMS = FamilyParams(2, 7, 0)
 CTX = Member(PARAMS).ctx
+ONE, PT_PULLBACK, POINT = ChowClass(z=1), ChowClass(p=1), ChowClass(pt=1)
 
 
 def test_context_from_params():

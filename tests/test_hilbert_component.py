@@ -8,7 +8,7 @@ import pytest
 from fescroll import bundle_family as bf
 from fescroll import hilbert_component
 from fescroll.bundle_family import FamilyParams, iter_valid_params
-from fescroll.chow_ring import ONE, XI, degree, multiply, prod
+from fescroll.chow_ring import XI, ChowClass, degree, multiply, prod
 from fescroll.errors import ConsistencyError, HypothesesError, exact_div
 from fescroll.hilbert_component import (
     HypothesisFlags,
@@ -18,6 +18,8 @@ from fescroll.hilbert_component import (
 )
 from fescroll.member import Member
 from fescroll.surface_lattice import CohomologyTable
+
+ONE = ChowClass(z=1)
 
 
 def flags_tuple(p):

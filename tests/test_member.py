@@ -26,7 +26,7 @@ from fescroll.surface_lattice import ZERO, SurfaceTables
 COUNTED = {
     bundle_family: ("build_split", "chern", "invariant_r", "bundle_cohomology",
                     "sym2_pieces"),
-    chow_ring: ("chern_TX", "intersection_numbers", "triple"),
+    chow_ring: ("chern_TX", "intersection_numbers", "triple", "multiply"),
     hilbert_component: ("check_hypotheses", "tangent_cohomology"),
     scroll_invariants: ("hilbert_polynomial",),
 }
@@ -67,8 +67,8 @@ def test_report_computes_each_value_once(calls, capsys):
         "sym2_pieces": 1,
         "check_hypotheses": 1,
         "chern_TX": 1,
-        "intersection_numbers": 1,
-        "triple": 4,  # deg xi^3 is read once, as L3 of intersection_numbers
+        "intersection_numbers": 1,  # reads its numbers off K_X: no triple call
+        "multiply": 2,  # the two products inside chern_TX
         "tangent_cohomology": 1,
         "hilbert_polynomial": 1,
     }
@@ -81,7 +81,7 @@ def test_table_computes_chern_once_per_row(calls, capsys):
     assert calls["chern"] == len(rows)
     assert calls["build_split"] <= 2 * len(rows)
     # d is c1^2 - c2: only the 9 regime rows build the intersection numbers
-    assert calls["triple"] == 9 * 4
+    assert calls["intersection_numbers"] == 9
 
 
 def test_table_computes_intersection_numbers_once_per_row(calls, capsys):

@@ -11,8 +11,11 @@ from fescroll.bundle_family import (
     sym_chi,
 )
 from fescroll.chow_ring import (
+    XI,
     ChowClass,
     ScrollContext,
+    _read_numbers,
+    chern_TX,
     degree,
     multiply,
     pairing,
@@ -154,6 +157,21 @@ def test_triple_is_degree_of_prod(ctx, x, y, z):
 @given(scroll_contexts(), divisor_classes, curve_classes)
 def test_pairing_is_degree_of_multiply(ctx, x, w):
     assert pairing(ctx, x, w) == degree(multiply(ctx, x, w))
+
+
+@given(scroll_contexts())
+def test_the_seven_numbers_read_off_k_x_are_its_pairings(ctx):
+    # for any c1 and c2, not only a member's: each number is triple() or
+    # pairing() of L = xi, K_X and the Chern classes of T_X, and the degree
+    # of their full product
+    tangent = chern_TX(ctx)
+    c1x, c2x, c3x = tangent
+    k = -c1x
+    factors = ((XI, XI, XI), (k, XI, XI), (k, k, XI), (k, k, k), (XI, c2x), (k, c2x), (c3x,))
+    by_pairings = (*(triple(ctx, *three) for three in factors[:4]),
+                   *(pairing(ctx, *two) for two in factors[4:6]), degree(c3x))
+    assert _read_numbers(ctx, tangent) == by_pairings
+    assert by_pairings == tuple(degree(prod(ctx, *product)) for product in factors)
 
 
 def _plus_at(cls, index, k):

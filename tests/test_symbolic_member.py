@@ -13,6 +13,7 @@ from conftest import _mutant
 
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
+from fescroll import chow_ring as cr
 from fescroll import hilbert_component as hc
 from fescroll import scroll_invariants as si
 from fescroll.bundle_family import FamilyParams, UniformityEvidence
@@ -80,6 +81,17 @@ def test_the_closed_forms_of_every_member(symbolic_member):
     # nothing compares e, b or t but for equality, so on variables Member
     # gives the closed forms of every member at once, with nothing patched
     _assert_closed_forms(symbolic_member(E, B, T))
+
+
+def test_the_numbers_read_off_k_x_are_the_pairings_in_z_e_b_t(symbolic_member):
+    # intersection_numbers expands the pairing rules once; triple() and
+    # pairing() take each number from the classes, as verify does per member
+    member = symbolic_member(E, B, T)
+    ctx, (c1x, c2x, _c3x) = member.ctx, member.chern_TX
+    k, xi = -c1x, cr.XI
+    assert member.intersection_numbers[:6] == (
+        cr.triple(ctx, xi, xi, xi), cr.triple(ctx, k, xi, xi), cr.triple(ctx, k, k, xi),
+        cr.triple(ctx, k, k, k), cr.pairing(ctx, xi, c2x), cr.pairing(ctx, k, c2x))
 
 
 @pytest.mark.parametrize("name, old, new", [

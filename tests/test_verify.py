@@ -551,3 +551,19 @@ def test_off_by_one_triple_fails_the_intersection_numbers_identity(monkeypatch, 
     assert code == 3
     assert any(line.endswith("intersection numbers match their closed forms in (d, e, b, t)")
                for line in failing)
+
+
+def test_a_k3_off_by_one_stops_report_and_hilbpoly_and_fails_verify(monkeypatch, capsys):
+    # the closed forms inside intersection_numbers stop every command that
+    # reads the numbers, verify among them, where the raise is a failed case
+    # of the intersection-number identity
+    wrong = _mutant(cr._read_numbers, "3 * u * d_d,", "3 * u * d_d + 1,")
+    monkeypatch.setattr(cr, "_read_numbers", wrong)
+    for command in ("report", "hilbpoly"):
+        assert cli.main([command, "-e", "2", "-b", "7", "-t", "0"]) == 3
+        assert capsys.readouterr().out == ""
+    assert cli.main(["verify", "--e-max", "1", "--t-max", "1"]) == 3
+    failing = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("FAIL")]
+    assert any(line.endswith("intersection numbers match their closed forms in (d, e, b, t)")
+               for line in failing)
