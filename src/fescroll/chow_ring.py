@@ -21,22 +21,24 @@ and anything above degree 3 vanishes.  These rules force
 xi^3 = c1^2 - c2, the degree of the embedded scroll.
 
 Every number the engine reads off X is the degree of a product of
-complementary degrees.  intersection_numbers() reads all seven in one pass:
-it writes K_X = u*xi + D' once and expands the four triple products of
-L = xi and K_X by
+complementary degrees, and the pairing rules that give them are written
+out twice, as two routes that must agree.  intersection_numbers() reads
+all seven in one pass: _read_numbers() writes K_X = u*xi + D' once and
+expands the four triple products of L = xi and K_X by
 
     xi^3 = c1^2 - c2,  xi^2.D' = c1.D,  xi.D1'.D2' = D1.D2,  D1'.D2'.D3' = 0,
 
 takes c2.L and K.c2 from the curve coordinates of c2(T_X) and c3 from
-degree(), and checks each number against its closed form in (d, e, b, t).
-triple() (three divisor classes) and pairing() (a divisor class against a
-curve class, the pt row of multiply()) compute one pairing each from the
-classes themselves; they are verify's oracle for the seven numbers.
-multiply() and prod() build the full normal form; the verification suite
-proves the ring axioms on symbolic classes and checks the
-projective-bundle relation, and the tests check the pairings against
-them.  Only a wrong formula makes a class of mixed degree, so the
-pairings and degree() raise ConsistencyError on one.  P(m) and chi(N)
+degree(), and intersection_numbers() checks each number against its
+closed form in (d, e, b, t).  multiply() and prod() build the full normal
+form: the verification suite proves the ring axioms on symbolic classes,
+checks the projective-bundle relation and compares every member's seven
+numbers with the degrees of their full products, and chern_TX() reads
+-K.c2 by the full product.  Only a wrong formula makes a class of mixed
+degree, so each route checks the degrees of what it reads: degree()
+raises ConsistencyError on a zero-cycle with lower-degree terms,
+_read_numbers() on a c2(T_X) that is not a curve class, and chern_TX()
+compares c1(T_X) whole with -K_X.  P(m) and chi(N)
 read the ring only through intersection_numbers(): by Riemann-Roch each
 is a polynomial in those seven numbers.  Building the Chern classes of
 the normal bundle as Chow classes is kept as a test oracle for chi(N).
@@ -59,8 +61,8 @@ class ScrollContext(namedtuple("ScrollContext", "e c1 c2 c1_c0")):
     """Everything the ring structure needs: the surface F_e and the Chern data of E.
 
     Built as ScrollContext(e, c1, c2).  c1_c0 = c1.C0 = c1.c - e*c1.a is
-    bound once, at construction, for the products and pairings; c1.f is
-    c1.a.
+    bound once, at construction, for multiply() and _read_numbers(), the
+    two transcriptions of the pairing rules; c1.f is c1.a.
     """
 
     __slots__ = ()
@@ -153,55 +155,6 @@ def degree(x: ChowClass) -> int:
     return x.pt
 
 
-def _divisor(x: ChowClass) -> tuple[int, int, int]:
-    """(xi, h1, h2) of a pure divisor class."""
-    z, xi, h1, h2, xih1, xih2, p, pt = x
-    if z or xih1 or xih2 or p or pt:
-        raise ConsistencyError(f"not a divisor class: {x}")
-    return xi, h1, h2
-
-
-def triple(ctx: ScrollContext, x: ChowClass, y: ChowClass, z: ChowClass) -> int:
-    """deg(x*y*z) for divisor classes x, y, z: degree(prod(ctx, x, y, z)).
-
-    Writing each as u*xi + D' with D = p*C0 + q*f, the product expands by
-    xi^3 = c1^2 - c2, xi^2.D' = c1.D, xi.D1'.D2' = D1.D2, D1'.D2'.D3' = 0,
-    with c1.D = p*(c1.C0) + q*(c1.f) and D1.D2 = p1*q2 + p2*q1 - e*p1*p2.
-    """
-    u1, p1, q1 = _divisor(x)
-    u2, p2, q2 = _divisor(y)
-    u3, p3, q3 = _divisor(z)
-    e, c1_c0 = ctx.e, ctx.c1_c0
-    c1_f, c1_c = ctx.c1.a, ctx.c1.c
-    return (
-        u1 * u2 * u3 * (c1_f * c1_c0 + c1_c * c1_f - ctx.c2)
-        + u1 * u2 * (p3 * c1_c0 + q3 * c1_f)
-        + u1 * u3 * (p2 * c1_c0 + q2 * c1_f)
-        + u2 * u3 * (p1 * c1_c0 + q1 * c1_f)
-        + u1 * (p2 * q3 + p3 * q2 - e * p2 * p3)
-        + u2 * (p1 * q3 + p3 * q1 - e * p1 * p3)
-        + u3 * (p1 * q2 + p2 * q1 - e * p1 * p2)
-    )
-
-
-def pairing(ctx: ScrollContext, x: ChowClass, w: ChowClass) -> int:
-    """deg(x*w) for a divisor class x and a curve class w: degree(multiply(ctx, x, w)).
-
-    With x = u*xi + (p*C0 + q*f)': xi.(xi*D') = c1.D, xi.pt' = pt and
-    D1'.(xi*D2') = D1.D2; every other product of the two bases lies in
-    degree 4 or vanishes.
-    """
-    u, p, q = _divisor(x)
-    wz, wxi, wh1, wh2, wxih1, wxih2, wp, wpt = w
-    if wz or wxi or wh1 or wh2 or wpt:
-        raise ConsistencyError(f"not a curve class: {w}")
-    return (
-        u * (wxih1 * ctx.c1_c0 + wxih2 * ctx.c1.a + wp)
-        + p * (wxih2 - ctx.e * wxih1)
-        + q * wxih1
-    )
-
-
 def canonical_class_X(ctx: ScrollContext) -> ChowClass:
     """K_X = -2*xi + (K_{F_e} + c1)'."""
     k_surf = canonical_class(ctx.e)
@@ -213,7 +166,8 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
 
     c(T_X) = (1 + 2*xi - c1') * (1 - K_F' + c2(T_F)'), with c2(T_F) = 4 pt'
     (the Euler number of any F_e is 4).  Self-checks: c1(T_X) = -K_X,
-    deg c3 = 8 and -K.c2 = 24; failures raise ConsistencyError.
+    deg c3 = 8 and -K.c2 = 24, both by degree() of a full product; failures
+    raise ConsistencyError.
     """
     c1, k_surf = ctx.c1, canonical_class(ctx.e)
     t_rel = _new(ChowClass, (0, 2, -c1.a, -c1.c, 0, 0, 0, 0))  # 2*xi - c1'
@@ -226,7 +180,7 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
     c3 = degree(c3x)
     if c3 != 8:
         raise ConsistencyError(f"deg c3(T_X) != 8: got {c3}")
-    minus_k_c2 = pairing(ctx, c1x, c2x)
+    minus_k_c2 = degree(multiply(ctx, c1x, c2x))
     if minus_k_c2 != 24:
         raise ConsistencyError(f"-K.c2(T_X) != 24: got {minus_k_c2}")
     return c1x, c2x, c3x
@@ -239,9 +193,13 @@ def _read_numbers(ctx: ScrollContext, tangent: tuple[ChowClass, ...]) -> Interse
     """The seven numbers of intersection_numbers(), for any context and its chern_TX.
 
     With K_X = -c1(T_X) = u*xi + (p*C0 + q*f)', T = c1^2 - c2, cD = c1.D and
-    DD = D.D, the rules of triple() give L^3 = T, K.L^2 = u*T + cD,
-    K^2.L = u^2*T + 2u*cD + DD and K^3 = u^3*T + 3u^2*cD + 3u*DD; c2.L and
-    K.c2 are pairing()'s sums over the curve coordinates of c2(T_X).
+    DD = D.D, the pairing rules in the module docstring give L^3 = T,
+    K.L^2 = u*T + cD, K^2.L = u^2*T + 2u*cD + DD and
+    K^3 = u^3*T + 3u^2*cD + 3u*DD.  c2(T_X) must be a curve class, else
+    ConsistencyError; by xi.(xi*D') = c1.D, xi.pt' = pt and
+    D1'.(xi*D2') = D1.D2, c2.L and K.c2 are sums over its coordinates.
+    multiply() is the other route: verify compares each number with the
+    degree of its full product.
     """
     c1x, c2x, c3x = tangent
     e, c1_c0, c1_f = ctx.e, ctx.c1_c0, ctx.c1.a
@@ -249,7 +207,9 @@ def _read_numbers(ctx: ScrollContext, tangent: tuple[ChowClass, ...]) -> Interse
     top = c1_f * c1_c0 + ctx.c1.c * c1_f - ctx.c2
     c_d = p * c1_c0 + q * c1_f
     d_d = 2 * p * q - e * p * p
-    _z, _xi, _h1, _h2, wxih1, wxih2, wp, _pt = c2x
+    wz, wxi, wh1, wh2, wxih1, wxih2, wp, wpt = c2x
+    if wz or wxi or wh1 or wh2 or wpt:
+        raise ConsistencyError(f"not a curve class: {c2x}")
     c2_l = wxih1 * c1_c0 + wxih2 * c1_f + wp
     return _new(IntersectionNumbers, (
         top,
@@ -270,7 +230,7 @@ def intersection_numbers(
     ``params`` is the member's (e, b, t) and ``tangent`` chern_TX(ctx).  Every
     entry is computed twice: read off K_X and c2(T_X) in one pass, and by the
     closed forms in (d, e, b, t).  Any disagreement raises ConsistencyError.
-    verify compares the entries with triple() and pairing() as well.
+    verify compares the entries with the degrees of their full products.
     """
     e, b, t = params
     by_chow = _read_numbers(ctx, tangent)

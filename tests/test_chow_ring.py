@@ -14,10 +14,8 @@ from fescroll.chow_ring import (
     degree,
     intersection_numbers,
     multiply,
-    pairing,
     prod,
     pullback,
-    triple,
 )
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
@@ -164,14 +162,24 @@ def test_class_arithmetic():
 def test_pairing_spots():
     _c1x, c2x, _c3x = chern_TX(CTX)
     k = canonical_class_X(CTX)
-    assert triple(CTX, XI, XI, XI) == 91
-    assert triple(CTX, k, XI, XI) == -100
-    assert pairing(CTX, XI, c2x) == 42
-    assert pairing(CTX, k, c2x) == -24
-    with pytest.raises(ConsistencyError, match="not a divisor class"):
-        triple(CTX, XI, XI, ONE)
-    with pytest.raises(ConsistencyError, match="not a curve class"):
-        pairing(CTX, XI, XI)
+    assert degree(prod(CTX, XI, XI, XI)) == 91
+    assert degree(prod(CTX, k, XI, XI)) == -100
+    assert degree(prod(CTX, XI, c2x)) == 42
+    assert degree(prod(CTX, k, c2x)) == -24
+
+
+def test_only_multiply_and_the_reader_read_c1_c0():
+    # the pairing rules are transcribed twice, by multiply and _read_numbers,
+    # and each route checks the other; any other function that reads c1.C0
+    # would be a third transcription, checked by neither
+    readers = set()
+    for path in Path(fescroll.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "c1_c0"
+                   for node in ast.walk(top)):
+                readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    readers.discard("chow_ring.ScrollContext")
+    assert readers == {"chow_ring.multiply", "chow_ring._read_numbers"}
 
 
 def test_multiply_commutes_and_associates_spot():

@@ -337,7 +337,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     ("report", "-e", "2", "-b", "7", "-t", "0"),
 ])
 def test_mixed_degree_product_exits_3_without_traceback(capsys, monkeypatch, argv):
-    # x*y gains x.xi*y.h1 points, so chern_TX hands pairing() a c2(T_X)
+    # x*y gains x.xi*y.h1 points, so chern_TX hands _read_numbers a c2(T_X)
     # that is not a curve class: a wrong formula, not a usage error
     real = chow_ring.multiply
     monkeypatch.setattr(chow_ring, "multiply", lambda ctx, x, y: real(ctx, x, y)

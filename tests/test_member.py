@@ -26,7 +26,7 @@ from fescroll.surface_lattice import ZERO, SurfaceTables
 COUNTED = {
     bundle_family: ("build_split", "chern", "invariant_r", "bundle_cohomology",
                     "sym2_pieces"),
-    chow_ring: ("chern_TX", "intersection_numbers", "triple", "multiply"),
+    chow_ring: ("chern_TX", "intersection_numbers", "multiply"),
     hilbert_component: ("check_hypotheses", "tangent_cohomology"),
     scroll_invariants: ("hilbert_polynomial",),
 }
@@ -67,8 +67,8 @@ def test_report_computes_each_value_once(calls, capsys):
         "sym2_pieces": 1,
         "check_hypotheses": 1,
         "chern_TX": 1,
-        "intersection_numbers": 1,  # reads its numbers off K_X: no triple call
-        "multiply": 2,  # the two products inside chern_TX
+        "intersection_numbers": 1,  # reads its numbers off K_X: no product
+        "multiply": 3,  # the three products inside chern_TX
         "tangent_cohomology": 1,
         "hilbert_polynomial": 1,
     }
@@ -96,7 +96,7 @@ def test_table_computes_intersection_numbers_once_per_row(calls, capsys):
                                   ["hilbert", "-e", "2", "-t", "0"]])
 def test_chow_products_run_only_in_chern_tx(monkeypatch, capsys, argv):
     # chi(N) and P(m) read the intersection numbers, which come from the
-    # pairings; the only full products are the two inside chern_TX
+    # pairings; the only full products are the three inside chern_TX
     depth, inside = [0], []
 
     def tracking(_name, fn):
@@ -118,7 +118,7 @@ def test_chow_products_run_only_in_chern_tx(monkeypatch, capsys, argv):
     _replace_everywhere(monkeypatch, chow_ring, "multiply", recording)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert inside == [True, True]
+    assert inside == [True, True, True]
 
 
 def test_verify_computes_each_value_once_per_member(calls, capsys):

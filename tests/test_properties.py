@@ -18,9 +18,7 @@ from fescroll.chow_ring import (
     chern_TX,
     degree,
     multiply,
-    pairing,
     prod,
-    triple,
 )
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
@@ -60,14 +58,6 @@ def family_params(draw):
 
 coefficients = st.integers(min_value=-9, max_value=9)
 chow_classes = st.builds(ChowClass, *[coefficients] * 8)
-divisor_classes = st.builds(
-    lambda xi, h1, h2: ChowClass(xi=xi, h1=h1, h2=h2),
-    coefficients, coefficients, coefficients,
-)
-curve_classes = st.builds(
-    lambda xih1, xih2, p: ChowClass(xih1=xih1, xih2=xih2, p=p),
-    coefficients, coefficients, coefficients,
-)
 
 
 @st.composite
@@ -149,50 +139,26 @@ def test_chow_ring_axioms(params, x, y, z):
     assert multiply(ctx, x, y + z) == multiply(ctx, x, y) + multiply(ctx, x, z)
 
 
-@given(scroll_contexts(), divisor_classes, divisor_classes, divisor_classes)
-def test_triple_is_degree_of_prod(ctx, x, y, z):
-    assert triple(ctx, x, y, z) == degree(prod(ctx, x, y, z))
-
-
-@given(scroll_contexts(), divisor_classes, curve_classes)
-def test_pairing_is_degree_of_multiply(ctx, x, w):
-    assert pairing(ctx, x, w) == degree(multiply(ctx, x, w))
-
-
 @given(scroll_contexts())
 def test_the_seven_numbers_read_off_k_x_are_its_pairings(ctx):
-    # for any c1 and c2, not only a member's: each number is triple() or
-    # pairing() of L = xi, K_X and the Chern classes of T_X, and the degree
-    # of their full product
+    # for any c1 and c2, not only a member's: each number is the degree of the
+    # full product of L = xi, K_X and the Chern classes of T_X in the ring
     tangent = chern_TX(ctx)
     c1x, c2x, c3x = tangent
     k = -c1x
     factors = ((XI, XI, XI), (k, XI, XI), (k, k, XI), (k, k, k), (XI, c2x), (k, c2x), (c3x,))
-    by_pairings = (*(triple(ctx, *three) for three in factors[:4]),
-                   *(pairing(ctx, *two) for two in factors[4:6]), degree(c3x))
-    assert _read_numbers(ctx, tangent) == by_pairings
-    assert by_pairings == tuple(degree(prod(ctx, *product)) for product in factors)
+    by_ring = tuple(degree(prod(ctx, *product)) for product in factors)
+    assert _read_numbers(ctx, tangent) == by_ring
 
 
-def _plus_at(cls, index, k):
-    coeffs = list(cls)
-    coeffs[index] += k
-    return ChowClass(*coeffs)
-
-
-@given(scroll_contexts(), divisor_classes, curve_classes,
-       st.sampled_from((0, 4, 5, 6, 7)), st.sampled_from((0, 1, 2, 3, 7)),
-       coefficients.filter(bool), st.integers(0, 2))
-def test_pairings_reject_mixed_degrees(ctx, x, w, off_divisor, off_curve, k, slot):
-    mixed = _plus_at(x, off_divisor, k)  # x plus a term outside degree one
-    args = [x, x, x]
-    args[slot] = mixed
-    with pytest.raises(ConsistencyError, match="not a divisor class"):
-        triple(ctx, *args)
-    with pytest.raises(ConsistencyError, match="not a divisor class"):
-        pairing(ctx, mixed, w)
+@given(scroll_contexts(), st.sampled_from((0, 1, 2, 3, 7)), coefficients.filter(bool))
+def test_the_reader_rejects_a_c2_that_is_not_a_curve_class(ctx, slot, k):
+    # a term in z, xi, h1, h2 or pt of c2(T_X) comes only from a wrong formula
+    c1x, c2x, c3x = chern_TX(ctx)
+    coeffs = list(c2x)
+    coeffs[slot] += k
     with pytest.raises(ConsistencyError, match="not a curve class"):
-        pairing(ctx, x, _plus_at(w, off_curve, k))
+        _read_numbers(ctx, (c1x, ChowClass(*coeffs), c3x))
 
 
 def _monomial_value(poly, m):

@@ -84,14 +84,14 @@ def test_the_closed_forms_of_every_member(symbolic_member):
 
 
 def test_the_numbers_read_off_k_x_are_the_pairings_in_z_e_b_t(symbolic_member):
-    # intersection_numbers expands the pairing rules once; triple() and
-    # pairing() take each number from the classes, as verify does per member
+    # intersection_numbers expands the pairing rules once; the ring takes each
+    # number as the degree of its full product, as verify does per member
     member = symbolic_member(E, B, T)
-    ctx, (c1x, c2x, _c3x) = member.ctx, member.chern_TX
+    ctx, (c1x, c2x, c3x) = member.ctx, member.chern_TX
     k, xi = -c1x, cr.XI
-    assert member.intersection_numbers[:6] == (
-        cr.triple(ctx, xi, xi, xi), cr.triple(ctx, k, xi, xi), cr.triple(ctx, k, k, xi),
-        cr.triple(ctx, k, k, k), cr.pairing(ctx, xi, c2x), cr.pairing(ctx, k, c2x))
+    factors = ((xi, xi, xi), (k, xi, xi), (k, k, xi), (k, k, k), (xi, c2x), (k, c2x), (c3x,))
+    assert member.intersection_numbers == tuple(
+        cr.degree(cr.prod(ctx, *product)) for product in factors)
 
 
 @pytest.mark.parametrize("name, old, new", [

@@ -542,15 +542,23 @@ def test_checks_keep_the_28_traced_identities_in_golden_order():
 # -- Chow pairings ------------------------------------------------------------
 
 
-def test_off_by_one_triple_fails_the_intersection_numbers_identity(monkeypatch, capsys):
-    real = cr.triple
-    monkeypatch.setattr(cr, "triple", lambda ctx, x, y, z: real(ctx, x, y, z) + 1)
+def test_an_oracle_reading_k3_as_k2l_fails_the_intersection_numbers_identity(
+        monkeypatch, capsys):
+    # the ring is the identity's own route: with K^3 read as K^2.L it must
+    # fail.  _mutant re-runs the @_register line, so it is made a no-op for
+    # the mutant, which takes the real check's place in _CHECKS
+    monkeypatch.setattr(verify, "_register", lambda name, sweep="surface": lambda fn: fn)
+    wrong = _mutant(verify._check_intersection_numbers, "(kk, k)", "(kk, xi)")
+    wrong.sweep = "member"
+    monkeypatch.setattr(verify, "_CHECKS", [
+        (name, wrong if fn is verify._check_intersection_numbers else fn)
+        for name, fn in verify._CHECKS])
     code = cli.main(["verify", "--e-max", "1", "--t-max", "1"])
     failing = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("FAIL")]
     assert code == 3
-    assert any(line.endswith("intersection numbers match their closed forms in (d, e, b, t)")
-               for line in failing)
+    assert failing == ["FAIL  [    20 cases]  "
+                       "intersection numbers match their closed forms in (d, e, b, t)"]
 
 
 def test_a_k3_off_by_one_stops_report_and_hilbpoly_and_fails_verify(monkeypatch, capsys):
