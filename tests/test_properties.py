@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fescroll import chow_ring
 from fescroll.bundle_family import (
     FamilyParams,
     build_split,
@@ -15,6 +17,7 @@ from fescroll.chow_ring import (
     ChowClass,
     ScrollContext,
     _read_numbers,
+    canonical_class_X,
     chern_TX,
     degree,
     multiply,
@@ -159,6 +162,20 @@ def test_the_reader_rejects_a_c2_that_is_not_a_curve_class(ctx, slot, k):
     coeffs[slot] += k
     with pytest.raises(ConsistencyError, match="not a curve class"):
         _read_numbers(ctx, (c1x, ChowClass(*coeffs), c3x))
+
+
+@given(scroll_contexts(), st.sampled_from((0, 4, 5, 6, 7)), coefficients.filter(bool))
+def test_chern_tx_keeps_c1_a_divisor_class(ctx, slot, k):
+    # _read_numbers reads K_X = -c1(T_X) off its xi, h1 and h2 slots alone; chern_TX
+    # compares c1(T_X) whole with -K_X, so a term in z, xi*h1, xi*h2, pt' or pt stops it
+    c1x = chern_TX(ctx)[0]
+    assert c1x == -canonical_class_X(ctx)
+    assert not any(c1x[s] for s in (0, 4, 5, 6, 7))
+    coeffs = list(canonical_class_X(ctx))
+    coeffs[slot] += k
+    with mock.patch.object(chow_ring, "canonical_class_X", lambda _ctx: ChowClass(*coeffs)):
+        with pytest.raises(ConsistencyError, match=r"c1\(T_X\) != -K_X"):
+            chern_TX(ctx)
 
 
 def _monomial_value(poly, m):
