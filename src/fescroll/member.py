@@ -75,6 +75,13 @@ class Member:
         return si.scroll_degree(self.params, self.ctx)
 
     @_once
+    def xi_powers(self) -> tuple[cr.ChowClass, int]:
+        """xi^2 and deg xi^3, by the ring from ctx alone, so that the
+        projective-bundle relation does not lean on chern_TX."""
+        xi2 = cr.multiply(self.ctx, cr.XI, cr.XI)
+        return xi2, cr.degree(cr.multiply(self.ctx, xi2, cr.XI))
+
+    @_once
     def h_of_L(self) -> tuple[int, int, int, int]:
         """h^i(X, L) for i = 0..3: the table of E with h^3 = 0."""
         return (*self.tables[2].as_tuple(), 0)

@@ -10,8 +10,14 @@ tables, h_of_L, sym2_pieces, flags, tangent, h_of_N) are not run.
 
 _mutant(fn, old, new) is fn recompiled with one edit, for the tests that
 check a fault is caught; import it with `from conftest import _mutant`.
+It is compiled without its decorators, so building a mutant of a verify
+check registers nothing; a caller that needs the descriptor (a property,
+Member's _once) wraps the mutant itself.
+
+The pytester plugin is loaded for the self-tests of the test settings.
 """
 
+import ast
 import inspect
 import textwrap
 
@@ -19,6 +25,8 @@ import pytest
 
 from fescroll.bundle_family import FamilyParams
 from fescroll.member import Member
+
+pytest_plugins = ["pytester"]
 
 
 def _symbolic_member(e, b, t) -> Member:
@@ -34,9 +42,12 @@ def symbolic_member():
 
 
 def _mutant(fn, old: str, new: str):
-    """fn recompiled from its source with the one occurrence of old replaced by new."""
+    """fn recompiled from its source, with the one occurrence of old replaced by
+    new and without its decorators."""
     source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1
+    tree = ast.parse(source.replace(old, new))
+    tree.body[0].decorator_list = []
     namespace = dict(vars(inspect.getmodule(fn)))
-    exec(source.replace(old, new), namespace)
+    exec(compile(tree, inspect.getsourcefile(fn), "exec"), namespace)
     return namespace[fn.__name__]

@@ -100,7 +100,7 @@ def test_the_numbers_read_off_k_x_are_the_pairings_in_z_e_b_t(symbolic_member):
 ])
 def test_a_wiring_mutant_of_member_fails_the_closed_forms(
         monkeypatch, symbolic_member, name, old, new):
-    monkeypatch.setattr(Member, name, _mutant(vars(Member)[name].fn, old, new))
+    monkeypatch.setattr(Member, name, _once(_mutant(vars(Member)[name].fn, old, new)))
     with pytest.raises((AssertionError, ConsistencyError)):
         _assert_closed_forms(symbolic_member(E, B, T))
 

@@ -1,11 +1,13 @@
 """Internals of the verify battery: the threshold certificate for r, the
-per-surface table memo, the symbolic identities with their sampled
-oracle, their straight-line premise and the mutants they catch, the
-proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the comparison on
-[4, 8] that is its oracle, the recorder, how an error raised inside an
-identity is counted, the guard identities that fail when only a layer's
-own check catches a fault, the count of the walk, the identity names the
-benchmark traces, and the identity that a broken Chow pairing fails."""
+per-surface table memo, the per-surface proofs that keep Poly out of the
+member loop, the Chow products made per member, the symbolic identities
+with their sampled oracle, their straight-line premise and the mutants
+they catch, the proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the
+comparison on [4, 8] that is its oracle, the recorder, how an error
+raised inside an identity is counted, the guard identities that fail when
+only a layer's own check catches a fault, the count of the walk, the
+identity names the benchmark traces, and the identity that a broken Chow
+pairing fails."""
 
 import ast
 import inspect
@@ -25,12 +27,13 @@ import fescroll.cli as cli
 from fescroll import bundle_family as bf
 from fescroll import chow_ring as cr
 from fescroll import hilbert_component as hc
+from fescroll import poly as poly_module
 from fescroll import scroll_invariants as si
 from fescroll import surface_lattice as sl
 from fescroll import verify
 from fescroll.bundle_family import FamilyParams, build_split, invariant_r, iter_valid_params
 from fescroll.errors import ConsistencyError
-from fescroll.member import Member
+from fescroll.member import Member, _once
 from fescroll.poly import Poly
 
 CANONICAL = "K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)"
@@ -78,23 +81,63 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
     assert len(calls) <= 8
 
 
-def test_ell2_identity_normalises_only_its_variable(monkeypatch):
-    # Poly arithmetic builds its results directly, so the one pass through
-    # the normalising constructor is Poly.var("r"); no int operand is lifted
-    member = Member(FamilyParams(2, 7, 0))
-    calls = []
-    real = Poly.__init__
+def _poly_counter(monkeypatch):
+    """run(e_max, t_max): the variables Poly.var names in run_all, and how many
+    Poly results its arithmetic makes, each through the one function that
+    builds it."""
+    names, made = Counter(), Counter()
+    real_init, real_make = Poly.__init__, poly_module._make
 
-    def counting(self, pairs):
+    def init(self, pairs):
         pairs = list(pairs)
-        calls.append(pairs)
-        real(self, pairs)
+        names.update(name for mono, _c in pairs for name in mono)
+        real_init(self, pairs)
 
-    monkeypatch.setattr(Poly, "__init__", counting)
-    rec = verify.CheckResult("identity")
-    verify._check_ell2(rec, member)
-    assert (rec.cases, rec.failures) == (1, [])
-    assert calls == [[(("r",), 1)]]
+    def make(terms):
+        made["polys"] += 1
+        return real_make(terms)
+
+    monkeypatch.setattr(Poly, "__init__", init)
+    monkeypatch.setattr(poly_module, "_make", make)
+
+    def run(e_max, t_max):
+        names.clear()
+        made.clear()
+        assert all(result.ok for result in verify.run_all(e_max, t_max))
+        return Counter(names), made["polys"]
+
+    return run
+
+
+def test_run_all_builds_polys_per_surface_never_per_member(monkeypatch):
+    # the ell identity proves ell affine in r once per sweep, as the ring
+    # axioms and bilinearity are proved; each member evaluates in integers
+    run = _poly_counter(monkeypatch)
+    names_0, _made_0 = run(0, 1)
+    names_1, made_1 = run(1, 1)
+    assert {"r", "c1.a", "c1.c", "c2"} <= set(names_0)
+    assert names_1 == {name: 2 * n for name, n in names_0.items()}
+    # (1, 3) has 52 members on the same two surfaces as the 20 of (1, 1)
+    assert run(1, 3) == (names_1, made_1)
+
+
+def test_an_ell_quadratic_in_r_fails_the_ell2_identity_and_leaves_no_trace(
+        monkeypatch, capsys):
+    # 2*d1*r*r equals 2*d1*r at r = 0 and r = 1, the two points each member
+    # reads, so only the sweep's proof that ell is affine in r can see it
+    quadratic = _mutant(bf.ell_invariant, "+ 2 * d1 * r", "+ 2 * d1 * r * r")
+    cd = Member(FamilyParams(2, 7, 0)).chern
+    assert all(quadratic(cd, 2, 2, r) == bf.ell_invariant(cd, 2, 2, r) for r in (0, 1))
+    argv = ["verify", "--e-max", "2", "--t-max", "2"]
+    with monkeypatch.context() as patch:
+        patch.setattr(bf, "ell_invariant", quadratic)
+        assert cli.main(argv) == 3
+        failing = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("FAIL")]
+        assert f"FAIL  [{bf.grid_member_count(2, 2):6d} cases]  {ELL2}" in failing
+    # the proof lives on the run's sweeps, so the next run proves it afresh
+    assert cli.main(argv) == 0
+    capsys.readouterr()
 
 
 def test_a_c0_of_c0_plus_f_fails_the_canonical_identity(monkeypatch, capsys):
@@ -150,6 +193,17 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     # one sweep per surface, each gone before the next is built and after run_all
     assert alive_at_creation == [0, 0, 0, 0]
     assert all(ref() is None for ref in sweeps)
+
+
+def test_run_all_multiplies_11_times_per_member_and_7_per_surface(monkeypatch):
+    # per member: 3 in chern_TX, xi^2 and xi^3 shared by the projective-bundle
+    # relation and the ring route, and K^2 with five pairings in that route;
+    # per surface: the 7 products of the ring-axiom proof
+    calls = []
+    real = cr.multiply
+    monkeypatch.setattr(cr, "multiply", lambda ctx, x, y: calls.append(ctx) or real(ctx, x, y))
+    assert all(result.ok for result in verify.run_all(2, 2))
+    assert len(calls) == 11 * bf.grid_member_count(2, 2) + 7 * 3
 
 
 # -- symbolic identities ------------------------------------------------------
@@ -450,7 +504,7 @@ def test_a_wrong_sym_chi_past_the_coefficients_fails_the_p_of_m_identity(
 
 def test_n_read_as_h0_of_e_fails_the_p_of_m_identity_at_p_of_1(monkeypatch, capsys):
     # P(1) = chi(E) = h^0(E), so an n of h^0(E) fails the P(1) = n+1 of the label
-    wrong_n = _mutant(vars(Member)["n"].fn, "self.tables[2].h0 - 1", "self.tables[2].h0")
+    wrong_n = _once(_mutant(vars(Member)["n"].fn, "self.tables[2].h0 - 1", "self.tables[2].h0"))
     monkeypatch.setattr(Member, "n", wrong_n)
     assert _verify_1_1_exit_code(capsys) == 3
     p_of_m = _results_by_name(1, 1)[P_OF_M]
@@ -489,8 +543,8 @@ def test_verify_reads_sym_chi_ten_times_per_member(monkeypatch, capsys):
 def test_a_wrong_regime_predicate_exits_3_from_verify_and_report(monkeypatch, capsys):
     # with b = 2e+4+t no member is in the regime: the regime identities
     # would pass on 0 cases, and report would print no component
-    # the getter's source carries its @property, so the mutant is a property
-    wrong = _mutant(bf.FamilyParams.paper_regime.fget, "2 * self.e + 3", "2 * self.e + 4")
+    wrong = property(
+        _mutant(bf.FamilyParams.paper_regime.fget, "2 * self.e + 3", "2 * self.e + 4"))
     monkeypatch.setattr(bf.FamilyParams, "paper_regime", wrong)
     assert cli.main(["verify", "--e-max", "3", "--t-max", "3"]) == 3
     assert cli.main(["report", "-e", "2", "-b", "7", "-t", "0"]) == 3
@@ -545,10 +599,10 @@ def test_checks_keep_the_28_traced_identities_in_golden_order():
 def test_an_oracle_reading_k3_as_k2l_fails_the_intersection_numbers_identity(
         monkeypatch, capsys):
     # the ring is the identity's own route: with K^3 read as K^2.L it must
-    # fail.  _mutant re-runs the @_register line, so it is made a no-op for
-    # the mutant, which takes the real check's place in _CHECKS
-    monkeypatch.setattr(verify, "_register", lambda name, sweep="surface": lambda fn: fn)
+    # fail.  _mutant compiles no @_register, so the mutant is not registered;
+    # it takes the real check's place in _CHECKS
     wrong = _mutant(verify._check_intersection_numbers, "(kk, k)", "(kk, xi)")
+    assert len(verify._CHECKS) == 28
     wrong.sweep = "member"
     monkeypatch.setattr(verify, "_CHECKS", [
         (name, wrong if fn is verify._check_intersection_numbers else fn)
