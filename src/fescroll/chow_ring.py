@@ -30,8 +30,8 @@ expands the four triple products of L = xi and K_X by
 
 takes c2.L and K.c2 from the curve coordinates of c2(T_X) and c3 from
 degree(), and intersection_numbers() checks each number against its
-closed form in (d, e, b, t).  multiply() and prod() build the full normal
-form: the verification suite proves the ring axioms on symbolic classes,
+closed form in (d, e, b, t).  multiply() builds the full normal form:
+the verification suite proves the ring axioms on symbolic classes,
 checks the projective-bundle relation and compares every member's seven
 numbers with the degrees of their full products, and chern_TX() reads
 -K.c2 by the full product.  Only a wrong formula makes a class of mixed
@@ -139,13 +139,6 @@ def multiply(ctx: ScrollContext, x: ChowClass, y: ChowClass) -> ChowClass:
         + (xh1 * yxih2 + xxih2 * yh1)
         + (xh2 * yxih1 + xxih1 * yh2),
     ))
-
-
-def prod(ctx: ScrollContext, first: ChowClass, *rest: ChowClass) -> ChowClass:
-    acc = first
-    for cls in rest:
-        acc = multiply(ctx, acc, cls)
-    return acc
 
 
 def degree(x: ChowClass) -> int:

@@ -5,7 +5,8 @@ sorted tuple of its variables' names (x^2*y is ("x", "x", "y")), and keeps
 no zero coefficient.  +, -, * and == take a Poly or an int, so straight-line
 integer code run on Poly variables proves an identity for every integer
 value of them: it holds exactly when its two sides are equal polynomials.
-divmod by an int works coefficient by coefficient.
+divmod by an int works coefficient by coefficient, and at() substitutes
+integers for some of the variables.
 
 Arithmetic builds each result's dict directly and relies on two invariants:
 no zero coefficient is stored, and a Poly is never mutated, so a result may
@@ -14,6 +15,7 @@ share an operand (p + 0 is p).  Only Poly(pairs) and Poly.var normalise.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 
@@ -66,6 +68,12 @@ class Poly:
         pairs = [(mono, divmod(c, k)) for mono, c in self.terms.items()]
         return (_make({mono: q for mono, (q, _r) in pairs if q}),
                 _make({mono: r for mono, (_q, r) in pairs if r}))
+
+    def at(self, point: dict[str, int]) -> Poly:
+        """This polynomial with each variable named in point set to its int value."""
+        return Poly((tuple(v for v in mono if v not in point),
+                     c * math.prod(point[v] for v in mono if v in point))
+                    for mono, c in self.terms.items())
 
     def __neg__(self) -> Poly:
         return self * -1

@@ -10,10 +10,11 @@ it forces the value and counts one case.  The others run a route of
 their own against it: r, for one, is certified by h^0 at its two
 neighbouring fiber twists.
 
-Symbolic arithmetic stays out of the member loop.  What holds for every
-value of a variable is proved once per surface, on Poly variables, and
-each member evaluates in integers: the _Sweep proves ell(c1, c2, 2, r)
-affine in r, so each member checks it at r = 0 and r = 1 only.
+Symbolic arithmetic stays out of the surface and member loops.  What
+holds for every value of a variable is proved once per run, on Poly
+variables with e among them, and each surface and member evaluates in
+integers: the run's _Proofs prove ell(c1, c2, 2, r) affine in r, so each
+member checks it at r = 0 and r = 1 only.
 """
 
 from __future__ import annotations
@@ -75,26 +76,63 @@ def _register(name: str, sweep: str = "surface"):
     return wrap
 
 
-class _Sweep(sl.SurfaceTables):
-    """One surface F_e of the grid: the tables its identities and its members
-    share, t_max, the bound of the window sweeps, and the proofs its member
-    identities share.  Nothing outlives the sweep, so a fault patched into
-    one run_all is never seen by the next."""
-
-    def __init__(self, e: int, t_max: int) -> None:
-        super().__init__(e)
-        self.t_max = t_max
+class _Proofs:
+    """The symbolic identities of one run_all, each proved once, on Poly
+    variables with e among them, and kept as the difference of its sides.
+    The code they run is straight-line, so that remainder at an integer e
+    (_at) is what a proof on F_e alone would leave.  Each is a _once value,
+    timed in the first identity that reads it; nothing keeps the record
+    past its run, so a fault patched into one run is proved afresh in the
+    next."""
 
     @_once
-    def ell2_affine(self) -> bool:
-        """Whether ell(c1, c2, 2, r) - ell(.., 0) = r*(ell(.., 1) - ell(.., 0))
-        on variables c1.a, c1.c, c2 and r.  ell_invariant is straight-line, so
-        then ell is affine in r for every member of F_e, and its values at
-        r = 0 and r = 1 fix it at every integer r."""
+    def ring_axioms(self) -> tuple[tuple[str, cr.ChowClass], ...]:
+        """(axiom, lhs - rhs) of multiply on classes x, y, z, all variables."""
+        c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
+        mul = partial(cr.multiply, cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")))
+        x, y, z = (cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
+                   for name in "xyz")
+        xy = mul(x, y)
+        return (("commutativity", xy - mul(y, x)),
+                ("associativity", mul(xy, z) - mul(x, mul(y, z))),
+                ("distributivity", mul(x, y + z) - (xy + mul(x, z))))
+
+    @_once
+    def bilinear(self) -> tuple[tuple[str, Poly], ...]:
+        """(property, lhs - rhs) of the pairing on variable D1, D2, D3 and k."""
+        e, k = Poly.var("e"), Poly.var("k")
+        d1, d2, d3 = (sl.DivisorClass(Poly.var(f"D{i}.a"), Poly.var(f"D{i}.c")) for i in "123")
+        return (("symmetry", sl.intersect(e, d1, d2) - sl.intersect(e, d2, d1)),
+                ("linearity", sl.intersect(e, d1 + d2 * k, d3)
+                 - (sl.intersect(e, d1, d3) + k * sl.intersect(e, d2, d3))))
+
+    @_once
+    def ell2(self) -> Poly:
+        """ell(c1, c2, 2, r) - ell(.., 0) - r*(ell(.., 1) - ell(.., 0)) on variables
+        e, c1.a, c1.c, c2 and r: where it vanishes ell is affine in r, and its
+        values at r = 0 and r = 1 fix it at every integer r."""
         cd = bf.ChernData(sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c")), Poly.var("c2"))
-        ell, r = partial(bf.ell_invariant, cd, self.e, 2), Poly.var("r")
+        ell, r = partial(bf.ell_invariant, cd, Poly.var("e"), 2), Poly.var("r")
         at_0 = ell(0)
-        return ell(r) - at_0 == r * (ell(1) - at_0)
+        return ell(r) - at_0 - r * (ell(1) - at_0)
+
+
+def _at(remainder, e: int):
+    """A remainder of _Proofs, a Poly or a ChowClass of them, at the integer e."""
+    if isinstance(remainder, tuple):
+        return remainder._make(_at(poly, e) for poly in remainder)
+    return remainder and remainder.at({"e": e})
+
+
+class _Sweep(sl.SurfaceTables):
+    """One surface F_e of the grid: the tables its identities and its members
+    share, t_max, the bound of the window sweeps, and the run's _Proofs.
+    Nothing outlives the run, so a fault patched into one run_all is never
+    seen by the next."""
+
+    def __init__(self, e: int, t_max: int, proofs: _Proofs) -> None:
+        super().__init__(e)
+        self.t_max, self.proofs = t_max, proofs
 
 
 # the classes a*C0 + c*f with |a|, |c| <= 12 that the surface identities sweep
@@ -184,13 +222,10 @@ def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
 
 @_register("intersection pairing symmetric and bilinear")
 def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
-    e, k = sweep.e, Poly.var("k")
-    d1, d2, d3 = (sl.DivisorClass(Poly.var(f"D{i}.a"), Poly.var(f"D{i}.c")) for i in "123")
-    for prop, lhs, rhs in (
-            ("symmetry", sl.intersect(e, d1, d2), sl.intersect(e, d2, d1)),
-            ("linearity", sl.intersect(e, d1 + d2 * k, d3),
-             sl.intersect(e, d1, d3) + k * sl.intersect(e, d2, d3))):
-        rec.case(lhs == rhs, lambda: f"e={e}: {prop} fails, the difference is {lhs - rhs}")
+    e = sweep.e
+    for prop, diff in sweep.proofs.bilinear:
+        diff = _at(diff, e)
+        rec.case(not diff, lambda: f"e={e}: {prop} fails, the difference is {diff}")
 
 
 @_register("h^1 fiberwise route = h^1 chi-subtraction route")
@@ -235,11 +270,13 @@ def _check_chern_presentations(rec: CheckResult, member: Member) -> None:
 
 @_register("ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r", "member")
 def _check_ell2(rec: CheckResult, member: Member) -> None:
-    # the member's sweep proves ell affine in r, so two integer values fix it
-    params = member.params
+    # the run's proofs show ell affine in r, so two integer values fix it; a
+    # member that is not on a sweep proves it for itself
+    params, surface = member.params, member.surface
+    proofs = surface.proofs if isinstance(surface, _Sweep) else _Proofs()
     expected = params.b - params.t - 2 * params.e - 4
     ell = partial(bf.ell_invariant, member.chern, params.e, 2)
-    ok = expected < 0 and member.surface.ell2_affine and ell(0) == expected == ell(1)
+    ok = expected < 0 and not _at(proofs.ell2, params.e) and ell(0) == expected == ell(1)
     rec.case(ok, lambda: f"{params}: ell = {ell(Poly.var('r'))}, expected {expected}")
 
 
@@ -327,20 +364,13 @@ def _a_term(diff: cr.ChowClass) -> str:
 
 @_register("Chow product commutative, associative, distributive")
 def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
-    # multiply is straight-line code, so on classes x, y, z whose coefficients
-    # and c1, c2 are variables each axiom is a polynomial identity, proved for
-    # every class of every member of F_e
+    # multiply is straight-line, so each axiom on variable classes and e, c1,
+    # c2 is a polynomial identity, proved once per run; F_e reads it at its e
     e = sweep.e
-    c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
-    mul = partial(cr.multiply, cr.ScrollContext(e, c1, Poly.var("c2")))
-    x, y, z = (cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
-               for name in "xyz")
-    xy = mul(x, y)
-    for axiom, lhs, rhs in (("commutativity", xy, mul(y, x)),
-                            ("associativity", mul(xy, z), mul(x, mul(y, z))),
-                            ("distributivity", mul(x, y + z), xy + mul(x, z))):
-        rec.case(lhs == rhs,
-                 lambda: f"e={e}: {axiom} fails, the difference has {_a_term(lhs - rhs)}")
+    for axiom, diff in sweep.proofs.ring_axioms:
+        diff = _at(diff, e)
+        rec.case(not any(diff),
+                 lambda: f"e={e}: {axiom} fails, the difference has {_a_term(diff)}")
 
 
 @_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
@@ -487,6 +517,8 @@ def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     (e, b, t) of F_e, in iter_valid_params order, each Member sharing the
     sweep's tables.  So each table is computed once per surface, and each
     member value, with the cross-check that guards it, once per member.
+    Every sweep shares the run's one _Proofs, so each symbolic identity is
+    proved once per run, whatever e_max.
     Each is let go when the next one replaces it, so one surface's tables,
     and one member's data, are alive at a time; each check still sees its
     subjects in grid order.  A ConsistencyError raised while a check
@@ -508,9 +540,11 @@ def run_all(e_max: int, t_max: int) -> list[CheckResult]:
     member = [(fn, rec) for fn, rec in checks if fn.sweep == "member"]
     regime = [(fn, rec) for fn, rec in checks if fn.sweep != "surface"]
     members = regime_members = 0
+    proofs = _Proofs()
     for e in range(e_max + 1):
         # built in the call, so the last surface's sweep is gone before this one
-        on_surface, in_regime = _visit_surface(_Sweep(e, t_max), surface, member, regime)
+        on_surface, in_regime = _visit_surface(_Sweep(e, t_max, proofs), surface, member,
+                                               regime)
         members += on_surface
         regime_members += in_regime
     expected = (bf.grid_member_count(e_max, t_max), (min(e_max, 2) + 1) * (t_max + 1))

@@ -8,6 +8,9 @@ closed form of every member at once.  n = h^0(E) - 1 is given as
 against chi(Sym^1 E) - 1.  The values that read line-bundle tables (n,
 tables, h_of_L, sym2_pieces, flags, tangent, h_of_N) are not run.
 
+_prod(ctx, *classes) folds multiply over classes, the full product in the
+Chow ring; import it with `from conftest import _prod`.
+
 _mutant(fn, old, new) is fn recompiled with one edit, for the tests that
 check a fault is caught; import it with `from conftest import _mutant`.
 It is compiled without its decorators, so building a mutant of a verify
@@ -20,9 +23,11 @@ The pytester plugin is loaded for the self-tests of the test settings.
 import ast
 import inspect
 import textwrap
+from functools import partial, reduce
 
 import pytest
 
+from fescroll import chow_ring as cr
 from fescroll.bundle_family import FamilyParams
 from fescroll.member import Member
 
@@ -39,6 +44,11 @@ def _symbolic_member(e, b, t) -> Member:
 def symbolic_member():
     """The factory symbolic_member(e, b, t) of symbolic members."""
     return _symbolic_member
+
+
+def _prod(ctx: cr.ScrollContext, *classes: cr.ChowClass) -> cr.ChowClass:
+    """The product of classes, multiplied left to right in the ring of ctx."""
+    return reduce(partial(cr.multiply, ctx), classes)
 
 
 def _mutant(fn, old: str, new: str):

@@ -8,6 +8,7 @@ or the theorem regime inside it, and prints a single
 from contextlib import contextmanager
 
 import pytest
+from conftest import _prod
 
 from fescroll.bundle_family import (
     FamilyParams,
@@ -17,7 +18,7 @@ from fescroll.bundle_family import (
     iter_valid_params,
     sym_chi,
 )
-from fescroll.chow_ring import XI, IntersectionNumbers, degree, prod
+from fescroll.chow_ring import XI, IntersectionNumbers, degree
 from fescroll.member import Member
 from fescroll.surface_lattice import intersect
 from fescroll.verify import run_all
@@ -80,7 +81,7 @@ def test_c03_embedding_dimension_and_degree(criterion):
             cd = m.chern
             assert d == intersect(p.e, cd.c1, cd.c1) - cd.c2
             ctx = m.ctx
-            assert d == degree(prod(ctx, XI, XI, XI))
+            assert d == degree(_prod(ctx, XI, XI, XI))
 
 
 def test_c04_intersection_numbers(criterion):

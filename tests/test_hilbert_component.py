@@ -4,11 +4,12 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from conftest import _prod
 
 from fescroll import bundle_family as bf
 from fescroll import hilbert_component
 from fescroll.bundle_family import FamilyParams, iter_valid_params
-from fescroll.chow_ring import XI, ChowClass, degree, multiply, prod
+from fescroll.chow_ring import XI, ChowClass, degree, multiply
 from fescroll.errors import ConsistencyError, HypothesesError, exact_div
 from fescroll.hilbert_component import (
     HypothesisFlags,
@@ -153,12 +154,12 @@ def _chi_normal_by_chow_classes(member):
         ns.append(nk)
     _, n1, n2, n3 = ns
     _, c1, c2, _ = c
-    ch2 = prod(ctx, n1, n1) - 2 * n2  # twice ch_2(N)
-    ch3 = degree(prod(ctx, n1, n1, n1)) - 3 * degree(prod(ctx, n1, n2)) + 3 * degree(n3)
+    ch2 = _prod(ctx, n1, n1) - 2 * n2  # twice ch_2(N)
+    ch3 = degree(_prod(ctx, n1, n1, n1)) - 3 * degree(_prod(ctx, n1, n2)) + 3 * degree(n3)
     return (Fraction(ch3, 6)
-            + Fraction(degree(prod(ctx, c1, ch2)), 4)
-            + Fraction(degree(prod(ctx, prod(ctx, c1, c1) + c2, n1)), 12)
-            + Fraction((n - 3) * degree(prod(ctx, c1, c2)), 24))
+            + Fraction(degree(_prod(ctx, c1, ch2)), 4)
+            + Fraction(degree(_prod(ctx, _prod(ctx, c1, c1) + c2, n1)), 12)
+            + Fraction((n - 3) * degree(_prod(ctx, c1, c2)), 24))
 
 
 def test_chi_normal_matches_the_chow_class_oracle():

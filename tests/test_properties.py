@@ -2,6 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from conftest import _prod
 from hypothesis import given, settings, strategies as st
 
 from fescroll import chow_ring
@@ -21,7 +22,6 @@ from fescroll.chow_ring import (
     chern_TX,
     degree,
     multiply,
-    prod,
 )
 from fescroll.errors import ConsistencyError
 from fescroll.member import Member
@@ -150,7 +150,7 @@ def test_the_seven_numbers_read_off_k_x_are_its_pairings(ctx):
     c1x, c2x, c3x = tangent
     k = -c1x
     factors = ((XI, XI, XI), (k, XI, XI), (k, k, XI), (k, k, k), (XI, c2x), (k, c2x), (c3x,))
-    by_ring = tuple(degree(prod(ctx, *product)) for product in factors)
+    by_ring = tuple(degree(_prod(ctx, *product)) for product in factors)
     assert _read_numbers(ctx, tangent) == by_ring
 
 

@@ -6,10 +6,8 @@ member at once, and a fault in member.py fails it.  Poly defines no order:
 a comparison of e, b or t anywhere on the ungated chain raises TypeError.
 """
 
-import math
-
 import pytest
-from conftest import _mutant
+from conftest import _mutant, _prod
 
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
@@ -91,7 +89,7 @@ def test_the_numbers_read_off_k_x_are_the_pairings_in_z_e_b_t(symbolic_member):
     k, xi = -c1x, cr.XI
     factors = ((xi, xi, xi), (k, xi, xi), (k, k, xi), (k, k, k), (xi, c2x), (k, c2x), (c3x,))
     assert member.intersection_numbers == tuple(
-        cr.degree(cr.prod(ctx, *product)) for product in factors)
+        cr.degree(_prod(ctx, *product)) for product in factors)
 
 
 @pytest.mark.parametrize("name, old, new", [
@@ -173,8 +171,7 @@ def _at(x, point):
     """x, a Poly, an int or a tuple of them, at the integer point {"e": e, "b": b, "t": t}."""
     if isinstance(x, tuple):
         return tuple(_at(y, point) for y in x)
-    terms = x.terms.items() if isinstance(x, Poly) else [((), x)]
-    return sum(c * math.prod(point[v] for v in mono) for mono, c in terms)
+    return x.at(point) if isinstance(x, Poly) else x
 
 
 @pytest.mark.parametrize("e, b, t", [(0, 3, 0), (1, 4, 3), (2, 7, 0), (3, 5, 2), (5, 20, 40)])

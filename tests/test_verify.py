@@ -1,6 +1,7 @@
 """Internals of the verify battery: the threshold certificate for r, the
-per-surface table memo, the per-surface proofs that keep Poly out of the
-member loop, the Chow products made per member, the symbolic identities
+per-surface table memo, the per-run proofs that keep Poly out of the
+surface and member loops, the Chow products made per member and per run,
+the symbolic identities
 with their sampled oracle, their straight-line premise and the mutants
 they catch, the proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the
 comparison on [4, 8] that is its oracle, the recorder, how an error
@@ -109,16 +110,14 @@ def _poly_counter(monkeypatch):
     return run
 
 
-def test_run_all_builds_polys_per_surface_never_per_member(monkeypatch):
-    # the ell identity proves ell affine in r once per sweep, as the ring
-    # axioms and bilinearity are proved; each member evaluates in integers
+def test_run_all_builds_polys_once_per_run(monkeypatch):
+    # the ring axioms, bilinearity and ell affine in r are proved once per
+    # run, with e a variable; each surface and member evaluates in integers
     run = _poly_counter(monkeypatch)
-    names_0, _made_0 = run(0, 1)
-    names_1, made_1 = run(1, 1)
-    assert {"r", "c1.a", "c1.c", "c2"} <= set(names_0)
-    assert names_1 == {name: 2 * n for name, n in names_0.items()}
-    # (1, 3) has 52 members on the same two surfaces as the 20 of (1, 1)
-    assert run(1, 3) == (names_1, made_1)
+    names, made = run(0, 1)
+    assert {"e", "r", "c1.a", "c1.c", "c2", "k"} <= set(names)
+    # (1, 1) has 20 members on two surfaces, (8, 1) has 108 on nine
+    assert run(1, 1) == run(8, 1) == (names, made)
 
 
 def test_an_ell_quadratic_in_r_fails_the_ell2_identity_and_leaves_no_trace(
@@ -169,9 +168,9 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     sweeps, alive_at_creation = [], []
 
     class TrackedSweep(verify._Sweep):
-        def __init__(self, e, t_max):
+        def __init__(self, *args):
             alive_at_creation.append(sum(ref() is not None for ref in sweeps))
-            super().__init__(e, t_max)
+            super().__init__(*args)
             sweeps.append(weakref.ref(self))
 
     monkeypatch.setattr(sl, "cohomology", counting)
@@ -195,15 +194,54 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     assert all(ref() is None for ref in sweeps)
 
 
-def test_run_all_multiplies_11_times_per_member_and_7_per_surface(monkeypatch):
+def test_run_all_multiplies_11_times_per_member_and_7_per_run(monkeypatch):
     # per member: 3 in chern_TX, xi^2 and xi^3 shared by the projective-bundle
     # relation and the ring route, and K^2 with five pairings in that route;
-    # per surface: the 7 products of the ring-axiom proof
+    # per run: the 7 products of the ring-axiom proof, whatever e_max
     calls = []
     real = cr.multiply
     monkeypatch.setattr(cr, "multiply", lambda ctx, x, y: calls.append(ctx) or real(ctx, x, y))
-    assert all(result.ok for result in verify.run_all(2, 2))
-    assert len(calls) == 11 * bf.grid_member_count(2, 2) + 7 * 3
+    for e_max in (0, 2, 5):
+        calls.clear()
+        assert all(result.ok for result in verify.run_all(e_max, 1))
+        assert len(calls) == 11 * bf.grid_member_count(e_max, 1) + 7
+
+
+def test_ell2_identity_on_a_member_with_its_own_tables_proves_ell_itself():
+    # off a sweep there are no run proofs to read, so the member proves ell
+    # affine in r for itself and counts its case
+    rec = verify.CheckResult(ELL2)
+    verify._check_ell2(rec, Member(FamilyParams(2, 7, 0)))
+    assert (rec.cases, rec.failures) == (1, [])
+
+
+def _per_surface_ring_axiom_failures(multiply, e):
+    """The failure lines of the ring-axiom identity proved on F_e alone, with e
+    an integer: the oracle of the proof with e a variable."""
+    c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
+    ctx = cr.ScrollContext(e, c1, Poly.var("c2"))
+    x, y, z = (cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
+               for name in "xyz")
+    xy = multiply(ctx, x, y)
+    sides = (("commutativity", xy, multiply(ctx, y, x)),
+             ("associativity", multiply(ctx, xy, z), multiply(ctx, x, multiply(ctx, y, z))),
+             ("distributivity", multiply(ctx, x, y + z), xy + multiply(ctx, x, z)))
+    return [f"e={e}: {axiom} fails, the difference has {verify._a_term(lhs - rhs)}"
+            for axiom, lhs, rhs in sides if lhs != rhs]
+
+
+def test_a_multiply_fault_vanishing_at_e_0_and_1_fails_only_larger_surfaces(monkeypatch, capsys):
+    # e*(e-1) is zero on F_0 and F_1 only: the proof with e a variable fails
+    # on each other surface with the lines a proof on that surface prints
+    fault = _mutant(cr.multiply, "+ (xh1 * yh2 + xh2 * yh1),",
+                    "+ (xh1 * yh2 + xh2 * yh1) + e * (e - 1) * xh1 * yh2,")
+    monkeypatch.setattr(cr, "multiply", fault)
+    assert cli.main(["verify", "--e-max", "1", "--t-max", "1"]) == 0
+    capsys.readouterr()
+    failures = _results_by_name(3, 1)[RING_AXIOMS].failures
+    assert failures[0] == "e=2: commutativity fails, the difference has 2*x.h1*y.h2 in p"
+    by_surface = (_per_surface_ring_axiom_failures(fault, e) for e in range(4))
+    assert failures == [line for lines in by_surface for line in lines]
 
 
 # -- symbolic identities ------------------------------------------------------
@@ -257,8 +295,9 @@ _DIVIDING = (ast.Div, ast.FloorDiv, ast.Mod)
 )
 def test_code_proved_on_symbols_is_straight_line(code):
     # a branch or a loop on values runs one path for the symbols and may
-    # take another for some integers, so the proof would not cover them;
-    # a division of a polynomial need not be one, so nothing divides either
+    # take another for some integers, so the proof would not cover them: a
+    # test of e would make verify's one proof in e differ from a proof on
+    # F_e; a division of a polynomial need not be one, so nothing divides either
     tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
     assert [type(node).__name__ for node in ast.walk(tree)
             if isinstance(node, _BRANCHING + _DIVIDING)] == []
