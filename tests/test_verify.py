@@ -1,14 +1,13 @@
 """Internals of the verify battery: the threshold certificate for r, the
 per-surface table memo, the per-run proofs that keep Poly out of the
 surface and member loops, the Chow products made per member and per run,
-the symbolic identities
-with their sampled oracle, their straight-line premise and the mutants
-they catch, the proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the
-comparison on [4, 8] that is its oracle, the recorder, how an error
-raised inside an identity is counted, the guard identities that fail when
-only a layer's own check catches a fault, the count of the walk, the
-identity names the benchmark traces, and the identity that a broken Chow
-pairing fails."""
+the symbolic identities with their sampled oracle, their straight-line
+premise and the mutants they catch, the proof of P(m) = chi(Sym^m E) in
+Z[e, b, t, m] and the comparison on [4, 8] that is its oracle, the
+recorder, how an error raised inside an identity is counted, the guard
+identities that fail when only a layer's own check catches a fault, the
+count of the walk, the identity names the benchmark traces, and the
+identity that a broken Chow pairing fails."""
 
 import ast
 import inspect
