@@ -57,21 +57,10 @@ from .surface_lattice import DivisorClass, canonical_class
 _new = tuple.__new__
 
 
-class ScrollContext(namedtuple("ScrollContext", "e c1 c2 c1_c0")):
-    """Everything the ring structure needs: the surface F_e and the Chern data of E.
-
-    Built as ScrollContext(e, c1, c2).  c1_c0 = c1.C0 = c1.c - e*c1.a is
-    bound once, at construction, for multiply() and _read_numbers(), the
-    two transcriptions of the pairing rules; c1.f is c1.a.
-    """
+class ScrollContext(namedtuple("ScrollContext", "e c1 c2")):
+    """Everything the ring structure needs: the surface F_e and the Chern data of E."""
 
     __slots__ = ()
-
-    def __new__(cls, e: int, c1: DivisorClass, c2: int) -> ScrollContext:
-        return tuple.__new__(cls, (e, c1, c2, c1.c - e * c1.a))
-
-    def __repr__(self) -> str:
-        return f"ScrollContext(e={self.e!r}, c1={self.c1!r}, c2={self.c2!r})"
 
 
 class ChowClass(namedtuple("ChowClass", "z xi h1 h2 xih1 xih2 p pt", defaults=(0,) * 8)):
@@ -118,9 +107,9 @@ def multiply(ctx: ScrollContext, x: ChowClass, y: ChowClass) -> ChowClass:
     """Product in normal form, reducing by the relations in the module docstring."""
     xz, xxi, xh1, xh2, xxih1, xxih2, xp, xpt = x
     yz, yxi, yh1, yh2, yxih1, yxih2, yp, ypt = y
-    e, c1_c0 = ctx.e, ctx.c1_c0
-    c1 = ctx.c1
+    e, c1 = ctx.e, ctx.c1
     ca, cc = c1.a, c1.c  # c1.f = ca
+    c1_c0 = cc - e * ca
     xixi = xxi * yxi
     return _new(ChowClass, (
         xz * yz,
@@ -195,7 +184,8 @@ def _read_numbers(ctx: ScrollContext, tangent: tuple[ChowClass, ...]) -> Interse
     degree of its full product.
     """
     c1x, c2x, c3x = tangent
-    e, c1_c0, c1_f = ctx.e, ctx.c1_c0, ctx.c1.a
+    e, c1_f = ctx.e, ctx.c1.a
+    c1_c0 = ctx.c1.c - e * c1_f
     u, p, q = -c1x.xi, -c1x.h1, -c1x.h2
     top = c1_f * c1_c0 + ctx.c1.c * c1_f - ctx.c2
     c_d = p * c1_c0 + q * c1_f

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all engine modules, and sym_chi's division by 12.
+"""Exception hierarchy shared by all engine modules, and the exact division
+behind sym_chi's division by 12 and chi_tangent's division by 24.
 
 The CLI maps these to exit codes: invalid parameters exit 1, unsatisfied
 theorem hypotheses exit 2, internal consistency failures exit 3.

@@ -1,5 +1,7 @@
-"""Self-tests of the pytest settings in pyproject.toml, run on an inner suite."""
+"""Self-tests of the settings in pyproject.toml: the pytest settings, run on
+an inner suite, and the Python floor."""
 
+import tomllib
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -22,3 +24,10 @@ def test_a_failing_property_is_reported_by_name(pytester):
     assert result.ret == 1
     result.stdout.fnmatch_lines(["FAILED tests/test_inner.py::test_small - *"])
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+
+
+def test_python_floor_has_int_max_str_digits():
+    # cli reads sys.get_int_max_str_digits(), new in 3.11 (backported only to
+    # 3.10.7), in the messages of report, table and cohomology
+    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    assert floor == ">=3.11"

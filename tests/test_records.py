@@ -1,8 +1,7 @@
 """The engine's value types: their reprs and their validating constructors.
 
 Failure messages and the verify fault goldens print these reprs, so each
-is pinned here field for field.  The derived field ScrollContext.c1_c0
-stays out of the repr.
+is pinned here field for field.
 """
 
 import pytest
@@ -43,8 +42,9 @@ def test_repr_lists_the_constructor_fields(value, text):
     assert repr(value) == str(value) == text
 
 
-def test_derived_fields_are_bound_at_construction():
-    assert M.ctx.c1_c0 == 19 - 2 * 4
+def test_scroll_context_is_the_plain_e_c1_c2_record():
+    assert ScrollContext._fields == ("e", "c1", "c2")
+    assert not {"__new__", "__repr__"} & vars(ScrollContext).keys()
     assert ScrollContext(M.params.e, M.chern.c1, M.chern.c2) == M.ctx
 
 
