@@ -411,7 +411,7 @@ def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
         expected = bf.sym_chi(member.split, m)
         if poly.value_at(m) != expected:
             raise ConsistencyError(
-                f"P(m) != chi(Sym^m E) at {params}, m={m}: "
+                f"P(m) != chi(Sym^m E) at m={m}: "
                 f"P={poly.value_at(m)}, chi={expected}"
             )
     p_of_1 = poly.value_at(1)

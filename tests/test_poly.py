@@ -1,9 +1,10 @@
 """Poly against int arithmetic: random +, -, * expressions over three
 variables, integers and bools, evaluated as polynomials and then at a
 point, agree with the same expressions evaluated on integers at that
-point, and so does divmod by an int where it divides.  Poly's arithmetic
-builds its results directly; the normalising constructor Poly(pairs) is
-the oracle it is checked against."""
+point, and so do divmod by an int where it divides and Poly.at.  Int
+arithmetic at a point is the oracle.  Every Poly result is built by the
+normalising constructor Poly(pairs), its only path; each operator is
+still checked against it, so a faster path added later must pass too."""
 
 import math
 import operator
@@ -99,10 +100,34 @@ def test_bool_operands_act_as_the_ints_they_equal():
     assert x == x + False and x != x + True and Poly([]) + True == True
 
 
+def test_a_float_operand_raises():
+    # the proofs are over the integers, so a float never becomes a coefficient
+    x = Poly.var("x")
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((x, 0.5), (0.5, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    assert x != 1.0 and Poly([]) + 1 != 1.0
+
+
 def test_the_constructor_sorts_each_monomial():
     x, y = Poly.var("x"), Poly.var("y")
     assert Poly([(("y", "x"), 1)]) == x * y
     assert Poly([(("y", "x"), 1), (("x", "y"), -1)]).terms == {}
+
+
+@given(expressions, points)
+def test_at_substitutes_ints_like_int_arithmetic(expr, point):
+    poly = as_poly(expr)
+    constant = poly.at(point)
+    assert set(constant.terms) <= {()} and constant == at(poly, point)
+    # x first, then y and z, reaches the same constant
+    partial = poly.at({"x": point["x"]})
+    assert all("x" not in mono for mono in partial.terms)
+    assert partial.at({"y": point["y"], "z": point["z"]}) == constant
+    for result in (constant, partial):
+        assert all(type(c) is int and c for c in result.terms.values())
+        assert all(list(mono) == sorted(mono) for mono in result.terms)
 
 
 @given(expressions, st.integers(-12, 12).filter(bool), points)

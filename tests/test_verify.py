@@ -27,7 +27,6 @@ import fescroll.cli as cli
 from fescroll import bundle_family as bf
 from fescroll import chow_ring as cr
 from fescroll import hilbert_component as hc
-from fescroll import poly as poly_module
 from fescroll import scroll_invariants as si
 from fescroll import surface_lattice as sl
 from fescroll import verify
@@ -83,22 +82,20 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
 
 def _poly_counter(monkeypatch):
     """run(e_max, t_max): the variables Poly.var names in run_all, and how many
-    Poly results its arithmetic makes, each through the one function that
-    builds it."""
+    Poly results its arithmetic makes, each through the constructor."""
     names, made = Counter(), Counter()
-    real_init, real_make = Poly.__init__, poly_module._make
+    real_init, real_var = Poly.__init__, Poly.var
 
     def init(self, pairs):
-        pairs = list(pairs)
-        names.update(name for mono, _c in pairs for name in mono)
+        made["polys"] += 1
         real_init(self, pairs)
 
-    def make(terms):
-        made["polys"] += 1
-        return real_make(terms)
+    def var(cls, name):
+        names[name] += 1
+        return real_var(name)
 
     monkeypatch.setattr(Poly, "__init__", init)
-    monkeypatch.setattr(poly_module, "_make", make)
+    monkeypatch.setattr(Poly, "var", classmethod(var))
 
     def run(e_max, t_max):
         names.clear()
@@ -515,7 +512,7 @@ def test_a_wrong_constant_term_fails_the_p_minus_one_and_p_of_m_identities(
                                   "... more failures suppressed"]
     chi4 = [bf.sym_chi(build_split(p), 4) for p in members]
     assert p_of_m.failures == [
-        *(f"{p}: P(m) != chi(Sym^m E) at {p}, m=4: P={chi + 1}, chi={chi}"
+        *(f"{p}: P(m) != chi(Sym^m E) at m=4: P={chi + 1}, chi={chi}"
           for p, chi in zip(members, chi4)),
         "... more failures suppressed",
     ]
@@ -536,7 +533,7 @@ def test_a_wrong_sym_chi_past_the_coefficients_fails_the_p_of_m_identity(
     first = next(iter_valid_params(1, 1))
     chi = real(build_split(first), m)
     assert p_of_m.failures[0] == (
-        f"{first}: P(m) != chi(Sym^m E) at {first}, m={m}: P={chi}, chi={chi + 1}")
+        f"{first}: P(m) != chi(Sym^m E) at m={m}: P={chi}, chi={chi + 1}")
     assert all(result.ok for result in results.values())
 
 
