@@ -31,9 +31,9 @@ expands the four triple products of L = xi and K_X by
 takes c2.L and K.c2 from the curve coordinates of c2(T_X) and c3 from
 degree(), and intersection_numbers() checks each number against its
 closed form in (d, e, b, t).  multiply() builds the full normal form:
-the verification suite proves the ring axioms on symbolic classes,
-checks the projective-bundle relation and compares every member's seven
-numbers with the degrees of their full products, and chern_TX() reads
+the verification suite proves, once per run on symbolic classes, the
+ring axioms, the projective-bundle relation and each number of the
+reader equal to the degree of its full product, and chern_TX() reads
 -K.c2 by the full product.  Only a wrong formula makes a class of mixed
 degree, so each route checks the degrees of what it reads: degree()
 raises ConsistencyError on a zero-cycle with lower-degree terms,
@@ -180,8 +180,9 @@ def _read_numbers(ctx: ScrollContext, tangent: tuple[ChowClass, ...]) -> Interse
     K^3 = u^3*T + 3u^2*cD + 3u*DD.  c2(T_X) must be a curve class, else
     ConsistencyError; by xi.(xi*D') = c1.D, xi.pt' = pt and
     D1'.(xi*D2') = D1.D2, c2.L and K.c2 are sums over its coordinates.
-    multiply() is the other route: verify compares each number with the
-    degree of its full product.
+    multiply() is the other route: verify proves each number equal to the
+    degree of its full product once per run, on a symbolic context, K_X,
+    c2(T_X) and c3(T_X).
     """
     c1x, c2x, c3x = tangent
     e, c1_f = ctx.e, ctx.c1.a
@@ -213,7 +214,7 @@ def intersection_numbers(
     ``params`` is the member's (e, b, t) and ``tangent`` chern_TX(ctx).  Every
     entry is computed twice: read off K_X and c2(T_X) in one pass, and by the
     closed forms in (d, e, b, t).  Any disagreement raises ConsistencyError.
-    verify compares the entries with the degrees of their full products.
+    verify proves the reader equal to the degrees of the full products.
     """
     e, b, t = params
     by_chow = _read_numbers(ctx, tangent)

@@ -6,6 +6,8 @@ values they build on as arguments, so every value is derived once per
 member and the cross-check that guards it runs once, when it is first
 computed: the Chern data give the Chow ring, the ring gives the
 intersection numbers, and those check chi(N) and P(m) = chi(Sym^m E).
+verify reads a member's ring only through ctx and chern_TX: the products
+it compares the numbers with are proved once per run, not made per member.
 
 Nothing is cached across members but the line-bundle tables of their
 surface: a grid command builds one SurfaceTables per F_e and hands it to
@@ -73,13 +75,6 @@ class Member:
     def d(self) -> int:
         """Degree of the scroll."""
         return si.scroll_degree(self.params, self.ctx)
-
-    @_once
-    def xi_powers(self) -> tuple[cr.ChowClass, int]:
-        """xi^2 and deg xi^3, by the ring from ctx alone, so that the
-        projective-bundle relation does not lean on chern_TX."""
-        xi2 = cr.multiply(self.ctx, cr.XI, cr.XI)
-        return xi2, cr.degree(cr.multiply(self.ctx, xi2, cr.XI))
 
     @_once
     def h_of_L(self) -> tuple[int, int, int, int]:

@@ -14,7 +14,14 @@ Symbolic arithmetic stays out of the surface and member loops.  What
 holds for every value of a variable is proved once per run, on Poly
 variables with e among them, and each surface and member evaluates in
 integers: the run's _Proofs prove ell(c1, c2, 2, r) affine in r, so each
-member checks it at r = 0 and r = 1 only.
+member checks it at r = 0 and r = 1 only, and they prove the Chow ring's
+two routes, deg xi^3 = c1^2 - c2 and the reader's intersection numbers
+equal to the degrees of the full products, on free K_X, c2(T_X) and
+c3(T_X), so a member reads a remainder only where it is not zero.  That
+proof runs _read_numbers and degree(), which branch on values; a fault
+behind such a branch (a K^3 off by one at e = 1 only, say) takes one path
+on the variables and is out of its sight, and the member's own closed
+forms in intersection_numbers are what catch it.
 """
 
 from __future__ import annotations
@@ -80,7 +87,10 @@ class _Proofs:
     """The symbolic identities of one run_all, each proved once, on Poly
     variables with e among them, and kept as the difference of its sides.
     The code they run is straight-line, so that remainder at an integer e
-    (_at) is what a proof on F_e alone would leave.  Each is a _once value,
+    (_at) is what a proof on F_e alone would leave; ring_routes also runs
+    _read_numbers and degree(), whose branches only reject a class of the
+    wrong shape, so at a member's point its remainders are that member's
+    full products less the reader's numbers.  Each is a _once value,
     timed in the first identity that reads it; nothing keeps the record
     past its run, so a fault patched into one run is proved afresh in the
     next."""
@@ -116,12 +126,35 @@ class _Proofs:
         at_0 = ell(0)
         return ell(r) - at_0 - r * (ell(1) - at_0)
 
+    @_once
+    def ring_routes(self) -> tuple[cr.ChowClass, ...]:
+        """multiply(xi^2, xi) - (c1.c1 - c2)*pt, then multiply(x, y) - reader*pt for
+        the six pairings L^3, K.L^2, K^2.L, K^3, c2.L and K.c2, the reader being
+        _read_numbers, each a whole ChowClass, so that a product of mixed degree
+        shows too.  The variables are e, c1.a, c1.c, c2, K_X = u*xi + (p*C0 + q*f)',
+        c2(T_X) = w1*xi*C0' + w2*xi*f' + w3*pt' and c3(T_X) = c3*pt, the shapes
+        that chern_TX and _read_numbers check a member's classes to have."""
+        e, c2 = Poly.var("e"), Poly.var("c2")
+        c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
+        ctx = cr.ScrollContext(e, c1, c2)
+        mul = partial(cr.multiply, ctx)
+        u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
+        k, xi, c2x = cr.ChowClass(xi=u, h1=p, h2=q), cr.XI, cr.ChowClass(xih1=w1, xih2=w2, p=w3)
+        nums = cr._read_numbers(ctx, (-k, c2x, cr.ChowClass(pt=c3)))
+        xx, kk = mul(xi, xi), mul(k, k)
+        l3 = mul(xx, xi)
+        products = (l3, *(mul(x, y) for x, y in
+                          ((xx, k), (kk, xi), (kk, k), (xi, c2x), (k, c2x))))
+        return (l3 - cr.ChowClass(pt=sl.intersect(e, c1, c1) - c2),
+                *(product - cr.ChowClass(pt=num) for product, num in zip(products, nums)))
 
-def _at(remainder, e: int):
-    """A remainder of _Proofs, a Poly or a ChowClass of them, at the integer e."""
+
+def _at(remainder, point: dict[str, int]):
+    """A remainder of _Proofs, a Poly or a ChowClass of them, with each variable
+    named in point set to its integer; a zero remainder comes back as it is."""
     if isinstance(remainder, tuple):
-        return remainder._make(_at(poly, e) for poly in remainder)
-    return remainder and remainder.at({"e": e})
+        return remainder._make(_at(poly, point) for poly in remainder)
+    return remainder.at(point) if isinstance(remainder, Poly) and remainder else remainder
 
 
 class _Sweep(sl.SurfaceTables):
@@ -133,6 +166,24 @@ class _Sweep(sl.SurfaceTables):
     def __init__(self, e: int, t_max: int, proofs: _Proofs) -> None:
         super().__init__(e)
         self.t_max, self.proofs = t_max, proofs
+
+
+def _proofs(member: Member) -> _Proofs:
+    """The run's proofs for a member of a sweep; a member with its own tables
+    proves them for itself."""
+    surface = member.surface
+    return surface.proofs if isinstance(surface, _Sweep) else _Proofs()
+
+
+def _point(ctx: cr.ScrollContext, tangent: tuple[cr.ChowClass, ...] = ()) -> dict[str, int]:
+    """A member's values of the variables of ring_routes: its context and, if
+    given, the slots of its chern_TX."""
+    point = {"e": ctx.e, "c1.a": ctx.c1.a, "c1.c": ctx.c1.c, "c2": ctx.c2}
+    if tangent:
+        c1x, c2x, c3x = tangent
+        point.update(u=-c1x.xi, p=-c1x.h1, q=-c1x.h2, w1=c2x.xih1, w2=c2x.xih2, w3=c2x.p,
+                     c3=c3x.pt)
+    return point
 
 
 # the classes a*C0 + c*f with |a|, |c| <= 12 that the surface identities sweep
@@ -224,7 +275,7 @@ def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
 def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
     e = sweep.e
     for prop, diff in sweep.proofs.bilinear:
-        diff = _at(diff, e)
+        diff = _at(diff, {"e": e})
         rec.case(not diff, lambda: f"e={e}: {prop} fails, the difference is {diff}")
 
 
@@ -272,11 +323,11 @@ def _check_chern_presentations(rec: CheckResult, member: Member) -> None:
 def _check_ell2(rec: CheckResult, member: Member) -> None:
     # the run's proofs show ell affine in r, so two integer values fix it; a
     # member that is not on a sweep proves it for itself
-    params, surface = member.params, member.surface
-    proofs = surface.proofs if isinstance(surface, _Sweep) else _Proofs()
+    params = member.params
     expected = params.b - params.t - 2 * params.e - 4
     ell = partial(bf.ell_invariant, member.chern, params.e, 2)
-    ok = expected < 0 and not _at(proofs.ell2, params.e) and ell(0) == expected == ell(1)
+    ok = (expected < 0 and not _at(_proofs(member).ell2, {"e": params.e})
+          and ell(0) == expected == ell(1))
     rec.case(ok, lambda: f"{params}: ell = {ell(Poly.var('r'))}, expected {expected}")
 
 
@@ -351,8 +402,12 @@ def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
 
 @_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)", "member")
 def _check_grothendieck(rec: CheckResult, member: Member) -> None:
-    _xi2, lhs = member.xi_powers
+    # the run's proofs show xi^3 - (c1^2 - c2)*pt zero for every context; a
+    # remainder that is not is read at the member's ctx, so the relation does
+    # not lean on chern_TX
     d = member.d  # c1^2 - c2, which scroll_degree checks against 8e+5b+7t+40
+    diff = _proofs(member).ring_routes[0]
+    lhs = cr.degree(_at(diff, _point(member.ctx)) + cr.ChowClass(pt=d)) if any(diff) else d
     rec.case(lhs == d, lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
 
 
@@ -368,7 +423,7 @@ def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
     # c2 is a polynomial identity, proved once per run; F_e reads it at its e
     e = sweep.e
     for axiom, diff in sweep.proofs.ring_axioms:
-        diff = _at(diff, e)
+        diff = _at(diff, {"e": e})
         rec.case(not any(diff),
                  lambda: f"e={e}: {axiom} fails, the difference has {_a_term(diff)}")
 
@@ -376,16 +431,16 @@ def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
 @_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
 def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
     # intersection_numbers reads the numbers off K_X and c2(T_X) in one pass
-    # and checks them against the closed forms; this route takes each of the
-    # six pairings from the ring, as the degree of its full product; L^3 is
-    # the member's deg xi^3, which the projective-bundle relation reads too
-    ctx, nums = member.ctx, member.intersection_numbers
-    c1x, c2x, _c3x = member.chern_TX
-    k, xi = -c1x, cr.XI
-    xx, l3 = member.xi_powers
-    kk = cr.multiply(ctx, k, k)
-    by_ring = (l3, *(cr.degree(cr.multiply(ctx, x, y))
-                     for x, y in ((xx, k), (kk, xi), (kk, k), (xi, c2x), (k, c2x))))
+    # and checks them against the closed forms; the run's proofs show each of
+    # the six pairings equal to the degree of its full product in the ring for
+    # every context and every K_X, c2(T_X) and c3(T_X) of their shape, and a
+    # remainder that is not zero is read at the member, giving that degree
+    nums, diffs = member.intersection_numbers, _proofs(member).ring_routes[1:]
+    by_ring = nums[:6]
+    if any(map(any, diffs)):
+        point = _point(member.ctx, member.chern_TX)
+        by_ring = tuple(cr.degree(_at(diff, point) + cr.ChowClass(pt=num))
+                        for diff, num in zip(diffs, nums))
     rec.case(nums[:6] == by_ring,
              lambda: f"{member.params}: numbers={nums}, by the ring={by_ring}")
 

@@ -83,7 +83,7 @@ def test_the_closed_forms_of_every_member(symbolic_member):
 
 def test_the_numbers_read_off_k_x_are_the_pairings_in_z_e_b_t(symbolic_member):
     # intersection_numbers expands the pairing rules once; the ring takes each
-    # number as the degree of its full product, as verify does per member
+    # number as the degree of its full product, as verify proves once per run
     member = symbolic_member(E, B, T)
     ctx, (c1x, c2x, c3x) = member.ctx, member.chern_TX
     k, xi = -c1x, cr.XI

@@ -40,9 +40,11 @@ UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3
 ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r"
 RING_AXIOMS = "Chow product commutative, associative, distributive"
 GROTHENDIECK = "deg xi^3 = c1^2 - c2 (projective-bundle relation)"
+NUMBERS = "intersection numbers match their closed forms in (d, e, b, t)"
 FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
 P_MINUS_1 = "P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)"
 P_OF_M = "P(m) = chi(Sym^m E) for m in [0, 8]; P(0) = 1; P(1) = n+1"
+CHERN_TX = "deg c3(T_X) = 8 and -K.c2(T_X) = 24"
 
 # -- threshold certificate -----------------------------------------------------
 
@@ -107,11 +109,13 @@ def _poly_counter(monkeypatch):
 
 
 def test_run_all_builds_polys_once_per_run(monkeypatch):
-    # the ring axioms, bilinearity and ell affine in r are proved once per
-    # run, with e a variable; each surface and member evaluates in integers
+    # the ring axioms, bilinearity, ell affine in r and the two Chow routes
+    # are proved once per run, with e a variable; each surface and member
+    # evaluates in integers
     run = _poly_counter(monkeypatch)
     names, made = run(0, 1)
-    assert {"e", "r", "c1.a", "c1.c", "c2", "k"} <= set(names)
+    assert {"e", "r", "c1.a", "c1.c", "c2", "k", "u", "p", "q", "w1", "w2", "w3",
+            "c3"} <= set(names)
     # (1, 1) has 20 members on two surfaces, (8, 1) has 108 on nine
     assert run(1, 1) == run(8, 1) == (names, made)
 
@@ -190,25 +194,42 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     assert all(ref() is None for ref in sweeps)
 
 
-def test_run_all_multiplies_11_times_per_member_and_7_per_run(monkeypatch):
-    # per member: 3 in chern_TX, xi^2 and xi^3 shared by the projective-bundle
-    # relation and the ring route, and K^2 with five pairings in that route;
-    # per run: the 7 products of the ring-axiom proof, whatever e_max
-    calls = []
-    real = cr.multiply
-    monkeypatch.setattr(cr, "multiply", lambda ctx, x, y: calls.append(ctx) or real(ctx, x, y))
+def test_run_all_multiplies_3_times_per_member_and_15_per_run(monkeypatch):
+    # per member: the 3 of chern_TX, on integers; per run, on Poly: the 7
+    # products of the ring-axiom proof and the 8 of the proof of the two Chow
+    # routes (xi^2, xi^3, K^2 and five pairings), whatever e_max
+    calls, depth = Counter(), [0]
+    real_multiply, real_chern_tx = cr.multiply, cr.chern_TX
+
+    def multiply(ctx, x, y):
+        calls[isinstance(ctx.e, Poly), depth[0] > 0] += 1
+        return real_multiply(ctx, x, y)
+
+    def chern_tx(ctx):
+        depth[0] += 1
+        try:
+            return real_chern_tx(ctx)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cr, "multiply", multiply)
+    monkeypatch.setattr(cr, "chern_TX", chern_tx)
     for e_max in (0, 2, 5):
         calls.clear()
         assert all(result.ok for result in verify.run_all(e_max, 1))
-        assert len(calls) == 11 * bf.grid_member_count(e_max, 1) + 7
+        assert calls == {(False, True): 3 * bf.grid_member_count(e_max, 1), (True, False): 15}
 
 
 def test_ell2_identity_on_a_member_with_its_own_tables_proves_ell_itself():
-    # off a sweep there are no run proofs to read, so the member proves ell
-    # affine in r for itself and counts its case
-    rec = verify.CheckResult(ELL2)
-    verify._check_ell2(rec, Member(FamilyParams(2, 7, 0)))
-    assert (rec.cases, rec.failures) == (1, [])
+    # off a sweep there are no run proofs to read, so each identity that reads
+    # one, ell affine in r and the two Chow routes, proves it for itself and
+    # counts its case
+    member = Member(FamilyParams(2, 7, 0))
+    for name, check in ((ELL2, verify._check_ell2), (GROTHENDIECK, verify._check_grothendieck),
+                        (NUMBERS, verify._check_intersection_numbers)):
+        rec = verify.CheckResult(name)
+        check(rec, member)
+        assert (rec.cases, rec.failures) == (1, []), name
 
 
 def _per_surface_ring_axiom_failures(multiply, e):
@@ -316,8 +337,8 @@ MUTANTS = {
     "doubled xp*yxi": (
         cr, _mutant(cr.multiply, "(xxi * yp + xp * yxi)", "(xxi * yp + 2 * xp * yxi)"),
         RING_AXIOMS, None),
-    # c2 is a free variable of the proof, so only the projective-bundle
-    # relation sees it doubled
+    # c2 is a free variable of the ring-axiom proof, which passes; the proof
+    # of the two Chow routes sees it doubled
     "doubled c2": (
         cr, _mutant(cr.multiply, "xixi * ctx.c2", "xixi * 2 * ctx.c2"), GROTHENDIECK,
         RING_AXIOMS),
@@ -633,21 +654,100 @@ def test_checks_keep_the_28_traced_identities_in_golden_order():
 
 def test_an_oracle_reading_k3_as_k2l_fails_the_intersection_numbers_identity(
         monkeypatch, capsys):
-    # the ring is the identity's own route: with K^3 read as K^2.L it must
-    # fail.  _mutant compiles no @_register, so the mutant is not registered;
-    # it takes the real check's place in _CHECKS
-    wrong = _mutant(verify._check_intersection_numbers, "(kk, k)", "(kk, xi)")
-    assert len(verify._CHECKS) == 28
-    wrong.sweep = "member"
-    monkeypatch.setattr(verify, "_CHECKS", [
-        (name, wrong if fn is verify._check_intersection_numbers else fn)
-        for name, fn in verify._CHECKS])
+    # the ring is the identity's own route, proved once per run: with the
+    # proof's K^3 pairing read as K^2.L it must fail at the members
+    wrong = _mutant(vars(verify._Proofs)["ring_routes"].fn, "(kk, k)", "(kk, xi)")
+    monkeypatch.setattr(verify._Proofs, "ring_routes", _once(wrong))
     code = cli.main(["verify", "--e-max", "1", "--t-max", "1"])
     failing = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("FAIL")]
     assert code == 3
-    assert failing == ["FAIL  [    20 cases]  "
-                       "intersection numbers match their closed forms in (d, e, b, t)"]
+    assert failing == [f"FAIL  [    20 cases]  {NUMBERS}"]
+
+
+def _failing_members(result: verify.CheckResult) -> set[str]:
+    """The members named by an uncapped member identity's failure lines."""
+    return {line.split(": ", 1)[0] for line in result.failures}
+
+
+def _numeric_route_failures(multiply) -> tuple[list[str], list[str]]:
+    """The failure lines of the projective-bundle relation and of the
+    intersection numbers over (3, 2) when the full products are made member
+    by member in integers and compared with d and with the reader: the oracle
+    of the run's proof of the two Chow routes."""
+    relation, numbers = [], []
+    for p in iter_valid_params(3, 2):
+        member = Member(p)
+        ctx, d, nums = member.ctx, member.d, member.intersection_numbers
+        c1x, c2x, _c3x = member.chern_TX
+        k, xi = -c1x, cr.XI
+        xx, kk = multiply(ctx, xi, xi), multiply(ctx, k, k)
+        try:
+            l3 = cr.degree(multiply(ctx, xx, xi))
+            if l3 != d:
+                relation.append(f"{p}: deg xi^3={l3}, c1^2-c2={d}")
+        except ConsistencyError as exc:
+            relation.append(f"{p}: {exc}")
+        try:
+            by_ring = tuple(cr.degree(multiply(ctx, x, y)) for x, y in
+                            ((xx, xi), (xx, k), (kk, xi), (kk, k), (xi, c2x), (k, c2x)))
+            if by_ring != nums[:6]:
+                numbers.append(f"{p}: numbers={nums}, by the ring={by_ring}")
+        except ConsistencyError as exc:
+            numbers.append(f"{p}: {exc}")
+    return relation, numbers
+
+
+# multiply faults that chern_TX's own checks do not see: each touches only
+# products of two classes with an xi term, and chern_TX multiplies none
+ROUTE_FAULTS = {
+    "doubled c2": MUTANTS["doubled c2"][1],
+    # zero on F_0 and F_1, so only the members with e >= 2 fail
+    "xixi*cc plus e*(e-1)*xixi": _mutant(cr.multiply, "xixi * cc,",
+                                         "xixi * cc + e * (e - 1) * xixi,"),
+    # a class of mixed degree: xi^2 gains e - 2 in degree 0
+    "xz*yz plus (e-2)*xixi": _mutant(cr.multiply, "xz * yz,", "xz * yz + (e - 2) * xixi,"),
+}
+
+
+@pytest.mark.parametrize("fault", ROUTE_FAULTS)
+def test_the_numeric_full_products_are_the_oracle_of_the_chow_route_proof(monkeypatch, fault):
+    monkeypatch.setattr(cr, "multiply", ROUTE_FAULTS[fault])
+    monkeypatch.setattr(verify, "_MAX_FAILURES", 1000)
+    relation, numbers = _numeric_route_failures(ROUTE_FAULTS[fault])
+    assert relation and numbers
+    results = _results_by_name(3, 2)
+    assert results[GROTHENDIECK].failures == relation
+    assert results[NUMBERS].failures == numbers
+    assert results[CHERN_TX].ok
+
+
+def test_a_members_point_gives_the_free_classes_its_own_values():
+    # a remainder of the Chow-route proof is read at _point, where the proof's
+    # free context, K_X, c2(T_X) and c3(T_X) must take the member's own values
+    member = Member(FamilyParams(2, 7, 0))
+    point = verify._point(member.ctx, member.chern_TX)
+    u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
+    tangent = (cr.ChowClass(xi=-u, h1=-p, h2=-q), cr.ChowClass(xih1=w1, xih2=w2, p=w3),
+               cr.ChowClass(pt=c3))
+    assert tuple(verify._at(x, point) for x in tangent) == member.chern_TX
+    c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
+    assert verify._at(cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")), point) == member.ctx
+
+
+def test_a_reader_branching_on_e_fails_the_intersection_numbers_at_e_1(monkeypatch):
+    # K^3 gains 1 only when e == 1, which is False for the variable e: the
+    # proof of the two Chow routes is blind to it, and the per-member closed
+    # forms in intersection_numbers fail it at exactly the members of F_1
+    wrong = _mutant(cr._read_numbers, "3 * u * d_d,", "3 * u * d_d + (e == 1),")
+    monkeypatch.setattr(cr, "_read_numbers", wrong)
+    monkeypatch.setattr(verify, "_MAX_FAILURES", 1000)
+    assert not any(map(any, verify._Proofs().ring_routes))
+    numbers = _results_by_name(1, 1)[NUMBERS]
+    assert numbers.cases == bf.grid_member_count(1, 1)
+    assert _failing_members(numbers) == {str(p) for p in iter_valid_params(1, 1) if p.e == 1}
+    assert all("intersection numbers disagree with closed forms at e=1" in line
+               for line in numbers.failures)
 
 
 def test_a_k3_off_by_one_stops_report_and_hilbpoly_and_fails_verify(monkeypatch, capsys):
