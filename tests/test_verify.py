@@ -39,6 +39,7 @@ CANONICAL = "K_{F_e} = -2*C0 - (e+2)*f (adjunction along C0 and f)"
 UNIFORMITY = "r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)"
 ELL2 = "ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r"
 RING_AXIOMS = "Chow product commutative, associative, distributive"
+BILINEAR = "intersection pairing symmetric and bilinear"
 GROTHENDIECK = "deg xi^3 = c1^2 - c2 (projective-bundle relation)"
 NUMBERS = "intersection numbers match their closed forms in (d, e, b, t)"
 FIBER_TANGENT = "chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0"
@@ -83,10 +84,11 @@ def test_uniformity_identity_calls_cohomology_at_most_eight_times(monkeypatch, e
 
 
 def _poly_counter(monkeypatch):
-    """run(e_max, t_max): the variables Poly.var names in run_all, and how many
-    Poly results its arithmetic makes, each through the constructor."""
+    """run(e_max, t_max): the variables Poly.var names in run_all, how many
+    Poly results its arithmetic makes, each through the constructor, and how
+    many times it tests a Poly for truth."""
     names, made = Counter(), Counter()
-    real_init, real_var = Poly.__init__, Poly.var
+    real_init, real_var, real_bool = Poly.__init__, Poly.var, Poly.__bool__
 
     def init(self, pairs):
         made["polys"] += 1
@@ -96,28 +98,35 @@ def _poly_counter(monkeypatch):
         names[name] += 1
         return real_var(name)
 
+    def truth(self):
+        made["truths"] += 1
+        return real_bool(self)
+
     monkeypatch.setattr(Poly, "__init__", init)
     monkeypatch.setattr(Poly, "var", classmethod(var))
+    monkeypatch.setattr(Poly, "__bool__", truth)
 
     def run(e_max, t_max):
         names.clear()
         made.clear()
         assert all(result.ok for result in verify.run_all(e_max, t_max))
-        return Counter(names), made["polys"]
+        return Counter(names), made["polys"], made["truths"]
 
     return run
 
 
 def test_run_all_builds_polys_once_per_run(monkeypatch):
     # the ring axioms, bilinearity, ell affine in r and the two Chow routes
-    # are proved once per run, with e a variable; each surface and member
-    # evaluates in integers
+    # are proved once per run, with e a variable, and whether each remainder
+    # vanishes is decided once; each surface and member evaluates in integers
     run = _poly_counter(monkeypatch)
-    names, made = run(0, 1)
+    names, made, truths = run(0, 1)
     assert {"e", "r", "c1.a", "c1.c", "c2", "k", "u", "p", "q", "w1", "w2", "w3",
             "c3"} <= set(names)
-    # (1, 1) has 20 members on two surfaces, (8, 1) has 108 on nine
-    assert run(1, 1) == run(8, 1) == (names, made)
+    assert truths
+    # (1, 1) has 20 members on two surfaces, (1, 3) has 48 on two and (8, 1)
+    # has 108 on nine: a passing surface or member makes and tests no Poly
+    assert run(1, 1) == run(1, 3) == run(8, 1) == (names, made, truths)
 
 
 def test_an_ell_quadratic_in_r_fails_the_ell2_identity_and_leaves_no_trace(
@@ -135,6 +144,29 @@ def test_an_ell_quadratic_in_r_fails_the_ell2_identity_and_leaves_no_trace(
                    if line.startswith("FAIL")]
         assert f"FAIL  [{bf.grid_member_count(2, 2):6d} cases]  {ELL2}" in failing
     # the proof lives on the run's sweeps, so the next run proves it afresh
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+def test_an_ell2_remainder_vanishing_at_e_0_and_1_fails_only_larger_surfaces(
+        monkeypatch, capsys):
+    # e*(e-1)*r*(r-1) is zero at r = 0 and r = 1, the two points each member
+    # reads, and the remainder it leaves is zero on F_0 and F_1 only: the run
+    # finds it nonzero, so each member reads it at its own e
+    fault = _mutant(bf.ell_invariant, "+ 2 * d1 * r",
+                    "+ 2 * d1 * r + e * (e - 1) * r * (r - 1)")
+    cd = Member(FamilyParams(2, 7, 0)).chern
+    assert all(fault(cd, 2, 2, r) == bf.ell_invariant(cd, 2, 2, r) for r in (0, 1))
+    argv = ["verify", "--e-max", "3", "--t-max", "1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(bf, "ell_invariant", fault)
+        patch.setattr(verify, "_MAX_FAILURES", 1000)
+        assert cli.main(argv) == 3
+        capsys.readouterr()
+        ell2 = _results_by_name(3, 1)[ELL2]
+        assert ell2.cases == bf.grid_member_count(3, 1)
+        assert _failing_members(ell2) == {str(p) for p in iter_valid_params(3, 1)
+                                          if p.e >= 2}
     assert cli.main(argv) == 0
     capsys.readouterr()
 
@@ -259,6 +291,20 @@ def test_a_multiply_fault_vanishing_at_e_0_and_1_fails_only_larger_surfaces(monk
     assert failures[0] == "e=2: commutativity fails, the difference has 2*x.h1*y.h2 in p"
     by_surface = (_per_surface_ring_axiom_failures(fault, e) for e in range(4))
     assert failures == [line for lines in by_surface for line in lines]
+
+
+def test_a_pairing_asymmetric_past_f_1_fails_the_bilinear_identity_there(monkeypatch):
+    # e*(e-1)*D1.a*D2.c is zero on F_0 and F_1 only: the run finds the
+    # symmetry remainder nonzero, and each surface reads it at its own e
+    fault = _mutant(sl.intersect, "- e * d1.a * d2.a",
+                    "- e * d1.a * d2.a + e * (e - 1) * d1.a * d2.c")
+    monkeypatch.setattr(sl, "intersect", fault)
+    assert _results_by_name(1, 1)[BILINEAR].ok
+    bilinear = _results_by_name(3, 1)[BILINEAR]
+    assert bilinear.cases == 8
+    assert bilinear.failures == [
+        "e=2: symmetry fails, the difference is 2*D1.a*D2.c + -2*D1.c*D2.a",
+        "e=3: symmetry fails, the difference is 6*D1.a*D2.c + -6*D1.c*D2.a"]
 
 
 # -- symbolic identities ------------------------------------------------------
@@ -742,7 +788,7 @@ def test_a_reader_branching_on_e_fails_the_intersection_numbers_at_e_1(monkeypat
     wrong = _mutant(cr._read_numbers, "3 * u * d_d,", "3 * u * d_d + (e == 1),")
     monkeypatch.setattr(cr, "_read_numbers", wrong)
     monkeypatch.setattr(verify, "_MAX_FAILURES", 1000)
-    assert not any(map(any, verify._Proofs().ring_routes))
+    assert verify._Proofs().numbers_vanish
     numbers = _results_by_name(1, 1)[NUMBERS]
     assert numbers.cases == bf.grid_member_count(1, 1)
     assert _failing_members(numbers) == {str(p) for p in iter_valid_params(1, 1) if p.e == 1}
