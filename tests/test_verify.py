@@ -125,7 +125,7 @@ def test_run_all_builds_polys_once_per_run(monkeypatch):
             "c3"} <= set(names)
     assert truths
     # (1, 1) has 20 members on two surfaces, (1, 3) has 48 on two and (8, 1)
-    # has 108 on nine: a passing surface or member makes and tests no Poly
+    # has 153 on nine: a passing surface or member makes and tests no Poly
     assert run(1, 1) == run(1, 3) == run(8, 1) == (names, made, truths)
 
 
