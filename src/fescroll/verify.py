@@ -2,6 +2,8 @@
 
 Each check reports how many cases it examined and a list of failure
 descriptions (empty on success); run_all() says how the grid is walked.
+A passing case costs one counted comparison: only a failing case builds
+its detail, a closure that is called only if the failure is kept.
 
 A closed form is asserted once, in the layer function that computes the
 value, so that report, table and the other commands are checked too.
@@ -43,7 +45,11 @@ _MAX_FAILURES = 8
 
 
 class CheckResult:
-    """One identity's case count and capped failures."""
+    """One identity's case count and capped failures.
+
+    Counting a case and keeping a failure are separate steps: a check
+    writes `if not rec.case(ok): rec.fail(lambda: ...)`, so a passing case
+    pays for one count and builds no detail."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -54,15 +60,14 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def case(self, ok: bool, detail: str | Callable[[], str]) -> None:
-        """Count one case; on failure keep its detail, up to the cap.
-
-        A callable detail is called only when its failure is kept, so a
-        passing case never pays for formatting it.
-        """
+    def case(self, ok: bool) -> bool:
+        """Count one case and return ok."""
         self.cases += 1
-        if ok:
-            return
+        return ok
+
+    def fail(self, detail: str | Callable[[], str]) -> None:
+        """Keep a failed case's detail, up to the cap; a callable detail is
+        called only when it is kept."""
         if len(self.failures) < _MAX_FAILURES:
             self.failures.append(detail() if callable(detail) else detail)
         elif len(self.failures) == _MAX_FAILURES:
@@ -228,11 +233,9 @@ def _check_canonical(rec: CheckResult, sweep: _Sweep) -> None:
              sl.intersect(e, sl.C0, sl.FIBER))
     genus_c0 = sl.intersect(e, k, sl.C0) + basis[0]
     genus_f = sl.intersect(e, k, sl.FIBER) + basis[1]
-    rec.case(
-        basis == (-e, 0, 1) and genus_c0 == -2 and genus_f == -2,
-        lambda: f"e={e}: K={k}, C0={sl.C0}, f={sl.FIBER}: (C0^2, f^2, C0.f) = {basis}, "
-                f"K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}",
-    )
+    if not rec.case(basis == (-e, 0, 1) and genus_c0 == -2 and genus_f == -2):
+        rec.fail(lambda: f"e={e}: K={k}, C0={sl.C0}, f={sl.FIBER}: (C0^2, f^2, C0.f) = "
+                         f"{basis}, K.C0+C0^2={genus_c0}, K.f+f^2={genus_f}")
 
 
 @_register("Serre duality: h^i(D) = h^{2-i}(K - D)")
@@ -242,10 +245,8 @@ def _check_serre(rec: CheckResult, sweep: _Sweep) -> None:
     for d in _CLASSES:
         tab = sweep[d]
         dual = sweep[k - d]
-        rec.case(
-            (tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0),
-            lambda: f"e={e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}",
-        )
+        if not rec.case((tab.h0, tab.h1, tab.h2) == (dual.h2, dual.h1, dual.h0)):
+            rec.fail(lambda: f"e={e} D={d}: {tab.as_tuple()} vs dual {dual.as_tuple()}")
 
 
 @_register("Riemann-Roch: chi(D) = 1 + D.(D-K)/2 with D.(D-K) even")
@@ -255,10 +256,8 @@ def _check_riemann_roch(rec: CheckResult, sweep: _Sweep) -> None:
     for d in _CLASSES:
         pairing = sl.intersect(e, d, d - k)
         tab = sweep[d]
-        rec.case(
-            pairing % 2 == 0 and tab.chi == 1 + pairing // 2,
-            lambda: f"e={e} D={d}: pairing={pairing}, chi={tab.chi}",
-        )
+        if not rec.case(pairing % 2 == 0 and tab.chi == 1 + pairing // 2):
+            rec.fail(lambda: f"e={e} D={d}: pairing={pairing}, chi={tab.chi}")
 
 
 @_register("h^0 = lattice-point count of the section polytope")
@@ -267,8 +266,8 @@ def _check_lattice_oracle(rec: CheckResult, sweep: _Sweep) -> None:
     for d in _CLASSES:
         expected = sl.h0_lattice_oracle(e, d)
         got = sweep[d].h0
-        rec.case(got == expected,
-                 lambda: f"e={e} D={d}: h0={got}, lattice count {expected}")
+        if not rec.case(got == expected):
+            rec.fail(lambda: f"e={e} D={d}: h0={got}, lattice count {expected}")
 
 
 @_register("effective iff a >= 0 and c >= 0 iff h^0 > 0 (nonzero D)")
@@ -278,10 +277,10 @@ def _check_effective(rec: CheckResult, sweep: _Sweep) -> None:
         eff = sl.is_effective(e, d)
         h0 = sweep[d].h0
         if d == sl.ZERO:
-            rec.case(eff and h0 == 1, lambda: f"e={e}: h0(0) = {h0}")
-        else:
-            rec.case(eff == (h0 > 0),
-                     lambda: f"e={e} D={d}: effective={eff}, h0={h0}")
+            if not rec.case(eff and h0 == 1):
+                rec.fail(lambda: f"e={e}: h0(0) = {h0}")
+        elif not rec.case(eff == (h0 > 0)):
+            rec.fail(lambda: f"e={e} D={d}: effective={eff}, h0={h0}")
 
 
 @_register("h^0(a*C0 + c*f) nondecreasing in c for a >= 0")
@@ -291,9 +290,8 @@ def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
         previous = None
         for c in range(-12, 13):
             h0 = sweep[sl.DivisorClass(a, c)].h0
-            if previous is not None:
-                rec.case(h0 >= previous,
-                         lambda: f"e={e} a={a} c={c}: {previous} -> {h0}")
+            if previous is not None and not rec.case(h0 >= previous):
+                rec.fail(lambda: f"e={e} a={a} c={c}: {previous} -> {h0}")
             previous = h0
 
 
@@ -302,7 +300,8 @@ def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
     e, proofs = sweep.e, sweep.proofs
     for prop, diff in proofs.bilinear:
         ok = proofs.bilinear_vanishes or not (diff := _at(diff, {"e": e}))
-        rec.case(ok, lambda: f"e={e}: {prop} fails, the difference is {diff}")
+        if not rec.case(ok):
+            rec.fail(lambda: f"e={e}: {prop} fails, the difference is {diff}")
 
 
 @_register("h^1 fiberwise route = h^1 chi-subtraction route")
@@ -316,11 +315,12 @@ def _check_h1_routes(rec: CheckResult, sweep: _Sweep) -> None:
         try:
             tab = sweep[d]
         except ConsistencyError as exc:
-            rec.case(False, f"e={e} D={d}: {exc}")
+            rec.case(False)
+            rec.fail(f"e={e} D={d}: {exc}")
             continue
         if d.a == -1:
-            rec.case(tab.as_tuple() == (0, 0, 0),
-                     lambda: f"e={e} D={d}: {tab.as_tuple()}")
+            if not rec.case(tab.as_tuple() == (0, 0, 0)):
+                rec.fail(lambda: f"e={e} D={d}: {tab.as_tuple()}")
             continue
         h0 = h1 = 0
         for deg in sl.pushforward_degrees(e, d if d.a >= 0 else k - d):
@@ -329,11 +329,9 @@ def _check_h1_routes(rec: CheckResult, sweep: _Sweep) -> None:
             else:
                 h1 -= deg + 1
         got = (tab.h0, tab.h1) if d.a >= 0 else (tab.h2, tab.h1)
-        rec.case(
-            got == (h0, h1),
-            lambda: f"e={e} D={d}: table {tab.as_tuple()}, "
-                    f"pushforward sums {(h0, h1)}",
-        )
+        if not rec.case(got == (h0, h1)):
+            rec.fail(lambda: f"e={e} D={d}: table {tab.as_tuple()}, "
+                             f"pushforward sums {(h0, h1)}")
 
 
 # ------------------------------------------------------------------ bundle
@@ -342,7 +340,7 @@ def _check_h1_routes(rec: CheckResult, sweep: _Sweep) -> None:
 @_register("c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f, c2 = A.B = L.M+2 = 3b+8+t", "member")
 def _check_chern_presentations(rec: CheckResult, member: Member) -> None:
     member.chern  # raises on a mismatch
-    rec.case(True, "")
+    rec.case(True)
 
 
 @_register("ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r", "member")
@@ -354,7 +352,8 @@ def _check_ell2(rec: CheckResult, member: Member) -> None:
     ell = partial(bf.ell_invariant, member.chern, params.e, 2)
     affine = proofs.ell2_vanishes or not _at(proofs.ell2, {"e": params.e})
     ok = expected < 0 and affine and ell(0) == expected == ell(1)
-    rec.case(ok, lambda: f"{params}: ell = {ell(Poly.var('r'))}, expected {expected}")
+    if not rec.case(ok):
+        rec.fail(lambda: f"{params}: ell = {ell(Poly.var('r'))}, expected {expected}")
 
 
 def _is_threshold(member: Member, d1: int, r: int) -> bool:
@@ -367,12 +366,9 @@ def _is_threshold(member: Member, d1: int, r: int) -> bool:
     finds r, with four table lookups whatever the size of r.
     """
     bun, tables = member.split, member.surface
-
-    def h0(ell: int) -> int:
-        twist = sl.DivisorClass(-d1, ell)
-        return tables[bun.A + twist].h0 + tables[bun.B + twist].h0
-
-    return h0(-r - 1) == 0 < h0(-r)
+    below, at = sl.DivisorClass(-d1, -r - 1), sl.DivisorClass(-d1, -r)
+    return (tables[bun.A + below].h0 + tables[bun.B + below].h0 == 0
+            < tables[bun.A + at].h0 + tables[bun.B + at].h0)
 
 
 @_register("r = 3e+5+t and ell(c1, c2, 3, r) = 0: uniform of splitting type (3, 1)",
@@ -386,17 +382,16 @@ def _check_uniformity(rec: CheckResult, member: Member) -> None:
         and _is_threshold(member, 2, bf.invariant_r(member.split, 2))
         and _is_threshold(member, 3, r)
     )
-    rec.case(ok, lambda: f"{params}: r={r}, evidence={evidence}")
+    if not rec.case(ok):
+        rec.fail(lambda: f"{params}: r={r}, evidence={evidence}")
 
 
 @_register("h^0(E) = 5e+2b+4t+28 = chi(Sym^1 E), h^1 = h^2 = 0, "
            "h^0(A) = 6e+4t+24, h^0(B) = 2b+4-e", "member")
 def _check_bundle_cohomology(rec: CheckResult, member: Member) -> None:
     table = member.tables[2]
-    rec.case(
-        table.chi == bf.sym_chi(member.split, 1),
-        lambda: f"{member.params}: chi(E)={table.chi} != chi(Sym^1 E)",
-    )
+    if not rec.case(table.chi == bf.sym_chi(member.split, 1)):
+        rec.fail(lambda: f"{member.params}: chi(E)={table.chi} != chi(Sym^1 E)")
 
 
 @_register("h^1(A - B) = 0 iff b < 6+t+e (boundary sweep)")
@@ -405,10 +400,8 @@ def _check_window_v1(rec: CheckResult, sweep: _Sweep) -> None:
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
             h1 = sweep[sl.DivisorClass(2, 3 * e + 4 + t - b)].h1
-            rec.case(
-                (h1 == 0) == (b < 6 + t + e),
-                lambda: f"e={e} t={t} b={b}: h1(A-B)={h1}",
-            )
+            if not rec.case((h1 == 0) == (b < 6 + t + e)):
+                rec.fail(lambda: f"e={e} t={t} b={b}: h1(A-B)={h1}")
 
 
 @_register("h^2(B - A) = 0 iff b >= 2e+3+t (boundary sweep)")
@@ -417,10 +410,8 @@ def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
     for t in range(sweep.t_max + 1):
         for b in range(-4, 2 * e + t + 12):
             h2 = sweep[sl.DivisorClass(-2, b - 3 * e - 4 - t)].h2
-            rec.case(
-                (h2 == 0) == (b >= 2 * e + 3 + t),
-                lambda: f"e={e} t={t} b={b}: h2(B-A)={h2}",
-            )
+            if not rec.case((h2 == 0) == (b >= 2 * e + 3 + t)):
+                rec.fail(lambda: f"e={e} t={t} b={b}: h2(B-A)={h2}")
 
 
 # -------------------------------------------------------------------- chow
@@ -435,7 +426,8 @@ def _check_grothendieck(rec: CheckResult, member: Member) -> None:
     proofs, lhs = _proofs(member), d
     if not proofs.relation_vanishes:
         lhs = cr.degree(_at(proofs.ring_routes[0], _point(member.ctx)) + cr.ChowClass(pt=d))
-    rec.case(lhs == d, lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
+    if not rec.case(lhs == d):
+        rec.fail(lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
 
 
 def _a_term(diff: cr.ChowClass) -> str:
@@ -451,7 +443,8 @@ def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
     e, proofs = sweep.e, sweep.proofs
     for axiom, diff in proofs.ring_axioms:
         ok = proofs.ring_axioms_vanish or not any(diff := _at(diff, {"e": e}))
-        rec.case(ok, lambda: f"e={e}: {axiom} fails, the difference has {_a_term(diff)}")
+        if not rec.case(ok):
+            rec.fail(lambda: f"e={e}: {axiom} fails, the difference has {_a_term(diff)}")
 
 
 @_register("intersection numbers match their closed forms in (d, e, b, t)", "member")
@@ -467,14 +460,14 @@ def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
         point = _point(member.ctx, member.chern_TX)
         by_ring = tuple(cr.degree(_at(diff, point) + cr.ChowClass(pt=num))
                         for diff, num in zip(proofs.ring_routes[1:], nums))
-    rec.case(nums[:6] == by_ring,
-             lambda: f"{member.params}: numbers={nums}, by the ring={by_ring}")
+    if not rec.case(nums[:6] == by_ring):
+        rec.fail(lambda: f"{member.params}: numbers={nums}, by the ring={by_ring}")
 
 
 @_register("deg c3(T_X) = 8 and -K.c2(T_X) = 24", "member")
 def _check_chern_tx(rec: CheckResult, member: Member) -> None:
     member.chern_TX  # raises unless deg c3 = 8 and -K.c2 = 24, each by its full product
-    rec.case(True, "")
+    rec.case(True)
 
 
 # ------------------------------------------------------------------ scroll
@@ -496,7 +489,8 @@ def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
                 f"P={poly.value_at(m)}, chi={expected}"
             )
     p_of_1 = poly.value_at(1)
-    rec.case(p_of_1 == member.n + 1, lambda: f"{params}: P(1)={p_of_1}, n={member.n}")
+    if not rec.case(p_of_1 == member.n + 1):
+        rec.fail(lambda: f"{params}: P(1)={p_of_1}, n={member.n}")
 
 
 @_register("P(-1) = chi(O_X(-1)) = 0 (every R^i pi_* O_X(-1) vanishes on a P^1-bundle)",
@@ -506,7 +500,8 @@ def _check_poly_integrality(rec: CheckResult, member: Member) -> None:
     # binomial basis are integers; the name stays, as the benchmark's
     # per-identity timings are keyed by it
     p_minus_1 = member.hilbert_poly.value_at(-1)
-    rec.case(p_minus_1 == 0, lambda: f"{member.params}: P(-1)={p_minus_1}")
+    if not rec.case(p_minus_1 == 0):
+        rec.fail(lambda: f"{member.params}: P(-1)={p_minus_1}")
 
 
 @_register("d - 3e - 3b - 3t - 12 = n + 1", "member")
@@ -514,14 +509,15 @@ def _check_degree_dimension_identity(rec: CheckResult, member: Member) -> None:
     params = member.params
     n, d = member.n, member.d
     lhs = d - 3 * params.e - 3 * params.b - 3 * params.t - 12
-    rec.case(lhs == n + 1, lambda: f"{params}: lhs={lhs}, n+1={n + 1}")
+    if not rec.case(lhs == n + 1):
+        rec.fail(lambda: f"{params}: lhs={lhs}, n+1={n + 1}")
 
 
 @_register("n = 5e+2b+4t+27 and d = 8e+5b+7t+40, each by two routes", "member")
 def _check_n_d_routes(rec: CheckResult, member: Member) -> None:
     member.n  # bundle_cohomology raises unless h^0(E) = 5e+2b+4t+28
     member.d  # scroll_degree raises unless c1^2-c2 = 8e+5b+7t+40
-    rec.case(True, "")
+    rec.case(True)
 
 
 # ----------------------------------------------------------------- hilbert
@@ -530,40 +526,40 @@ def _check_n_d_routes(rec: CheckResult, member: Member) -> None:
 @_register("chi(N) by HRR = (d-3e-3b-3t-12)*n + 122 + 21t + 21e + 21b - 3d", "member")
 def _check_chi_normal(rec: CheckResult, member: Member) -> None:
     member.chi_N  # raises on a mismatch
-    rec.case(True, "")
+    rec.case(True)
 
 
 @_register("regime e<=2, b=2e+3+t: dim = chi(N) = n(n+1)+9e+20+6t and "
            "h^0(N) = (n+1)^2 - 1 - h^0(T_X) + h^1(T_X)", "regime")
 def _check_component_dimension(rec: CheckResult, member: Member) -> None:
     member.h_of_N  # component_dimension raises on a mismatch
-    rec.case(True, "")
+    rec.case(True)
 
 
 @_register("regime e<=2, b=2e+3+t: h^0(T_X) = e+12, h^1(T_X) = e-1 for e > 0; "
            "(13, 0) at e = 0; chi(T_X) = 13", "regime")
 def _check_tangent(rec: CheckResult, member: Member) -> None:
     member.tangent  # raises on a mismatch
-    rec.case(True, "")
+    rec.case(True)
 
 
 @_register("regime e<=2, b=2e+3+t: scroll-locus codimension = e-1 (e > 0), 0 (e = 0)",
            "regime")
 def _check_codim(rec: CheckResult, member: Member) -> None:
     member.tangent  # the codimension is h^1(T_X), which tangent_cohomology checks
-    rec.case(True, "")
+    rec.case(True)
 
 
 @_register("e <= 2 and b = 2e+3+t imply the computed vanishings v1, v2, v3", "member")
 def _check_flag_soundness(rec: CheckResult, member: Member) -> None:
     member.flags  # check_hypotheses raises when the regime lacks a vanishing
-    rec.case(True, "")
+    rec.case(True)
 
 
 @_register("chi(T_{F_e}) = 6: table (e+5, e-1, 0) for e > 0, (6, 0, 0) at e = 0")
 def _check_fiber_tangent(rec: CheckResult, sweep: _Sweep) -> None:
     hc._fiber_tangent_table(sweep.e)  # raises unless chi = 6 by Riemann-Roch
-    rec.case(True, "")
+    rec.case(True)
 
 
 def _visit(checks: list[tuple[Callable, CheckResult]], subject, label: object) -> None:
@@ -573,7 +569,8 @@ def _visit(checks: list[tuple[Callable, CheckResult]], subject, label: object) -
         try:
             fn(rec, subject)
         except ConsistencyError as exc:
-            rec.case(False, f"{label}: {exc}")
+            rec.case(False)
+            rec.fail(f"{label}: {exc}")
 
 
 def _visit_surface(sweep: _Sweep, surface: list, member: list, regime: list) -> tuple[int, int]:

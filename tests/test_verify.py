@@ -445,20 +445,22 @@ def _detail_not_called():
     raise AssertionError("a detail was formatted that is not kept")
 
 
-def test_recorder_formats_no_detail_of_a_passing_case():
+def test_recorder_counts_a_passing_case_and_keeps_nothing():
     rec = verify.CheckResult("identity")
-    for _ in range(100):
-        rec.case(True, _detail_not_called)
+    assert all(rec.case(True) for _ in range(100))
     assert rec.cases == 100 and rec.failures == []
 
 
 def test_recorder_caps_failures_and_formats_only_kept_ones():
     rec = verify.CheckResult("identity")
     for i in range(verify._MAX_FAILURES):
-        rec.case(False, lambda i=i: f"failure {i}")
+        assert not rec.case(False)
+        rec.fail(lambda i=i: f"failure {i}")
     for _ in range(20):
-        rec.case(False, _detail_not_called)
-    rec.case(False, "a plain string detail past the cap")
+        rec.case(False)
+        rec.fail(_detail_not_called)
+    rec.case(False)
+    rec.fail("a plain string detail past the cap")
     assert rec.cases == verify._MAX_FAILURES + 21
     assert rec.failures == [
         *(f"failure {i}" for i in range(verify._MAX_FAILURES)),
@@ -466,11 +468,53 @@ def test_recorder_caps_failures_and_formats_only_kept_ones():
     ]
 
 
-def test_recorder_keeps_string_details():
+def test_recorder_keeps_string_and_callable_details():
     rec = verify.CheckResult("identity")
-    rec.case(False, "plain")
-    rec.case(False, lambda: "lazy")
+    rec.fail("plain")
+    rec.fail(lambda: "lazy")
     assert rec.failures == ["plain", "lazy"]
+
+
+def _calls_named(tree, attr):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr]
+
+
+def test_every_identity_builds_its_detail_only_for_a_failing_case():
+    # rec.case(ok) only counts, and each detail is a lambda handed to
+    # rec.fail, which runs only when a case fails; a lambda anywhere else
+    # would be built for every passing case too
+    tree = ast.parse(Path(verify.__file__).read_text())
+    cases = _calls_named(tree, "case")
+    assert cases and all(len(call.args) == 1 and not call.keywords
+                         and not isinstance(call.args[0], ast.Starred) for call in cases)
+    in_fail = {id(node) for call in _calls_named(tree, "fail")
+               for arg in call.args for node in ast.walk(arg)}
+    lambdas = [node for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
+    assert lambdas and all(id(node) in in_fail for node in lambdas)
+
+
+def test_an_identity_failing_every_case_formats_only_its_kept_details(monkeypatch):
+    # the lattice identity fails all 2 * 625 classes of (1, 1); only the
+    # eight kept details format their class, so repr runs eight times
+    reprs = Counter()
+    real_repr = sl.DivisorClass.__repr__
+
+    def counting_repr(self):
+        reprs["calls"] += 1
+        return real_repr(self)
+
+    monkeypatch.setattr(sl, "h0_lattice_oracle", lambda e, d: -1)
+    monkeypatch.setattr(sl.DivisorClass, "__repr__", counting_repr)
+    results = _results_by_name(1, 1)
+    lattice = results.pop(LATTICE)
+    reprs_made = reprs["calls"]
+    assert lattice.cases == 2 * len(verify._CLASSES) == 1250
+    assert len(lattice.failures) == verify._MAX_FAILURES + 1
+    assert lattice.failures[-1] == "... more failures suppressed"
+    assert reprs_made == verify._MAX_FAILURES
+    assert all(result.ok for result in results.values())
 
 
 # -- errors raised inside an identity ----------------------------------------
