@@ -10,6 +10,7 @@ internal-consistency failure.
 from __future__ import annotations
 
 import gc
+import importlib.util
 import os
 import sys
 from types import SimpleNamespace
@@ -18,7 +19,31 @@ from .bundle_family import FamilyParams, grid_member_count, surface_params
 from .errors import ConsistencyError, HypothesesError, ParameterError
 from .member import Member
 from .surface_lattice import DivisorClass, SurfaceTables, cohomology
-from .verify import run_all
+
+
+def _lazy(name: str):
+    """fescroll.<name> in sys.modules, compiled and run on its first attribute read.
+
+    An entry already in sys.modules is kept, so that every importer shares
+    one module object, and the package binds it as an import would.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Only the verify command reads these, so no other command compiles them.
+# They are registered rather than imported in cmd_verify because
+# bench/tracer.py reads sys.modules["fescroll.verify"]; poly is registered
+# too, so that loading verify adds no entry to sys.modules.
+_lazy("poly")
+verify = _lazy("verify")
 
 _REPORT_CHECKS = [
     "c1 and c2 agree across the three presentations",
@@ -363,6 +388,11 @@ def cmd_table(args) -> tuple[str, int]:
 # ------------------------------------------------------------------ verify
 
 
+def run_all(e_max: int, t_max: int) -> list:
+    """verify.run_all(e_max, t_max); the first call compiles and runs verify."""
+    return verify.run_all(e_max, t_max)
+
+
 def cmd_verify(args) -> tuple[str, int]:
     _check_grid(args.e_max, args.t_max)
     results = run_all(args.e_max, args.t_max)
@@ -502,25 +532,30 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal consistency: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            reason = getattr(exc, "strerror", None) or exc
-            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
-            return 1
-    else:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # the reader has gone (say, `| head`); point stdout at devnull so
-            # that the flush at interpreter exit cannot raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 1
+    try:
+        _write(text, args.out)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot write {args.out or 'stdout'}: {reason}", file=sys.stderr)
+        return 1
     return code
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text and a newline to the file out, or to stdout when out is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        return
+    try:
+        print(text, flush=True)
+    except OSError:
+        # the reader has gone (say, `| head`) or the device is full; point
+        # stdout at devnull so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def entry() -> None:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import io
@@ -480,6 +481,32 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in err
 
 
+def _report_to(stdout) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "fescroll", "report", "-e", "2", "-b", "7", "-t", "0"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=_fresh_env(), timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_exits_1_naming_the_reason():
+    with open("/dev/full", "w") as full:
+        proc = _report_to(full)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def test_stdout_pipe_without_reader_exits_1_naming_the_reason():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _report_to(write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
 def test_huge_cohomology_output_exits_1_without_traceback():
     nines = "9" * 2500
     proc = subprocess.run(
@@ -743,8 +770,60 @@ def test_cli_import_leaves_out_dataclass_and_json_machinery():
         "print(sorted(name for name in names if name in sys.modules))\n"
     )
     assert proc.returncode == 0, proc.stderr
-    # bench/tracer.py reads sys.modules["fescroll.verify"], so it stays eager
+    # bench/tracer.py reads sys.modules["fescroll.verify"], so the module stays
+    # registered there; it is not run until the verify command reads it
     assert proc.stdout == "['fescroll.verify']\n"
+
+
+def test_only_the_verify_command_compiles_verify_and_poly(tmp_path):
+    # no bytecode is read or written, so every module imported is compiled
+    # from source, and the audit hook sees each compilation
+    calls = [argv for command in cli._COMMANDS if command != "verify"
+             for argv in _sample_calls(command)[:1]]
+    verify_call = ["verify", "--e-max", "0", "--t-max", "0"]
+    proc = subprocess.run([sys.executable, "-c", (
+        "import contextlib, io, os, sys\n"
+        "compiled = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile'\n"
+        "                 and compiled.append(os.path.basename(str(args[1]))))\n"
+        "import fescroll.cli as cli\n"
+        "watched = ('verify.py', 'poly.py')\n"
+        "def compiled_since(mark):\n"
+        "    return sorted(name for name in compiled[mark:] if name in watched)\n"
+        "steps, mark = [], 0\n"
+        f"for argvs in ({calls!r}, [{verify_call!r}], [{verify_call!r}]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [cli.main(argv) for argv in argvs]\n"
+        "    steps.append((codes, compiled_since(mark)))\n"
+        "    mark = len(compiled)\n"
+        "print(steps)\n"
+    )], capture_output=True, text=True, timeout=60, env={
+        **_fresh_env(), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(tmp_path),
+    })
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [
+        ([0] * len(calls), []),
+        ([0], ["poly.py", "verify.py"]),
+        ([0], []),
+    ]
+    assert {argv[0] for argv in calls} == set(cli._COMMANDS) - {"verify"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("code, printed", [
+    # an importer of verify before cli shares its module with cli
+    ("import sys\nimport fescroll.verify as first\nimport fescroll.cli\n"
+     "print(fescroll.cli.verify is sys.modules['fescroll.verify'] is fescroll.verify is first)\n",
+     "True"),
+    ("import fescroll.cli, fescroll.verify\n"
+     "print(fescroll.verify.run_all is fescroll.cli.verify.run_all)\n", "True"),
+    ("from fescroll.verify import _CHECKS\nprint(len(_CHECKS))\n", "28"),
+    ("import fescroll.verify\nprint(len(fescroll.verify._CHECKS))\n", "28"),
+])
+def test_verify_imports_as_one_module_with_or_before_cli(code, printed):
+    proc = _fresh_child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + "\n"
 
 
 def test_cli_import_freezes_what_it_leaves_alive():
