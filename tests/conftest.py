@@ -17,16 +17,24 @@ It is compiled without its decorators, so building a mutant of a verify
 check registers nothing; a caller that needs the descriptor (a property,
 Member's _once) wraps the mutant itself.
 
+_fresh_child(code) runs code in a fresh interpreter that imports this
+checkout's fescroll, whose environment _fresh_env() gives.
+
 The pytester plugin is loaded for the self-tests of the test settings.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import textwrap
 from functools import partial, reduce
+from pathlib import Path
 
 import pytest
 
+import fescroll
 from fescroll import chow_ring as cr
 from fescroll.bundle_family import FamilyParams
 from fescroll.member import Member
@@ -61,3 +69,16 @@ def _mutant(fn, old: str, new: str):
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(compile(tree, inspect.getsourcefile(fn), "exec"), namespace)
     return namespace[fn.__name__]
+
+
+def _fresh_env() -> dict:
+    """os.environ with this checkout's fescroll first on PYTHONPATH."""
+    src = str(Path(fescroll.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _fresh_child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's fescroll."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_fresh_env())

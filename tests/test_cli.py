@@ -11,9 +11,9 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import _fresh_child, _fresh_env
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import fescroll
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
 from fescroll import chow_ring
@@ -445,13 +445,6 @@ def test_out_path_with_nul_exits_1(capsys):
     assert err == "error: cannot write a\0b: embedded null byte\n"
 
 
-def _fresh_env():
-    """os.environ with this checkout's fescroll first on PYTHONPATH."""
-    src = str(Path(fescroll.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def test_console_module_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fescroll", "report", "-e", "2", "-b", "7", "-t", "0"],
@@ -753,12 +746,6 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, monkeypatch, tmp_path,
     assert "Traceback" not in err
     if code == 1:
         assert out == "" and err.startswith("error: ")
-
-
-def _fresh_child(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this checkout's fescroll."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_fresh_env())
 
 
 def test_cli_import_leaves_out_dataclass_and_json_machinery():

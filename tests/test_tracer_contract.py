@@ -5,12 +5,12 @@ under bench/.  These tests go when the tracer does.
 """
 
 import os
-import subprocess
 import sys
 import types
 from pathlib import Path
 
-import fescroll
+from conftest import _fresh_child
+
 import fescroll.cli as cli
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -26,16 +26,14 @@ def test_cli_import_registers_every_traced_layer_and_loading_verify_adds_none():
     # the benchmark's self-tests read every fescroll module while iterating
     # sys.modules, and that read is what loads verify
     layers = _tracer().LAYERS
-    src = str(Path(fescroll.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", (
+    proc = _fresh_child(
         "import sys\n"
         "import fescroll.cli\n"
         f"missing = [layer for layer in {layers!r} if f'fescroll.{{layer}}' not in sys.modules]\n"
         "before = set(sys.modules)\n"
         "fescroll.cli.verify.run_all\n"
         "print(missing, sorted(set(sys.modules) - before))\n"
-    )], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] []\n"
 
