@@ -804,7 +804,6 @@ def test_only_the_verify_command_compiles_verify_and_poly(tmp_path):
      "True"),
     ("import fescroll.cli, fescroll.verify\n"
      "print(fescroll.verify.run_all is fescroll.cli.verify.run_all)\n", "True"),
-    ("from fescroll.verify import _CHECKS\nprint(len(_CHECKS))\n", "28"),
     ("import fescroll.verify\nprint(len(fescroll.verify._CHECKS))\n", "28"),
 ])
 def test_verify_imports_as_one_module_with_or_before_cli(code, printed):
