@@ -150,6 +150,14 @@ def chern_TX(ctx: ScrollContext) -> tuple[ChowClass, ChowClass, ChowClass]:
     (the Euler number of any F_e is 4).  Self-checks: c1(T_X) = -K_X,
     deg c3 = 8 and -K.c2 = 24, both by degree() of a full product; failures
     raise ConsistencyError.
+
+    E enters only through c1.  By the relative Euler sequence
+    0 -> O -> pi^*E^v (x) O(1) -> T_{X/F} -> 0 (Fulton, 3.2),
+    c(T_{X/F}) = 1 + (2*xi - c1') + (xi^2 - xi*c1' + c2'), and the
+    projective-bundle relation makes the degree-two term zero; neither factor
+    has an xi^2 for multiply() to reduce by c2.  verify proves this once per
+    run, on variable e, c1 and c2, and shares the classes among the members of
+    one F_e with one c1.
     """
     c1, k_surf = ctx.c1, canonical_class(ctx.e)
     t_rel = _new(ChowClass, (0, 2, -c1.a, -c1.c, 0, 0, 0, 0))  # 2*xi - c1'

@@ -12,8 +12,11 @@ it compares the numbers with are proved once per run, not made per member.
 Nothing is cached across members but the line-bundle tables of their
 surface: a grid command builds one SurfaceTables per F_e and hands it to
 every member of that surface, so a table of A, B, A-B, O or B-A is
-computed once per surface; a single-member command builds its own.  Build
-one Member per (e, b, t) and let it go when its output is formatted.
+computed once per surface; a single-member command builds its own.  The
+one other value shared is verify's: a member of its sweep reads chern_TX
+from the sweep, which builds it once per c1 when the run proves c(T_X)
+free of c2.  Build one Member per (e, b, t) and let it go when its output
+is formatted.
 """
 
 from __future__ import annotations

@@ -122,15 +122,18 @@ def test_chow_products_run_only_in_chern_tx(monkeypatch, capsys, argv):
 
 
 def test_verify_computes_each_value_once_per_member(calls, capsys):
-    # the member identities share one Member per (e, b, t)
+    # the member identities share one Member per (e, b, t), and the members
+    # of one F_e with one c1 = 4*C0 + (b+3e+6+t)*f share its chern_TX, which
+    # the run also builds once on variables to prove it free of c2
     assert cli.main(["verify", "--e-max", "1", "--t-max", "1"]) == 0
     capsys.readouterr()
-    members = len(list(iter_valid_params(1, 1)))
-    assert members == 20
-    names = ("chern", "bundle_cohomology", "chern_TX", "intersection_numbers",
-             "hilbert_polynomial")
+    grid = list(iter_valid_params(1, 1))
+    members, surface_c1s = len(grid), len({(p.e, p.b + p.t) for p in grid})
+    assert (members, surface_c1s) == (20, 13)
+    names = ("chern", "bundle_cohomology", "intersection_numbers", "hilbert_polynomial")
     assert {name: calls[name] for name in names} == dict.fromkeys(names, members)
     assert calls["build_split"] == members
+    assert calls["chern_TX"] == surface_c1s + 1
 
 
 def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):

@@ -226,10 +226,16 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     assert all(ref() is None for ref in sweeps)
 
 
-def test_run_all_multiplies_3_times_per_member_and_15_per_run(monkeypatch):
-    # per member: the 3 of chern_TX, on integers; per run, on Poly: the 7
-    # products of the ring-axiom proof and the 8 of the proof of the two Chow
-    # routes (xi^2, xi^3, K^2 and five pairings), whatever e_max
+def _surface_c1s(e_max, t_max):
+    """How many (e, c1) the members of the grid have: c1 = 4*C0 + (b+3e+6+t)*f."""
+    return len({(p.e, p.b + p.t) for p in iter_valid_params(e_max, t_max)})
+
+
+def test_run_all_multiplies_3_times_per_c1_of_a_surface_and_18_per_run(monkeypatch):
+    # per (e, c1): the 3 of chern_TX, on integers, shared by the members of
+    # F_e with that c1; per run, on Poly: the 7 products of the ring-axiom
+    # proof, the 8 of the proof of the two Chow routes (xi^2, xi^3, K^2 and
+    # five pairings) and the 3 of chern_TX on variables, whatever e_max
     calls, depth = Counter(), [0]
     real_multiply, real_chern_tx = cr.multiply, cr.chern_TX
 
@@ -246,10 +252,12 @@ def test_run_all_multiplies_3_times_per_member_and_15_per_run(monkeypatch):
 
     monkeypatch.setattr(cr, "multiply", multiply)
     monkeypatch.setattr(cr, "chern_TX", chern_tx)
-    for e_max in (0, 2, 5):
+    for e_max, t_max in ((0, 1), (2, 1), (5, 1), (8, 12)):
         calls.clear()
-        assert all(result.ok for result in verify.run_all(e_max, 1))
-        assert calls == {(False, True): 3 * bf.grid_member_count(e_max, 1), (True, False): 15}
+        assert all(result.ok for result in verify.run_all(e_max, t_max))
+        assert calls == {(False, True): 3 * _surface_c1s(e_max, t_max), (True, False): 15,
+                         (True, True): 3}
+    assert (_surface_c1s(8, 12), calls.total()) == (288, 882)
 
 
 def test_ell2_identity_on_a_member_with_its_own_tables_proves_ell_itself():
