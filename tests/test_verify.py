@@ -1,6 +1,7 @@
 """Internals of the verify battery: the threshold certificate for r, the
 per-surface table memo, the per-run proofs that keep Poly out of the
-surface and member loops, the Chow products made per member and per run,
+surface and member loops, the Chow products made per c1 of a surface and
+per run, the chern_TX faults that sharing it by c1 must not hide,
 the symbolic identities with their sampled oracle, their straight-line
 premise and the mutants they catch, the proof of P(m) = chi(Sym^m E) in
 Z[e, b, t, m] and the comparison on [4, 8] that is its oracle, the
@@ -116,9 +117,10 @@ def _poly_counter(monkeypatch):
 
 
 def test_run_all_builds_polys_once_per_run(monkeypatch):
-    # the ring axioms, bilinearity, ell affine in r and the two Chow routes
-    # are proved once per run, with e a variable, and whether each remainder
-    # vanishes is decided once; each surface and member evaluates in integers
+    # the ring axioms, bilinearity, ell affine in r, the two Chow routes and
+    # chern_TX free of c2 are proved once per run, with e a variable, and
+    # whether each remainder vanishes is decided once; each surface and
+    # member evaluates in integers
     run = _poly_counter(monkeypatch)
     names, made, truths = run(0, 1)
     assert {"e", "r", "c1.a", "c1.c", "c2", "k", "u", "p", "q", "w1", "w2", "w3",
@@ -226,9 +228,9 @@ def test_surface_identities_compute_each_class_once_per_surface(monkeypatch):
     assert all(ref() is None for ref in sweeps)
 
 
-def _surface_c1s(e_max, t_max):
-    """How many (e, c1) the members of the grid have: c1 = 4*C0 + (b+3e+6+t)*f."""
-    return len({(p.e, p.b + p.t) for p in iter_valid_params(e_max, t_max)})
+def _surface_c1s(e_max: int, t_max: int) -> int:
+    """How many (e, c1) the members of the grid have."""
+    return len({(p.e, Member(p).chern.c1) for p in iter_valid_params(e_max, t_max)})
 
 
 def test_run_all_multiplies_3_times_per_c1_of_a_surface_and_18_per_run(monkeypatch):
@@ -358,20 +360,52 @@ _BRANCHING = (ast.If, ast.IfExp, ast.Compare, ast.BoolOp, ast.Match, ast.For, as
 _DIVIDING = (ast.Div, ast.FloorDiv, ast.Mod)
 
 
+def _is_guard(node: ast.AST) -> bool:
+    """Whether node is `if x != y: raise ...` and nothing else."""
+    return (isinstance(node, ast.If) and not node.orelse and len(node.body) == 1
+            and isinstance(node.body[0], ast.Raise) and isinstance(node.test, ast.Compare)
+            and all(isinstance(op, ast.NotEq) for op in node.test.ops))
+
+
+def _value_branches(code) -> list[str]:
+    """The branching and dividing nodes of code's source, but for its guards."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
+    guards = {id(part) for node in ast.walk(tree) if _is_guard(node)
+              for part in (node, node.test)}
+    return [type(node).__name__ for node in ast.walk(tree)
+            if isinstance(node, _BRANCHING + _DIVIDING) and id(node) not in guards]
+
+
 @pytest.mark.parametrize(
     "code",
     [cr.multiply, cr.ScrollContext, cr.ChowClass, sl.DivisorClass, sl.intersect,
-     bf.ell_invariant, bf._twelve_sym_chi],
+     bf.ell_invariant, bf._twelve_sym_chi, cr.chern_TX, cr.canonical_class_X, cr.pullback,
+     sl.canonical_class],
     ids=lambda code: code.__qualname__,
 )
 def test_code_proved_on_symbols_is_straight_line(code):
     # a branch or a loop on values runs one path for the symbols and may
     # take another for some integers, so the proof would not cover them: a
     # test of e would make verify's one proof in e differ from a proof on
-    # F_e; a division of a polynomial need not be one, so nothing divides either
-    tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
-    assert [type(node).__name__ for node in ast.walk(tree)
-            if isinstance(node, _BRANCHING + _DIVIDING)] == []
+    # F_e; a division of a polynomial need not be one, so nothing divides
+    # either.  The one test allowed is a guard that raises when two values
+    # differ: where they are equal polynomials they are equal at every
+    # integer, so a guard that passes on the symbols passes everywhere, as
+    # chern_TX's checks must for verify to share its classes by c1
+    assert _value_branches(code) == []
+
+
+def test_a_value_branch_is_not_a_guard():
+    def branching(ctx):
+        if ctx.e == 1:
+            raise ConsistencyError("F_1")
+        if ctx.c2 != 0:
+            return ctx
+        if ctx.e != 0:
+            raise ConsistencyError("F_e")
+        return ctx
+
+    assert _value_branches(branching) == ["If", "If", "Compare", "Compare"]
 
 
 def _ell_plus_a_product_vanishing_on_0_to_40(real):
@@ -817,6 +851,77 @@ def test_the_numeric_full_products_are_the_oracle_of_the_chow_route_proof(monkey
     assert results[GROTHENDIECK].failures == relation
     assert results[NUMBERS].failures == numbers
     assert results[CHERN_TX].ok
+
+
+def _intersection_numbers_failure(params: FamilyParams) -> str | None:
+    """The failure line of a single member's intersection numbers, or None."""
+    try:
+        Member(params).intersection_numbers
+    except ConsistencyError as exc:
+        return f"{params}: {exc}"
+    return None
+
+
+def _chern_tx_plus(old: str, extra: str):
+    """chern_TX with extra added to the class that old ends the expression of."""
+    return _mutant(cr.chern_TX, old, f"{old} + ChowClass({extra})")
+
+
+# chern_TX faults, each with whether the proof on variables lets a sweep share
+# chern_TX by c1, the failure the intersection-number identity reports and the
+# least e at which it does.  -K.c2 multiplies c2(T_X) by K's degree-0 slot,
+# zero, so no check of chern_TX sees a point added to c2(T_X), and
+# _read_numbers rejects the class; c2 points leave c2 in a slot
+TANGENT_FAULTS = {
+    "c2(T_X) plus c2 points": (_chern_tx_plus("c1_fiber) + _C2_FIBER", "pt=ctx.c2"), False,
+                               "not a curve class", 0),
+    "c2(T_X) plus a point": (_chern_tx_plus("c1_fiber) + _C2_FIBER", "pt=1"), True,
+                             "not a curve class", 0),
+    # deg c3 = 8 + e: the check raises on the variables, and on F_e for e > 0
+    "c3(T_X) plus e points": (_chern_tx_plus("multiply(ctx, t_rel, _C2_FIBER)", "pt=ctx.e"),
+                              False, "deg c3(T_X) != 8", 1),
+}
+
+
+@pytest.mark.parametrize("fault", TANGENT_FAULTS)
+def test_a_chern_tx_fault_fails_verify_as_it_does_with_nothing_shared(
+        monkeypatch, capsys, fault):
+    # sharing chern_TX by c1 changes how often it is built, and nothing that
+    # verify prints: the same exit code, lines and case counts as a run whose
+    # proofs share nothing, where each member builds its own as report does
+    wrong, shared, message, e_min = TANGENT_FAULTS[fault]
+    builds = Counter()
+
+    def counting(ctx):
+        builds[isinstance(ctx.e, Poly)] += 1
+        return wrong(ctx)
+
+    monkeypatch.setattr(cr, "chern_TX", counting)
+    assert verify._Proofs().tangent_by_c1 is shared
+
+    def run():
+        builds.clear()
+        code = cli.main(["verify", "--e-max", "2", "--t-max", "1"])
+        out = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_MAX_FAILURES", 1000)
+            results = {r.name: (r.cases, r.failures) for r in verify.run_all(2, 1)}
+        return code, out, results, builds[False]
+
+    code, out, results, integer_builds = run()
+    monkeypatch.setattr(verify._Proofs, "tangent_by_c1", False)
+    assert (code, out, results) == run()[:3]
+    assert code == 3
+    # two runs: cli.main's and run_all's
+    assert integer_builds == (2 * _surface_c1s(2, 1) if shared else builds[False])
+    # the identity's lines are each member's own, as a Member of report reads them
+    cases, failures = results[NUMBERS]
+    assert cases == bf.grid_member_count(2, 1)
+    assert failures == [line for p in iter_valid_params(2, 1)
+                        if (line := _intersection_numbers_failure(p))]
+    assert {line.split(": ", 1)[0] for line in failures} == {
+        str(p) for p in iter_valid_params(2, 1) if p.e >= e_min}
+    assert all(message in line for line in failures)
 
 
 def test_a_members_point_gives_the_free_classes_its_own_values():
