@@ -9,7 +9,7 @@ divmod by an int works coefficient by coefficient, and at() substitutes
 integers for some of the variables.
 
 Every result comes from that constructor, with no faster path beside it:
-verify runs its symbolic proofs once per run, outside every loop, in about 3 ms.
+verify runs its symbolic proofs once per run, outside every loop.
 """
 
 from __future__ import annotations

@@ -13,27 +13,20 @@ their own against it: r, for one, is certified by h^0 at its two
 neighbouring fiber twists.
 
 Symbolic arithmetic stays out of the surface and member loops.  What
-holds for every value of a variable is proved once per run, on Poly
-variables with e among them, and each surface and member evaluates in
-integers: the run's _Proofs prove ell(c1, c2, 2, r) affine in r, so each
-member checks it at r = 0 and r = 1 only, and they prove the Chow ring's
-two routes, deg xi^3 = c1^2 - c2 and the reader's intersection numbers
-equal to the degrees of the full products, on free K_X, c2(T_X) and
-c3(T_X).  The run also decides once whether each remainder vanishes, and
-a surface or member reads a remainder at its own values only when it
-does not, so a passing member tests no Poly at all.  The Chow-route
-proof runs _read_numbers and degree(), which branch on values; a fault
-behind such a branch (a K^3 off by one at e = 1 only, say) takes one path
-on the variables and is out of its sight, and the member's own closed
-forms in intersection_numbers are what catch it.
-
-The run also runs chern_TX once on a free context, e, c1 and c2 all
-variables.  Where its checks hold there and c2 is in no slot of its three
-classes, c(T_X) depends on a member only through e and c1, as the
-relative Euler sequence says, and each sweep builds it once per c1 of its
-members, with chern_TX's own checks, and hands it to every member with
-that c1: over (8, 12), 288 builds for 1638 members.  Where they do not,
-every member builds its own, as a single-member command does.
+holds for every value of a variable is proved once per run, by the run's
+_Proofs, on Poly variables with e among them, and each surface and member
+evaluates in integers: ell(c1, c2, 2, r) is proved affine in r, so each
+member checks it at r = 0 and r = 1 only, and the Chow ring's two routes,
+deg xi^3 = c1^2 - c2 and the reader's intersection numbers equal to the
+degrees of the full products, are proved on free K_X, c2(T_X) and
+c3(T_X).  A passing member reads each proof's verdict, _Proofs.vanishes,
+and tests no Poly at all.  The Chow-route proof runs _read_numbers and
+degree(), which branch on values; a fault behind such a branch (a K^3 off
+by one at e = 1 only, say) takes one path on the variables and is out of
+its sight, and the member's own closed forms in intersection_numbers are
+what catch it.  chern_TX is proved free of c2 the same way, as the
+relative Euler sequence says it is, and each sweep then builds it once
+per c1 of its members: over (8, 12), 288 builds for 1638 members.
 """
 
 from __future__ import annotations
@@ -100,18 +93,26 @@ def _register(name: str, sweep: str = "surface"):
 
 class _Proofs:
     """The symbolic identities of one run_all, each proved once, on Poly
-    variables with e among them, and kept as the difference of its sides.
-    The code they run is straight-line, so that remainder at an integer e
-    (_at) is what a proof on F_e alone would leave; ring_routes also runs
-    _read_numbers and degree(), whose branches only reject a class of the
-    wrong shape, so at a member's point its remainders are that member's
-    full products less the reader's numbers.  Whether each remainder
-    vanishes is decided once too, read off the remainder itself, and a
-    surface or member evaluates a remainder (_at) only when it does not.
-    Each is a _once value, timed in the first identity that reads it;
-    nothing keeps the record past its run, so a fault patched into one run
-    is proved afresh in the next.  tangent_by_c1 keeps no remainder: it is
-    the bool that lets a sweep share chern_TX by c1."""
+    variables with e among them, and kept as a remainder, the difference of
+    its sides.  The code they run is straight-line, so a remainder at an
+    integer e (_at) is what a proof on F_e alone would leave; ring_routes
+    also runs _read_numbers and degree(), whose branches only reject a class
+    of the wrong shape, so at a member's point its remainders are that
+    member's full products less the reader's numbers.  vanishes(name) decides
+    once per run whether a remainder is zero, and a surface or member reads
+    it at its own values only where it is not.  Each remainder is a _once
+    value, timed in the first identity that reads it; nothing keeps the
+    record past its run, so a fault patched into one run is proved afresh in
+    the next."""
+
+    def __init__(self) -> None:
+        self._verdicts: dict[str, bool] = {}
+
+    def vanishes(self, name: str) -> bool:
+        """Whether the remainder called name is zero in every slot."""
+        if name not in self._verdicts:
+            self._verdicts[name] = _zero(getattr(self, name))
+        return self._verdicts[name]
 
     @_once
     def ring_axioms(self) -> tuple[tuple[str, cr.ChowClass], ...]:
@@ -167,42 +168,25 @@ class _Proofs:
                 *(product - cr.ChowClass(pt=num) for product, num in zip(products, nums)))
 
     @_once
-    def tangent_by_c1(self) -> bool:
-        """Whether chern_TX, run on variables e, c1.a, c1.c and c2, passes its
-        three checks and leaves c2 out of every slot of its classes.  Its code is
-        straight-line but for guards that raise on an inequality, so its checks
-        then hold as polynomial identities, and at integers its classes are those
-        of any other context with the same e and c1: a sweep may compute them once
-        per c1.  A check that raises on the variables means they may not be shared."""
+    def tangent_c2(self) -> tuple[cr.ChowClass, ...] | int:
+        """chern_TX on variables e, c1.a, c1.c and c2 less its classes at c2 = 0, or
+        1 where its checks raise on the variables.  Its code is straight-line but
+        for guards that raise on an inequality, so where this vanishes its checks
+        hold as polynomial identities, and at integers its classes are those of any
+        other context with the same e and c1: a sweep may compute them once per c1."""
         c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
         try:
             tangent = cr.chern_TX(cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")))
         except ConsistencyError:
-            return False
-        return not any("c2" in mono for cls in tangent for slot in cls
-                       if isinstance(slot, Poly) for mono in slot.terms)
+            return 1
+        return tuple(cls - _at(cls, {"c2": 0}) for cls in tangent)
 
-    @_once
-    def ring_axioms_vanish(self) -> bool:
-        return not any(any(diff) for _axiom, diff in self.ring_axioms)
 
-    @_once
-    def bilinear_vanishes(self) -> bool:
-        return not any(diff for _prop, diff in self.bilinear)
-
-    @_once
-    def ell2_vanishes(self) -> bool:
-        return not self.ell2
-
-    @_once
-    def relation_vanishes(self) -> bool:
-        """Whether ring_routes[0], the projective-bundle relation's remainder, is zero."""
-        return not any(self.ring_routes[0])
-
-    @_once
-    def numbers_vanish(self) -> bool:
-        """Whether ring_routes[1:], the remainders of the six pairings, are zero."""
-        return not any(map(any, self.ring_routes[1:]))
+def _zero(remainder) -> bool:
+    """Whether a remainder of _Proofs, or a tuple of them with their labels, is zero."""
+    if isinstance(remainder, tuple):
+        return all(_zero(part) for part in remainder if not isinstance(part, str))
+    return not remainder
 
 
 def _at(remainder, point: dict[str, int]):
@@ -215,24 +199,13 @@ def _at(remainder, point: dict[str, int]):
 
 class _Sweep(sl.SurfaceTables):
     """One surface F_e of the grid: the tables its identities and its members
-    share, the chern_TX its members share by c1, t_max, the bound of the
-    window sweeps, and the run's _Proofs.  Nothing outlives the run, so a
-    fault patched into one run_all is never seen by the next."""
+    share, the chern_TX its members share, t_max, the bound of the window
+    sweeps, and the run's _Proofs.  Nothing outlives the run, so a fault
+    patched into one run_all is never seen by the next."""
 
     def __init__(self, e: int, t_max: int, proofs: _Proofs) -> None:
         super().__init__(e)
-        self.t_max, self.proofs, self._tangents = t_max, proofs, {}
-
-    def tangent(self, ctx: cr.ScrollContext) -> tuple[cr.ChowClass, ...]:
-        """chern_TX(ctx) of a member of F_e.  When the run's proofs show it free of
-        c2 it is kept by c1, so the first member with a c1 computes it, with its
-        checks, for every other; a value that raises is not kept."""
-        if not self.proofs.tangent_by_c1:
-            return cr.chern_TX(ctx)
-        tangent = self._tangents.get(ctx.c1)
-        if tangent is None:
-            tangent = self._tangents[ctx.c1] = cr.chern_TX(ctx)
-        return tangent
+        self.t_max, self.proofs, self.tangents = t_max, proofs, {}
 
 
 class _SweepMember(Member):
@@ -240,7 +213,15 @@ class _SweepMember(Member):
 
     @_once
     def chern_TX(self) -> tuple[cr.ChowClass, cr.ChowClass, cr.ChowClass]:
-        return self.surface.tangent(self.ctx)
+        """chern_TX(ctx), kept by the sweep under c1 where the run's proofs show it
+        free of c2, so the first member with a c1 computes it, with its checks, for
+        every other; else under the whole ctx, which is this member's alone.  A
+        value that raises is not kept."""
+        sweep = self.surface
+        key = self.ctx.c1 if sweep.proofs.vanishes("tangent_c2") else self.ctx
+        if key not in sweep.tangents:
+            sweep.tangents[key] = cr.chern_TX(self.ctx)
+        return sweep.tangents[key]
 
 
 def _proofs(member: Member) -> _Proofs:
@@ -343,7 +324,7 @@ def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
 def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
     e, proofs = sweep.e, sweep.proofs
     for prop, diff in proofs.bilinear:
-        ok = proofs.bilinear_vanishes or not (diff := _at(diff, {"e": e}))
+        ok = proofs.vanishes("bilinear") or not (diff := _at(diff, {"e": e}))
         if not rec.case(ok):
             rec.fail(lambda: f"e={e}: {prop} fails, the difference is {diff}")
 
@@ -394,7 +375,7 @@ def _check_ell2(rec: CheckResult, member: Member) -> None:
     params, proofs = member.params, _proofs(member)
     expected = params.b - params.t - 2 * params.e - 4
     ell = partial(bf.ell_invariant, member.chern, params.e, 2)
-    affine = proofs.ell2_vanishes or not _at(proofs.ell2, {"e": params.e})
+    affine = proofs.vanishes("ell2") or not _at(proofs.ell2, {"e": params.e})
     ok = expected < 0 and affine and ell(0) == expected == ell(1)
     if not rec.case(ok):
         rec.fail(lambda: f"{params}: ell = {ell(Poly.var('r'))}, expected {expected}")
@@ -468,7 +449,7 @@ def _check_grothendieck(rec: CheckResult, member: Member) -> None:
     # not lean on chern_TX
     d = member.d  # c1^2 - c2, which scroll_degree checks against 8e+5b+7t+40
     proofs, lhs = _proofs(member), d
-    if not proofs.relation_vanishes:
+    if not proofs.vanishes("ring_routes"):
         lhs = cr.degree(_at(proofs.ring_routes[0], _point(member.ctx)) + cr.ChowClass(pt=d))
     if not rec.case(lhs == d):
         rec.fail(lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
@@ -486,7 +467,7 @@ def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
     # c2 is a polynomial identity, proved once per run; F_e reads it at its e
     e, proofs = sweep.e, sweep.proofs
     for axiom, diff in proofs.ring_axioms:
-        ok = proofs.ring_axioms_vanish or not any(diff := _at(diff, {"e": e}))
+        ok = proofs.vanishes("ring_axioms") or not any(diff := _at(diff, {"e": e}))
         if not rec.case(ok):
             rec.fail(lambda: f"e={e}: {axiom} fails, the difference has {_a_term(diff)}")
 
@@ -500,7 +481,7 @@ def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
     # remainder that is not zero is read at the member, giving that degree
     nums, proofs = member.intersection_numbers, _proofs(member)
     by_ring = nums[:6]
-    if not proofs.numbers_vanish:
+    if not proofs.vanishes("ring_routes"):
         point = _point(member.ctx, member.chern_TX)
         by_ring = tuple(cr.degree(_at(diff, point) + cr.ChowClass(pt=num))
                         for diff, num in zip(proofs.ring_routes[1:], nums))

@@ -1,14 +1,15 @@
 """Internals of the verify battery: the threshold certificate for r, the
 per-surface table memo, the per-run proofs that keep Poly out of the
 surface and member loops, the Chow products made per c1 of a surface and
-per run, the chern_TX faults that sharing it by c1 must not hide,
-the symbolic identities with their sampled oracle, their straight-line
-premise and the mutants they catch, the proof of P(m) = chi(Sym^m E) in
-Z[e, b, t, m] and the comparison on [4, 8] that is its oracle, the
-recorder, how an error raised inside an identity is counted, the guard
-identities that fail when only a layer's own check catches a fault, the
-count of the walk, the identity names the benchmark traces, and the
-identity that a broken Chow pairing fails."""
+per run, the chern_TX faults that sharing it by c1 must not hide, a run
+whose every proof verdict is forced false, the symbolic identities with
+their sampled oracle, their straight-line premise and the mutants they
+catch, the proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the
+comparison on [4, 8] that is its oracle, the recorder, how an error
+raised inside an identity is counted, the guard identities that fail
+when only a layer's own check catches a fault, the count of the walk,
+the identity names the benchmark traces, and the identity that a broken
+Chow pairing fails."""
 
 import ast
 import inspect
@@ -897,7 +898,7 @@ def test_a_chern_tx_fault_fails_verify_as_it_does_with_nothing_shared(
         return wrong(ctx)
 
     monkeypatch.setattr(cr, "chern_TX", counting)
-    assert verify._Proofs().tangent_by_c1 is shared
+    assert verify._Proofs().vanishes("tangent_c2") is shared
 
     def run():
         builds.clear()
@@ -909,7 +910,9 @@ def test_a_chern_tx_fault_fails_verify_as_it_does_with_nothing_shared(
         return code, out, results, builds[False]
 
     code, out, results, integer_builds = run()
-    monkeypatch.setattr(verify._Proofs, "tangent_by_c1", False)
+    real = verify._Proofs.vanishes
+    monkeypatch.setattr(verify._Proofs, "vanishes",
+                        lambda self, name: name != "tangent_c2" and real(self, name))
     assert (code, out, results) == run()[:3]
     assert code == 3
     # two runs: cli.main's and run_all's
@@ -922,6 +925,32 @@ def test_a_chern_tx_fault_fails_verify_as_it_does_with_nothing_shared(
     assert {line.split(": ", 1)[0] for line in failures} == {
         str(p) for p in iter_valid_params(2, 1) if p.e >= e_min}
     assert all(message in line for line in failures)
+
+
+def test_a_run_whose_proofs_all_fail_reads_each_remainder_at_its_subjects(monkeypatch, capsys):
+    # with every verdict forced false, each surface and member reads each
+    # remainder at its own values and builds its own chern_TX; on a sound
+    # engine that run has the same labels, case counts and output
+    builds = Counter()
+    real_chern_tx = cr.chern_TX
+
+    def counting(ctx):
+        builds[isinstance(ctx.e, Poly)] += 1
+        return real_chern_tx(ctx)
+
+    def run():
+        builds.clear()
+        code = cli.main(["verify", "--e-max", "2", "--t-max", "2"])
+        results = [(r.name, r.cases, r.failures) for r in verify.run_all(2, 2)]
+        return code, capsys.readouterr().out, results
+
+    monkeypatch.setattr(cr, "chern_TX", counting)
+    normal = run()
+    assert normal[0] == 0 and all(not failures for _name, _cases, failures in normal[2])
+    monkeypatch.setattr(verify._Proofs, "vanishes", lambda self, name: False)
+    assert run() == normal
+    # two runs, cli.main's and run_all's, each building one per member
+    assert builds[False] == 2 * bf.grid_member_count(2, 2)
 
 
 def test_a_members_point_gives_the_free_classes_its_own_values():
@@ -944,7 +973,7 @@ def test_a_reader_branching_on_e_fails_the_intersection_numbers_at_e_1(monkeypat
     wrong = _mutant(cr._read_numbers, "3 * u * d_d,", "3 * u * d_d + (e == 1),")
     monkeypatch.setattr(cr, "_read_numbers", wrong)
     monkeypatch.setattr(verify, "_MAX_FAILURES", 1000)
-    assert verify._Proofs().numbers_vanish
+    assert verify._Proofs().vanishes("ring_routes")
     numbers = _results_by_name(1, 1)[NUMBERS]
     assert numbers.cases == bf.grid_member_count(1, 1)
     assert _failing_members(numbers) == {str(p) for p in iter_valid_params(1, 1) if p.e == 1}
