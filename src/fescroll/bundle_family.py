@@ -5,7 +5,8 @@ E = A + B with A = 3*C0 + (3e+5+t)*f and B = C0 + (b+1)*f.  An equivalent
 extension presentation (line bundles L = C0 + b*f, M = 3*C0 + (3e+6+t)*f
 and a length-two cluster on a fiber) is kept only to cross-validate the
 Chern data: all three presentations must give c1 = 4*C0 + (b+3e+6+t)*f and
-c2 = 3b+8+t.
+c2 = 3b+8+t, and chern returns them with e as the chow_ring.ScrollContext
+that every later layer reads.
 
 Validation window: e >= 0, t >= 0, -2 < b < 2e+4+t, and b > e-1 (forced by
 ampleness of B).  Each violated inequality raises a distinct
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .chow_ring import ScrollContext
 from .errors import ConsistencyError, ParameterError, exact_div
 from .surface_lattice import (
     FIBER,
@@ -100,7 +102,6 @@ def grid_member_count(e_max: int, t_max: int) -> int:
 
 # E = A + B on F_e
 SplitBundle = namedtuple("SplitBundle", "A B e")
-ChernData = namedtuple("ChernData", "c1 c2")
 # extension presentation: 0 -> L -> E -> M tensor ideal of a cluster -> 0
 ExtensionData = namedtuple("ExtensionData", "L M w_len")
 
@@ -120,8 +121,8 @@ def extension_data(params: FamilyParams) -> ExtensionData:
     )
 
 
-def chern(params: FamilyParams, bundle: SplitBundle) -> ChernData:
-    """Chern data, cross-asserted over all three presentations.
+def chern(params: FamilyParams, bundle: SplitBundle) -> ScrollContext:
+    """Chern data ScrollContext(e, c1, c2), cross-asserted over all three presentations.
 
     bundle is the member's split form build_split(params).
     """
@@ -138,7 +139,7 @@ def chern(params: FamilyParams, bundle: SplitBundle) -> ChernData:
             "c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f and c2 = A.B = L.M+2 = 3b+8+t "
             f"violated at {params}"
         )
-    return ChernData(c1_closed, c2_closed)
+    return ScrollContext(e, c1_closed, c2_closed)
 
 
 def invariant_r(bundle: SplitBundle, d1: int) -> int:
@@ -154,14 +155,14 @@ def invariant_r(bundle: SplitBundle, d1: int) -> int:
     return max(cls.c for cls in (bundle.A, bundle.B) if cls.a >= d1)
 
 
-def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
+def ell_invariant(ctx: ScrollContext, d1: int, r: int) -> int:
     """ell(c1, c2, d1, r) = c2 + a*(d1*e - r) - s*d1 + 2*d1*r - d1^2*e.
 
     Here (a, s) = (4, b+3e+6+t) are the coefficients of c1 and c2 = 3b+8+t.
     """
-    a, s_coeff = cd.c1.a, cd.c1.c
+    e, a, s_coeff = ctx.e, ctx.c1.a, ctx.c1.c
     return (
-        cd.c2
+        ctx.c2
         + a * (d1 * e - r)
         - s_coeff * d1
         + 2 * d1 * r
@@ -172,7 +173,9 @@ def ell_invariant(cd: ChernData, e: int, d1: int, r: int) -> int:
 UniformityEvidence = namedtuple("UniformityEvidence", "uniform r ell2 ell3 splitting_type")
 
 
-def is_uniform(params: FamilyParams, bundle: SplitBundle, cd: ChernData) -> UniformityEvidence:
+def is_uniform(
+    params: FamilyParams, bundle: SplitBundle, ctx: ScrollContext
+) -> UniformityEvidence:
     """Uniformity of splitting type (3, 1), with the witnessing numbers, each checked.
 
     ell at d1=3 must vanish at the threshold r3 = invariant_r(bundle, 3),
@@ -182,13 +185,13 @@ def is_uniform(params: FamilyParams, bundle: SplitBundle, cd: ChernData) -> Unif
     member is uniform whenever this returns.
     """
     r3 = invariant_r(bundle, 3)
-    ell2 = ell_invariant(cd, bundle.e, 2, r3)
-    ell3 = ell_invariant(cd, bundle.e, 3, r3)
+    ell2 = ell_invariant(ctx, 2, r3)
+    ell3 = ell_invariant(ctx, 3, r3)
     if ell2 != params.b - params.t - 2 * params.e - 4:
         raise ConsistencyError(f"ell(c1,c2,2,r) != b-t-2e-4 at {params}, r={r3}")
     if ell3 != 0:
         raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={r3}")
-    by_ell = (3, intersect(bundle.e, cd.c1, FIBER) - 3)
+    by_ell = (3, intersect(ctx.e, ctx.c1, FIBER) - 3)
     by_split = (intersect(bundle.e, bundle.A, FIBER), intersect(bundle.e, bundle.B, FIBER))
     if by_ell != by_split:
         raise ConsistencyError(

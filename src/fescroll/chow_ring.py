@@ -42,9 +42,10 @@ compares c1(T_X) whole with -K_X.  P(m) and chi(N)
 read the ring only through intersection_numbers(): by Riemann-Roch each
 is a polynomial in those seven numbers.  Building the Chern classes of
 the normal bundle as Chow classes is kept as a test oracle for chi(N).
-The ring knows a member only through ScrollContext(e, c1, c2), so it runs
-as well on symbolic c1 and c2; intersection_numbers() also takes the
-member's (e, b, t), for its closed forms.
+The ring knows a member only through ScrollContext(e, c1, c2), the Chern
+data that bundle_family.chern returns, so it runs as well on symbolic e,
+c1 and c2; intersection_numbers() also takes the member's (e, b, t), for
+its closed forms.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _new = tuple.__new__
 
 
 class ScrollContext(namedtuple("ScrollContext", "e c1 c2")):
-    """Everything the ring structure needs: the surface F_e and the Chern data of E."""
+    """A member's Chern data and all the ring needs: the surface F_e, c1 and c2 of E."""
 
     __slots__ = ()
 

@@ -4,10 +4,11 @@ A Member wraps a validated parameter triple.  Each of its values is
 computed on first access and kept, and the layer functions take the
 values they build on as arguments, so every value is derived once per
 member and the cross-check that guards it runs once, when it is first
-computed: the Chern data give the Chow ring, the ring gives the
-intersection numbers, and those check chi(N) and P(m) = chi(Sym^m E).
-verify reads a member's ring only through ctx and chern_TX: the products
-it compares the numbers with are proved once per run, not made per member.
+computed: the Chern data, one ScrollContext(e, c1, c2), are the context
+of the Chow ring, the ring gives the intersection numbers, and those check
+chi(N) and P(m) = chi(Sym^m E).  verify reads a member's ring only through
+chern and chern_TX: the products it compares the numbers with are proved
+once per run, not made per member.
 
 Nothing is cached across members but the line-bundle tables of their
 surface: a grid command builds one SurfaceTables per F_e and hands it to
@@ -52,13 +53,9 @@ class Member:
         self.surface = SurfaceTables(params.e) if surface is None else surface
 
     @_once
-    def chern(self) -> bf.ChernData:
-        """c1 and c2 of E, agreed across the three presentations."""
+    def chern(self) -> cr.ScrollContext:
+        """ScrollContext(e, c1, c2) of E, agreed across the three presentations."""
         return bf.chern(self.params, self.split)
-
-    @_once
-    def ctx(self) -> cr.ScrollContext:
-        return cr.ScrollContext(self.params.e, self.chern.c1, self.chern.c2)
 
     @_once
     def split(self) -> bf.SplitBundle:
@@ -77,7 +74,7 @@ class Member:
     @_once
     def d(self) -> int:
         """Degree of the scroll."""
-        return si.scroll_degree(self.params, self.ctx)
+        return si.scroll_degree(self.params, self.chern)
 
     @_once
     def h_of_L(self) -> tuple[int, int, int, int]:
@@ -91,11 +88,11 @@ class Member:
 
     @_once
     def chern_TX(self) -> tuple[cr.ChowClass, cr.ChowClass, cr.ChowClass]:
-        return cr.chern_TX(self.ctx)
+        return cr.chern_TX(self.chern)
 
     @_once
     def intersection_numbers(self) -> cr.IntersectionNumbers:
-        return cr.intersection_numbers(self.params, self.ctx, self.chern_TX)
+        return cr.intersection_numbers(self.params, self.chern, self.chern_TX)
 
     @_once
     def hilbert_poly(self) -> si.BinomialCubic:

@@ -94,19 +94,22 @@ def _register(name: str, sweep: str = "surface"):
 class _Proofs:
     """The symbolic identities of one run_all, each proved once, on Poly
     variables with e among them, and kept as a remainder, the difference of
-    its sides.  The code they run is straight-line, so a remainder at an
-    integer e (_at) is what a proof on F_e alone would leave; ring_routes
-    also runs _read_numbers and degree(), whose branches only reject a class
-    of the wrong shape, so at a member's point its remainders are that
-    member's full products less the reader's numbers.  vanishes(name) decides
-    once per run whether a remainder is zero, and a surface or member reads
-    it at its own values only where it is not.  Each remainder is a _once
-    value, timed in the first identity that reads it; nothing keeps the
-    record past its run, so a fault patched into one run is proved afresh in
-    the next."""
+    its sides.  They share one free context, (e, c1.a*C0 + c1.c*f, c2) on
+    variables, built with the record.  The code they run is straight-line,
+    so a remainder at an integer e (_at) is what a proof on F_e alone would
+    leave; ring_routes also runs _read_numbers and degree(), whose branches
+    only reject a class of the wrong shape, so at a member's point its
+    remainders are that member's full products less the reader's numbers.
+    vanishes(name) decides once per run whether a remainder is zero, and a
+    surface or member reads it at its own values only where it is not.
+    Each remainder is a _once value, timed in the first identity that reads
+    it; nothing keeps the record past its run, so a fault patched into one
+    run is proved afresh in the next."""
 
     def __init__(self) -> None:
         self._verdicts: dict[str, bool] = {}
+        c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
+        self.free = cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2"))
 
     def vanishes(self, name: str) -> bool:
         """Whether the remainder called name is zero in every slot."""
@@ -117,8 +120,7 @@ class _Proofs:
     @_once
     def ring_axioms(self) -> tuple[tuple[str, cr.ChowClass], ...]:
         """(axiom, lhs - rhs) of multiply on classes x, y, z, all variables."""
-        c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
-        mul = partial(cr.multiply, cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")))
+        mul = partial(cr.multiply, self.free)
         x, y, z = (cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
                    for name in "xyz")
         xy = mul(x, y)
@@ -129,7 +131,7 @@ class _Proofs:
     @_once
     def bilinear(self) -> tuple[tuple[str, Poly], ...]:
         """(property, lhs - rhs) of the pairing on variable D1, D2, D3 and k."""
-        e, k = Poly.var("e"), Poly.var("k")
+        e, k = self.free.e, Poly.var("k")
         d1, d2, d3 = (sl.DivisorClass(Poly.var(f"D{i}.a"), Poly.var(f"D{i}.c")) for i in "123")
         return (("symmetry", sl.intersect(e, d1, d2) - sl.intersect(e, d2, d1)),
                 ("linearity", sl.intersect(e, d1 + d2 * k, d3)
@@ -140,8 +142,7 @@ class _Proofs:
         """ell(c1, c2, 2, r) - ell(.., 0) - r*(ell(.., 1) - ell(.., 0)) on variables
         e, c1.a, c1.c, c2 and r: where it vanishes ell is affine in r, and its
         values at r = 0 and r = 1 fix it at every integer r."""
-        cd = bf.ChernData(sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c")), Poly.var("c2"))
-        ell, r = partial(bf.ell_invariant, cd, Poly.var("e"), 2), Poly.var("r")
+        ell, r = partial(bf.ell_invariant, self.free, 2), Poly.var("r")
         at_0 = ell(0)
         return ell(r) - at_0 - r * (ell(1) - at_0)
 
@@ -153,9 +154,7 @@ class _Proofs:
         shows too.  The variables are e, c1.a, c1.c, c2, K_X = u*xi + (p*C0 + q*f)',
         c2(T_X) = w1*xi*C0' + w2*xi*f' + w3*pt' and c3(T_X) = c3*pt, the shapes
         that chern_TX and _read_numbers check a member's classes to have."""
-        e, c2 = Poly.var("e"), Poly.var("c2")
-        c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
-        ctx = cr.ScrollContext(e, c1, c2)
+        e, c1, c2 = ctx = self.free
         mul = partial(cr.multiply, ctx)
         u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
         k, xi, c2x = cr.ChowClass(xi=u, h1=p, h2=q), cr.XI, cr.ChowClass(xih1=w1, xih2=w2, p=w3)
@@ -174,9 +173,8 @@ class _Proofs:
         for guards that raise on an inequality, so where this vanishes its checks
         hold as polynomial identities, and at integers its classes are those of any
         other context with the same e and c1: a sweep may compute them once per c1."""
-        c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
         try:
-            tangent = cr.chern_TX(cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")))
+            tangent = cr.chern_TX(self.free)
         except ConsistencyError:
             return 1
         return tuple(cls - _at(cls, {"c2": 0}) for cls in tangent)
@@ -213,14 +211,14 @@ class _SweepMember(Member):
 
     @_once
     def chern_TX(self) -> tuple[cr.ChowClass, cr.ChowClass, cr.ChowClass]:
-        """chern_TX(ctx), kept by the sweep under c1 where the run's proofs show it
-        free of c2, so the first member with a c1 computes it, with its checks, for
-        every other; else under the whole ctx, which is this member's alone.  A
-        value that raises is not kept."""
+        """chern_TX(chern), kept by the sweep under c1 where the run's proofs show
+        it free of c2, so the first member with a c1 computes it, with its checks,
+        for every other; else under the whole context, which is this member's
+        alone.  A value that raises is not kept."""
         sweep = self.surface
-        key = self.ctx.c1 if sweep.proofs.vanishes("tangent_c2") else self.ctx
+        key = self.chern.c1 if sweep.proofs.vanishes("tangent_c2") else self.chern
         if key not in sweep.tangents:
-            sweep.tangents[key] = cr.chern_TX(self.ctx)
+            sweep.tangents[key] = cr.chern_TX(self.chern)
         return sweep.tangents[key]
 
 
@@ -374,7 +372,7 @@ def _check_ell2(rec: CheckResult, member: Member) -> None:
     # member that is not on a sweep proves it for itself
     params, proofs = member.params, _proofs(member)
     expected = params.b - params.t - 2 * params.e - 4
-    ell = partial(bf.ell_invariant, member.chern, params.e, 2)
+    ell = partial(bf.ell_invariant, member.chern, 2)
     affine = proofs.vanishes("ell2") or not _at(proofs.ell2, {"e": params.e})
     ok = expected < 0 and affine and ell(0) == expected == ell(1)
     if not rec.case(ok):
@@ -445,12 +443,12 @@ def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
 @_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)", "member")
 def _check_grothendieck(rec: CheckResult, member: Member) -> None:
     # the run's proofs show xi^3 - (c1^2 - c2)*pt zero for every context; a
-    # remainder that is not is read at the member's ctx, so the relation does
+    # remainder that is not is read at the member's point, so the relation does
     # not lean on chern_TX
     d = member.d  # c1^2 - c2, which scroll_degree checks against 8e+5b+7t+40
     proofs, lhs = _proofs(member), d
     if not proofs.vanishes("ring_routes"):
-        lhs = cr.degree(_at(proofs.ring_routes[0], _point(member.ctx)) + cr.ChowClass(pt=d))
+        lhs = cr.degree(_at(proofs.ring_routes[0], _point(member.chern)) + cr.ChowClass(pt=d))
     if not rec.case(lhs == d):
         rec.fail(lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
 
@@ -482,7 +480,7 @@ def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
     nums, proofs = member.intersection_numbers, _proofs(member)
     by_ring = nums[:6]
     if not proofs.vanishes("ring_routes"):
-        point = _point(member.ctx, member.chern_TX)
+        point = _point(member.chern, member.chern_TX)
         by_ring = tuple(cr.degree(_at(diff, point) + cr.ChowClass(pt=num))
                         for diff, num in zip(proofs.ring_routes[1:], nums))
     if not rec.case(nums[:6] == by_ring):

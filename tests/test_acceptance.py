@@ -55,7 +55,7 @@ def test_c01_uniform_splitting_type(criterion):
             ev = m.uniformity
             assert ev.uniform and ev.r == r
             assert ev.ell2 == p.b - p.t - 2 * p.e - 4 < 0
-            assert ev.ell3 == ell_invariant(m.chern, p.e, 3, r) == 0
+            assert ev.ell3 == ell_invariant(m.chern, 3, r) == 0
             assert ev.splitting_type == (3, 1)
 
 
@@ -78,9 +78,8 @@ def test_c03_embedding_dimension_and_degree(criterion):
             assert n == 5 * p.e + 2 * p.b + 4 * p.t + 27
             assert d == 8 * p.e + 5 * p.b + 7 * p.t + 40
             assert d - 3 * p.e - 3 * p.b - 3 * p.t - 12 == n + 1
-            cd = m.chern
-            assert d == intersect(p.e, cd.c1, cd.c1) - cd.c2
-            ctx = m.ctx
+            ctx = m.chern
+            assert d == intersect(p.e, ctx.c1, ctx.c1) - ctx.c2
             assert d == degree(_prod(ctx, XI, XI, XI))
 
 

@@ -170,7 +170,7 @@ def test_invariant_r_rejects_bad_degree():
 )
 def test_ell_invariant_spots(e, b, t, d1, r, expected):
     p = FamilyParams(e, b, t)
-    assert ell_invariant(chern(p, build_split(p)), e, d1, r) == expected
+    assert ell_invariant(chern(p, build_split(p)), d1, r) == expected
 
 
 def test_is_uniform_evidence():

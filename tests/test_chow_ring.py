@@ -22,7 +22,7 @@ from fescroll.member import Member
 from fescroll.surface_lattice import C0, FIBER, DivisorClass, canonical_class, intersect
 
 PARAMS = FamilyParams(2, 7, 0)
-CTX = Member(PARAMS).ctx
+CTX = Member(PARAMS).chern
 ONE, PT_PULLBACK, POINT = ChowClass(z=1), ChowClass(p=1), ChowClass(pt=1)
 
 
@@ -68,7 +68,7 @@ def test_degree_rejects_mixed_classes():
 
 def test_canonical_class_spots():
     assert canonical_class_X(CTX) == ChowClass(xi=-2, h1=2, h2=15)
-    ctx0 = Member(FamilyParams(0, 3, 0)).ctx
+    ctx0 = Member(FamilyParams(0, 3, 0)).chern
     assert canonical_class_X(ctx0) == ChowClass(xi=-2, h1=2, h2=7)
 
 
@@ -117,13 +117,13 @@ def test_intersection_numbers_record():
 @pytest.mark.parametrize("e,b,t,l3", [(0, 3, 0, 55), (1, 5, 0, 73)])
 def test_scroll_degree_spots(e, b, t, l3):
     p = FamilyParams(e, b, t)
-    ctx = Member(p).ctx
+    ctx = Member(p).chern
     assert intersection_numbers(p, ctx, chern_TX(ctx)).L3 == l3
 
 
 def test_intersection_numbers_grid_against_hand_expansion():
     for p in iter_valid_params(3, 3):
-        ctx = Member(p).ctx
+        ctx = Member(p).chern
         assert intersection_numbers(p, ctx, chern_TX(ctx)) == _oracle_numbers(ctx)
 
 

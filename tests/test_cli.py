@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -924,9 +925,9 @@ SAMPLE_VALUES = {"-e": "2", "-b": "7", "-t": "0", "-a": "3", "-c": "5",
 
 RESTRICTION_FAULTS = {
     "ell at d1=2 off by one": (
-        "ell_invariant", lambda real: lambda cd, e, d1, r: real(cd, e, d1, r) + (d1 == 2)),
+        "ell_invariant", lambda real: lambda ctx, d1, r: real(ctx, d1, r) + (d1 == 2)),
     "ell at d1=3 off by one": (
-        "ell_invariant", lambda real: lambda cd, e, d1, r: real(cd, e, d1, r) + (d1 == 3)),
+        "ell_invariant", lambda real: lambda ctx, d1, r: real(ctx, d1, r) + (d1 == 3)),
     "r off by one": ("invariant_r", lambda real: lambda bundle, d1: real(bundle, d1) + 1),
 }
 
@@ -965,3 +966,28 @@ def test_a_fault_in_r_or_ell_stops_every_command_that_prints_them(
     monkeypatch.setattr(bf, name, corrupt(getattr(bf, name)))
     results = {" ".join(argv): run_cli(capsys, *argv)[:2] for argv in ell2_calls}
     assert results == dict.fromkeys(results, (3, ""))
+
+
+# -- the Chern data on every path -----------------------------------------------
+# bundle_family.chern cross-checks c1 and c2 over the three presentations
+# where it makes the record every later layer reads, so a fault in one
+# presentation stops every command
+
+CHERN = "c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f, c2 = A.B = L.M+2 = 3b+8+t"
+
+
+def test_a_fault_in_one_chern_presentation_stops_every_command(monkeypatch, capsys):
+    real = bf.extension_data
+    monkeypatch.setattr(bf, "extension_data", lambda params: real(params)._replace(w_len=3))
+    monkeypatch.setattr(cli.verify, "_MAX_FAILURES", 1000)
+    code, out, _ = run_cli(capsys, "verify", "--e-max", "1", "--t-max", "1")
+    assert code == 3
+    lines = out.splitlines()
+    start = lines.index(f"FAIL  [{grid_member_count(1, 1):6d} cases]  {CHERN}") + 1
+    details = list(takewhile(lambda line: line.startswith("      "), lines[start:]))
+    assert details == [
+        f"      {p}: c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f and c2 = A.B = L.M+2 = 3b+8+t "
+        f"violated at {p}" for p in iter_valid_params(1, 1)]
+    for argv in (["report", "-e", "2", "-b", "7", "-t", "0"],
+                 ["table", "--e-max", "1", "--t-max", "1"]):
+        assert run_cli(capsys, *argv)[:2] == (3, "")

@@ -143,7 +143,7 @@ def _chi_normal_by_chow_classes(member):
     n_k = C(n+1, k) L^k - c1.n_(k-1) - c2.n_(k-2) - c3.n_(k-3) unwinds
     c(N) c(T_X) = (1 + L)^(n+1); td(X) = 1 + c1/2 + (c1^2 + c2)/12 + c1.c2/24.
     """
-    ctx, n = member.ctx, member.n
+    ctx, n = member.chern, member.n
     c = (ONE, *member.chern_TX)
     ns, power = [ONE], ONE
     for k in (1, 2, 3):

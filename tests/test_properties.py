@@ -68,7 +68,7 @@ def scroll_contexts(draw):
     """A member's context, or one with arbitrary c1 and c2: the ring relations hold for any."""
     params = draw(family_params())
     if draw(st.booleans()):
-        return Member(params).ctx
+        return Member(params).chern
     return ScrollContext(params.e, draw(small_classes), draw(st.integers(-30, 30)))
 
 
@@ -136,7 +136,7 @@ def test_h0_monotone_in_fiber_twist(e, a, c):
 
 @given(family_params(), chow_classes, chow_classes, chow_classes)
 def test_chow_ring_axioms(params, x, y, z):
-    ctx = Member(params).ctx
+    ctx = Member(params).chern
     assert multiply(ctx, x, y) == multiply(ctx, y, x)
     assert multiply(ctx, multiply(ctx, x, y), z) == multiply(ctx, x, multiply(ctx, y, z))
     assert multiply(ctx, x, y + z) == multiply(ctx, x, y) + multiply(ctx, x, z)

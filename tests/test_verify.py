@@ -126,6 +126,8 @@ def test_run_all_builds_polys_once_per_run(monkeypatch):
     names, made, truths = run(0, 1)
     assert {"e", "r", "c1.a", "c1.c", "c2", "k", "u", "p", "q", "w1", "w2", "w3",
             "c3"} <= set(names)
+    # every proof reads the run's one free context (e, c1.a*C0 + c1.c*f, c2)
+    assert [names[name] for name in ("e", "c1.a", "c1.c", "c2")] == [1, 1, 1, 1]
     assert truths
     # (1, 1) has 20 members on two surfaces, (1, 3) has 48 on two and (8, 1)
     # has 153 on nine: a passing surface or member makes and tests no Poly
@@ -137,8 +139,8 @@ def test_an_ell_quadratic_in_r_fails_the_ell2_identity_and_leaves_no_trace(
     # 2*d1*r*r equals 2*d1*r at r = 0 and r = 1, the two points each member
     # reads, so only the sweep's proof that ell is affine in r can see it
     quadratic = _mutant(bf.ell_invariant, "+ 2 * d1 * r", "+ 2 * d1 * r * r")
-    cd = Member(FamilyParams(2, 7, 0)).chern
-    assert all(quadratic(cd, 2, 2, r) == bf.ell_invariant(cd, 2, 2, r) for r in (0, 1))
+    ctx = Member(FamilyParams(2, 7, 0)).chern
+    assert all(quadratic(ctx, 2, r) == bf.ell_invariant(ctx, 2, r) for r in (0, 1))
     argv = ["verify", "--e-max", "2", "--t-max", "2"]
     with monkeypatch.context() as patch:
         patch.setattr(bf, "ell_invariant", quadratic)
@@ -158,8 +160,8 @@ def test_an_ell2_remainder_vanishing_at_e_0_and_1_fails_only_larger_surfaces(
     # finds it nonzero, so each member reads it at its own e
     fault = _mutant(bf.ell_invariant, "+ 2 * d1 * r",
                     "+ 2 * d1 * r + e * (e - 1) * r * (r - 1)")
-    cd = Member(FamilyParams(2, 7, 0)).chern
-    assert all(fault(cd, 2, 2, r) == bf.ell_invariant(cd, 2, 2, r) for r in (0, 1))
+    ctx = Member(FamilyParams(2, 7, 0)).chern
+    assert all(fault(ctx, 2, r) == bf.ell_invariant(ctx, 2, r) for r in (0, 1))
     argv = ["verify", "--e-max", "3", "--t-max", "1"]
     with monkeypatch.context() as patch:
         patch.setattr(bf, "ell_invariant", fault)
@@ -335,7 +337,7 @@ def _sampled_ring_axiom_failures(multiply):
     rng = random.Random(20260817)
     failing = []
     for p in iter_valid_params(4, 6):
-        ctx = Member(p).ctx
+        ctx = Member(p).chern
         for _ in range(6):
             x, y, z = (cr.ChowClass(*(rng.randint(-9, 9) for _ in range(8)))
                        for _ in range(3))
@@ -410,9 +412,9 @@ def test_a_value_branch_is_not_a_guard():
 
 
 def _ell_plus_a_product_vanishing_on_0_to_40(real):
-    def ell_invariant(cd, e, d1, r):
+    def ell_invariant(ctx, d1, r):
         extra = math.prod(r - j for j in range(41)) if d1 == 2 else 0
-        return real(cd, e, d1, r) + extra
+        return real(ctx, d1, r) + extra
     return ell_invariant
 
 
@@ -635,7 +637,7 @@ def test_a_wrong_ell3_fails_the_uniformity_identity_through_splitting_type(
         monkeypatch, capsys):
     real = bf.ell_invariant
     monkeypatch.setattr(bf, "ell_invariant",
-                        lambda cd, e, d1, r: real(cd, e, d1, r) + (d1 == 3))
+                        lambda ctx, d1, r: real(ctx, d1, r) + (d1 == 3))
     assert _verify_1_1_exit_code(capsys) == 3
     results = _results_by_name(1, 1)
     uniformity = results.pop(UNIFORMITY)
@@ -810,7 +812,7 @@ def _numeric_route_failures(multiply) -> tuple[list[str], list[str]]:
     relation, numbers = [], []
     for p in iter_valid_params(3, 2):
         member = Member(p)
-        ctx, d, nums = member.ctx, member.d, member.intersection_numbers
+        ctx, d, nums = member.chern, member.d, member.intersection_numbers
         c1x, c2x, _c3x = member.chern_TX
         k, xi = -c1x, cr.XI
         xx, kk = multiply(ctx, xi, xi), multiply(ctx, k, k)
@@ -957,13 +959,12 @@ def test_a_members_point_gives_the_free_classes_its_own_values():
     # a remainder of the Chow-route proof is read at _point, where the proof's
     # free context, K_X, c2(T_X) and c3(T_X) must take the member's own values
     member = Member(FamilyParams(2, 7, 0))
-    point = verify._point(member.ctx, member.chern_TX)
+    point = verify._point(member.chern, member.chern_TX)
     u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
     tangent = (cr.ChowClass(xi=-u, h1=-p, h2=-q), cr.ChowClass(xih1=w1, xih2=w2, p=w3),
                cr.ChowClass(pt=c3))
     assert tuple(verify._at(x, point) for x in tangent) == member.chern_TX
-    c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
-    assert verify._at(cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")), point) == member.ctx
+    assert verify._at(verify._Proofs().free, point) == member.chern
 
 
 def test_a_reader_branching_on_e_fails_the_intersection_numbers_at_e_1(monkeypatch):
