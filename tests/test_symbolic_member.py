@@ -95,6 +95,9 @@ def test_the_numbers_read_off_k_x_are_the_pairings_in_z_e_b_t(symbolic_member):
 @pytest.mark.parametrize("name, old, new", [
     # a layer's own check raises
     ("d", "self.chern)", "self.chern._replace(c2=self.chern.c2 + 1))"),
+    ("chern_TX", "self.chern)",
+     "self.chern._replace(c1=self.chern.c1._replace(c=self.chern.c1.c + 1)))"),
+    ("intersection_numbers", "self.chern,", "self.chern._replace(c2=self.chern.c2 + 1),"),
     # only the closed form sees it
     ("chi_N", "self.n, self.d", "self.n + 1, self.d"),
 ])
