@@ -101,7 +101,7 @@ def grid_member_count(e_max: int, t_max: int) -> int:
 
 
 # E = A + B on F_e
-SplitBundle = namedtuple("SplitBundle", "A B e")
+SplitBundle = namedtuple("SplitBundle", "A B")
 # extension presentation: 0 -> L -> E -> M tensor ideal of a cluster -> 0
 ExtensionData = namedtuple("ExtensionData", "L M w_len")
 
@@ -110,7 +110,7 @@ def build_split(params: FamilyParams) -> SplitBundle:
     """A = 3*C0 + (3e+5+t)*f, B = C0 + (b+1)*f."""
     a_cls = DivisorClass(3, 3 * params.e + 5 + params.t)
     b_cls = DivisorClass(1, params.b + 1)
-    return SplitBundle(a_cls, b_cls, params.e)
+    return SplitBundle(a_cls, b_cls)
 
 
 def extension_data(params: FamilyParams) -> ExtensionData:
@@ -192,7 +192,7 @@ def is_uniform(
     if ell3 != 0:
         raise ConsistencyError(f"expected ell(c1,c2,3,r) = 0 at {params}, r={r3}")
     by_ell = (3, intersect(ctx.e, ctx.c1, FIBER) - 3)
-    by_split = (intersect(bundle.e, bundle.A, FIBER), intersect(bundle.e, bundle.B, FIBER))
+    by_split = (intersect(ctx.e, bundle.A, FIBER), intersect(ctx.e, bundle.B, FIBER))
     if by_ell != by_split:
         raise ConsistencyError(
             f"splitting type {by_ell} by ell != (A.f, B.f) = {by_split} at {params}")
@@ -221,7 +221,7 @@ def bundle_cohomology(
     return tab_a, tab_b, table
 
 
-def _twelve_sym_chi(bundle: SplitBundle, m: int) -> int:
+def _twelve_sym_chi(e: int, bundle: SplitBundle, m: int) -> int:
     """12 chi(Sym^m E), with no division and no comparison, so m may be a variable.
 
     Sym^m splits into the line bundles i*A + (m-i)*B, i = 0..m, of class
@@ -238,17 +238,17 @@ def _twelve_sym_chi(bundle: SplitBundle, m: int) -> int:
     six_ac = (six_s0 * (a0 + 1) * (c0 + 1) + six_s1 * ((a0 + 1) * dc + (c0 + 1) * da)
               + six_s2 * da * dc)
     six_aa = six_s0 * a0 * (a0 + 1) + six_s1 * da * (2 * a0 + 1) + six_s2 * da * da
-    return 2 * six_ac - bundle.e * six_aa
+    return 2 * six_ac - e * six_aa
 
 
-def sym_chi(bundle: SplitBundle, m: int) -> int:
-    """chi of the m-th symmetric power of A + B, in closed form in m >= 0.
+def sym_chi(e: int, bundle: SplitBundle, m: int) -> int:
+    """chi of the m-th symmetric power of A + B on F_e, in closed form in m >= 0.
 
     It is _twelve_sym_chi divided by 12, the one exactness check of the sum.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    return exact_div(_twelve_sym_chi(bundle, m), 12, "chi(Sym^m E) = (2*six_ac - e*six_aa)/12")
+    return exact_div(_twelve_sym_chi(e, bundle, m), 12, "chi(Sym^m E) = (2*six_ac - e*six_aa)/12")
 
 
 def sym2_pieces(

@@ -84,7 +84,7 @@ def hilbert_polynomial(
     gives (p0, 12 p1, 2 p2, p3) = (1, 2 L3 - 3 KL2 + K2L + c2L, 2 L3 - KL2, L3).
     P(1) = chi(E) = h^0(E) = n+1 by bundle_cohomology.
     """
-    v0, v1, v2, v3 = (bf.sym_chi(bundle, m) for m in range(4))
+    v0, v1, v2, v3 = (bf.sym_chi(params.e, bundle, m) for m in range(4))
     poly = BinomialCubic(v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0)
     l3, kl2 = nums.L3, nums.KL2
     by_sym = (poly.p0, 12 * poly.p1, 2 * poly.p2, poly.p3)

@@ -20,13 +20,15 @@ member checks it at r = 0 and r = 1 only, and the Chow ring's two routes,
 deg xi^3 = c1^2 - c2 and the reader's intersection numbers equal to the
 degrees of the full products, are proved on free K_X, c2(T_X) and
 c3(T_X).  A passing member reads each proof's verdict, _Proofs.vanishes,
-and tests no Poly at all.  The Chow-route proof runs _read_numbers and
-degree(), which branch on values; a fault behind such a branch (a K^3 off
-by one at e = 1 only, say) takes one path on the variables and is out of
-its sight, and the member's own closed forms in intersection_numbers are
-what catch it.  chern_TX is proved free of c2 the same way, as the
-relative Euler sequence says it is, and each sweep then builds it once
-per c1 of its members: over (8, 12), 288 builds for 1638 members.
+and tests no Poly at all; where one is false, each subject runs the
+proof's builder on its own values.  The Chow-route proof runs
+_read_numbers and degree(), which branch on values; a fault behind such a
+branch (a K^3 off by one at e = 1 only, say) takes one path on the
+variables and is out of its sight, and the member's own closed forms in
+intersection_numbers are what catch it.  chern_TX is proved free of c2
+the same way, as the relative Euler sequence says it is, and each sweep
+then builds it once per c1 of its members: over (8, 12), 288 builds for
+1638 members.
 """
 
 from __future__ import annotations
@@ -91,25 +93,76 @@ def _register(name: str, sweep: str = "surface"):
     return wrap
 
 
+def _ring_axioms(ctx: cr.ScrollContext, x, y, z) -> tuple[tuple[str, cr.ChowClass], ...]:
+    """(axiom, lhs - rhs) of multiply in the ring of ctx on the classes x, y, z."""
+    mul = partial(cr.multiply, ctx)
+    xy = mul(x, y)
+    return (("commutativity", xy - mul(y, x)),
+            ("associativity", mul(xy, z) - mul(x, mul(y, z))),
+            ("distributivity", mul(x, y + z) - (xy + mul(x, z))))
+
+
+def _bilinear(e, d1, d2, d3, k) -> tuple[tuple[str, Poly], ...]:
+    """(property, lhs - rhs) of the pairing on F_e at classes D1, D2, D3 and a scalar k."""
+    return (("symmetry", sl.intersect(e, d1, d2) - sl.intersect(e, d2, d1)),
+            ("linearity", sl.intersect(e, d1 + d2 * k, d3)
+             - (sl.intersect(e, d1, d3) + k * sl.intersect(e, d2, d3))))
+
+
+def _ell2(ctx: cr.ScrollContext, r):
+    """ell(r) - ell(0) - r*(ell(1) - ell(0)) for ell(c1, c2, 2, r): zero where it is affine."""
+    ell = partial(bf.ell_invariant, ctx, 2)
+    return ell(r) - ell(0) - r * (ell(1) - ell(0))
+
+
+def _relation(ctx: cr.ScrollContext) -> cr.ChowClass:
+    """multiply(xi^2, xi) - (c1.c1 - c2)*pt, the projective-bundle relation."""
+    mul = partial(cr.multiply, ctx)
+    d = sl.intersect(ctx.e, ctx.c1, ctx.c1) - ctx.c2
+    return mul(mul(cr.XI, cr.XI), cr.XI) - cr.ChowClass(pt=d)
+
+
+def _ring_numbers(ctx: cr.ScrollContext, tangent: tuple) -> tuple[cr.ChowClass, ...]:
+    """multiply(x, y) - reader*pt, a whole ChowClass, for L^3, K.L^2, K^2.L, K^3,
+    c2.L and K.c2, K being -c1(T_X) and the reader _read_numbers(ctx, tangent)."""
+    mul = partial(cr.multiply, ctx)
+    c1x, c2x, _c3x = tangent
+    k, xi = -c1x, cr.XI
+    xx, kk = mul(xi, xi), mul(k, k)
+    nums = cr._read_numbers(ctx, tangent)
+    return (mul(xx, xi) - cr.ChowClass(pt=nums.L3), mul(xx, k) - cr.ChowClass(pt=nums.KL2),
+            mul(kk, xi) - cr.ChowClass(pt=nums.K2L), mul(kk, k) - cr.ChowClass(pt=nums.K3),
+            mul(xi, c2x) - cr.ChowClass(pt=nums.c2L), mul(k, c2x) - cr.ChowClass(pt=nums.Kc2))
+
+
 class _Proofs:
     """The symbolic identities of one run_all, each proved once, on Poly
     variables with e among them, and kept as a remainder, the difference of
-    its sides.  They share one free context, (e, c1.a*C0 + c1.c*f, c2) on
-    variables, built with the record.  The code they run is straight-line,
-    so a remainder at an integer e (_at) is what a proof on F_e alone would
-    leave; ring_routes also runs _read_numbers and degree(), whose branches
-    only reject a class of the wrong shape, so at a member's point its
-    remainders are that member's full products less the reader's numbers.
-    vanishes(name) decides once per run whether a remainder is zero, and a
-    surface or member reads it at its own values only where it is not.
-    Each remainder is a _once value, timed in the first identity that reads
-    it; nothing keeps the record past its run, so a fault patched into one
-    run is proved afresh in the next."""
+    its sides: a builder above called on the free inputs made with the
+    record.  They are the context free, (e, c1.a*C0 + c1.c*f, c2), the
+    classes x, y, z, D1, D2, D3, the scalars k and r, and tangent, c(T_X) of
+    the shape chern_TX and _read_numbers check a member's to have: K_X =
+    u*xi + (p*C0 + q*f)', c2(T_X) = w1*xi*C0' + w2*xi*f' + w3*pt' and
+    c3(T_X) = c3*pt.
+    The builders are straight-line but for _read_numbers and degree(), whose
+    branches only reject a class of the wrong shape, so a builder run on a
+    subject's values gives its remainder there.  vanishes(name) decides once
+    per run whether a remainder is zero.  Each is a _once value, timed in
+    the first identity that reads it; nothing keeps the record past its run,
+    so a fault patched into one run is proved afresh in the next."""
 
     def __init__(self) -> None:
         self._verdicts: dict[str, bool] = {}
         c1 = sl.DivisorClass(Poly.var("c1.a"), Poly.var("c1.c"))
-        self.free = cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2"))
+        self.free, self.r = cr.ScrollContext(Poly.var("e"), c1, Poly.var("c2")), Poly.var("r")
+        self.classes = tuple(
+            cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
+            for name in "xyz")
+        self.divisors = (*(sl.DivisorClass(Poly.var(f"D{i}.a"), Poly.var(f"D{i}.c"))
+                           for i in "123"), Poly.var("k"))
+        u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
+        self.tangent = (-cr.ChowClass(xi=u, h1=p, h2=q), cr.ChowClass(xih1=w1, xih2=w2, p=w3),
+                        cr.ChowClass(pt=c3))
 
     def vanishes(self, name: str) -> bool:
         """Whether the remainder called name is zero in every slot."""
@@ -119,65 +172,31 @@ class _Proofs:
 
     @_once
     def ring_axioms(self) -> tuple[tuple[str, cr.ChowClass], ...]:
-        """(axiom, lhs - rhs) of multiply on classes x, y, z, all variables."""
-        mul = partial(cr.multiply, self.free)
-        x, y, z = (cr.ChowClass(*(Poly.var(f"{name}.{field}") for field in cr.ChowClass._fields))
-                   for name in "xyz")
-        xy = mul(x, y)
-        return (("commutativity", xy - mul(y, x)),
-                ("associativity", mul(xy, z) - mul(x, mul(y, z))),
-                ("distributivity", mul(x, y + z) - (xy + mul(x, z))))
+        return _ring_axioms(self.free, *self.classes)
 
     @_once
     def bilinear(self) -> tuple[tuple[str, Poly], ...]:
-        """(property, lhs - rhs) of the pairing on variable D1, D2, D3 and k."""
-        e, k = self.free.e, Poly.var("k")
-        d1, d2, d3 = (sl.DivisorClass(Poly.var(f"D{i}.a"), Poly.var(f"D{i}.c")) for i in "123")
-        return (("symmetry", sl.intersect(e, d1, d2) - sl.intersect(e, d2, d1)),
-                ("linearity", sl.intersect(e, d1 + d2 * k, d3)
-                 - (sl.intersect(e, d1, d3) + k * sl.intersect(e, d2, d3))))
+        return _bilinear(self.free.e, *self.divisors)
 
     @_once
     def ell2(self) -> Poly:
-        """ell(c1, c2, 2, r) - ell(.., 0) - r*(ell(.., 1) - ell(.., 0)) on variables
-        e, c1.a, c1.c, c2 and r: where it vanishes ell is affine in r, and its
-        values at r = 0 and r = 1 fix it at every integer r."""
-        ell, r = partial(bf.ell_invariant, self.free, 2), Poly.var("r")
-        at_0 = ell(0)
-        return ell(r) - at_0 - r * (ell(1) - at_0)
+        return _ell2(self.free, self.r)
 
     @_once
     def ring_routes(self) -> tuple[cr.ChowClass, ...]:
-        """multiply(xi^2, xi) - (c1.c1 - c2)*pt, then multiply(x, y) - reader*pt for
-        the six pairings L^3, K.L^2, K^2.L, K^3, c2.L and K.c2, the reader being
-        _read_numbers, each a whole ChowClass, so that a product of mixed degree
-        shows too.  The variables are e, c1.a, c1.c, c2, K_X = u*xi + (p*C0 + q*f)',
-        c2(T_X) = w1*xi*C0' + w2*xi*f' + w3*pt' and c3(T_X) = c3*pt, the shapes
-        that chern_TX and _read_numbers check a member's classes to have."""
-        e, c1, c2 = ctx = self.free
-        mul = partial(cr.multiply, ctx)
-        u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
-        k, xi, c2x = cr.ChowClass(xi=u, h1=p, h2=q), cr.XI, cr.ChowClass(xih1=w1, xih2=w2, p=w3)
-        nums = cr._read_numbers(ctx, (-k, c2x, cr.ChowClass(pt=c3)))
-        xx, kk = mul(xi, xi), mul(k, k)
-        l3 = mul(xx, xi)
-        products = (l3, *(mul(x, y) for x, y in
-                          ((xx, k), (kk, xi), (kk, k), (xi, c2x), (k, c2x))))
-        return (l3 - cr.ChowClass(pt=sl.intersect(e, c1, c1) - c2),
-                *(product - cr.ChowClass(pt=num) for product, num in zip(products, nums)))
+        return (_relation(self.free), *_ring_numbers(self.free, self.tangent))
 
     @_once
     def tangent_c2(self) -> tuple[cr.ChowClass, ...] | int:
-        """chern_TX on variables e, c1.a, c1.c and c2 less its classes at c2 = 0, or
-        1 where its checks raise on the variables.  Its code is straight-line but
-        for guards that raise on an inequality, so where this vanishes its checks
-        hold as polynomial identities, and at integers its classes are those of any
-        other context with the same e and c1: a sweep may compute them once per c1."""
+        """chern_TX on the free context less its classes at c2 = 0, or 1 where its
+        checks raise on the variables.  It is straight-line but for guards that
+        raise on an inequality, so where this vanishes its checks are identities
+        and a sweep may share its classes among the contexts of one e and c1."""
         try:
-            tangent = cr.chern_TX(self.free)
+            with_c2, at_0 = cr.chern_TX(self.free), cr.chern_TX(self.free._replace(c2=0))
         except ConsistencyError:
             return 1
-        return tuple(cls - _at(cls, {"c2": 0}) for cls in tangent)
+        return tuple(cls - base for cls, base in zip(with_c2, at_0))
 
 
 def _zero(remainder) -> bool:
@@ -185,14 +204,6 @@ def _zero(remainder) -> bool:
     if isinstance(remainder, tuple):
         return all(_zero(part) for part in remainder if not isinstance(part, str))
     return not remainder
-
-
-def _at(remainder, point: dict[str, int]):
-    """A remainder of _Proofs, a Poly or a ChowClass of them, with each variable
-    named in point set to its integer; an int slot comes back as it is."""
-    if isinstance(remainder, tuple):
-        return remainder._make(_at(poly, point) for poly in remainder)
-    return remainder.at(point) if isinstance(remainder, Poly) else remainder
 
 
 class _Sweep(sl.SurfaceTables):
@@ -227,17 +238,6 @@ def _proofs(member: Member) -> _Proofs:
     proves them for itself."""
     surface = member.surface
     return surface.proofs if isinstance(surface, _Sweep) else _Proofs()
-
-
-def _point(ctx: cr.ScrollContext, tangent: tuple[cr.ChowClass, ...] = ()) -> dict[str, int]:
-    """A member's values of the variables of ring_routes: its context and, if
-    given, the slots of its chern_TX."""
-    point = {"e": ctx.e, "c1.a": ctx.c1.a, "c1.c": ctx.c1.c, "c2": ctx.c2}
-    if tangent:
-        c1x, c2x, c3x = tangent
-        point.update(u=-c1x.xi, p=-c1x.h1, q=-c1x.h2, w1=c2x.xih1, w2=c2x.xih2, w3=c2x.p,
-                     c3=c3x.pt)
-    return point
 
 
 # the classes a*C0 + c*f with |a|, |c| <= 12 that the surface identities sweep
@@ -321,9 +321,9 @@ def _check_monotone(rec: CheckResult, sweep: _Sweep) -> None:
 @_register("intersection pairing symmetric and bilinear")
 def _check_bilinear(rec: CheckResult, sweep: _Sweep) -> None:
     e, proofs = sweep.e, sweep.proofs
-    for prop, diff in proofs.bilinear:
-        ok = proofs.vanishes("bilinear") or not (diff := _at(diff, {"e": e}))
-        if not rec.case(ok):
+    proved = proofs.vanishes("bilinear")
+    for prop, diff in proofs.bilinear if proved else _bilinear(e, *proofs.divisors):
+        if not rec.case(proved or not diff):
             rec.fail(lambda: f"e={e}: {prop} fails, the difference is {diff}")
 
 
@@ -368,12 +368,12 @@ def _check_chern_presentations(rec: CheckResult, member: Member) -> None:
 
 @_register("ell(c1, c2, 2, r) = b-t-2e-4 < 0 for every integer r", "member")
 def _check_ell2(rec: CheckResult, member: Member) -> None:
-    # the run's proofs show ell affine in r, so two integer values fix it; a
-    # member that is not on a sweep proves it for itself
+    # the run's proofs show ell affine in r, so two integer values fix it, or
+    # else are run at the member's e; a member off a sweep proves it itself
     params, proofs = member.params, _proofs(member)
     expected = params.b - params.t - 2 * params.e - 4
     ell = partial(bf.ell_invariant, member.chern, 2)
-    affine = proofs.vanishes("ell2") or not _at(proofs.ell2, {"e": params.e})
+    affine = proofs.vanishes("ell2") or not _ell2(proofs.free._replace(e=params.e), proofs.r)
     ok = expected < 0 and affine and ell(0) == expected == ell(1)
     if not rec.case(ok):
         rec.fail(lambda: f"{params}: ell = {ell(Poly.var('r'))}, expected {expected}")
@@ -413,7 +413,7 @@ def _check_uniformity(rec: CheckResult, member: Member) -> None:
            "h^0(A) = 6e+4t+24, h^0(B) = 2b+4-e", "member")
 def _check_bundle_cohomology(rec: CheckResult, member: Member) -> None:
     table = member.tables[2]
-    if not rec.case(table.chi == bf.sym_chi(member.split, 1)):
+    if not rec.case(table.chi == bf.sym_chi(member.params.e, member.split, 1)):
         rec.fail(lambda: f"{member.params}: chi(E)={table.chi} != chi(Sym^1 E)")
 
 
@@ -442,13 +442,12 @@ def _check_window_v2(rec: CheckResult, sweep: _Sweep) -> None:
 
 @_register("deg xi^3 = c1^2 - c2 (projective-bundle relation)", "member")
 def _check_grothendieck(rec: CheckResult, member: Member) -> None:
-    # the run's proofs show xi^3 - (c1^2 - c2)*pt zero for every context; a
-    # remainder that is not is read at the member's point, so the relation does
-    # not lean on chern_TX
+    # the run's proofs show xi^3 - (c1^2 - c2)*pt zero for every context, or else
+    # the member runs the relation, which does not lean on chern_TX, on its own
     d = member.d  # c1^2 - c2, which scroll_degree checks against 8e+5b+7t+40
     proofs, lhs = _proofs(member), d
     if not proofs.vanishes("ring_routes"):
-        lhs = cr.degree(_at(proofs.ring_routes[0], _point(member.chern)) + cr.ChowClass(pt=d))
+        lhs = cr.degree(_relation(member.chern) + cr.ChowClass(pt=d))
     if not rec.case(lhs == d):
         rec.fail(lambda: f"{member.params}: deg xi^3={lhs}, c1^2-c2={d}")
 
@@ -462,11 +461,12 @@ def _a_term(diff: cr.ChowClass) -> str:
 @_register("Chow product commutative, associative, distributive")
 def _check_ring_axioms(rec: CheckResult, sweep: _Sweep) -> None:
     # multiply is straight-line, so each axiom on variable classes and e, c1,
-    # c2 is a polynomial identity, proved once per run; F_e reads it at its e
+    # c2 is a polynomial identity, proved once per run, or else run at F_e's e
     e, proofs = sweep.e, sweep.proofs
-    for axiom, diff in proofs.ring_axioms:
-        ok = proofs.vanishes("ring_axioms") or not any(diff := _at(diff, {"e": e}))
-        if not rec.case(ok):
+    proved = proofs.vanishes("ring_axioms")
+    for axiom, diff in (proofs.ring_axioms if proved
+                        else _ring_axioms(proofs.free._replace(e=e), *proofs.classes)):
+        if not rec.case(proved or not any(diff)):
             rec.fail(lambda: f"e={e}: {axiom} fails, the difference has {_a_term(diff)}")
 
 
@@ -475,14 +475,13 @@ def _check_intersection_numbers(rec: CheckResult, member: Member) -> None:
     # intersection_numbers reads the numbers off K_X and c2(T_X) in one pass
     # and checks them against the closed forms; the run's proofs show each of
     # the six pairings equal to the degree of its full product in the ring for
-    # every context and every K_X, c2(T_X) and c3(T_X) of their shape, and a
-    # remainder that is not zero is read at the member, giving that degree
+    # every context and every K_X, c2(T_X) and c3(T_X) of their shape, and
+    # where they do not the member runs the pairings on its own values
     nums, proofs = member.intersection_numbers, _proofs(member)
     by_ring = nums[:6]
     if not proofs.vanishes("ring_routes"):
-        point = _point(member.chern, member.chern_TX)
-        by_ring = tuple(cr.degree(_at(diff, point) + cr.ChowClass(pt=num))
-                        for diff, num in zip(proofs.ring_routes[1:], nums))
+        by_ring = tuple(cr.degree(diff + cr.ChowClass(pt=num))
+                        for diff, num in zip(_ring_numbers(member.chern, member.chern_TX), nums))
     if not rec.case(nums[:6] == by_ring):
         rec.fail(lambda: f"{member.params}: numbers={nums}, by the ring={by_ring}")
 
@@ -505,7 +504,7 @@ def _check_hilbert_poly(rec: CheckResult, member: Member) -> None:
     # the table of E
     poly, params = member.hilbert_poly, member.params
     for m in range(4, 9):
-        expected = bf.sym_chi(member.split, m)
+        expected = bf.sym_chi(params.e, member.split, m)
         if poly.value_at(m) != expected:
             raise ConsistencyError(
                 f"P(m) != chi(Sym^m E) at m={m}: "

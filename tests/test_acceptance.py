@@ -103,7 +103,7 @@ def test_c05_hilbert_polynomial(criterion):
             poly = member.hilbert_poly  # runs the sym_chi cross-check itself
             bun = build_split(p)
             for m in range(0, 9):
-                assert poly.value_at(m) == sym_chi(bun, m)
+                assert poly.value_at(m) == sym_chi(p.e, bun, m)
             assert poly.value_at(0) == 1
             assert poly.value_at(1) == member.n + 1
         assert Member(FamilyParams(2, 7, 0)).hilbert_poly.to_pairs() == [

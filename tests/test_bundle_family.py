@@ -205,15 +205,14 @@ def test_bundle_h0_closed_form():
 def test_sym_chi_small_cases():
     p = FamilyParams(2, 7, 0)
     bundle = build_split(p)
-    assert sym_chi(bundle, 0) == 1
-    assert sym_chi(bundle, 1) == 52
+    assert sym_chi(2, bundle, 0) == 1
+    assert sym_chi(2, bundle, 1) == 52
     with pytest.raises(ValueError):
-        sym_chi(bundle, -1)
+        sym_chi(2, bundle, -1)
 
 
-def _sym_chi_by_summands(bundle, m):
-    """chi(Sym^m E) term by term: Riemann-Roch on each of i*A + (m-i)*B."""
-    e = bundle.e
+def _sym_chi_by_summands(e, bundle, m):
+    """chi(Sym^m E) term by term: Riemann-Roch on each of i*A + (m-i)*B on F_e."""
     da, dc = bundle.A.a - bundle.B.a, bundle.A.c - bundle.B.c
     a0, c0 = m * bundle.B.a, m * bundle.B.c
     return sum(surface_lattice._chi(e, a0 + i * da, c0 + i * dc) for i in range(m + 1))
@@ -223,7 +222,7 @@ def test_sym_chi_matches_its_summands_on_the_grid():
     for p in iter_valid_params(8, 12):
         bundle = build_split(p)
         for m in range(41):
-            assert sym_chi(bundle, m) == _sym_chi_by_summands(bundle, m)
+            assert sym_chi(p.e, bundle, m) == _sym_chi_by_summands(p.e, bundle, m)
 
 
 @st.composite
@@ -237,7 +236,7 @@ def wide_members(draw):
 @given(wide_members(), st.integers(0, 200))
 def test_sym_chi_matches_its_summands_on_wide_members(params, m):
     bundle = build_split(params)
-    assert sym_chi(bundle, m) == _sym_chi_by_summands(bundle, m)
+    assert sym_chi(params.e, bundle, m) == _sym_chi_by_summands(params.e, bundle, m)
 
 
 def test_sym_chi_makes_no_riemann_roch_call(monkeypatch):
@@ -245,10 +244,10 @@ def test_sym_chi_makes_no_riemann_roch_call(monkeypatch):
     real = surface_lattice._chi
     monkeypatch.setattr(surface_lattice, "_chi", lambda *args: calls.append(args) or real(*args))
     bundle = build_split(FamilyParams(2, 7, 0))
-    assert sym_chi(bundle, 10) == _sym_chi_by_summands(bundle, 10)
+    assert sym_chi(2, bundle, 10) == _sym_chi_by_summands(2, bundle, 10)
     assert len(calls) == 11  # the counter sees each of the oracle's summands
     calls.clear()
-    assert sym_chi(bundle, 10**6) > 0
+    assert sym_chi(2, bundle, 10**6) > 0
     assert calls == []
 
 

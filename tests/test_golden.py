@@ -27,8 +27,8 @@ MEMBERS = [(2, 7, 0), (0, 3, 0), (1, 4, 3), (3, 5, 2), (5, 20, 40)]
 
 def _sym_chi_off_at_5(real):
     # chi(Sym^5 E) one too large when B = C0 + 3f (b = 2), as P(m) sees it
-    def sym_chi(bundle, m):
-        return real(bundle, m) + (m == 5 and bundle.B.c == 3)
+    def sym_chi(e, bundle, m):
+        return real(e, bundle, m) + (m == 5 and bundle.B.c == 3)
     return sym_chi
 
 

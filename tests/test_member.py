@@ -124,7 +124,8 @@ def test_chow_products_run_only_in_chern_tx(monkeypatch, capsys, argv):
 def test_verify_computes_each_value_once_per_member(calls, capsys):
     # the member identities share one Member per (e, b, t), and the members
     # of one F_e with one c1 = 4*C0 + (b+3e+6+t)*f share its chern_TX, which
-    # the run also builds once on variables to prove it free of c2
+    # the run also builds twice on variables, with c2 free and at c2 = 0, to
+    # prove it free of c2
     assert cli.main(["verify", "--e-max", "1", "--t-max", "1"]) == 0
     capsys.readouterr()
     grid = list(iter_valid_params(1, 1))
@@ -133,7 +134,7 @@ def test_verify_computes_each_value_once_per_member(calls, capsys):
     names = ("chern", "bundle_cohomology", "intersection_numbers", "hilbert_polynomial")
     assert {name: calls[name] for name in names} == dict.fromkeys(names, members)
     assert calls["build_split"] == members
-    assert calls["chern_TX"] == surface_c1s + 1
+    assert calls["chern_TX"] == surface_c1s + 2
 
 
 def test_report_computes_each_line_bundle_table_once(monkeypatch, capsys):

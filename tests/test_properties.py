@@ -194,7 +194,7 @@ def test_hilbert_polynomial_integral(params, m):
 @given(family_params(), st.integers(0, 12))
 def test_hilbert_polynomial_counts_sections(params, m):
     poly = Member(params).hilbert_poly
-    assert poly.value_at(m) == sym_chi(build_split(params), m)
+    assert poly.value_at(m) == sym_chi(params.e, build_split(params), m)
 
 
 @given(st.builds(BinomialCubic, *(st.integers() for _ in range(4))),

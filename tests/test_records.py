@@ -22,7 +22,7 @@ REPRS = [
     (M.tables[2], "CohomologyTable(h0=52, h1=0, h2=0, chi=52)"),
     (M.params, PARAMS),
     (build_split(M.params),
-     "SplitBundle(A=DivisorClass(a=3, c=11), B=DivisorClass(a=1, c=8), e=2)"),
+     "SplitBundle(A=DivisorClass(a=3, c=11), B=DivisorClass(a=1, c=8))"),
     (extension_data(M.params),
      "ExtensionData(L=DivisorClass(a=1, c=7), M=DivisorClass(a=3, c=12), w_len=2)"),
     (M.uniformity,

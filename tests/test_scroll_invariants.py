@@ -50,7 +50,7 @@ def test_hilbert_polynomial_matches_sym_chi_beyond_internal_range():
         poly = Member(p).hilbert_poly
         bun = build_split(p)
         for m in (*range(0, 13), 10**40):
-            assert poly.value_at(m) == sym_chi(bun, m)
+            assert poly.value_at(m) == sym_chi(e, bun, m)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +100,8 @@ def test_hilbert_polynomial_catches_a_wrong_sym_chi(monkeypatch, m, message):
     # [4, 8] sees a wrong one there (tests/test_verify.py)
     member = Member(FamilyParams(2, 7, 0))
     real = bundle_family.sym_chi
-    monkeypatch.setattr(bundle_family, "sym_chi", lambda bundle, k: real(bundle, k) + (k == m))
+    monkeypatch.setattr(bundle_family, "sym_chi",
+                        lambda e, bundle, k: real(e, bundle, k) + (k == m))
     with pytest.raises(ConsistencyError) as exc:
         hilbert_polynomial(member.params, member.split, member.intersection_numbers)
     assert str(exc.value) == message

@@ -47,7 +47,7 @@ def test_every_ungated_value_of_member_runs_on_poly(symbolic_member, name):
 def test_the_given_n_is_chi_of_e_minus_one(symbolic_member):
     # bundle_cohomology asserts h^0(E) = chi(E) member by member
     member = symbolic_member(E, B, T)
-    assert member.n == bf.sym_chi(member.split, 1) - 1
+    assert member.n == bf.sym_chi(E, member.split, 1) - 1
 
 
 def _assert_closed_forms(member):

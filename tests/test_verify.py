@@ -3,13 +3,13 @@ per-surface table memo, the per-run proofs that keep Poly out of the
 surface and member loops, the Chow products made per c1 of a surface and
 per run, the chern_TX faults that sharing it by c1 must not hide, a run
 whose every proof verdict is forced false, the symbolic identities with
-their sampled oracle, their straight-line premise and the mutants they
-catch, the proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the
-comparison on [4, 8] that is its oracle, the recorder, how an error
-raised inside an identity is counted, the guard identities that fail
-when only a layer's own check catches a fault, the count of the walk,
-the identity names the benchmark traces, and the identity that a broken
-Chow pairing fails."""
+their sampled oracle, their straight-line premise, the integer zero each
+proof builder gives on real members and the mutants they catch, the
+proof of P(m) = chi(Sym^m E) in Z[e, b, t, m] and the comparison on
+[4, 8] that is its oracle, the recorder, how an error raised inside an
+identity is counted, the guard identities that fail when only a layer's
+own check catches a fault, the count of the walk, the identity names the
+benchmark traces, and the identity that a broken Chow pairing fails."""
 
 import ast
 import inspect
@@ -19,6 +19,7 @@ import random
 import textwrap
 import weakref
 from collections import Counter
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -236,11 +237,12 @@ def _surface_c1s(e_max: int, t_max: int) -> int:
     return len({(p.e, Member(p).chern.c1) for p in iter_valid_params(e_max, t_max)})
 
 
-def test_run_all_multiplies_3_times_per_c1_of_a_surface_and_18_per_run(monkeypatch):
+def test_run_all_multiplies_3_times_per_c1_of_a_surface_and_23_per_run(monkeypatch):
     # per (e, c1): the 3 of chern_TX, on integers, shared by the members of
     # F_e with that c1; per run, on Poly: the 7 products of the ring-axiom
-    # proof, the 8 of the proof of the two Chow routes (xi^2, xi^3, K^2 and
-    # five pairings) and the 3 of chern_TX on variables, whatever e_max
+    # proof, the 2 of the relation (xi^2, xi^3), the 8 of the pairings (xi^2,
+    # K^2, xi^3 and five more) and the 3 of each of the two chern_TX on
+    # variables, with c2 free and at c2 = 0, whatever e_max
     calls, depth = Counter(), [0]
     real_multiply, real_chern_tx = cr.multiply, cr.chern_TX
 
@@ -260,9 +262,9 @@ def test_run_all_multiplies_3_times_per_c1_of_a_surface_and_18_per_run(monkeypat
     for e_max, t_max in ((0, 1), (2, 1), (5, 1), (8, 12)):
         calls.clear()
         assert all(result.ok for result in verify.run_all(e_max, t_max))
-        assert calls == {(False, True): 3 * _surface_c1s(e_max, t_max), (True, False): 15,
-                         (True, True): 3}
-    assert (_surface_c1s(8, 12), calls.total()) == (288, 882)
+        assert calls == {(False, True): 3 * _surface_c1s(e_max, t_max), (True, False): 17,
+                         (True, True): 6}
+    assert (_surface_c1s(8, 12), calls.total()) == (288, 887)
 
 
 def test_ell2_identity_on_a_member_with_its_own_tables_proves_ell_itself():
@@ -383,7 +385,8 @@ def _value_branches(code) -> list[str]:
     "code",
     [cr.multiply, cr.ScrollContext, cr.ChowClass, sl.DivisorClass, sl.intersect,
      bf.ell_invariant, bf._twelve_sym_chi, cr.chern_TX, cr.canonical_class_X, cr.pullback,
-     sl.canonical_class],
+     sl.canonical_class, verify._ring_axioms, verify._bilinear, verify._ell2, verify._relation,
+     verify._ring_numbers],
     ids=lambda code: code.__qualname__,
 )
 def test_code_proved_on_symbols_is_straight_line(code):
@@ -396,6 +399,28 @@ def test_code_proved_on_symbols_is_straight_line(code):
     # integer, so a guard that passes on the symbols passes everywhere, as
     # chern_TX's checks must for verify to share its classes by c1
     assert _value_branches(code) == []
+
+
+def _int_zero(cls: cr.ChowClass) -> bool:
+    return all(type(slot) is int for slot in cls) and cls == cr.ChowClass()
+
+
+def test_each_proof_builder_gives_an_integer_zero_on_real_members():
+    # the builders verify proves on variables run as well on a member's own
+    # ints, which is how a subject whose proof fails reads it, and give zero
+    rng = random.Random(20261022)
+    draw = partial(rng.randint, -10**6, 10**6)
+    for e in range(3):
+        divisors = [sl.DivisorClass(draw(), draw()) for _ in range(3)]
+        assert all(type(diff) is int and diff == 0
+                   for _prop, diff in verify._bilinear(e, *divisors, draw()))
+    for p in iter_valid_params(2, 2):
+        member = Member(p)
+        assert _int_zero(verify._relation(member.chern))
+        assert all(map(_int_zero, verify._ring_numbers(member.chern, member.chern_TX)))
+        assert [verify._ell2(member.chern, r) for r in (0, 1, 7)] == [0, 0, 0]
+        classes = [cr.ChowClass(*(draw() for _ in cr.ChowClass._fields)) for _ in range(3)]
+        assert all(_int_zero(diff) for _axiom, diff in verify._ring_axioms(member.chern, *classes))
 
 
 def test_a_value_branch_is_not_a_guard():
@@ -451,7 +476,7 @@ def _twelve_p_minus(member, twelve_sym_chi):
     """
     p0, p1, p2, p3 = member.hilbert_poly
     twelve_p = 12 * p0 + 12 * p1 * M + 6 * p2 * M * (M - 1) + 2 * p3 * M * (M - 1) * (M - 2)
-    return twelve_p - twelve_sym_chi(member.split, M)
+    return twelve_p - twelve_sym_chi(member.params.e, member.split, M)
 
 
 def test_p_of_m_is_chi_of_sym_m_e_in_z_e_b_t_m(symbolic_member):
@@ -462,7 +487,7 @@ def test_p_of_m_is_chi_of_sym_m_e_in_z_e_b_t_m(symbolic_member):
     member = symbolic_member(E, B, T)
     assert _twelve_p_minus(member, bf._twelve_sym_chi) == 0
     # so P(-1) = chi(O_X(-1)) = 0, which verify checks member by member
-    assert bf._twelve_sym_chi(member.split, -1) == 0
+    assert bf._twelve_sym_chi(E, member.split, -1) == 0
 
 
 def test_a_mutant_of_the_six_s2_term_fails_the_identity_in_m(symbolic_member):
@@ -665,7 +690,7 @@ def test_a_wrong_constant_term_fails_the_p_minus_one_and_p_of_m_identities(
     members = list(islice(iter_valid_params(1, 1), verify._MAX_FAILURES))
     assert p_minus_1.failures == [*(f"{p}: P(-1)=1" for p in members),
                                   "... more failures suppressed"]
-    chi4 = [bf.sym_chi(build_split(p), 4) for p in members]
+    chi4 = [bf.sym_chi(p.e, build_split(p), 4) for p in members]
     assert p_of_m.failures == [
         *(f"{p}: P(m) != chi(Sym^m E) at m=4: P={chi + 1}, chi={chi}"
           for p, chi in zip(members, chi4)),
@@ -680,13 +705,13 @@ def test_a_wrong_sym_chi_past_the_coefficients_fails_the_p_of_m_identity(
     # hilbert_polynomial reads chi(Sym^m E) at m = 0..3 only; the comparison
     # on [4, 8] sees a wrong value at either end of it and inside
     real = bf.sym_chi
-    monkeypatch.setattr(bf, "sym_chi", lambda bundle, k: real(bundle, k) + (k == m))
+    monkeypatch.setattr(bf, "sym_chi", lambda e, bundle, k: real(e, bundle, k) + (k == m))
     assert _verify_1_1_exit_code(capsys) == 3
     results = _results_by_name(1, 1)
     p_of_m = results.pop(P_OF_M)
     assert p_of_m.cases == bf.grid_member_count(1, 1)
     first = next(iter_valid_params(1, 1))
-    chi = real(build_split(first), m)
+    chi = real(first.e, build_split(first), m)
     assert p_of_m.failures[0] == (
         f"{first}: P(m) != chi(Sym^m E) at m={m}: P={chi}, chi={chi + 1}")
     assert all(result.ok for result in results.values())
@@ -707,7 +732,8 @@ def test_n_read_as_h0_of_e_fails_the_p_of_m_identity_at_p_of_1(monkeypatch, caps
 def _count_sym_chi(monkeypatch) -> list:
     calls = []
     real = bf.sym_chi
-    monkeypatch.setattr(bf, "sym_chi", lambda bundle, m: calls.append(m) or real(bundle, m))
+    monkeypatch.setattr(bf, "sym_chi",
+                        lambda e, bundle, m: calls.append(m) or real(e, bundle, m))
     return calls
 
 
@@ -790,8 +816,8 @@ def test_an_oracle_reading_k3_as_k2l_fails_the_intersection_numbers_identity(
         monkeypatch, capsys):
     # the ring is the identity's own route, proved once per run: with the
     # proof's K^3 pairing read as K^2.L it must fail at the members
-    wrong = _mutant(vars(verify._Proofs)["ring_routes"].fn, "(kk, k)", "(kk, xi)")
-    monkeypatch.setattr(verify._Proofs, "ring_routes", _once(wrong))
+    monkeypatch.setattr(verify, "_ring_numbers",
+                        _mutant(verify._ring_numbers, "mul(kk, k)", "mul(kk, xi)"))
     code = cli.main(["verify", "--e-max", "1", "--t-max", "1"])
     failing = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("FAIL")]
@@ -953,18 +979,6 @@ def test_a_run_whose_proofs_all_fail_reads_each_remainder_at_its_subjects(monkey
     assert run() == normal
     # two runs, cli.main's and run_all's, each building one per member
     assert builds[False] == 2 * bf.grid_member_count(2, 2)
-
-
-def test_a_members_point_gives_the_free_classes_its_own_values():
-    # a remainder of the Chow-route proof is read at _point, where the proof's
-    # free context, K_X, c2(T_X) and c3(T_X) must take the member's own values
-    member = Member(FamilyParams(2, 7, 0))
-    point = verify._point(member.chern, member.chern_TX)
-    u, p, q, w1, w2, w3, c3 = map(Poly.var, ("u", "p", "q", "w1", "w2", "w3", "c3"))
-    tangent = (cr.ChowClass(xi=-u, h1=-p, h2=-q), cr.ChowClass(xih1=w1, xih2=w2, p=w3),
-               cr.ChowClass(pt=c3))
-    assert tuple(verify._at(x, point) for x in tangent) == member.chern_TX
-    assert verify._at(verify._Proofs().free, point) == member.chern
 
 
 def test_a_reader_branching_on_e_fails_the_intersection_numbers_at_e_1(monkeypatch):
