@@ -6,7 +6,9 @@ extension presentation (line bundles L = C0 + b*f, M = 3*C0 + (3e+6+t)*f
 and a length-two cluster on a fiber) is kept only to cross-validate the
 Chern data: all three presentations must give c1 = 4*C0 + (b+3e+6+t)*f and
 c2 = 3b+8+t, and chern returns them with e as the chow_ring.ScrollContext
-that every later layer reads.
+that every later layer reads.  A record a layer returns is built with
+tuple.__new__ from values that layer checked: FamilyParams() validates
+(e, b, t), so the records built from it skip the namedtuple's __new__.
 
 Validation window: e >= 0, t >= 0, -2 < b < 2e+4+t, and b > e-1 (forced by
 ampleness of B).  Each violated inequality raises a distinct
@@ -45,6 +47,7 @@ from .surface_lattice import (
     CohomologyTable,
     DivisorClass,
     SurfaceTables,
+    _new,
     intersect,
 )
 
@@ -108,17 +111,15 @@ ExtensionData = namedtuple("ExtensionData", "L M w_len")
 
 def build_split(params: FamilyParams) -> SplitBundle:
     """A = 3*C0 + (3e+5+t)*f, B = C0 + (b+1)*f."""
-    a_cls = DivisorClass(3, 3 * params.e + 5 + params.t)
-    b_cls = DivisorClass(1, params.b + 1)
-    return SplitBundle(a_cls, b_cls)
+    e, b, t = params
+    return _new(SplitBundle, (_new(DivisorClass, (3, 3 * e + 5 + t)),
+                              _new(DivisorClass, (1, b + 1))))
 
 
 def extension_data(params: FamilyParams) -> ExtensionData:
-    return ExtensionData(
-        L=DivisorClass(1, params.b),
-        M=DivisorClass(3, 3 * params.e + 6 + params.t),
-        w_len=2,
-    )
+    e, b, t = params
+    return _new(ExtensionData, (_new(DivisorClass, (1, b)),
+                                _new(DivisorClass, (3, 3 * e + 6 + t)), 2))
 
 
 def chern(params: FamilyParams, bundle: SplitBundle) -> ScrollContext:
@@ -126,10 +127,10 @@ def chern(params: FamilyParams, bundle: SplitBundle) -> ScrollContext:
 
     bundle is the member's split form build_split(params).
     """
-    e = params.e
+    e, b, t = params
     ext = extension_data(params)
-    c1_closed = DivisorClass(4, params.b + 3 * params.e + 6 + params.t)
-    c2_closed = 3 * params.b + 8 + params.t
+    c1_closed = _new(DivisorClass, (4, b + 3 * e + 6 + t))
+    c2_closed = 3 * b + 8 + t
     c1_split = bundle.A + bundle.B
     c2_split = intersect(e, bundle.A, bundle.B)
     c1_ext = ext.L + ext.M
@@ -139,7 +140,7 @@ def chern(params: FamilyParams, bundle: SplitBundle) -> ScrollContext:
             "c1 = A+B = L+M = 4*C0+(b+3e+6+t)*f and c2 = A.B = L.M+2 = 3b+8+t "
             f"violated at {params}"
         )
-    return ScrollContext(e, c1_closed, c2_closed)
+    return _new(ScrollContext, (e, c1_closed, c2_closed))
 
 
 def invariant_r(bundle: SplitBundle, d1: int) -> int:
@@ -152,7 +153,10 @@ def invariant_r(bundle: SplitBundle, d1: int) -> int:
     """
     if d1 not in (1, 2, 3):
         raise ValueError(f"d1 must be 1, 2 or 3, got {d1}")
-    return max(cls.c for cls in (bundle.A, bundle.B) if cls.a >= d1)
+    a_cls, b_cls = bundle
+    if b_cls.a < d1:  # only A can count; with neither, max() of nothing raises
+        return max((a_cls.c,) if a_cls.a >= d1 else ())
+    return b_cls.c if a_cls.a < d1 else max(a_cls.c, b_cls.c)
 
 
 def ell_invariant(ctx: ScrollContext, d1: int, r: int) -> int:
@@ -196,7 +200,7 @@ def is_uniform(
     if by_ell != by_split:
         raise ConsistencyError(
             f"splitting type {by_ell} by ell != (A.f, B.f) = {by_split} at {params}")
-    return UniformityEvidence(uniform=True, r=r3, ell2=ell2, ell3=ell3, splitting_type=by_split)
+    return _new(UniformityEvidence, (True, r3, ell2, ell3, by_split))
 
 
 def bundle_cohomology(

@@ -53,9 +53,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import ConsistencyError
-from .surface_lattice import DivisorClass, canonical_class
-
-_new = tuple.__new__
+from .surface_lattice import DivisorClass, _new, canonical_class
 
 
 class ScrollContext(namedtuple("ScrollContext", "e c1 c2")):

@@ -28,7 +28,7 @@ from collections import namedtuple
 from .bundle_family import FamilyParams
 from .chow_ring import IntersectionNumbers
 from .errors import ConsistencyError, HypothesesError, exact_div
-from .surface_lattice import CohomologyTable, canonical_class, intersect
+from .surface_lattice import CohomologyTable, _new, canonical_class, intersect
 
 
 class HypothesisFlags(namedtuple("HypothesisFlags", "paper_regime v1 v2 v3")):
@@ -69,18 +69,19 @@ def check_hypotheses(
     v1 = tab_amb.h1 == 0
     v2 = tab_bma.h2 == 0
     v3 = tab_bma.h1 == 0
-    e, b, t = params.e, params.b, params.t
+    e, b, t = params
+    regime = params.paper_regime
     if v1 != (b < 6 + t + e):
         raise ConsistencyError(f"h1(A-B) = 0 iff b < 6+t+e violated at {params}")
     if v2 != (b >= 2 * e + 3 + t):
         raise ConsistencyError(f"h2(B-A) = 0 iff b >= 2e+3+t violated at {params}")
     if not v3:
         raise ConsistencyError(f"h1(B-A) = 0 must hold on every member; violated at {params}")
-    if params.paper_regime != (v1 and v2 and v3):
+    if regime != (v1 and v2 and v3):
         raise ConsistencyError(
             f"e <= 2 and b = 2e+3+t must hold iff v1, v2, v3 do; violated at {params}"
         )
-    return HypothesisFlags(params.paper_regime, v1, v2, v3)
+    return _new(HypothesisFlags, (regime, v1, v2, v3))
 
 
 def chi_normal(params: FamilyParams, n: int, d: int, nums: IntersectionNumbers) -> int:

@@ -5,8 +5,7 @@ sorted tuple of its variables' names (x^2*y is ("x", "x", "y")), and keeps
 no zero coefficient.  +, -, * and == take a Poly or an int, so straight-line
 integer code run on Poly variables proves an identity for every integer
 value of them: it holds exactly when its two sides are equal polynomials.
-divmod by an int works coefficient by coefficient, and at() substitutes
-integers for some of the variables.
+divmod by an int works coefficient by coefficient.
 
 Every result comes from that constructor, with no faster path beside it:
 verify runs its symbolic proofs once per run, outside every loop.
@@ -14,7 +13,6 @@ verify runs its symbolic proofs once per run, outside every loop.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterable
 
@@ -56,12 +54,6 @@ class Poly:
         pairs = [(mono, divmod(c, k)) for mono, c in self.terms.items()]
         return (Poly((mono, q) for mono, (q, _r) in pairs),
                 Poly((mono, r) for mono, (_q, r) in pairs))
-
-    def at(self, point: dict[str, int]) -> Poly:
-        """This polynomial with each variable named in point set to its int value."""
-        return Poly((tuple(v for v in mono if v not in point),
-                     c * math.prod(point[v] for v in mono if v in point))
-                    for mono, c in self.terms.items())
 
     def __neg__(self) -> Poly:
         return self * -1

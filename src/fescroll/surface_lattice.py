@@ -16,11 +16,15 @@ on every call:
 * chi by Riemann-Roch, h^2 by Serre duality, h^1 by subtraction.
 
 A disagreement can only come from a wrongly transcribed formula and raises
-ConsistencyError.  The kernel behind cohomology() (_chi,
-_h0_fiberwise, _h1_fiberwise) works on plain integers (e, a, c), with K - D
-formed as (-2-a, -e-2-c), so a call allocates no intermediate classes.
-SurfaceTables keeps one surface's tables, each computed once, for the
-members and the identities that read them.
+ConsistencyError.  The kernel behind cohomology() (_chi, _h0_fiberwise,
+_h1_fiberwise) works on plain integers (e, a, c), with K - D formed as
+(-2-a, -e-2-c), so a call allocates no intermediate classes.  SurfaceTables
+keeps one surface's tables, each computed once, for the members and the
+identities that read them.
+
+A record a layer returns is built with tuple.__new__ from values that
+layer checked: cohomology() runs _checked, the checks of CohomologyTable(),
+and a sum of checked tables, which passes both, is not checked again.
 
 The degree list itself (pushforward_degrees) and the lattice-point count
 (h0_lattice_oracle) stay as linear-time oracles for the verification suite
@@ -37,8 +41,7 @@ _new = tuple.__new__
 
 
 class DivisorClass(namedtuple("DivisorClass", "a c")):
-    """The class a*C0 + c*f; every integer pair is a valid numerical class.
-    Results of the arithmetic skip the namedtuple's __new__ frame."""
+    """The class a*C0 + c*f; every integer pair is a valid numerical class."""
 
     __slots__ = ()
 
@@ -68,24 +71,26 @@ class CohomologyTable(namedtuple("CohomologyTable", "h0 h1 h2 chi")):
     __slots__ = ()
 
     def __new__(cls, h0: int, h1: int, h2: int, chi: int) -> CohomologyTable:
-        self = tuple.__new__(cls, (h0, h1, h2, chi))
-        if min(h0, h1, h2) < 0:
-            raise ConsistencyError(f"negative cohomology dimension: {self}")
-        if chi != h0 - h1 + h2:
-            raise ConsistencyError(f"chi != h0 - h1 + h2: {self}")
-        return self
+        return _checked(_new(cls, (h0, h1, h2, chi)))
 
     def __add__(self, other: CohomologyTable) -> CohomologyTable:
-        # direct sums add componentwise
-        return CohomologyTable(
-            self.h0 + other.h0,
-            self.h1 + other.h1,
-            self.h2 + other.h2,
-            self.chi + other.chi,
-        )
+        # direct sums add componentwise; a sum of checked tables passes both checks
+        h0, h1, h2, chi = self
+        o0, o1, o2, ochi = other
+        return _new(CohomologyTable, (h0 + o0, h1 + o1, h2 + o2, chi + ochi))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return self[:3]
+
+
+def _checked(table: CohomologyTable) -> CohomologyTable:
+    """table, once its dimensions are nonnegative and chi = h0 - h1 + h2."""
+    h0, h1, h2, chi = table
+    if min(h0, h1, h2) < 0:
+        raise ConsistencyError(f"negative cohomology dimension: {table}")
+    if chi != h0 - h1 + h2:
+        raise ConsistencyError(f"chi != h0 - h1 + h2: {table}")
+    return table
 
 
 def intersect(e: int, d1: DivisorClass, d2: DivisorClass) -> int:
@@ -189,7 +194,7 @@ def cohomology(e: int, d: DivisorClass) -> CohomologyTable:
             f"h1 routes disagree for D={d} on F_{e}: "
             f"chi-subtraction gives {h1}, fiberwise gives {direct}"
         )
-    return CohomologyTable(h0, h1, h2, chi_d)
+    return _checked(_new(CohomologyTable, (h0, h1, h2, chi_d)))
 
 
 class SurfaceTables(dict):

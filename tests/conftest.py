@@ -11,6 +11,9 @@ tables, h_of_L, sym2_pieces, flags, tangent, h_of_N) are not run.
 _prod(ctx, *classes) folds multiply over classes, the full product in the
 Chow ring; import it with `from conftest import _prod`.
 
+_substitute(poly, point) is poly with each variable named in point set to
+its int value, for the tests that compare a symbolic value with a member's.
+
 _mutant(fn, old, new) is fn recompiled with one edit, for the tests that
 check a fault is caught; import it with `from conftest import _mutant`.
 It is compiled without its decorators, so building a mutant of a verify
@@ -25,6 +28,7 @@ The pytester plugin is loaded for the self-tests of the test settings.
 
 import ast
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +42,7 @@ import fescroll
 from fescroll import chow_ring as cr
 from fescroll.bundle_family import FamilyParams
 from fescroll.member import Member
+from fescroll.poly import Poly
 
 pytest_plugins = ["pytester"]
 
@@ -57,6 +62,13 @@ def symbolic_member():
 def _prod(ctx: cr.ScrollContext, *classes: cr.ChowClass) -> cr.ChowClass:
     """The product of classes, multiplied left to right in the ring of ctx."""
     return reduce(partial(cr.multiply, ctx), classes)
+
+
+def _substitute(poly: Poly, point: dict[str, int]) -> Poly:
+    """poly with each variable named in point set to its int value."""
+    return Poly((tuple(v for v in mono if v not in point),
+                 c * math.prod(point[v] for v in mono if v in point))
+                for mono, c in poly.terms.items())
 
 
 def _mutant(fn, old: str, new: str):

@@ -1,15 +1,17 @@
 """Poly against int arithmetic: random +, -, * expressions over three
 variables, integers and bools, evaluated as polynomials and then at a
 point, agree with the same expressions evaluated on integers at that
-point, and so do divmod by an int where it divides and Poly.at.  Int
-arithmetic at a point is the oracle.  Every Poly result is built by the
-normalising constructor Poly(pairs), its only path; each operator is
-still checked against it, so a faster path added later must pass too."""
+point, and so do divmod by an int where it divides and the tests'
+substitution helper, conftest._substitute.  Int arithmetic at a point is
+the oracle.  Every Poly result is built by the normalising constructor
+Poly(pairs), its only path; each operator is still checked against it, so
+a faster path added later must pass too."""
 
 import math
 import operator
 
 import pytest
+from conftest import _substitute
 from hypothesis import given, strategies as st
 
 from fescroll.errors import ConsistencyError, exact_div
@@ -117,14 +119,14 @@ def test_the_constructor_sorts_each_monomial():
 
 
 @given(expressions, points)
-def test_at_substitutes_ints_like_int_arithmetic(expr, point):
+def test_substitute_sets_ints_like_int_arithmetic(expr, point):
     poly = as_poly(expr)
-    constant = poly.at(point)
+    constant = _substitute(poly, point)
     assert set(constant.terms) <= {()} and constant == at(poly, point)
     # x first, then y and z, reaches the same constant
-    partial = poly.at({"x": point["x"]})
+    partial = _substitute(poly, {"x": point["x"]})
     assert all("x" not in mono for mono in partial.terms)
-    assert partial.at({"y": point["y"], "z": point["z"]}) == constant
+    assert _substitute(partial, {"y": point["y"], "z": point["z"]}) == constant
     for result in (constant, partial):
         assert all(type(c) is int and c for c in result.terms.values())
         assert all(list(mono) == sorted(mono) for mono in result.terms)

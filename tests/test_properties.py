@@ -27,6 +27,7 @@ from fescroll.errors import ConsistencyError
 from fescroll.member import Member
 from fescroll.scroll_invariants import BinomialCubic
 from fescroll.surface_lattice import (
+    CohomologyTable,
     DivisorClass,
     _h0_fiberwise,
     _h1_fiberwise,
@@ -49,6 +50,9 @@ small_classes = st.builds(
     st.integers(min_value=-15, max_value=15),
     st.integers(min_value=-15, max_value=15),
 )
+dimensions = st.integers(min_value=0, max_value=10**6)
+valid_tables = st.tuples(dimensions, dimensions, dimensions).map(
+    lambda h: CohomologyTable(*h, h[0] - h[1] + h[2]))
 
 
 @st.composite
@@ -264,3 +268,12 @@ def test_chern_data_consistent(params):
     data = chern(params, bun)  # internally cross-asserts the three presentations
     assert data.c1 == bun.A + bun.B
     assert data.c2 == intersect(params.e, bun.A, bun.B)
+
+
+@given(valid_tables, valid_tables)
+def test_a_sum_of_tables_is_the_checked_table_of_the_sums(x, y):
+    # __add__ builds its result without the checks, which a sum of checked
+    # tables passes; the validating constructor must agree
+    total = x + y
+    assert type(total) is CohomologyTable
+    assert total == CohomologyTable(*(u + v for u, v in zip(x, y)))

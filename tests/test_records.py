@@ -6,10 +6,18 @@ is pinned here field for field.
 
 import pytest
 
-from fescroll.bundle_family import FamilyParams, build_split, extension_data
+from fescroll.bundle_family import (
+    ExtensionData,
+    FamilyParams,
+    SplitBundle,
+    UniformityEvidence,
+    build_split,
+    extension_data,
+    iter_valid_params,
+)
 from fescroll.chow_ring import ScrollContext
 from fescroll.errors import ConsistencyError, ParameterError
-from fescroll.hilbert_component import TangentCohomology
+from fescroll.hilbert_component import HypothesisFlags, TangentCohomology
 from fescroll.member import Member
 from fescroll.surface_lattice import ZERO, CohomologyTable, DivisorClass, cohomology
 
@@ -48,6 +56,24 @@ def test_scroll_context_is_the_plain_e_c1_c2_record():
     # one record of them a member keeps
     assert type(M.chern) is ScrollContext
     assert not hasattr(Member, "ctx")
+
+
+def test_a_members_records_are_what_their_constructors_build():
+    # the layers build these with tuple.__new__; each must still have exactly
+    # its record's type and equal the record the validating constructor makes
+    def same(value, record):
+        return type(value) is record and value == record(*value)
+
+    for params in iter_valid_params(4, 6):
+        member = Member(params)
+        split, ctx, ext = member.split, member.chern, extension_data(params)
+        assert same(split, SplitBundle) and same(ext, ExtensionData)
+        assert all(same(cls, DivisorClass) for cls in (*split, *ext[:2], ctx.c1))
+        assert same(ctx, ScrollContext)
+        assert same(member.uniformity, UniformityEvidence)
+        assert same(member.flags, HypothesisFlags)
+        assert all(same(table, CohomologyTable)
+                   for table in (*member.tables, *member.sym2_pieces))
 
 
 @pytest.mark.parametrize("build, reason, message", [

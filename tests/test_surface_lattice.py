@@ -1,6 +1,7 @@
 import pytest
 
-from fescroll.errors import ParameterError
+from fescroll import surface_lattice as sl
+from fescroll.errors import ConsistencyError, ParameterError
 from fescroll.surface_lattice import (
     C0,
     FIBER,
@@ -174,12 +175,23 @@ def test_riemann_roch_parity_and_chi():
 
 
 def test_table_invariant_rejects_mismatched_chi():
-    from fescroll.errors import ConsistencyError
-
     with pytest.raises(ConsistencyError):
         CohomologyTable(1, 0, 0, 2)
     with pytest.raises(ConsistencyError):
         CohomologyTable(-1, 0, 0, -1)
+
+
+def test_cohomology_checks_its_own_table_for_a_negative_dimension(monkeypatch):
+    # chi one too large and the fiberwise h^1 one too small: the two h^1
+    # routes still agree, so only the table check sees h^1 = -1 on C0 + 2f,
+    # whose table on F_1 is (5, 0, 0, 5)
+    chi, h1_fiberwise = sl._chi, sl._h1_fiberwise
+    monkeypatch.setattr(sl, "_chi", lambda e, a, c: chi(e, a, c) + 1)
+    monkeypatch.setattr(sl, "_h1_fiberwise", lambda e, a, c: h1_fiberwise(e, a, c) - 1)
+    with pytest.raises(ConsistencyError) as exc:
+        cohomology(F1, D(1, 2))
+    assert str(exc.value) == ("negative cohomology dimension: "
+                              "CohomologyTable(h0=5, h1=-1, h2=0, chi=6)")
 
 
 def test_divisor_arithmetic():

@@ -7,7 +7,7 @@ a comparison of e, b or t anywhere on the ungated chain raises TypeError.
 """
 
 import pytest
-from conftest import _mutant, _prod
+from conftest import _mutant, _prod, _substitute
 
 import fescroll.cli as cli
 from fescroll import bundle_family as bf
@@ -176,7 +176,7 @@ def _at(x, point):
     """x, a Poly, an int or a tuple of them, at the integer point {"e": e, "b": b, "t": t}."""
     if isinstance(x, tuple):
         return tuple(_at(y, point) for y in x)
-    return x.at(point) if isinstance(x, Poly) else x
+    return _substitute(x, point) if isinstance(x, Poly) else x
 
 
 @pytest.mark.parametrize("e, b, t", [(0, 3, 0), (1, 4, 3), (2, 7, 0), (3, 5, 2), (5, 20, 40)])
